@@ -28,7 +28,7 @@ from .probing import design_mami, probe_from_json, probe_to_json
 from .segmentation import SegmentModel, segment_network, segments_to_json
 from .ssbuild import (ScenarioFamily, build_family, contingency_from_json,
                       family_from_json, family_to_json)
-from .util import default_threads, dump_json, load_json
+from .util import dump_json, load_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,8 +146,7 @@ def cmd_build(args) -> int:
         listed = con_map.get(str(seg.id), [{"kind": "normal"}])
         fam = build_family(seg, _contingencies(listed),
                            monitored_bus=cfg.get("monitored_bus", {}).get(str(seg.id))
-                           if isinstance(cfg.get("monitored_bus"), dict) else None,
-                           threads=args.threads)
+                           if isinstance(cfg.get("monitored_bus"), dict) else None)
         families.append(family_to_json(fam))
         _say(f"segment {seg.id}: n={fam[0].n}, scenarios={fam.names}")
     dump_json({"families": families}, args.out)
@@ -178,8 +177,7 @@ def cmd_analyze(args) -> int:
 def cmd_design_probe(args) -> int:
     fam = _pick_family(load_json(args.family), args.segment)
     probe = design_mami(fam, fam[0].x_op, _channel_arg(args.channel),
-                        args.tau0, args.ts, margin=args.margin,
-                        threads=args.threads)
+                        args.tau0, args.ts, margin=args.margin)
     dump_json(probe_to_json(probe), args.out)
     write_manifest(os.path.dirname(os.path.abspath(args.out)), "design-probe",
                    [args.family],
@@ -195,7 +193,7 @@ def cmd_design_probe(args) -> int:
     return 0
 
 
-def _experiment_from_config(cfg_path, threads: int, probe_off: bool = False,
+def _experiment_from_config(cfg_path, probe_off: bool = False,
                             k_override: int | None = None):
     cfg = load_json(cfg_path)
     base = os.path.dirname(os.path.abspath(cfg_path))
@@ -209,7 +207,7 @@ def _experiment_from_config(cfg_path, threads: int, probe_off: bool = False,
     net = _load_network(net_path)
     segments = segment_network(net, _assignment_from_config(cfg))
     seg = _segment_by_id(segments, int(cfg["segment"]))
-    fam = build_family(seg, _contingencies(cfg["contingencies"]), threads=threads)
+    fam = build_family(seg, _contingencies(cfg["contingencies"]))
 
     probe_cfg = cfg.get("probe", {})
     if "file" in probe_cfg:
@@ -222,8 +220,7 @@ def _experiment_from_config(cfg_path, threads: int, probe_off: bool = False,
             _channel_arg(probe_cfg.get("channel", "delta")),
             float(probe_cfg.get("tau0", cfg["tau0"])),
             float(probe_cfg.get("ts", cfg["ts"])),
-            margin=float(probe_cfg.get("margin", 1.01)),
-            threads=threads)
+            margin=float(probe_cfg.get("margin", 1.01)))
 
     exp = ExperimentConfig(
         family=fam, probe=probe,
@@ -233,7 +230,6 @@ def _experiment_from_config(cfg_path, threads: int, probe_off: bool = False,
         noise_sigma=float(cfg.get("noise_sigma", 0.0)),
         subsample=int(cfg.get("subsample", 10)),
         x0_mode=cfg.get("x0_mode", "zero"),
-        threads=threads,
         probe_override_R=0.0 if probe_off else None)
     return exp, cfg, inputs
 
@@ -254,7 +250,7 @@ def _print_run_summary(exp: ExperimentConfig, result, reference: dict | None) ->
 
 def cmd_run(args) -> int:
     exp, cfg, inputs = _experiment_from_config(
-        args.config, args.threads, probe_off=args.probe_off, k_override=args.K)
+        args.config, probe_off=args.probe_off, k_override=args.K)
     result = run_experiment(exp, generate_sequence(exp))
     write_outputs(result, args.out_dir, windows_mode=args.windows)
     dump_json(probe_to_json(exp.probe), os.path.join(args.out_dir, "probe.json"))
@@ -277,8 +273,7 @@ def cmd_detect(args) -> int:
         truth = [int(r[1]) for r in rows[1:]]
     # windows are stored on the estimator grid; use every recorded sample
     dmodels = [discretize_zoh(sc, windows[0].ts) for sc in fam]
-    report = detect_sequence(dmodels, windows, truth=truth, subsample=1,
-                             threads=args.threads)
+    report = detect_sequence(dmodels, windows, truth=truth, subsample=1)
     dump_json(report.to_json(), args.out)
     write_manifest(os.path.dirname(os.path.abspath(args.out)), "detect",
                    [args.family] + ([args.probe] if args.probe else [])
@@ -304,7 +299,7 @@ def cmd_repro_paper(args) -> int:
     for seg in segments:
         listed = (cfg["contingencies"] if seg.id == int(cfg["segment"])
                   else [{"kind": "normal"}])
-        fam = build_family(seg, _contingencies(listed), threads=args.threads)
+        fam = build_family(seg, _contingencies(listed))
         families[seg.id] = fam
         print(f"segment {seg.id}: n = {fam[0].n}")
 
@@ -318,8 +313,7 @@ def cmd_repro_paper(args) -> int:
           f"({rep.names[rep.most_damped]})")
 
     print("== probing design and switched-sequence detection ==")
-    exp, cfg, inputs = _experiment_from_config(cfg_path, args.threads,
-                                               k_override=args.K)
+    exp, cfg, inputs = _experiment_from_config(cfg_path, k_override=args.K)
     result = run_experiment(exp, generate_sequence(exp))
     write_outputs(result, args.out_dir, windows_mode=args.windows)
     dump_json(probe_to_json(exp.probe), os.path.join(args.out_dir, "probe.json"))
@@ -333,11 +327,6 @@ def cmd_repro_paper(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-
-def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=default_threads(),
-                   help="parallelism cap (env SHS_LAB_THREADS)")
 
 
 def build_parser() -> _Parser:
@@ -360,7 +349,6 @@ def build_parser() -> _Parser:
     p.add_argument("--network", required=True)
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    _add_threads(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("analyze", help="per-scenario eigenvalues and stability verdict")
@@ -377,7 +365,6 @@ def build_parser() -> _Parser:
     p.add_argument("--channel", default="delta", help="0|1|2 or d|delta|m_a")
     p.add_argument("--margin", type=float, default=1.01)
     p.add_argument("--out", required=True)
-    _add_threads(p)
     p.set_defaults(func=cmd_design_probe)
 
     p = sub.add_parser("run", help="run a switched-sequence detection experiment")
@@ -387,7 +374,6 @@ def build_parser() -> _Parser:
     p.add_argument("--probe-off", action="store_true",
                    help="apply R=0 instead of the designed magnitude")
     p.add_argument("--K", type=int, help="override the configured interval count")
-    _add_threads(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("detect", help="replay detection from recorded windows")
@@ -397,7 +383,6 @@ def build_parser() -> _Parser:
     p.add_argument("--trace", required=True, help="windows/ directory with meta.json")
     p.add_argument("--truth")
     p.add_argument("--out", required=True)
-    _add_threads(p)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("repro-paper",
@@ -405,7 +390,6 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", default="repro-out")
     p.add_argument("--windows", choices=("strided", "full", "none"), default="strided")
     p.add_argument("--K", type=int, help="override the configured interval count")
-    _add_threads(p)
     p.set_defaults(func=cmd_repro_paper)
 
     return parser

@@ -1,9 +1,10 @@
-"""Scenario identification from one measurement window.
+"""Scenario identification per measurement window.
 
 For each candidate scenario the unknown window-start state is estimated by
 stacked least squares against the recorded outputs (with the recorded probe
 and aux-voltage feedthrough removed), and the scenario with the smallest
-fit residual wins. Ties break toward the lowest scenario index.
+fit residual wins. Ties break toward the lowest scenario index. Windows that
+share their input records are fitted together, one solve per scenario.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import numpy as np
 from .errors import EstimationError
 from .linsys import DiscreteStateSpace, simulate
 from .probing import ProbingDesign
-from .util import parallel_map
+
+# rows per QR step in _fit
+_QR_ROWS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +151,56 @@ def forced_outputs(dmodel: DiscreteStateSpace, window: MeasurementWindow) -> np.
     return simulate(dmodel, None, window.u1, window.u2, window.steps).outputs
 
 
+def _check_window(dmodel: DiscreteStateSpace, window: MeasurementWindow) -> None:
+    if window.samples.shape[1] != dmodel.p:
+        raise EstimationError(
+            f"window has {window.samples.shape[1]} outputs, model has {dmodel.p}")
+    if abs(window.ts - dmodel.ts) > 1e-12 * max(window.ts, dmodel.ts):
+        raise EstimationError(
+            f"window sampled at {window.ts}, model discretized at {dmodel.ts}")
+
+
+def _free_outputs(windows: list[MeasurementWindow], forced: np.ndarray,
+                  idx: np.ndarray) -> np.ndarray:
+    """(rows, windows) matrix of the strided samples of windows that share
+    their input records, with those records' forced response removed."""
+    # filled in place: these (rows, windows) matrices set detection's peak memory
+    forced = forced[idx]
+    free = np.empty((len(windows),) + forced.shape)
+    for k, window in enumerate(windows):
+        np.subtract(window.samples[idx], forced, out=free[k])
+    return free.reshape(len(windows), -1).T
+
+
+def _fit(stack: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares window-start states for every column of `free` and the
+    attained residual norms.
+
+    The tall stack is reduced to an n-by-n triangle by a QR that streams over
+    chunks of _QR_ROWS rows, rotating `free` along, so every LAPACK and BLAS
+    call stays small enough to run on the calling thread. The triangle goes
+    to numpy's lstsq at the rank cut numpy applies to the full stack,
+    eps * max(rows, n) times the largest singular value, so rank-deficient
+    stacks get the minimum-norm estimate. Residuals are taken against the
+    full stack.
+    """
+    if not np.any(stack):
+        raise EstimationError("all-zero observability map; model is unobservable")
+    rows, n = stack.shape
+    chunks = range(0, rows, _QR_ROWS)
+    tri, rhs = np.empty((0, n)), np.empty((0, free.shape[1]))
+    for lo in chunks:
+        q, tri = np.linalg.qr(np.vstack([tri, stack[lo:lo + _QR_ROWS]]))
+        rhs = q.T @ np.vstack([rhs, free[lo:lo + _QR_ROWS]])
+    x0_hat, _, _, _ = np.linalg.lstsq(tri, rhs, rcond=np.finfo(float).eps * max(rows, n))
+    squares = np.zeros(free.shape[1])
+    for lo in chunks:
+        misfit = stack[lo:lo + _QR_ROWS] @ x0_hat
+        misfit -= free[lo:lo + _QR_ROWS]
+        squares += np.einsum("ij,ij->j", misfit, misfit)
+    return x0_hat, np.sqrt(squares)
+
+
 def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow,
                            subsample: int = 10,
                            stack: np.ndarray | None = None,
@@ -155,95 +208,79 @@ def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow
     """Least-squares window-start state and the attained fit residual.
 
     Rank-deficient observability gives the minimum-norm estimate; an all-zero
-    observability map is reported as an error.
+    observability map is reported as an error. This is the one-window case of
+    the solve detect_sequence makes per run of windows.
     """
-    if window.samples.shape[1] != dmodel.p:
-        raise EstimationError(
-            f"window has {window.samples.shape[1]} outputs, model has {dmodel.p}")
-    if abs(window.ts - dmodel.ts) > 1e-12 * max(window.ts, dmodel.ts):
-        raise EstimationError(
-            f"window sampled at {window.ts}, model discretized at {dmodel.ts}")
+    _check_window(dmodel, window)
     steps = window.steps
     if stack is None:
         stack = observability_stack(dmodel, steps, subsample)
-    if not np.any(stack):
-        raise EstimationError("all-zero observability map; model is unobservable")
     if forced is None:
         forced = forced_outputs(dmodel, window)
-    idx = sample_indices(steps, subsample)
-    y_free = (window.samples - forced)[idx].reshape(-1)
-    x0_hat, _, _, _ = np.linalg.lstsq(stack, y_free, rcond=None)
-    residual = float(np.linalg.norm(stack @ x0_hat - y_free))
-    return x0_hat, residual
+    x0_hat, residual = _fit(
+        stack, _free_outputs([window], forced, sample_indices(steps, subsample)))
+    return x0_hat[:, 0], float(residual[0])
 
 
-class _ForcedCache:
-    """Reuse forced responses across windows that share input records, which
-    is the common case for a fixed probe."""
-
-    def __init__(self, models):
-        self.models = models
-        self.u1 = None
-        self.u2 = None
-        self.forced = None
-
-    def get(self, window: MeasurementWindow) -> list[np.ndarray]:
-        if (self.forced is None
-                or self.u1.shape != window.u1.shape
-                or self.u2.shape != window.u2.shape
-                or not np.array_equal(self.u1, window.u1)
-                or not np.array_equal(self.u2, window.u2)):
-            self.u1 = window.u1
-            self.u2 = window.u2
-            self.forced = [forced_outputs(m, window) for m in self.models]
-        return self.forced
+def _shared_input_runs(windows: list[MeasurementWindow]) -> list[list[MeasurementWindow]]:
+    """Split the window list into runs of consecutive windows with identical
+    input records (and hence one length), the common case for a fixed probe."""
+    runs = [[windows[0]]]
+    for window in windows[1:]:
+        head = runs[-1][0]
+        if np.array_equal(window.u1, head.u1) and np.array_equal(window.u2, head.u2):
+            runs[-1].append(window)
+        else:
+            runs.append([window])
+    return runs
 
 
 def detect(models: list[DiscreteStateSpace], window: MeasurementWindow,
-           subsample: int = 10, threads: int = 1,
-           stacks: list[np.ndarray] | None = None,
-           forced: list[np.ndarray] | None = None) -> ScenarioVerdict:
+           subsample: int = 10) -> ScenarioVerdict:
     """Fit every scenario to the window and pick the minimum-residual one."""
-    if not models:
-        raise EstimationError("scenario list is empty")
-
-    def fit(i):
-        try:
-            return estimate_initial_state(
-                models[i], window, subsample=subsample,
-                stack=None if stacks is None else stacks[i],
-                forced=None if forced is None else forced[i])
-        except EstimationError as exc:
-            raise EstimationError(f"scenario {i}: {exc}") from exc
-
-    fits = parallel_map(fit, list(range(len(models))), threads=threads)
-    residuals = np.array([r for _, r in fits])
-    x0_hat = np.vstack([x for x, _ in fits])
-    return ScenarioVerdict(detected=int(np.argmin(residuals)),
-                           residuals=residuals, x0_hat=x0_hat)
+    return detect_sequence(models, [window], subsample=subsample).verdicts[0]
 
 
 def detect_sequence(models: list[DiscreteStateSpace],
                     windows: list[MeasurementWindow],
                     truth: list[int] | None = None,
-                    subsample: int = 10, threads: int = 1) -> DetectionReport:
-    """Run detect over an ordered window list, reusing per-scenario
-    observability stacks when windows share a length."""
+                    subsample: int = 10) -> DetectionReport:
+    """Fit every scenario to every window of an ordered list and pick the
+    minimum-residual scenario per window.
+
+    Consecutive windows with identical input records share, per scenario, one
+    observability stack (cached by window length), one forced response and
+    one least-squares solve over all of their windows.
+    """
     if truth is not None and len(truth) != len(windows):
         raise EstimationError("truth sequence length differs from window count")
     if not windows:
         return DetectionReport(verdicts=(), truth=tuple(truth or ()) if truth is not None else None)
+    if not models:
+        raise EstimationError("scenario list is empty")
 
     stacks_by_steps: dict[int, list[np.ndarray]] = {}
-    cache = _ForcedCache(models)
     verdicts = []
-    for window in windows:
-        steps = window.steps
+    for run in _shared_input_runs(windows):
+        steps = run[0].steps
         if steps not in stacks_by_steps:
             stacks_by_steps[steps] = [
                 observability_stack(m, steps, subsample) for m in models]
-        verdicts.append(detect(models, window, subsample=subsample, threads=threads,
-                               stacks=stacks_by_steps[steps],
-                               forced=cache.get(window)))
+        idx = sample_indices(steps, subsample)
+        fits = []
+        for i, (model, stack) in enumerate(zip(models, stacks_by_steps[steps])):
+            try:
+                for window in run:
+                    _check_window(model, window)
+                forced = forced_outputs(model, run[0])
+                fits.append(_fit(stack, _free_outputs(run, forced, idx)))
+            except EstimationError as exc:
+                raise EstimationError(f"scenario {i}: {exc}") from exc
+        x0_hat = np.stack([x for x, _ in fits])          # (m, n, windows)
+        residuals = np.stack([r for _, r in fits])       # (m, windows)
+        for col in range(len(run)):
+            verdicts.append(ScenarioVerdict(
+                detected=int(np.argmin(residuals[:, col])),
+                residuals=residuals[:, col], x0_hat=x0_hat[:, :, col]))
     return DetectionReport(verdicts=tuple(verdicts),
                            truth=tuple(truth) if truth is not None else None)

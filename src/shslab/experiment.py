@@ -15,11 +15,10 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .detection import DetectionReport, MeasurementWindow, detect_sequence
 from .errors import ConfigError, NumericalError
-from .linsys import discretize_zoh, eig_sorted, simulate
+from .linsys import discretize_zoh, eig_sorted, expm, simulate
 from .probing import ProbingDesign
 from .ssbuild import ScenarioFamily
 from .util import dump_json
@@ -45,7 +44,6 @@ class ExperimentConfig:
     noise_sigma: float = 0.0
     subsample: int = 10
     x0_mode: str = "zero"          # 'zero' | 'random' (max-norm scaled to mu0)
-    threads: int = 1
     probe_override_R: float | None = None   # e.g. 0.0 for the passive ablation
 
     def __post_init__(self):
@@ -118,7 +116,7 @@ def run_experiment(config: ExperimentConfig,
 
     dmodels = [discretize_zoh(sc, config.ts) for sc in family]
     # exact unforced propagation across the probe-off remainder of an interval
-    hold = [scipy.linalg.expm(sc.A * (config.tau - config.tau0)) for sc in family]
+    hold = [expm(sc.A * (config.tau - config.tau0)) for sc in family]
 
     _, rng_noise, rng_x0 = _rngs(config.seed)
     n = family[0].n
@@ -156,7 +154,7 @@ def run_experiment(config: ExperimentConfig,
     boundaries[config.K] = x
 
     report = detect_sequence(dmodels, windows, truth=list(sequence.alphas),
-                             subsample=config.subsample, threads=config.threads)
+                             subsample=config.subsample)
     return ExperimentResult(config=config, sequence=sequence, report=report,
                             windows=tuple(windows), boundary_states=boundaries)
 

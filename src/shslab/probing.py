@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DegenerateDesignError, NumericalError
 from .linsys import discretize_zoh, eigenvalues, step_response
 from .ssbuild import ScenarioFamily, StateSpaceModel
-from .util import parallel_map
 
 CHANNELS = ("d", "delta", "m_a")
 
@@ -115,8 +114,8 @@ def compute_mu1(family: ScenarioFamily) -> float:
     return max(float(np.linalg.norm(sc.C, 2)) for sc in family)
 
 
-def compute_delta_min(family: ScenarioFamily, channel, tau0: float, ts: float,
-                      threads: int = 1) -> DeltaMinResult:
+def compute_delta_min(family: ScenarioFamily, channel, tau0: float,
+                      ts: float) -> DeltaMinResult:
     """Smallest over scenario pairs of the largest output-aggregate deviation
     between zero-initial unit-step responses on `channel` over [0, tau0].
 
@@ -130,10 +129,8 @@ def compute_delta_min(family: ScenarioFamily, channel, tau0: float, ts: float,
     if steps < 1:
         raise DegenerateDesignError(f"window tau0={tau0} shorter than ts={ts}")
 
-    def response(sc):
-        return step_response(discretize_zoh(sc, ts), ch, steps).aggregate
-
-    aggregates = parallel_map(response, list(family.scenarios), threads=threads)
+    aggregates = [step_response(discretize_zoh(sc, ts), ch, steps).aggregate
+                  for sc in family]
 
     gaps: dict[tuple[int, int], float] = {}
     for i in range(len(family)):
@@ -144,14 +141,13 @@ def compute_delta_min(family: ScenarioFamily, channel, tau0: float, ts: float,
 
 
 def design_mami(family: ScenarioFamily, equilibrium: np.ndarray, channel,
-                tau0: float, ts: float, margin: float = 1.01,
-                threads: int = 1) -> ProbingDesign:
+                tau0: float, ts: float, margin: float = 1.01) -> ProbingDesign:
     """Full design: R0 = 2 mu0 mu1 / delta_min, R = margin * R0 (margin > 1)."""
     if not margin > 1.0:
         raise DegenerateDesignError(f"margin must exceed 1, got {margin}")
     ch = channel_index(channel)
     mu1 = compute_mu1(family)
-    dm = compute_delta_min(family, ch, tau0, ts, threads=threads)
+    dm = compute_delta_min(family, ch, tau0, ts)
     if dm.indistinguishable:
         raise DegenerateDesignError(
             f"scenarios {dm.pair} are output-indistinguishable under channel "

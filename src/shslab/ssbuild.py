@@ -41,7 +41,6 @@ import numpy as np
 from .errors import BuildError, NetworkFormatError
 from .grid import ControlInput, PvbParams
 from .segmentation import SegmentModel
-from .util import parallel_map
 
 PVB_STATE_NAMES = ("i_pv", "v_dc", "i_t_q", "i_t_d", "v_Cs", "v_Cb")
 
@@ -622,21 +621,20 @@ def build_state_space(segment: SegmentModel, contingency: ContingencySpec,
 
 
 def build_family(segment: SegmentModel, contingencies: list[ContingencySpec],
-                 monitored_bus: int | None = None, threads: int = 1) -> ScenarioFamily:
+                 monitored_bus: int | None = None) -> ScenarioFamily:
     """Build all scenarios of a segment; the first entry must be 'normal'."""
     if not contingencies:
         raise BuildError("contingency list is empty")
     if contingencies[0].kind != "normal":
         raise BuildError("the first scenario must be 'normal'")
 
-    def build_one(item):
-        i, spec = item
+    scenarios = []
+    for i, spec in enumerate(contingencies):
         try:
-            return build_state_space(segment, spec, alpha=i, monitored_bus=monitored_bus)
+            scenarios.append(
+                build_state_space(segment, spec, alpha=i, monitored_bus=monitored_bus))
         except BuildError as exc:
             raise BuildError(f"scenario {i} ({spec.name()}): {exc}") from exc
-
-    scenarios = parallel_map(build_one, list(enumerate(contingencies)), threads=threads)
     return ScenarioFamily(segment_id=segment.id, scenarios=tuple(scenarios))
 
 

@@ -1,37 +1,8 @@
-"""Small shared helpers: thread-capped map and deterministic JSON output."""
+"""Small shared helpers: deterministic JSON output."""
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
-
-T = TypeVar("T")
-U = TypeVar("U")
-
-ENV_THREADS = "SHS_LAB_THREADS"
-
-
-def default_threads() -> int:
-    """Thread cap from the SHS_LAB_THREADS environment variable (default 1)."""
-    raw = os.environ.get(ENV_THREADS, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn: Callable[[T], U], items: Sequence[T], threads: int = 1) -> list[U]:
-    """Map fn over items, optionally on a thread pool.
-
-    Results are always returned in input order, so callers stay deterministic
-    regardless of completion order.
-    """
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def dump_json(obj, path, sort_keys: bool = False) -> None:

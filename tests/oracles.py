@@ -1,9 +1,10 @@
 """Independent numerical oracles used by the tests.
 
 These are deliberately separate implementations from the package: a classic
-fixed-step RK4 integrator, an implicit-trapezoid integrator, a central
-finite-difference Jacobian, and an incidence-matrix builder. They never call
-into shslab's discretization or stamping code paths.
+fixed-step RK4 integrator, an implicit-trapezoid integrator, a per-sample
+discrete-time recursion, a central finite-difference Jacobian, and an
+incidence-matrix builder. They never call into shslab's discretization,
+simulation or stamping code paths.
 """
 
 import numpy as np
@@ -83,3 +84,32 @@ def branch_incidence(bus_ids, branches):
         if v in row:
             inc[row[v], j] = 1.0
     return inc
+
+
+def loop_simulate(Ad, Bd1, Bd2, C, D2, x0, u1, u2, steps):
+    """Per-sample recursion x_{k+1} = Ad x_k + Bd1 u1_k + Bd2 u2_k with
+    y_k = C x_k + D2 u2_k, one Python iteration per sample.
+
+    u1 and u2 need at least `steps` rows; a missing row `steps` is zero.
+    Returns ((steps+1, n) states, (steps+1, p) outputs).
+    """
+    Ad, Bd1, Bd2, C, D2 = (np.asarray(a, dtype=float) for a in (Ad, Bd1, Bd2, C, D2))
+    n, q = Ad.shape[0], Bd2.shape[1]
+
+    def padded(u, cols):
+        u = np.zeros((steps + 1, cols)) if u is None else np.asarray(u, dtype=float)
+        if u.shape[0] == steps:
+            u = np.vstack([u, np.zeros(cols)])
+        return u
+
+    U1 = padded(u1, 3)
+    U2 = padded(u2, q)
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    xs = np.empty((steps + 1, n))
+    ys = np.empty((steps + 1, C.shape[0]))
+    for k in range(steps + 1):
+        xs[k] = x
+        ys[k] = C @ x + D2 @ U2[k]
+        if k < steps:
+            x = Ad @ x + Bd1 @ U1[k] + Bd2 @ U2[k]
+    return xs, ys

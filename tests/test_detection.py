@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_model
+import shslab.detection as detection
+from conftest import PAPER_TS, make_model
 from shslab.detection import (MeasurementWindow, ScenarioVerdict, detect,
                               detect_sequence, estimate_initial_state,
                               forced_outputs, observability_stack, sample_indices)
@@ -142,13 +143,6 @@ def test_detection_deterministic(dmodels, m1_probe):
     assert v1.detected == v2.detected
 
 
-def test_detect_threads_deterministic(dmodels, m1_probe):
-    window = probe_window(dmodels[2], np.ones(18), m1_probe.R)
-    a = detect(dmodels, window, subsample=SUB, threads=1)
-    b = detect(dmodels, window, subsample=SUB, threads=4)
-    assert np.array_equal(a.residuals, b.residuals)
-
-
 def test_detect_sequence_empty(dmodels):
     report = detect_sequence(dmodels, [], truth=[])
     assert report.verdicts == ()
@@ -168,6 +162,88 @@ def test_detect_sequence_scores(dmodels, m1_probe):
     assert doc["accuracy"] == 1.0
     assert [w["true"] for w in doc["windows"]] == truth
     assert all(len(w["residuals"]) == 4 for w in doc["windows"])
+
+
+def test_grouped_detection_matches_per_window_fits(dmodels, m1_probe, monkeypatch):
+    # two input records (probe on, probe off) and two lengths, in runs that
+    # split and rejoin; scenario 2 (line outage) has a rank-deficient stack
+    rng = np.random.default_rng(31)
+    plan = [  # (scenario, probe on, steps, x0 scale)
+        (2, True, STEPS, 1.0), (0, True, STEPS, 1.0), (3, True, STEPS, 0.0),
+        (1, False, STEPS, 1.0), (2, False, STEPS, 0.0), (0, False, STEPS, 0.0),
+        (2, False, 300, 1.0), (3, True, 300, 1.0), (2, True, 300, 1.0),
+        (1, True, STEPS, 1.0)]
+    windows = [probe_window(dmodels[a], scale * rng.standard_normal(18) * m1_probe.mu0,
+                            m1_probe.R if on else 0.0, steps=steps)
+               for a, on, steps, scale in plan]
+    runs = 5
+    calls = []
+    original = detection.forced_outputs
+    monkeypatch.setattr(detection, "forced_outputs",
+                        lambda d, w: calls.append(w) or original(d, w))
+    report = detect_sequence(dmodels, windows, subsample=SUB)
+    monkeypatch.undo()
+    assert len(calls) == runs * len(dmodels)
+
+    for (a, on, steps, scale), window, verdict in zip(plan, windows, report.verdicts):
+        fits = [estimate_initial_state(d, window, subsample=SUB) for d in dmodels]
+        ref = np.array([r for _, r in fits])
+        got = verdict.residuals
+        if scale == 0.0 and not on:
+            # an all-zero window: exact ties, broken toward index 0
+            assert np.all(got == 0.0) and np.all(ref == 0.0)
+            assert verdict.detected == 0
+            continue
+        tol = 1e-9 * np.maximum(np.abs(ref), np.abs(got)) \
+            + 1e-14 * np.linalg.norm(window.samples)
+        assert np.all(np.abs(got - ref) <= tol)
+        assert verdict.detected == int(np.argmin(ref))
+        assert verdict.x0_hat.shape == (len(dmodels), 18)
+        if on:
+            assert verdict.detected == a
+
+
+@pytest.mark.parametrize("subsample", [1, SUB])
+def test_fit_matches_full_stack_lstsq(dmodels, m1_probe, subsample):
+    # the chunked QR reduction against numpy's lstsq on the whole stack, on
+    # stacks of several chunks, including the rank-deficient line outage
+    rng = np.random.default_rng(7 + subsample)
+    idx = sample_indices(STEPS, subsample)
+    for gen in dmodels:
+        noise = 1e-3 * rng.standard_normal((STEPS + 1, gen.p))
+        window = probe_window(gen, rng.standard_normal(18) * m1_probe.mu0,
+                              m1_probe.R, noise=noise)
+        for d in dmodels:
+            stack = observability_stack(d, STEPS, subsample)
+            assert stack.shape[0] > 2 * detection._QR_ROWS
+            y = (window.samples - forced_outputs(d, window))[idx].reshape(-1)
+            x_ref = np.linalg.lstsq(stack, y, rcond=None)[0]
+            ref = np.linalg.norm(stack @ x_ref - y)
+            x0_hat, residual = estimate_initial_state(d, window, subsample=subsample)
+            tol = 1e-14 * np.linalg.norm(y)
+            assert abs(residual - ref) <= 1e-9 * ref + tol
+            assert np.max(np.abs(stack @ x0_hat - stack @ x_ref)) <= 1e-9 * np.max(np.abs(y))
+            assert np.linalg.norm(x0_hat - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
+
+
+def test_fit_rank_cut_is_full_stack_rule(m1_family):
+    # at the paper grid the stacks carry singular values between the cut numpy
+    # applies to the 18 x 18 triangle (18 eps) and the one it applies to the
+    # full stack (rows * eps); the estimate must use the full-stack cut
+    rng = np.random.default_rng(11)
+    steps, sub = 10000, 10
+    for sc in m1_family:
+        d = discretize_zoh(sc, PAPER_TS)
+        stack = observability_stack(d, steps, sub)
+        y_free = stack @ rng.standard_normal(18) + 1e-3 * rng.standard_normal(stack.shape[0])
+        x_ref = np.linalg.lstsq(stack, y_free, rcond=None)[0]
+        samples = np.zeros((steps + 1, d.p))
+        samples[sample_indices(steps, sub)] = y_free.reshape(-1, d.p)
+        window = MeasurementWindow(t_start=0.0, ts=PAPER_TS, samples=samples,
+                                   u1=np.zeros((steps + 1, 3)),
+                                   u2=np.zeros((steps + 1, d.Bd2.shape[1])))
+        x0_hat, _ = estimate_initial_state(d, window, subsample=sub, stack=stack)
+        assert np.linalg.norm(x0_hat - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
 
 
 def test_estimator_rejects_mismatched_ts(dmodels):

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import make_family, make_model
 from shslab.errors import ConfigError
 from shslab.experiment import (ExperimentConfig, SwitchingSequence, eigen_report,
                                generate_sequence, read_windows, run_experiment,
                                write_outputs)
-from shslab.linsys import discretize_zoh, simulate
+from shslab.linsys import discretize_zoh, expm, simulate
 
 # coarse, fast experiment grid for unit tests; the acceptance suite runs the
 # paper-scale one
@@ -71,7 +70,7 @@ def test_state_continuity_across_switches(m1_family, coarse_probe):
     seq = SwitchingSequence(alphas=(0, 2, 1, 3))  # switch every interval
     result = run_experiment(cfg, seq)
     dmodels = [discretize_zoh(sc, TS) for sc in m1_family]
-    hold = [scipy.linalg.expm(sc.A * (TAU - TAU0)) for sc in m1_family]
+    hold = [expm(sc.A * (TAU - TAU0)) for sc in m1_family]
     steps = int(round(TAU0 / TS))
     x = np.zeros(18)
     for k, a in enumerate(seq.alphas):

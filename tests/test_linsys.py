@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from conftest import bare_line_segment, make_model
-from oracles import rk4_lti
+from conftest import PAPER_TS, bare_line_segment, make_model
+from oracles import loop_simulate, rk4_lti
 from shslab.errors import NumericalError
 from shslab.linsys import (assert_family_hurwitz, discretize_zoh, eigenvalues,
-                           equilibrium, is_hurwitz, simulate, step_response)
+                           equilibrium, expm, is_hurwitz, simulate, step_response)
 from shslab.ssbuild import ContingencySpec, build_state_space
 
 
@@ -112,6 +113,28 @@ def test_zoh_semigroup_m1(m1_family):
     assert err <= 1e-10
 
 
+# every Pade degree (3, 5, 7, 9) and degree 13 with and without squarings
+@pytest.mark.parametrize("scale", [0.0, 1e-3, 0.1, 0.5, 1.5, 4.0, 50.0])
+def test_expm_matches_scipy_random(scale):
+    rng = np.random.default_rng(int(scale * 100))
+    for n in (1, 2, 5, 23):
+        M = scale * rng.standard_normal((n, n)) / math.sqrt(n)
+        ref = scipy.linalg.expm(M)
+        assert np.max(np.abs(expm(M) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_expm_matches_scipy_m1(m1_family):
+    # the augmented discretization at several ts and the probe-off hold
+    for sc in m1_family:
+        B = np.hstack([sc.B1, sc.B2])
+        aug = np.zeros((sc.n + B.shape[1],) * 2)
+        aug[:sc.n, :sc.n] = sc.A
+        aug[:sc.n, sc.n:] = B
+        for M in (aug * 1e-6, aug * 1e-5, aug * 1e-4, sc.A * 9.99e-3):
+            ref = scipy.linalg.expm(M)
+            assert np.max(np.abs(expm(M) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_simulate_zero_everything(m1_family):
     d = discretize_zoh(m1_family[0], 1e-5)
     trace = simulate(d, None, None, None, 50)
@@ -157,6 +180,31 @@ def test_zoh_agrees_with_rk4_oracle(m1_family):
     ref = rk4_lti(model.A, B, u_seq, ts, np.zeros(18), ts / 2, 2 * steps)[::2]
     scale = np.abs(ref).max()
     assert np.max(np.abs(trace.states - ref)) <= 1e-6 * scale
+
+
+@pytest.fixture(scope="module")
+def paper_dmodels(m1_family):
+    return [discretize_zoh(sc, PAPER_TS) for sc in m1_family]
+
+
+# step counts straddle the block size floor(sqrt(steps+1)) and its edges;
+# input records have `steps`, `steps+1` and more than `steps+1` rows
+@pytest.mark.parametrize("steps", [0, 1, 2, 99, 100, 101, 10000])
+@pytest.mark.parametrize("extra_rows", [0, 1, 7])
+def test_simulate_matches_loop_oracle(paper_dmodels, steps, extra_rows):
+    rng = np.random.default_rng(1000 * steps + extra_rows)
+    for d in paper_dmodels:
+        assert np.any(d.D2)  # the feedthrough path is exercised
+        rows = steps + extra_rows
+        x0 = rng.standard_normal(d.n)
+        u1 = rng.standard_normal((rows, 3))
+        u2 = rng.standard_normal((rows, d.Bd2.shape[1]))
+        trace = simulate(d, x0, u1, u2, steps, record_states=True)
+        xs, ys = loop_simulate(d.Ad, d.Bd1, d.Bd2, d.C, d.D2, x0, u1, u2, steps)
+        assert trace.states.shape == xs.shape and trace.outputs.shape == ys.shape
+        assert np.max(np.abs(trace.states - xs)) <= 1e-12 * np.max(np.abs(xs))
+        assert np.max(np.abs(trace.outputs - ys)) <= 1e-12 * np.max(np.abs(ys))
+        assert np.array_equal(trace.final_state, trace.states[-1])
 
 
 def test_simulate_shape_errors(m1_family):

@@ -186,10 +186,3 @@ def test_enlarging_family_cannot_increase_delta_min(m1_family):
     d_full = compute_delta_min(m1_family, 1, tau0, ts)
     assert d_full.value <= d_sub.value + 1e-12
 
-
-def test_delta_min_threads_deterministic(m1_family):
-    a = compute_delta_min(m1_family, 1, 0.002, 1e-5, threads=1)
-    b = compute_delta_min(m1_family, 1, 0.002, 1e-5, threads=4)
-    assert a.value == b.value
-    assert a.pair == b.pair
-    assert a.gaps == b.gaps
