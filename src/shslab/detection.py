@@ -21,6 +21,18 @@ from .probing import ProbingDesign
 _QR_ROWS = 128
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float64 array with the contents of `a`. An array that is
+    already read-only float64 and owns its memory is kept, so windows that
+    share one input record share its buffer; anything else is copied."""
+    if (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and not a.flags.writeable and a.flags.owndata):
+        return a
+    arr = np.array(a, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementWindow:
     """Uniformly sampled output record over one detection window, together
@@ -35,9 +47,7 @@ class MeasurementWindow:
 
     def __post_init__(self):
         for fname in ("samples", "u1", "u2"):
-            arr = np.array(getattr(self, fname), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, fname, arr)
+            object.__setattr__(self, fname, _frozen(getattr(self, fname)))
         if not self.ts > 0:
             raise EstimationError(f"sample period must be > 0, got {self.ts}")
         rows = self.samples.shape[0]
@@ -203,8 +213,7 @@ def _fit(stack: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow,
                            subsample: int = 10,
-                           stack: np.ndarray | None = None,
-                           forced: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+                           stack: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Least-squares window-start state and the attained fit residual.
 
     Rank-deficient observability gives the minimum-norm estimate; an all-zero
@@ -215,10 +224,8 @@ def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow
     steps = window.steps
     if stack is None:
         stack = observability_stack(dmodel, steps, subsample)
-    if forced is None:
-        forced = forced_outputs(dmodel, window)
-    x0_hat, residual = _fit(
-        stack, _free_outputs([window], forced, sample_indices(steps, subsample)))
+    x0_hat, residual = _fit(stack, _free_outputs(
+        [window], forced_outputs(dmodel, window), sample_indices(steps, subsample)))
     return x0_hat[:, 0], float(residual[0])
 
 

@@ -133,6 +133,9 @@ def run_experiment(config: ExperimentConfig,
     u1_win = np.zeros((steps + 1, 3))
     u1_win[:steps, config.probe.channel] = config.applied_R
     u2_win = np.zeros((steps + 1, q))
+    # frozen once, so every window shares these two records instead of a copy
+    u1_win.setflags(write=False)
+    u2_win.setflags(write=False)
 
     windows: list[MeasurementWindow] = []
     boundaries = np.empty((config.K + 1, n))

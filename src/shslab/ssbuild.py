@@ -29,6 +29,11 @@ Contingency transforms keep the state dimension fixed:
   coupling to bus voltages is removed in both directions.
 * line_disconnect: open at one end only; the open end's voltage leaves the
   KVL and the open end's KCL no longer sees the line current.
+
+Assembly is exact: with the converter held at its set point u1_op, every
+element equation is affine in the state, so A is stamped from the closed-form
+coefficients, the operating point comes from one linear solve, and B1 holds
+the closed-form partial derivatives with respect to (d, delta, m_a).
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BuildError, NetworkFormatError
-from .grid import ControlInput, PvbParams
+from .grid import PvbParams
 from .segmentation import SegmentModel
 
 PVB_STATE_NAMES = ("i_pv", "v_dc", "i_t_q", "i_t_d", "v_Cs", "v_Cb")
@@ -273,129 +278,6 @@ def _fault_drain(R: float, L: float, R_f: float, omega: float) -> np.ndarray:
     return np.linalg.inv(M) / 2.0
 
 
-def pvb_rhs(xp, vbus, u1, p: PvbParams, omega: float) -> np.ndarray:
-    """Resource element equations: boost PV stage, DC link, inverter filter,
-    two-capacitor battery. xp = (i_pv, v_dc, i_t_q, i_t_d, v_Cs, v_Cb),
-    vbus = terminal bus voltage (q, d), u1 = (d, delta, m_a) absolute."""
-    i_pv, v_dc, i_tq, i_td, v_cs, v_cb = xp
-    Vq, Vd = vbus
-    d, delta, m_a = u1
-    v_pv = (i_pv - p.I_PV) * p.R_PV
-    denom = 1.0 + p.R_t / p.R_s + p.R_t / p.R_e
-    i_bat = ((v_dc - v_cs) / p.R_s + (v_dc - v_cb) / p.R_e) / denom
-    v_b = v_dc - p.R_t * i_bat
-    e_q = 0.5 * m_a * v_dc * math.sin(delta)
-    e_d = 0.5 * m_a * v_dc * math.cos(delta)
-    i_inv = 0.75 * m_a * (math.cos(delta) * i_td + math.sin(delta) * i_tq)
-    return np.array([
-        (v_pv - (1.0 - d) * v_dc) / p.L_1PV,
-        ((1.0 - d) * i_pv - i_inv - i_bat) / p.C_PV,
-        (e_q - p.R_2PV * i_tq - Vq) / p.L_2PV + omega * i_td,
-        (e_d - p.R_2PV * i_td - Vd) / p.L_2PV - omega * i_tq,
-        (v_b - v_cs) / (p.R_s * p.C_s),
-        (v_b - v_cb) / (p.R_e * p.C_b),
-    ])
-
-
-def segment_rhs(segment: SegmentModel, contingency: ContingencySpec,
-                x: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """Full element-equation right-hand side in absolute coordinates.
-
-    This evaluates the physics directly (no stamped coefficients) so it can
-    back equilibrium solving and derivative cross-checks of the stamped A.
-    """
-    idx = _Index(segment)
-    x = np.asarray(x, dtype=float)
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    if x.shape != (idx.n,):
-        raise BuildError(f"state vector must have length {idx.n}")
-    modes = _resolve_line_mode(segment, contingency)
-    w = segment.omega_nom
-    dx = np.zeros(idx.n)
-    # accumulated KCL current into each loaded bus, (q, d)
-    inj = {k: np.zeros(2) for k in idx.vq}
-
-    def bus_V(k: int) -> np.ndarray:
-        if k in idx.vq:
-            return np.array([x[idx.vq[k]], x[idx.vd[k]]])
-        return np.zeros(2)
-
-    for ln in segment.internal_lines:
-        u, v = ln.key()
-        iq, id_ = idx.line_i[(u, v)]
-        I = np.array([x[iq], x[id_]])
-        mode = modes.get((u, v))
-        if mode is not None and mode.kind == "line_outage":
-            dx[iq] = -(ln.R / ln.L) * I[0]
-            dx[id_] = -(ln.R / ln.L) * I[1]
-            continue
-        Vu, Vv = bus_V(u), bus_V(v)
-        drop_u = drop_v = False
-        if mode is not None and mode.kind == "line_disconnect":
-            drop_u = mode.open_end == u
-            drop_v = mode.open_end == v
-        eu = np.zeros(2) if drop_u else Vu
-        ev = np.zeros(2) if drop_v else Vv
-        dx[iq] = (eu[0] - ev[0] - ln.R * I[0]) / ln.L + w * I[1]
-        dx[id_] = (eu[1] - ev[1] - ln.R * I[1]) / ln.L - w * I[0]
-        if u in inj and not drop_u:
-            inj[u] -= I
-        if v in inj and not drop_v:
-            inj[v] += I
-        if mode is not None and mode.kind == "short_circuit":
-            G = _fault_drain(ln.R, ln.L, mode.R_f, w)
-            drain = G @ (Vu + Vv)
-            if u in inj:
-                inj[u] -= drain
-            if v in inj:
-                inj[v] -= drain
-
-    for a in segment.aux_buses:
-        iq, id_ = idx.aux_i[a.aux_id]
-        cq, cd = idx.u2_i[a.aux_id]
-        I = np.array([x[iq], x[id_]])
-        Vk = bus_V(a.attach_bus)
-        Va = np.array([u2[cq], u2[cd]])
-        dx[iq] = (Vk[0] - Va[0] - a.R * I[0]) / a.L + w * I[1]
-        dx[id_] = (Vk[1] - Va[1] - a.R * I[1]) / a.L - w * I[0]
-        if a.attach_bus in inj:
-            inj[a.attach_bus] -= I
-
-    if idx.has_pvb:
-        pv_bus = segment.pvb_bus
-        dx[0:6] = pvb_rhs(x[0:6], bus_V(pv_bus), u1, segment.bus(pv_bus).pvb, w)
-        if pv_bus in inj:
-            inj[pv_bus] += np.array([x[2], x[3]])  # terminal current into the bus
-
-    for k, vqi in idx.vq.items():
-        lp = segment.bus(k).load
-        vdi, jqi, jdi = idx.vd[k], idx.jq[k], idx.jd[k]
-        Vq, Vd = x[vqi], x[vdi]
-        Jq, Jd = x[jqi], x[jdi]
-        dx[vqi] = (inj[k][0] - Vq / lp.R - Jq) / lp.C + w * Vd
-        dx[vdi] = (inj[k][1] - Vd / lp.R - Jd) / lp.C - w * Vq
-        dx[jqi] = (Vq - lp.Rl * Jq) / lp.L + w * Jd
-        dx[jdi] = (Vd - lp.Rl * Jd) / lp.L - w * Jq
-    return dx
-
-
-def _central_jacobian(f, x0: np.ndarray) -> np.ndarray:
-    """Central finite differences, column by column."""
-    x0 = np.asarray(x0, dtype=float)
-    f0 = np.asarray(f(x0))
-    J = np.zeros((f0.size, x0.size))
-    hbase = np.cbrt(np.finfo(float).eps)
-    for j in range(x0.size):
-        h = hbase * max(abs(x0[j]), 1.0)
-        xp = x0.copy()
-        xm = x0.copy()
-        xp[j] += h
-        xm[j] -= h
-        J[:, j] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
-    return J
-
-
 def _stamp_linear(segment: SegmentModel, contingency: ContingencySpec,
                   idx: _Index) -> tuple[np.ndarray, np.ndarray]:
     """Analytic A and B2 entries for everything except the resource block."""
@@ -488,7 +370,66 @@ def _stamp_linear(segment: SegmentModel, contingency: ContingencySpec,
     return A, B2
 
 
-def build_measurement(segment: SegmentModel, alpha: int = 0,
+def _stamp_resource(A: np.ndarray, segment: SegmentModel, idx: _Index,
+                    u1_op: np.ndarray) -> np.ndarray:
+    """Write the resource rows of A and return the constant term b of
+    dx/dt = A x + b.
+
+    With the converter held at u1_op the element equations are affine in
+    (i_pv, v_dc, i_t_q, i_t_d, v_Cs, v_Cb) and the resource bus voltage, so
+    these coefficients are their exact partial derivatives. The battery
+    terminal current is i_bat = g_s (v_dc - v_Cs) + g_e (v_dc - v_Cb) with
+    g_s = 1/(R_s den), g_e = 1/(R_e den), den = 1 + R_t/R_s + R_t/R_e, and
+    the battery voltage is v_b = v_dc - R_t i_bat.
+    """
+    p = segment.bus(segment.pvb_bus).pvb
+    w = segment.omega_nom
+    d, delta, m_a = u1_op
+    sin, cos = math.sin(delta), math.cos(delta)
+    denom = 1.0 + p.R_t / p.R_s + p.R_t / p.R_e
+    g_s, g_e = 1.0 / (p.R_s * denom), 1.0 / (p.R_e * denom)
+    # d v_b / d (v_dc, v_Cs, v_Cb)
+    dvb = np.array([1.0 - p.R_t * (g_s + g_e), p.R_t * g_s, p.R_t * g_e])
+    A[0, 0:2] = p.R_PV / p.L_1PV, -(1.0 - d) / p.L_1PV
+    A[1, 0:6] = np.array([1.0 - d, -(g_s + g_e), -0.75 * m_a * sin,
+                          -0.75 * m_a * cos, g_s, g_e]) / p.C_PV
+    A[2, 1:4] = 0.5 * m_a * sin / p.L_2PV, -p.R_2PV / p.L_2PV, w
+    A[3, 1:4] = 0.5 * m_a * cos / p.L_2PV, -w, -p.R_2PV / p.L_2PV
+    A[4, [1, 4, 5]] = (dvb - [0.0, 1.0, 0.0]) / (p.R_s * p.C_s)
+    A[5, [1, 4, 5]] = (dvb - [0.0, 0.0, 1.0]) / (p.R_e * p.C_b)
+    if segment.pvb_bus in idx.vq:
+        A[2, idx.vq[segment.pvb_bus]] = -1.0 / p.L_2PV
+        A[3, idx.vd[segment.pvb_bus]] = -1.0 / p.L_2PV
+    b = np.zeros(idx.n)
+    b[0] = -p.R_PV * p.I_PV / p.L_1PV
+    return b
+
+
+def _resource_input_map(p: PvbParams, u1_op: np.ndarray, x_op: np.ndarray) -> np.ndarray:
+    """Partial derivatives of the resource rows with respect to (d, delta, m_a)
+    at x_op; the battery rows do not see the converter commands."""
+    i_pv, v_dc, i_tq, i_td = x_op[0:4]
+    _, delta, m_a = u1_op
+    sin, cos = math.sin(delta), math.cos(delta)
+    B1 = np.zeros((6, 3))
+    B1[0, 0] = v_dc / p.L_1PV
+    B1[1] = np.array([-i_pv, -0.75 * m_a * (cos * i_tq - sin * i_td),
+                      -0.75 * (cos * i_td + sin * i_tq)]) / p.C_PV
+    B1[2, 1:] = 0.5 * v_dc * m_a * cos / p.L_2PV, 0.5 * v_dc * sin / p.L_2PV
+    B1[3, 1:] = -0.5 * v_dc * m_a * sin / p.L_2PV, 0.5 * v_dc * cos / p.L_2PV
+    return B1
+
+
+def _selection(idx: _Index, rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Selection-row C over the labels `rows` and D2 indicating the
+    aux-voltage channels on the first outputs."""
+    C = np.zeros((len(rows), idx.n))
+    for r, lab in enumerate(rows):
+        C[r, idx.index[lab]] = 1.0
+    return C, np.eye(len(rows), len(idx.u2_labels))
+
+
+def build_measurement(segment: SegmentModel,
                       monitored_bus: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Selection-row C over {v_dc, i_t_q, i_t_d, I_LL_q, I_LL_d of the monitored
     load} and D2 as the indicator of the aux-voltage channels.
@@ -515,109 +456,45 @@ def build_measurement(segment: SegmentModel, alpha: int = 0,
             monitored_bus = loaded[0]
     if monitored_bus not in idx.jq:
         raise BuildError(f"requested label absent: bus {monitored_bus} has no load branch")
-
-    rows = ["v_dc", "i_t_q", "i_t_d", f"I_LL{monitored_bus}_q", f"I_LL{monitored_bus}_d"]
-    C = np.zeros((len(rows), idx.n))
-    for r, lab in enumerate(rows):
-        C[r, idx.index[lab]] = 1.0
-    D2 = np.zeros((len(rows), len(idx.u2_labels)))
-    for i in range(min(len(rows), len(idx.u2_labels))):
-        D2[i, i] = 1.0
-    return C, D2
+    return _selection(idx, ["v_dc", "i_t_q", "i_t_d",
+                            f"I_LL{monitored_bus}_q", f"I_LL{monitored_bus}_d"])
 
 
 def build_state_space(segment: SegmentModel, contingency: ContingencySpec,
                       alpha: int = 0, monitored_bus: int | None = None) -> StateSpaceModel:
     """Assemble one scenario's matrices.
 
-    The resource block rows come from central-difference derivatives of
-    pvb_rhs at the scenario's operating point; everything else is stamped
-    analytically. The operating point solves segment_rhs = 0 (converter at
-    its set point, aux voltages at reference) by Newton iteration; the final
-    A is the derivative evaluated at that point.
+    With the converter at its set point and the aux voltages at reference,
+    every element equation is affine in the state, dx/dt = A x + b, and A is
+    stamped exactly: network and loads by _stamp_linear, the resource rows by
+    _stamp_resource. The operating point is the one solution of A x_op = -b
+    (zero for a segment without a resource), and B1 holds the exact partial
+    derivatives of the resource rows with respect to (d, delta, m_a) at x_op.
     """
     idx = _Index(segment)
-    w = segment.omega_nom
+    A, B2 = _stamp_linear(segment, contingency, idx)
     B1 = np.zeros((idx.n, 3))
-
-    u1_op = np.zeros(3)
-    pvb: PvbParams | None = None
+    x_op = np.zeros(idx.n)
     if idx.has_pvb:
         pvb = segment.bus(segment.pvb_bus).pvb
-        op: ControlInput = pvb.operating_point
+        op = pvb.operating_point
         u1_op = np.array([op.d, op.delta, op.m_a])
-
-    def jacobian_at(x_ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        A, B2 = _stamp_linear(segment, contingency, idx)
-        if idx.has_pvb:
-            vbus = np.zeros(2)
-            vq_col = idx.vq.get(segment.pvb_bus)
-            if vq_col is not None:
-                vbus = np.array([x_ref[vq_col], x_ref[idx.vd[segment.pvb_bus]]])
-
-            def fz(z):
-                return pvb_rhs(z[0:6], z[6:8], u1_op, pvb, w)
-
-            Jz = _central_jacobian(fz, np.concatenate([x_ref[0:6], vbus]))
-            A[0:6, 0:6] = Jz[:, 0:6]
-            if vq_col is not None:
-                A[0:6, vq_col] = Jz[:, 6]
-                A[0:6, idx.vd[segment.pvb_bus]] = Jz[:, 7]
-        return A, B2
-
-    # Newton solve for the operating point; exact in one step once the
-    # derivative is evaluated near the solution (the equations are affine in
-    # the state), extra iterations polish finite-difference noise away.
-    u2_zero = np.zeros(len(idx.u2_labels))
-    x_op = np.zeros(idx.n)
-    A = B2 = None
-    converged = False
-    for _ in range(25):
-        F = segment_rhs(segment, contingency, x_op, u1_op, u2_zero)
-        if np.linalg.norm(F) <= 1e-9 * (1.0 + np.linalg.norm(x_op)):
-            converged = True
-            break
-        A, B2 = jacobian_at(x_op)
+        b = _stamp_resource(A, segment, idx, u1_op)
         try:
-            step = np.linalg.solve(A, F)
+            x_op = np.linalg.solve(A, -b)
         except np.linalg.LinAlgError as exc:
             raise BuildError(
                 f"no operating point for scenario '{contingency.name()}': "
                 f"state matrix is singular") from exc
-        x_op = x_op - step
-        if np.linalg.norm(step) <= 1e-12 * (1.0 + np.linalg.norm(x_op)):
-            converged = True
-            break
-    if not converged:
-        resid = np.linalg.norm(segment_rhs(segment, contingency, x_op, u1_op, u2_zero))
-        raise BuildError(
-            f"operating-point solve did not converge for "
-            f"'{contingency.name()}' (residual {resid:.3e})")
-    A, B2 = jacobian_at(x_op)
-
-    if idx.has_pvb:
-        vbus_op = np.zeros(2)
-        if segment.pvb_bus in idx.vq:
-            vbus_op = np.array([x_op[idx.vq[segment.pvb_bus]],
-                                x_op[idx.vd[segment.pvb_bus]]])
-
-        def fu(u):
-            return pvb_rhs(x_op[0:6], vbus_op, u, pvb, w)
-
-        B1[0:6, :] = _central_jacobian(fu, u1_op)
-
-    if idx.has_pvb:
-        C, D2 = build_measurement(segment, alpha=alpha, monitored_bus=monitored_bus)
+        B1[0:6] = _resource_input_map(pvb, u1_op, x_op)
+        C, D2 = build_measurement(segment, monitored_bus=monitored_bus)
     else:
-        C = np.eye(idx.n)
-        D2 = np.zeros((idx.n, len(idx.u2_labels)))
-        for i in range(min(idx.n, len(idx.u2_labels))):
-            D2[i, i] = 1.0
+        C, D2 = _selection(idx, idx.labels)
 
     return StateSpaceModel(
         alpha=alpha, name=contingency.name(), A=A, B1=B1, B2=B2, C=C, D2=D2,
         state_labels=tuple(idx.labels), u2_labels=tuple(idx.u2_labels),
-        x_op=x_op, omega_nom=w)
+        x_op=x_op, omega_nom=segment.omega_nom)
 
 
 def build_family(segment: SegmentModel, contingencies: list[ContingencySpec],

@@ -2,12 +2,18 @@
 
 These are deliberately separate implementations from the package: a classic
 fixed-step RK4 integrator, an implicit-trapezoid integrator, a per-sample
-discrete-time recursion, a central finite-difference Jacobian, and an
-incidence-matrix builder. They never call into shslab's discretization,
-simulation or stamping code paths.
+discrete-time recursion, a central finite-difference Jacobian, an
+incidence-matrix builder, and the segment element equations written out
+directly. They never call into shslab's discretization, simulation or
+stamping code paths; the element equations share only the state layout.
 """
 
+import math
+
 import numpy as np
+
+from shslab.errors import BuildError
+from shslab.ssbuild import _Index  # state layout only, no coefficients
 
 
 def rk4_lti(A, B, u_seq, ts_u, x0, h, steps):
@@ -113,3 +119,118 @@ def loop_simulate(Ad, Bd1, Bd2, C, D2, x0, u1, u2, steps):
         if k < steps:
             x = Ad @ x + Bd1 @ U1[k] + Bd2 @ U2[k]
     return xs, ys
+
+
+def fault_drain(R, L, R_f, omega):
+    """Quasi-static midpoint-fault conductance G with drain G (V_u + V_v) per end bus."""
+    r = 2.0 * R_f + R / 2.0
+    wl = omega * L / 2.0
+    M = np.array([[r, -wl], [wl, r]])
+    return np.linalg.inv(M) / 2.0
+
+
+def pvb_rhs(xp, vbus, u1, p, omega):
+    """Resource element equations: boost PV stage, DC link, inverter filter,
+    two-capacitor battery. xp = (i_pv, v_dc, i_t_q, i_t_d, v_Cs, v_Cb),
+    vbus = terminal bus voltage (q, d), u1 = (d, delta, m_a) absolute."""
+    i_pv, v_dc, i_tq, i_td, v_cs, v_cb = xp
+    Vq, Vd = vbus
+    d, delta, m_a = u1
+    v_pv = (i_pv - p.I_PV) * p.R_PV
+    denom = 1.0 + p.R_t / p.R_s + p.R_t / p.R_e
+    i_bat = ((v_dc - v_cs) / p.R_s + (v_dc - v_cb) / p.R_e) / denom
+    v_b = v_dc - p.R_t * i_bat
+    e_q = 0.5 * m_a * v_dc * math.sin(delta)
+    e_d = 0.5 * m_a * v_dc * math.cos(delta)
+    i_inv = 0.75 * m_a * (math.cos(delta) * i_td + math.sin(delta) * i_tq)
+    return np.array([
+        (v_pv - (1.0 - d) * v_dc) / p.L_1PV,
+        ((1.0 - d) * i_pv - i_inv - i_bat) / p.C_PV,
+        (e_q - p.R_2PV * i_tq - Vq) / p.L_2PV + omega * i_td,
+        (e_d - p.R_2PV * i_td - Vd) / p.L_2PV - omega * i_tq,
+        (v_b - v_cs) / (p.R_s * p.C_s),
+        (v_b - v_cb) / (p.R_e * p.C_b),
+    ])
+
+
+def segment_rhs(segment, contingency, x, u1, u2):
+    """Full element-equation right-hand side in absolute coordinates.
+
+    This evaluates the physics directly (no stamped coefficients) so it can
+    back operating-point and derivative cross-checks of the stamped A and B1.
+    """
+    idx = _Index(segment)
+    x = np.asarray(x, dtype=float)
+    u1 = np.asarray(u1, dtype=float)
+    u2 = np.asarray(u2, dtype=float)
+    if x.shape != (idx.n,):
+        raise BuildError(f"state vector must have length {idx.n}")
+    modes = ({} if contingency.kind == "normal"
+             else {tuple(sorted(contingency.line)): contingency})
+    w = segment.omega_nom
+    dx = np.zeros(idx.n)
+    # accumulated KCL current into each loaded bus, (q, d)
+    inj = {k: np.zeros(2) for k in idx.vq}
+
+    def bus_V(k):
+        if k in idx.vq:
+            return np.array([x[idx.vq[k]], x[idx.vd[k]]])
+        return np.zeros(2)
+
+    for ln in segment.internal_lines:
+        u, v = ln.key()
+        iq, id_ = idx.line_i[(u, v)]
+        I = np.array([x[iq], x[id_]])
+        mode = modes.get((u, v))
+        if mode is not None and mode.kind == "line_outage":
+            dx[iq] = -(ln.R / ln.L) * I[0]
+            dx[id_] = -(ln.R / ln.L) * I[1]
+            continue
+        Vu, Vv = bus_V(u), bus_V(v)
+        drop_u = drop_v = False
+        if mode is not None and mode.kind == "line_disconnect":
+            drop_u = mode.open_end == u
+            drop_v = mode.open_end == v
+        eu = np.zeros(2) if drop_u else Vu
+        ev = np.zeros(2) if drop_v else Vv
+        dx[iq] = (eu[0] - ev[0] - ln.R * I[0]) / ln.L + w * I[1]
+        dx[id_] = (eu[1] - ev[1] - ln.R * I[1]) / ln.L - w * I[0]
+        if u in inj and not drop_u:
+            inj[u] -= I
+        if v in inj and not drop_v:
+            inj[v] += I
+        if mode is not None and mode.kind == "short_circuit":
+            G = fault_drain(ln.R, ln.L, mode.R_f, w)
+            drain = G @ (Vu + Vv)
+            if u in inj:
+                inj[u] -= drain
+            if v in inj:
+                inj[v] -= drain
+
+    for a in segment.aux_buses:
+        iq, id_ = idx.aux_i[a.aux_id]
+        cq, cd = idx.u2_i[a.aux_id]
+        I = np.array([x[iq], x[id_]])
+        Vk = bus_V(a.attach_bus)
+        Va = np.array([u2[cq], u2[cd]])
+        dx[iq] = (Vk[0] - Va[0] - a.R * I[0]) / a.L + w * I[1]
+        dx[id_] = (Vk[1] - Va[1] - a.R * I[1]) / a.L - w * I[0]
+        if a.attach_bus in inj:
+            inj[a.attach_bus] -= I
+
+    if idx.has_pvb:
+        pv_bus = segment.pvb_bus
+        dx[0:6] = pvb_rhs(x[0:6], bus_V(pv_bus), u1, segment.bus(pv_bus).pvb, w)
+        if pv_bus in inj:
+            inj[pv_bus] += np.array([x[2], x[3]])  # terminal current into the bus
+
+    for k, vqi in idx.vq.items():
+        lp = segment.bus(k).load
+        vdi, jqi, jdi = idx.vd[k], idx.jq[k], idx.jd[k]
+        Vq, Vd = x[vqi], x[vdi]
+        Jq, Jd = x[jqi], x[jdi]
+        dx[vqi] = (inj[k][0] - Vq / lp.R - Jq) / lp.C + w * Vd
+        dx[vdi] = (inj[k][1] - Vd / lp.R - Jd) / lp.C - w * Vq
+        dx[jqi] = (Vq - lp.Rl * Jq) / lp.L + w * Jd
+        dx[jdi] = (Vd - lp.Rl * Jd) / lp.L - w * Jq
+    return dx

@@ -8,13 +8,13 @@ production grid: tau = 0.6 s, tau0 = 10 ms, ts = 1 us, estimator stride 10.
 import numpy as np
 
 from conftest import PAPER_TAU0, PAPER_TS, bare_line_segment, two_load_bus_segment
-from oracles import fd_jacobian, rk4_lti
+from oracles import fd_jacobian, rk4_lti, segment_rhs
 from shslab.detection import estimate_initial_state, observability_stack, sample_indices
 from shslab.detection import MeasurementWindow
 from shslab.experiment import ExperimentConfig, run_experiment
 from shslab.linsys import discretize_zoh, eigenvalues, simulate
 from shslab.probing import ProbingDesign, compute_delta_min
-from shslab.ssbuild import ContingencySpec, build_state_space, segment_rhs
+from shslab.ssbuild import ContingencySpec, build_state_space
 
 SUBSAMPLE = 10  # pinned estimator stride for every acceptance run
 

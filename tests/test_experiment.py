@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_family, make_model
+from shslab.detection import MeasurementWindow
 from shslab.errors import ConfigError
 from shslab.experiment import (ExperimentConfig, SwitchingSequence, eigen_report,
                                generate_sequence, read_windows, run_experiment,
@@ -63,6 +64,23 @@ def test_probe_off_ablation_mean_accuracy_below_one(m1_family, coarse_probe):
         cfg = config(m1_family, coarse_probe, K=5, seed=seed, probe_override_R=0.0)
         accs.append(run_experiment(cfg).accuracy)
     assert np.mean(accs) < 1.0
+
+
+def test_windows_share_input_records(m1_family, coarse_probe):
+    result = run_experiment(config(m1_family, coarse_probe, K=4, seed=3))
+    first = result.windows[0]
+    for window in result.windows[1:]:
+        assert np.shares_memory(window.u1, first.u1)
+        assert np.shares_memory(window.u2, first.u2)
+    # a caller's writable record, or a read-only view of one, is copied
+    records = (np.array(first.u1), first.u1[:])
+    copies = [MeasurementWindow(t_start=0.0, ts=TS, samples=first.samples,
+                                u1=u1, u2=first.u2) for u1 in records]
+    for window, u1 in zip(copies, records):
+        assert not np.shares_memory(window.u1, u1)
+        assert not window.u1.flags.writeable
+    records[0][0, 1] += 1.0
+    assert copies[0].u1[0, 1] == first.u1[0, 1]
 
 
 def test_state_continuity_across_switches(m1_family, coarse_probe):

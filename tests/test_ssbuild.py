@@ -5,13 +5,13 @@ import pytest
 
 from conftest import (LOAD_A, LOAD_B, PVB_PARAMS, bare_line_segment,
                       small_pvb_segment, two_load_bus_segment)
-from oracles import branch_incidence, fd_jacobian
+from oracles import branch_incidence, fd_jacobian, segment_rhs
 from shslab.errors import BuildError
 from shslab.grid import BusSpec, LineSpec
 from shslab.segmentation import SegmentModel
 from shslab.ssbuild import (PVB_STATE_NAMES, ContingencySpec, ScenarioFamily,
                             build_family, build_measurement, build_state_space,
-                            family_from_json, family_to_json, segment_rhs)
+                            family_from_json, family_to_json)
 
 
 def labels_index(model):
@@ -233,6 +233,39 @@ def test_assembled_a_matches_fd_jacobian(seg1, m1_contingencies, m1_family, scen
         lambda x: segment_rhs(seg1, con, x, u1_op, np.zeros(2)), model.x_op)
     scale = np.maximum(np.abs(model.A), 1e-6 * np.abs(model.A).max())
     assert np.max(np.abs(J - model.A) / scale) <= 1e-6
+
+
+def _u1_op(segment):
+    op = segment.bus(segment.pvb_bus).pvb.operating_point
+    return np.array([op.d, op.delta, op.m_a])
+
+
+@pytest.mark.parametrize("scenario_i", [0, 1, 2, 3])
+def test_assembled_a_is_exact_for_affine_rhs(seg1, m1_contingencies, m1_family, scenario_i):
+    # with u1 fixed the element equations are affine in x, so A must carry
+    # any step dx exactly, not just to first order
+    con, model = m1_contingencies[scenario_i], m1_family[scenario_i]
+    u1_op = _u1_op(seg1)
+
+    def rhs(x):
+        return segment_rhs(seg1, con, x, u1_op, np.zeros(2))
+
+    f_op = rhs(model.x_op)
+    norm_A = np.linalg.norm(model.A, 2)
+    rng = np.random.default_rng(scenario_i)
+    for _ in range(5):
+        dx = rng.uniform(-1.0, 1.0, model.n) * np.max(np.abs(model.x_op))
+        err = np.linalg.norm(rhs(model.x_op + dx) - f_op - model.A @ dx)
+        assert err <= 1e-14 * norm_A * np.linalg.norm(dx)
+
+
+@pytest.mark.parametrize("scenario_i", [0, 1, 2, 3])
+def test_b1_matches_fd_jacobian_in_u1(seg1, m1_contingencies, m1_family, scenario_i):
+    con, model = m1_contingencies[scenario_i], m1_family[scenario_i]
+    J = fd_jacobian(
+        lambda u: segment_rhs(seg1, con, model.x_op, u, np.zeros(2)), _u1_op(seg1))
+    assert np.max(np.abs(J - model.B1)) <= 1e-8 * np.max(np.abs(model.B1))
+    assert np.all(model.B1[4:] == 0.0)
 
 
 def test_rhs_vanishes_at_operating_point(seg1, m1_contingencies, m1_family):
