@@ -9,6 +9,7 @@ manifest recording input digests and the effective configuration.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -259,18 +260,28 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _read_truth(path) -> list[int]:
+    """The alpha column of a truth.csv as `run` writes it (header `k,alpha`)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    truth = []
+    for line_no, row in enumerate(rows[1:], start=2):
+        try:
+            truth.append(int(row[1]))
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(f"{path}: row {line_no} is not 'k,alpha': {row}") from exc
+    return truth
+
+
 def cmd_detect(args) -> int:
     fam = _pick_family(load_json(args.family), args.segment)
     probe = probe_from_json(load_json(args.probe)) if args.probe else None
     windows = read_windows(args.trace, probe=probe)
     if not windows:
         raise ConfigError(f"no window files under {args.trace}")
-    truth = None
-    if args.truth:
-        import csv as _csv
-        with open(args.truth, "r", encoding="utf-8") as fh:
-            rows = list(_csv.reader(fh))
-        truth = [int(r[1]) for r in rows[1:]]
+    truth = _read_truth(args.truth) if args.truth else None
+    if truth is not None and len(truth) != len(windows):
+        raise ConfigError(f"{args.truth}: {len(truth)} rows for {len(windows)} windows")
     # windows are stored on the estimator grid; use every recorded sample
     dmodels = [discretize_zoh(sc, windows[0].ts) for sc in fam]
     report = detect_sequence(dmodels, windows, truth=truth, subsample=1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,27 +254,50 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
         "n_u2": q,
         "window_starts": [w.t_start for w in result.windows],
     }, os.path.join(win_dir, "meta.json"))
-    header = (["t"] + [f"y{i}" for i in range(p)]
-              + [f"u1_{i}" for i in range(3)] + [f"u2_{i}" for i in range(q)])
+    header = ",".join(["t"] + [f"y{i}" for i in range(p)]
+                      + [f"u1_{i}" for i in range(3)] + [f"u2_{i}" for i in range(q)])
     for k, w in enumerate(result.windows):
         idx = np.arange(0, w.steps + 1, stride)
-        times = w.t_start + w.ts * idx
+        table = np.column_stack([w.t_start + w.ts * idx, w.samples[idx], w.u1[idx], w.u2[idx]])
         with open(os.path.join(win_dir, f"window_{k:04d}.csv"), "w",
                   newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row, i in enumerate(idx):
-                writer.writerow([repr(float(times[row]))]
-                                + [repr(float(v)) for v in w.samples[i]]
-                                + [repr(float(v)) for v in w.u1[i]]
-                                + [repr(float(v)) for v in w.u2[i]])
+            fh.write(header + "\r\n")
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in table.tolist())
+
+
+def _bad_row(path, cols: int) -> str | None:
+    """Name the first data row of a window file that is not `cols` numbers."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        next(fh, None)
+        for line_no, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            fields = line.split(",")
+            if len(fields) != cols:
+                return f"row {line_no} has {len(fields)} fields, expected {cols}"
+            for field in fields:
+                try:
+                    float(field)
+                except ValueError:
+                    return f"row {line_no} has non-numeric field {field.strip()!r}"
+    return None
+
+
+def _record(cols: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
+    """`cols` as a frozen record, or `prev` itself when the two are bitwise equal."""
+    if prev is not None and np.array_equal(prev.view(np.int64), cols.view(np.int64)):
+        return prev
+    rec = np.array(cols)
+    rec.setflags(write=False)
+    return rec
 
 
 def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[MeasurementWindow]:
     """Rebuild MeasurementWindows from a windows/ directory written above.
 
     The returned windows live on the recorded grid; detect them with
-    subsample=1 against a family discretized at the recorded ts.
+    subsample=1 against a family discretized at the recorded ts. Consecutive
+    windows with bitwise-equal input columns share one frozen record.
     """
     meta = os.path.join(win_dir, "meta.json")
     if not os.path.exists(meta):
@@ -281,23 +305,28 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
     with open(meta, "r", encoding="utf-8") as fh:
         info = json.load(fh)
     ts = float(info["ts"])
+    p = int(info["n_outputs"])
+    q = int(info["n_u2"])
+    cols = 1 + p + 3 + q
     files = sorted(f for f in os.listdir(win_dir)
                    if f.startswith("window_") and f.endswith(".csv"))
     windows = []
+    u1 = u2 = None
     for fname in files:
-        with open(os.path.join(win_dir, fname), "r", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [[float(v) for v in row] for row in reader]
-        arr = np.array(rows)
-        p = int(info["n_outputs"])
-        q = int(info["n_u2"])
-        if arr.shape[1] != 1 + p + 3 + q:
+        path = os.path.join(win_dir, fname)
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported below, not as a warning
+                warnings.simplefilter("ignore", UserWarning)
+                arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ConfigError(f"{fname}: {_bad_row(path, cols) or exc}") from exc
+        if arr.shape[0] < 2:
+            raise ConfigError(f"{fname}: needs at least two data rows, has {arr.shape[0]}")
+        if arr.shape[1] != cols:
             raise ConfigError(f"{fname}: column count does not match meta.json")
+        u1 = _record(arr[:, 1 + p:4 + p], u1)
+        u2 = _record(arr[:, 4 + p:], u2)
         windows.append(MeasurementWindow(
-            t_start=arr[0, 0], ts=ts,
-            samples=arr[:, 1:1 + p],
-            u1=arr[:, 1 + p:4 + p],
-            u2=arr[:, 4 + p:],
-            probe=probe))
+            t_start=arr[0, 0], ts=ts, samples=arr[:, 1:1 + p], u1=u1, u2=u2, probe=probe))
     return windows

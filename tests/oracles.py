@@ -3,12 +3,15 @@
 These are deliberately separate implementations from the package: a classic
 fixed-step RK4 integrator, an implicit-trapezoid integrator, a per-sample
 discrete-time recursion, a central finite-difference Jacobian, an
-incidence-matrix builder, and the segment element equations written out
-directly. They never call into shslab's discretization, simulation or
-stamping code paths; the element equations share only the state layout.
+incidence-matrix builder, the segment element equations written out
+directly, and the per-value csv.writer/csv.reader loops for window files.
+They never call into shslab's discretization, simulation or stamping code
+paths; the element equations share only the state layout.
 """
 
+import csv
 import math
+import os
 
 import numpy as np
 
@@ -234,3 +237,35 @@ def segment_rhs(segment, contingency, x, u1, u2):
         dx[jqi] = (Vq - lp.Rl * Jq) / lp.L + w * Jd
         dx[jdi] = (Vd - lp.Rl * Jd) / lp.L - w * Jq
     return dx
+
+
+def csv_write_windows(result, win_dir, stride):
+    """Write result's window files one value at a time through csv.writer,
+    the reference for the bytes of experiment.write_outputs (meta.json is
+    not written)."""
+    p = result.windows[0].samples.shape[1] if result.windows else 0
+    q = result.windows[0].u2.shape[1] if result.windows else 0
+    header = (["t"] + [f"y{i}" for i in range(p)]
+              + [f"u1_{i}" for i in range(3)] + [f"u2_{i}" for i in range(q)])
+    for k, w in enumerate(result.windows):
+        idx = np.arange(0, w.steps + 1, stride)
+        times = w.t_start + w.ts * idx
+        with open(os.path.join(win_dir, f"window_{k:04d}.csv"), "w",
+                  newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row, i in enumerate(idx):
+                writer.writerow([repr(float(times[row]))]
+                                + [repr(float(v)) for v in w.samples[i]]
+                                + [repr(float(v)) for v in w.u1[i]]
+                                + [repr(float(v)) for v in w.u2[i]])
+
+
+def csv_read_window(path):
+    """Parse one window file field by field through csv.reader: the
+    (rows, columns) table experiment.read_windows must reproduce."""
+    with open(path, "r", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        rows = [[float(v) for v in row] for row in reader]
+    return np.array(rows)

@@ -33,12 +33,28 @@ EXPERIMENT_CONFIG = {
 }
 
 
+def _stage_inputs(root):
+    shutil.copy(data_path("paper6bus.json"), root / "paper6bus.json")
+    (root / "stage.json").write_text(json.dumps(STAGE_CONFIG))
+    (root / "experiment.json").write_text(json.dumps(EXPERIMENT_CONFIG))
+    return root
+
+
 @pytest.fixture()
 def workspace(tmp_path):
-    shutil.copy(data_path("paper6bus.json"), tmp_path / "paper6bus.json")
-    (tmp_path / "stage.json").write_text(json.dumps(STAGE_CONFIG))
-    (tmp_path / "experiment.json").write_text(json.dumps(EXPERIMENT_CONFIG))
-    return tmp_path
+    return _stage_inputs(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """A built family and one recorded run, shared read-only by the replay tests."""
+    root = _stage_inputs(tmp_path_factory.mktemp("recorded"))
+    assert main(["build", "--network", str(root / "paper6bus.json"),
+                 "--config", str(root / "stage.json"),
+                 "--out", str(root / "matrices.json")]) == 0
+    assert main(["run", "--config", str(root / "experiment.json"),
+                 "--out-dir", str(root / "run")]) == 0
+    return root
 
 
 def test_unknown_subcommand_exits_1(capsys):
@@ -196,3 +212,58 @@ def test_repro_paper_smoke(tmp_path, capsys):
     assert "delta_min =" in out
     assert "accuracy = 1.0000" in out
     assert "bundled reference values" in out
+
+
+def _replay(recorded, tmp_path, window_text=None, truth_text=None):
+    """`shslab detect` on a copy of the recorded run with window_0001.csv or
+    truth.csv replaced by the given text."""
+    run = tmp_path / "run"
+    shutil.copytree(recorded / "run", run)
+    if window_text is not None:
+        (run / "windows" / "window_0001.csv").write_bytes(window_text.encode())
+    if truth_text is not None:
+        (run / "truth.csv").write_bytes(truth_text.encode())
+    return main(["detect", "--family", str(recorded / "matrices.json"), "--segment", "1",
+                 "--trace", str(run / "windows"), "--truth", str(run / "truth.csv"),
+                 "--out", str(tmp_path / "replay.json")])
+
+
+def _recorded_window(recorded):
+    return (recorded / "run" / "windows" / "window_0001.csv").read_bytes().decode().split("\r\n")
+
+
+def test_detect_header_only_window_exits_2(recorded, tmp_path, capsys):
+    header = _recorded_window(recorded)[0]
+    assert _replay(recorded, tmp_path, window_text=header + "\r\n") == 2
+    err = capsys.readouterr().err
+    assert "window_0001.csv: needs at least two data rows, has 0" in err
+
+
+def test_detect_non_numeric_window_cell_exits_2(recorded, tmp_path, capsys):
+    lines = _recorded_window(recorded)
+    fields = lines[3].split(",")
+    fields[2] = "abc"
+    lines[3] = ",".join(fields)
+    assert _replay(recorded, tmp_path, window_text="\r\n".join(lines)) == 2
+    assert "window_0001.csv: row 4 has non-numeric field 'abc'" in capsys.readouterr().err
+
+
+def test_detect_ragged_window_row_exits_2(recorded, tmp_path, capsys):
+    lines = _recorded_window(recorded)
+    cols = len(lines[0].split(","))
+    lines[5] = lines[5].rsplit(",", 1)[0]
+    assert _replay(recorded, tmp_path, window_text="\r\n".join(lines)) == 2
+    err = capsys.readouterr().err
+    assert f"window_0001.csv: row 6 has {cols - 1} fields, expected {cols}" in err
+
+
+@pytest.mark.parametrize("bad_row", ["2", "2,normal", ""])
+def test_detect_malformed_truth_row_exits_2(recorded, tmp_path, capsys, bad_row):
+    truth = f"k,alpha\r\n1,0\r\n{bad_row}\r\n3,0\r\n"
+    assert _replay(recorded, tmp_path, truth_text=truth) == 2
+    assert "truth.csv: row 3 is not 'k,alpha'" in capsys.readouterr().err
+
+
+def test_detect_truth_length_mismatch_exits_2(recorded, tmp_path, capsys):
+    assert _replay(recorded, tmp_path, truth_text="k,alpha\r\n1,0\r\n") == 2
+    assert "truth.csv: 1 rows for 3 windows" in capsys.readouterr().err

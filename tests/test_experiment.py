@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import make_family, make_model
+from oracles import csv_read_window, csv_write_windows
 from shslab.detection import MeasurementWindow
 from shslab.errors import ConfigError
 from shslab.experiment import (ExperimentConfig, SwitchingSequence, eigen_report,
@@ -216,6 +219,72 @@ def test_write_and_read_windows_roundtrip(tmp_path, m1_family, coarse_probe):
         assert np.array_equal(w.samples, src.samples[idx])
         assert np.array_equal(w.u1, src.u1[idx])
         assert np.array_equal(w.u2, src.u2[idx])
+
+
+def test_read_windows_share_input_records(tmp_path, m1_family, coarse_probe):
+    result = run_experiment(config(m1_family, coarse_probe, K=4, seed=3))
+    write_outputs(result, tmp_path, windows_mode="strided")
+    windows = read_windows(tmp_path / "windows")
+    first = windows[0]
+    for window in windows[1:]:
+        assert np.shares_memory(window.u1, first.u1)
+        assert np.shares_memory(window.u2, first.u2)
+        assert not np.shares_memory(window.samples, first.samples)
+
+
+# values whose text form is easy to get wrong: signed zero, the smallest
+# subnormal, exponent notation on both sides, overflow to inf, nan
+SPECIAL = (-0.0, 5e-324, 1e-5, 1e16, -1e300, float("nan"), float("inf"))
+
+
+@pytest.fixture(scope="module")
+def special_result(m1_family, coarse_probe):
+    """A three-window run whose middle window's outputs hold SPECIAL on every
+    estimator-grid row it spans, and whose last window's u1 has -0.0 where the
+    others have 0.0."""
+    result = run_experiment(config(m1_family, coarse_probe, K=3, seed=13))
+    first, middle, last = result.windows
+    samples = np.array(middle.samples)
+    samples[::SUB][:len(SPECIAL)] = np.array(SPECIAL)[:, None]
+    samples[::SUB][:len(SPECIAL), 1] *= -1.0
+    u1 = np.array(last.u1)
+    u1[u1 == 0.0] = -0.0
+    return dataclasses.replace(result, windows=(
+        first,
+        dataclasses.replace(middle, samples=samples),
+        dataclasses.replace(last, u1=u1)))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("mode, stride", [("strided", SUB), ("full", 1)])
+def test_window_files_match_csv_oracle(tmp_path, special_result, mode, stride):
+    out, ref = tmp_path / "run", tmp_path / "ref"
+    ref.mkdir()
+    write_outputs(special_result, out, windows_mode=mode)
+    csv_write_windows(special_result, ref, stride)
+    names = sorted(f.name for f in (out / "windows").glob("window_*.csv"))
+    assert names == sorted(f.name for f in ref.iterdir())
+    for name in names:
+        assert (out / "windows" / name).read_bytes() == (ref / name).read_bytes(), name
+
+    windows = read_windows(out / "windows")
+    p = special_result.windows[0].samples.shape[1]
+    for name, w in zip(names, windows):
+        table = csv_read_window(ref / name)
+        assert np.array_equal(_bits(w.t_start), _bits(table[0, 0]))
+        assert np.array_equal(_bits(w.samples), _bits(table[:, 1:1 + p]))
+        assert np.array_equal(_bits(w.u1), _bits(table[:, 1 + p:4 + p]))
+        assert np.array_equal(_bits(w.u2), _bits(table[:, 4 + p:]))
+    # the special values made it through, and only bitwise-equal records are shared
+    assert np.isnan(windows[1].samples).any() and np.isinf(windows[1].samples).any()
+    assert (windows[1].samples == 5e-324).any()
+    assert np.signbit(windows[2].u1[windows[2].u1 == 0.0]).all()
+    assert np.shares_memory(windows[1].u1, windows[0].u1)
+    assert not np.shares_memory(windows[2].u1, windows[1].u1)
+    assert np.shares_memory(windows[2].u2, windows[1].u2)
 
 
 def test_sequence_csv_contents(tmp_path, m1_family, coarse_probe):
