@@ -3,8 +3,17 @@ detection, scoring, and file artifacts.
 
 Each interval [k tau, (k+1) tau) runs one scenario. The probe occupies
 [k tau, k tau + tau0) and is recorded together with the outputs; the state
-then relaxes unforced to the next boundary (propagated in one exact step).
-The state vector carries over interval boundaries unchanged.
+then relaxes unforced to the next boundary. The state vector carries over
+interval boundaries unchanged.
+
+Every window sees the same inputs, so within an interval of scenario a the
+truth is affine in the window-start state x_k: the window's samples are
+y_j = f_a,j + C Ad_a^j x_k and the next boundary state is
+x_{k+1} = hold_a (Ad_a^N x_k + g_a), where f_a and g_a are the outputs and
+the final state of the forced response from rest and
+hold_a = exp(A_a (tau - tau0)). The truth is evaluated that way, exactly up
+to round-off: one forced response per scenario, the chain of boundary
+states, and one blocked free response over all windows of each scenario.
 """
 
 from __future__ import annotations
@@ -12,14 +21,16 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detection import DetectionReport, MeasurementWindow, detect_sequence
 from .errors import ConfigError, NumericalError
-from .linsys import discretize_zoh, eig_sorted, expm, simulate
+from .linsys import discretize_zoh, eig_sorted, expm, free_outputs, simulate
 from .probing import ProbingDesign
 from .ssbuild import ScenarioFamily
 from .util import dump_json
@@ -116,11 +127,9 @@ def run_experiment(config: ExperimentConfig,
             f"sequence length {len(sequence)} differs from K={config.K}")
 
     dmodels = [discretize_zoh(sc, config.ts) for sc in family]
-    # exact unforced propagation across the probe-off remainder of an interval
-    hold = [expm(sc.A * (config.tau - config.tau0)) for sc in family]
-
     _, rng_noise, rng_x0 = _rngs(config.seed)
     n = family[0].n
+    p = dmodels[0].p
     q = dmodels[0].Bd2.shape[1]
     steps = config.window_steps
 
@@ -138,24 +147,44 @@ def run_experiment(config: ExperimentConfig,
     u1_win.setflags(write=False)
     u2_win.setflags(write=False)
 
-    windows: list[MeasurementWindow] = []
+    # the affine truth of the module docstring: x_{k+1} = M_a x_k + h_a with
+    # M_a = hold_a Ad_a^N and h_a = hold_a g_a; only f_a, M_a and h_a are kept
+    forced, M, h = {}, {}, {}
+    for a in sorted(set(sequence.alphas)):
+        trace = simulate(dmodels[a], None, u1_win, u2_win, steps, record_states=True)
+        hold = expm(family[a].A * (config.tau - config.tau0))
+        forced[a] = trace.outputs
+        M[a] = hold @ np.linalg.matrix_power(dmodels[a].Ad, steps)
+        h[a] = hold @ trace.final_state
+        del trace
+
     boundaries = np.empty((config.K + 1, n))
+    boundaries[0] = x
     for k, a in enumerate(sequence.alphas):
-        boundaries[k] = x
-        trace = simulate(dmodels[a], x, u1_win, u2_win, steps,
-                         t0=k * config.tau, record_states=True)
-        y = trace.outputs
-        if config.noise_sigma > 0:
-            y = y + config.noise_sigma * rng_noise.standard_normal(y.shape)
-        windows.append(MeasurementWindow(
-            t_start=k * config.tau, ts=config.ts, samples=y,
-            u1=u1_win, u2=u2_win, probe=config.probe))
-        x = hold[a] @ trace.final_state
+        x = M[a] @ x + h[a]
         if not np.all(np.isfinite(x)):
             raise NumericalError(
                 f"simulation diverged in interval {k} (scenario {a}); "
                 f"the scenario model is unstable")
-    boundaries[config.K] = x
+        boundaries[k + 1] = x
+
+    # the free part, one blocked pass over all windows of a scenario, written
+    # into arrays the windows then own without a copy
+    samples = [np.empty((steps + 1, p)) for _ in range(config.K)]
+    alphas = np.asarray(sequence.alphas)
+    for a in forced:
+        ks = np.flatnonzero(alphas == a)
+        free_outputs(dmodels[a], boundaries[ks], [samples[k] for k in ks])
+
+    windows: list[MeasurementWindow] = []
+    for k, (a, y) in enumerate(zip(sequence.alphas, samples)):
+        y += forced[a]
+        if config.noise_sigma > 0:
+            y += config.noise_sigma * rng_noise.standard_normal(y.shape)
+        y.setflags(write=False)
+        windows.append(MeasurementWindow(
+            t_start=k * config.tau, ts=config.ts, samples=y,
+            u1=u1_win, u2=u2_win, probe=config.probe))
 
     report = detect_sequence(dmodels, windows, truth=list(sequence.alphas),
                              subsample=config.subsample)
@@ -292,27 +321,51 @@ def _record(cols: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
     return rec
 
 
+_WINDOW_NAME = re.compile(r"window_([0-9]+)\.csv")
+
+
+def _some(indices: list[int]) -> str:
+    """The first few of `indices` for a message, or 'none'."""
+    if not indices:
+        return "none"
+    return ", ".join(map(str, indices[:5])) + (", ..." if len(indices) > 5 else "")
+
+
 def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[MeasurementWindow]:
     """Rebuild MeasurementWindows from a windows/ directory written above.
 
     The returned windows live on the recorded grid; detect them with
     subsample=1 against a family discretized at the recorded ts. Consecutive
-    windows with bitwise-equal input columns share one frozen record.
+    windows with bitwise-equal input columns share one frozen record. Files
+    are taken in the order of their integer index, which must run over
+    0..len(window_starts)-1 of meta.json exactly once each.
     """
     meta = os.path.join(win_dir, "meta.json")
     if not os.path.exists(meta):
         raise ConfigError(f"missing {meta}")
-    with open(meta, "r", encoding="utf-8") as fh:
-        info = json.load(fh)
-    ts = float(info["ts"])
-    p = int(info["n_outputs"])
-    q = int(info["n_u2"])
+    try:
+        with open(meta, "r", encoding="utf-8") as fh:
+            info = json.load(fh)
+        ts = float(info["ts"])
+        p = int(info["n_outputs"])
+        q = int(info["n_u2"])
+        count = len(info["window_starts"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{meta}: malformed: {exc!r}") from exc
     cols = 1 + p + 3 + q
-    files = sorted(f for f in os.listdir(win_dir)
-                   if f.startswith("window_") and f.endswith(".csv"))
+    files = sorted((int(m.group(1)), m.string) for m in map(
+        _WINDOW_NAME.fullmatch, os.listdir(win_dir)) if m)
+    indices = [k for k, _ in files]
+    if indices != list(range(count)):
+        missing = sorted(set(range(count)).difference(indices))
+        surplus = sorted(k for k, c in Counter(indices).items()
+                         if c > 1 or not 0 <= k < count)
+        raise ConfigError(
+            f"{win_dir}: meta.json lists {count} windows, numbered 0..{count - 1}; "
+            f"no file for {_some(missing)}, unexpected or repeated {_some(surplus)}")
     windows = []
     u1 = u2 = None
-    for fname in files:
+    for _, fname in files:
         path = os.path.join(win_dir, fname)
         try:
             with warnings.catch_warnings():

@@ -302,6 +302,42 @@ def simulate(dmodel: DiscreteStateSpace, x0: np.ndarray,
                          states=X)
 
 
+def free_outputs(dmodel: DiscreteStateSpace, X0: np.ndarray, out) -> None:
+    """Write the unforced outputs y_j = C Ad^j x0, j = 0..rows-1, of every row
+    x0 of X0 into the matching (rows, p) array of `out`.
+
+    The samples are taken in blocks of b = floor(sqrt(rows)): with
+    G = [(C Ad^0)^T ... (C Ad^(b-1))^T] (n, b*p), the outputs of block i for
+    all rows at once are S_i G, where the block-start states advance as
+    S_{i+1} = S_i (Ad^b)^T. That is one (len(X0) x n)(n x b*p) product per
+    block, small enough to stay on the calling thread, and about sqrt(rows)
+    Python iterations.
+    """
+    if not out:
+        return
+    S = np.array(X0, dtype=float, ndmin=2)
+    n, p = dmodel.n, dmodel.p
+    if S.shape != (len(out), n):
+        raise NumericalError(f"X0 must be ({len(out)}, {n}), got {S.shape}")
+    rows = out[0].shape[0]
+    if any(y.shape != (rows, p) for y in out):
+        raise NumericalError(f"every output array must be ({rows}, {p})")
+    b = max(1, math.isqrt(rows))
+    AdT = dmodel.Ad.T
+    G = np.empty((n, b, p))
+    G[:, 0] = dmodel.C.T
+    for j in range(1, b):
+        np.matmul(AdT, G[:, j - 1], out=G[:, j])
+    G = G.reshape(n, b * p)
+    AdT_b = np.linalg.matrix_power(AdT, b)
+    for start in range(0, rows, b):
+        width = min(b, rows - start)
+        Y = (S @ G[:, :width * p]).reshape(len(out), width, p)
+        for y, block in zip(out, Y):
+            y[start:start + width] = block
+        S = S @ AdT_b
+
+
 def step_response(dmodel: DiscreteStateSpace, channel: int, steps: int,
                   magnitude: float = 1.0) -> ResponseTrace:
     """Zero-initial response to a step of `magnitude` on one u1 channel,

@@ -4,9 +4,11 @@ These are deliberately separate implementations from the package: a classic
 fixed-step RK4 integrator, an implicit-trapezoid integrator, a per-sample
 discrete-time recursion, a central finite-difference Jacobian, an
 incidence-matrix builder, the segment element equations written out
-directly, and the per-value csv.writer/csv.reader loops for window files.
-They never call into shslab's discretization, simulation or stamping code
-paths; the element equations share only the state layout.
+directly, the per-value csv.writer/csv.reader loops for window files, and the
+per-window switched-truth loop. Apart from that last one they never call into
+shslab's discretization, simulation or stamping code paths; the element
+equations share only the state layout. The truth loop runs shslab's
+`simulate` once per window, which `loop_simulate` checks in its own test.
 """
 
 import csv
@@ -16,6 +18,7 @@ import os
 import numpy as np
 
 from shslab.errors import BuildError
+from shslab.linsys import simulate
 from shslab.ssbuild import _Index  # state layout only, no coefficients
 
 
@@ -100,7 +103,9 @@ def loop_simulate(Ad, Bd1, Bd2, C, D2, x0, u1, u2, steps):
     y_k = C x_k + D2 u2_k, one Python iteration per sample.
 
     u1 and u2 need at least `steps` rows; a missing row `steps` is zero.
-    Returns ((steps+1, n) states, (steps+1, p) outputs).
+    Returns ((steps+1, n) states, (steps+1, p) outputs). x0 may also be a
+    batch of K initial states (K, n), which gives (steps+1, K, n) states and
+    (steps+1, K, p) outputs under the same inputs.
     """
     Ad, Bd1, Bd2, C, D2 = (np.asarray(a, dtype=float) for a in (Ad, Bd1, Bd2, C, D2))
     n, q = Ad.shape[0], Bd2.shape[1]
@@ -114,13 +119,13 @@ def loop_simulate(Ad, Bd1, Bd2, C, D2, x0, u1, u2, steps):
     U1 = padded(u1, 3)
     U2 = padded(u2, q)
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    xs = np.empty((steps + 1, n))
-    ys = np.empty((steps + 1, C.shape[0]))
+    xs = np.empty((steps + 1,) + x.shape)
+    ys = np.empty((steps + 1,) + x.shape[:-1] + (C.shape[0],))
     for k in range(steps + 1):
         xs[k] = x
-        ys[k] = C @ x + D2 @ U2[k]
+        ys[k] = (C @ x.T).T + D2 @ U2[k]
         if k < steps:
-            x = Ad @ x + Bd1 @ U1[k] + Bd2 @ U2[k]
+            x = (Ad @ x.T).T + Bd1 @ U1[k] + Bd2 @ U2[k]
     return xs, ys
 
 
@@ -269,3 +274,24 @@ def csv_read_window(path):
         next(reader)
         rows = [[float(v) for v in row] for row in reader]
     return np.array(rows)
+
+
+def loop_truth(dmodels, hold, x, alphas, u1_win, u2_win, steps, tau,
+               noise_sigma=0.0, rng_noise=None):
+    """The switched truth one window at a time: a full `simulate` from the
+    carried-over state in every interval, then `hold` across the probe-off
+    remainder. Returns (list of (steps+1, p) window samples, (K+1, n)
+    boundary states)."""
+    samples = []
+    boundaries = np.empty((len(alphas) + 1, len(x)))
+    for k, a in enumerate(alphas):
+        boundaries[k] = x
+        trace = simulate(dmodels[a], x, u1_win, u2_win, steps,
+                         t0=k * tau, record_states=True)
+        y = trace.outputs
+        if noise_sigma > 0:
+            y = y + noise_sigma * rng_noise.standard_normal(y.shape)
+        samples.append(y)
+        x = hold[a] @ trace.final_state
+    boundaries[len(alphas)] = x
+    return samples, boundaries

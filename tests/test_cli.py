@@ -267,3 +267,13 @@ def test_detect_malformed_truth_row_exits_2(recorded, tmp_path, capsys, bad_row)
 def test_detect_truth_length_mismatch_exits_2(recorded, tmp_path, capsys):
     assert _replay(recorded, tmp_path, truth_text="k,alpha\r\n1,0\r\n") == 2
     assert "truth.csv: 1 rows for 3 windows" in capsys.readouterr().err
+
+
+def test_detect_missing_window_file_exits_2(recorded, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(recorded / "run", run)
+    (run / "windows" / "window_0001.csv").unlink()
+    rc = main(["detect", "--family", str(recorded / "matrices.json"), "--segment", "1",
+               "--trace", str(run / "windows"), "--out", str(tmp_path / "replay.json")])
+    assert rc == 2
+    assert "meta.json lists 3 windows, numbered 0..2; no file for 1" in capsys.readouterr().err

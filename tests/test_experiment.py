@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import make_family, make_model
-from oracles import csv_read_window, csv_write_windows
-from shslab.detection import MeasurementWindow
-from shslab.errors import ConfigError
+from oracles import csv_read_window, csv_write_windows, loop_truth
+from shslab.detection import MeasurementWindow, detect_sequence
+from shslab.errors import ConfigError, NumericalError
 from shslab.experiment import (ExperimentConfig, SwitchingSequence, eigen_report,
                                generate_sequence, read_windows, run_experiment,
                                write_outputs)
 from shslab.linsys import discretize_zoh, expm, simulate
+from shslab.probing import ProbingDesign
 
 # coarse, fast experiment grid for unit tests; the acceptance suite runs the
 # paper-scale one
@@ -86,24 +87,86 @@ def test_windows_share_input_records(m1_family, coarse_probe):
     assert copies[0].u1[0, 1] == first.u1[0, 1]
 
 
+def oracle_truth(result):
+    """Window samples and boundary states of `result`'s run, rebuilt by the
+    per-window simulate-and-hold loop from the same initial state and noise
+    stream."""
+    cfg = result.config
+    dmodels = [discretize_zoh(sc, cfg.ts) for sc in cfg.family]
+    hold = [expm(sc.A * (cfg.tau - cfg.tau0)) for sc in cfg.family]
+    rng_noise = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[1])
+    first = result.windows[0]
+    return loop_truth(dmodels, hold, result.boundary_states[0], result.sequence.alphas,
+                      first.u1, first.u2, cfg.window_steps, cfg.tau,
+                      cfg.noise_sigma, rng_noise)
+
+
+def assert_truth_matches_oracle(result):
+    """Every window within 1e-12 of each output column's largest magnitude,
+    every boundary state within 1e-12 of the largest one; returns the oracle's
+    window samples."""
+    samples, boundaries = oracle_truth(result)
+    assert np.array_equal(result.boundary_states[0], boundaries[0])
+    err = np.max(np.abs(result.boundary_states - boundaries))
+    assert err <= 1e-12 * np.max(np.abs(boundaries))
+    for k, (w, y) in enumerate(zip(result.windows, samples)):
+        assert w.samples.shape == y.shape
+        assert np.all(np.abs(w.samples - y) <= 1e-12 * np.max(np.abs(y), axis=0)), k
+    return samples
+
+
 def test_state_continuity_across_switches(m1_family, coarse_probe):
     cfg = config(m1_family, coarse_probe, K=4, seed=1)
     seq = SwitchingSequence(alphas=(0, 2, 1, 3))  # switch every interval
     result = run_experiment(cfg, seq)
+    assert np.array_equal(result.boundary_states[0], np.zeros(18))
+    # each window starts at the state carried over from the previous interval
     dmodels = [discretize_zoh(sc, TS) for sc in m1_family]
-    hold = [expm(sc.A * (TAU - TAU0)) for sc in m1_family]
-    steps = int(round(TAU0 / TS))
-    x = np.zeros(18)
     for k, a in enumerate(seq.alphas):
-        assert np.array_equal(result.boundary_states[k], x)
-        # window starts exactly at the carried-over state
-        y0 = dmodels[a].C @ x
+        y0 = dmodels[a].C @ result.boundary_states[k]
         assert np.allclose(result.windows[k].samples[0], y0, rtol=0, atol=1e-12)
-        u1 = result.windows[k].u1
-        trace = simulate(dmodels[a], x, u1, result.windows[k].u2, steps,
-                         record_states=True)
-        x = hold[a] @ trace.final_state
-    assert np.array_equal(result.boundary_states[4], x)
+    assert_truth_matches_oracle(result)
+
+
+# (probe on, x0 mode, noise sigma, sequence or None for a drawn one)
+TRUTH_CASES = [(probe, x0, sigma, None) for probe in (True, False)
+               for x0 in ("zero", "random") for sigma in (0.0, 1e-3)] + [
+    (True, "random", 0.0, (3,) * 40),                  # one scenario: the largest batch
+    (True, "random", 1e-3, (0, 2, 3, 2, 0, 3, 3, 0)),  # scenario 1 never visited
+]
+
+
+@pytest.mark.parametrize("probe_on, x0_mode, sigma, alphas", TRUTH_CASES)
+def test_truth_matches_per_window_oracle(m1_family, coarse_probe, probe_on, x0_mode,
+                                         sigma, alphas):
+    K = 6 if alphas is None else len(alphas)
+    cfg = config(m1_family, coarse_probe, K=K, seed=4, x0_mode=x0_mode,
+                 noise_sigma=sigma, probe_override_R=None if probe_on else 0.0)
+    result = run_experiment(cfg, None if alphas is None else SwitchingSequence(alphas))
+    samples = assert_truth_matches_oracle(result)
+    oracle_windows = [dataclasses.replace(w, samples=y)
+                      for w, y in zip(result.windows, samples)]
+    dmodels = [discretize_zoh(sc, TS) for sc in m1_family]
+    oracle = detect_sequence(dmodels, oracle_windows, subsample=SUB)
+    assert result.report.detected == oracle.detected
+    if not probe_on and x0_mode == "zero" and sigma == 0.0:
+        # the passive premise: nothing excites the system, every sample is zero
+        assert all(np.all(w.samples == 0.0) for w in result.windows)
+
+
+# the unstable hold overflows on its way to the error
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("x0_mode", ["zero", "random"])
+def test_divergence_names_interval_and_scenario(x0_mode):
+    family = make_family([make_model(np.diag([-1.0, -2.0])),
+                          make_model(np.diag([-1.0, 2e4]), alpha=1, name="unstable")])
+    probe = ProbingDesign(mu0=1.0, mu1=1.0, delta_min=1.0, R0=2.0, R=3.0,
+                          channel=1, tau0=TAU0)
+    cfg = ExperimentConfig(family=family, probe=probe, tau=TAU, tau0=TAU0, ts=TS,
+                           K=4, seed=0, subsample=SUB, x0_mode=x0_mode)
+    with pytest.raises(NumericalError, match=r"interval 2 \(scenario 1\)"):
+        run_experiment(cfg, SwitchingSequence(alphas=(0, 0, 1, 0)))
 
 
 def test_probe_occupies_window_only(m1_family, coarse_probe):
@@ -230,6 +293,48 @@ def test_read_windows_share_input_records(tmp_path, m1_family, coarse_probe):
         assert np.shares_memory(window.u1, first.u1)
         assert np.shares_memory(window.u2, first.u2)
         assert not np.shares_memory(window.samples, first.samples)
+
+
+def test_read_windows_orders_files_by_index(tmp_path, m1_family, coarse_probe):
+    result = run_experiment(config(m1_family, coarse_probe, K=11, seed=3))
+    write_outputs(result, tmp_path, windows_mode="strided")
+    win_dir = tmp_path / "windows"
+    # unpadded names sort window_10 before window_2 by name
+    for k in range(11):
+        (win_dir / f"window_{k:04d}.csv").rename(win_dir / f"window_{k}.csv")
+    windows = read_windows(win_dir)
+    assert [w.t_start for w in windows] == [w.t_start for w in result.windows]
+    for w, src in zip(windows, result.windows):
+        assert np.array_equal(w.samples, src.samples[::SUB])
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda d: (d / "window_0001.csv").unlink(), "no file for 1, unexpected or repeated none"),
+    (lambda d: (d / "window_0003.csv").write_bytes((d / "window_0002.csv").read_bytes()),
+     "no file for none, unexpected or repeated 3"),
+    (lambda d: (d / "window_2.csv").write_bytes((d / "window_0002.csv").read_bytes()),
+     "no file for none, unexpected or repeated 2"),
+], ids=["missing", "extra", "repeated"])
+def test_read_windows_needs_every_listed_window_once(tmp_path, m1_family, coarse_probe,
+                                                     change, message):
+    result = run_experiment(config(m1_family, coarse_probe, K=3, seed=3))
+    write_outputs(result, tmp_path, windows_mode="strided")
+    change(tmp_path / "windows")
+    with pytest.raises(ConfigError, match="meta.json lists 3 windows") as exc:
+        read_windows(tmp_path / "windows")
+    assert message in str(exc.value)
+
+
+@pytest.mark.parametrize("meta, message", [
+    ("{", "JSONDecodeError"),
+    ('{"ts": 1e-05, "n_outputs": 5, "n_u2": 2}', "KeyError('window_starts')"),
+    ('{"ts": 1e-05, "n_outputs": 5, "n_u2": 2, "window_starts": 3}', "TypeError"),
+], ids=["not-json", "no-window-starts", "starts-not-a-list"])
+def test_read_windows_rejects_malformed_meta(tmp_path, meta, message):
+    (tmp_path / "meta.json").write_text(meta)
+    with pytest.raises(ConfigError, match="meta.json: malformed") as exc:
+        read_windows(tmp_path)
+    assert message in str(exc.value)
 
 
 # values whose text form is easy to get wrong: signed zero, the smallest

@@ -8,7 +8,8 @@ from conftest import PAPER_TS, bare_line_segment, make_model
 from oracles import loop_simulate, rk4_lti
 from shslab.errors import NumericalError
 from shslab.linsys import (assert_family_hurwitz, discretize_zoh, eigenvalues,
-                           equilibrium, expm, is_hurwitz, simulate, step_response)
+                           equilibrium, expm, free_outputs, is_hurwitz, simulate,
+                           step_response)
 from shslab.ssbuild import ContingencySpec, build_state_space
 
 
@@ -205,6 +206,29 @@ def test_simulate_matches_loop_oracle(paper_dmodels, steps, extra_rows):
         assert np.max(np.abs(trace.states - xs)) <= 1e-12 * np.max(np.abs(xs))
         assert np.max(np.abs(trace.outputs - ys)) <= 1e-12 * np.max(np.abs(ys))
         assert np.array_equal(trace.final_state, trace.states[-1])
+
+
+# the same step counts; one, a few and a full sequence's worth of windows
+@pytest.mark.parametrize("steps", [0, 1, 2, 99, 100, 101, 10000])
+@pytest.mark.parametrize("batch", [1, 3, 40])
+def test_free_outputs_matches_loop_oracle(paper_dmodels, steps, batch):
+    rng = np.random.default_rng(100 * steps + batch)
+    for d in paper_dmodels:
+        X0 = rng.standard_normal((batch, d.n))
+        out = [np.empty((steps + 1, d.p)) for _ in range(batch)]
+        free_outputs(d, X0, out)
+        _, ys = loop_simulate(d.Ad, d.Bd1, d.Bd2, d.C, d.D2, X0, None, None, steps)
+        for k, y in enumerate(out):
+            ref = ys[:, k]
+            assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+
+
+def test_free_outputs_shape_errors(m1_family):
+    d = discretize_zoh(m1_family[0], 1e-5)
+    with pytest.raises(NumericalError, match="X0"):
+        free_outputs(d, np.zeros((2, 18)), [np.empty((11, 5))])
+    with pytest.raises(NumericalError, match="output array"):
+        free_outputs(d, np.zeros((2, 18)), [np.empty((11, 5)), np.empty((10, 5))])
 
 
 def test_simulate_shape_errors(m1_family):
