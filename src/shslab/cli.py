@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__, data_path
 from .detection import detect_sequence
 from .errors import (BuildError, ConfigError, DegenerateDesignError, EstimationError,
@@ -27,7 +25,7 @@ from .linsys import discretize_zoh
 from .manifest import write_manifest
 from .probing import design_mami, probe_from_json, probe_to_json
 from .segmentation import SegmentModel, segment_network, segments_to_json
-from .ssbuild import (ScenarioFamily, build_family, contingency_from_json,
+from .ssbuild import (ContingencySpec, ScenarioFamily, build_family, contingency_from_json,
                       family_from_json, family_to_json)
 from .util import dump_json, load_json
 
@@ -196,6 +194,8 @@ def cmd_design_probe(args) -> int:
 
 def _experiment_from_config(cfg_path, probe_off: bool = False,
                             k_override: int | None = None):
+    """The experiment a config file describes, the config itself, the input
+    files it read, and every segment of its network."""
     cfg = load_json(cfg_path)
     base = os.path.dirname(os.path.abspath(cfg_path))
 
@@ -232,10 +232,16 @@ def _experiment_from_config(cfg_path, probe_off: bool = False,
         subsample=int(cfg.get("subsample", 10)),
         x0_mode=cfg.get("x0_mode", "zero"),
         probe_override_R=0.0 if probe_off else None)
-    return exp, cfg, inputs
+    return exp, cfg, inputs, segments
 
 
-def _print_run_summary(exp: ExperimentConfig, result, reference: dict | None) -> None:
+def _run_and_record(args, command: str, exp: ExperimentConfig, cfg: dict, inputs) -> None:
+    """Run the experiment, write its artifacts, probe.json and the manifest
+    under args.out_dir, and print the summary."""
+    result = run_experiment(exp, generate_sequence(exp))
+    write_outputs(result, args.out_dir, windows_mode=args.windows)
+    dump_json(probe_to_json(exp.probe), os.path.join(args.out_dir, "probe.json"))
+    write_manifest(args.out_dir, command, inputs, cfg)
     probe = exp.probe
     print(f"mu0 = {probe.mu0:.6g}")
     print(f"mu1 = {probe.mu1:.6g}")
@@ -244,19 +250,15 @@ def _print_run_summary(exp: ExperimentConfig, result, reference: dict | None) ->
     print(f"R = {probe.R:.6g} (applied {exp.applied_R:.6g})")
     print(f"intervals = {exp.K}, accuracy = {result.accuracy:.4f} "
           f"({result.report.matches}/{exp.K})")
-    if reference:
-        ref = ", ".join(f"{k}={v}" for k, v in sorted(reference.items()))
+    if cfg.get("reference"):
+        ref = ", ".join(f"{k}={v}" for k, v in sorted(cfg["reference"].items()))
         print(f"bundled reference values (source six-bus study): {ref}")
 
 
 def cmd_run(args) -> int:
-    exp, cfg, inputs = _experiment_from_config(
+    exp, cfg, inputs, _ = _experiment_from_config(
         args.config, probe_off=args.probe_off, k_override=args.K)
-    result = run_experiment(exp, generate_sequence(exp))
-    write_outputs(result, args.out_dir, windows_mode=args.windows)
-    dump_json(probe_to_json(exp.probe), os.path.join(args.out_dir, "probe.json"))
-    write_manifest(args.out_dir, "run", inputs, cfg)
-    _print_run_summary(exp, result, cfg.get("reference"))
+    _run_and_record(args, "run", exp, cfg, inputs)
     return 0
 
 
@@ -282,6 +284,12 @@ def cmd_detect(args) -> int:
     truth = _read_truth(args.truth) if args.truth else None
     if truth is not None and len(truth) != len(windows):
         raise ConfigError(f"{args.truth}: {len(truth)} rows for {len(windows)} windows")
+    widths = windows[0].samples.shape[1], windows[0].u2.shape[1]
+    if widths != (fam[0].p, fam[0].B2.shape[1]):
+        raise ConfigError(
+            f"{os.path.join(args.trace, 'meta.json')} records {widths[0]} outputs and "
+            f"{widths[1]} aux inputs; the family in {args.family} has {fam[0].p} and "
+            f"{fam[0].B2.shape[1]}")
     # windows are stored on the estimator grid; use every recorded sample
     dmodels = [discretize_zoh(sc, windows[0].ts) for sc in fam]
     report = detect_sequence(dmodels, windows, truth=truth, subsample=1)
@@ -300,21 +308,14 @@ def cmd_detect(args) -> int:
 
 
 def cmd_repro_paper(args) -> int:
-    cfg_path = str(data_path("paper6bus_experiment.json"))
-    cfg = load_json(cfg_path)
-    net = _load_network(str(data_path("paper6bus.json")))
-    segments = segment_network(net, _assignment_from_config(cfg))
-
+    exp, cfg, inputs, segments = _experiment_from_config(
+        str(data_path("paper6bus_experiment.json")), k_override=args.K)
+    fam = exp.family
     print("== segment state dimensions ==")
-    families = {}
     for seg in segments:
-        listed = (cfg["contingencies"] if seg.id == int(cfg["segment"])
-                  else [{"kind": "normal"}])
-        fam = build_family(seg, _contingencies(listed))
-        families[seg.id] = fam
-        print(f"segment {seg.id}: n = {fam[0].n}")
+        seg_fam = fam if seg.id == fam.segment_id else build_family(seg, [ContingencySpec.normal()])
+        print(f"segment {seg.id}: n = {seg_fam[0].n}")
 
-    fam = families[int(cfg["segment"])]
     print("== eigenvalue analysis ==")
     rep = eigen_report(fam)
     for a, name, mx in zip(rep.alphas, rep.names, rep.max_real):
@@ -324,13 +325,8 @@ def cmd_repro_paper(args) -> int:
           f"({rep.names[rep.most_damped]})")
 
     print("== probing design and switched-sequence detection ==")
-    exp, cfg, inputs = _experiment_from_config(cfg_path, k_override=args.K)
-    result = run_experiment(exp, generate_sequence(exp))
-    write_outputs(result, args.out_dir, windows_mode=args.windows)
-    dump_json(probe_to_json(exp.probe), os.path.join(args.out_dir, "probe.json"))
+    _run_and_record(args, "repro-paper", exp, cfg, inputs)
     rep.write_csv(os.path.join(args.out_dir, "eigs.csv"))
-    write_manifest(args.out_dir, "repro-paper", inputs, cfg)
-    _print_run_summary(exp, result, cfg.get("reference"))
     _say(f"artifacts under {args.out_dir}")
     return 0
 

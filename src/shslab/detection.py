@@ -242,12 +242,6 @@ def _shared_input_runs(windows: list[MeasurementWindow]) -> list[list[Measuremen
     return runs
 
 
-def detect(models: list[DiscreteStateSpace], window: MeasurementWindow,
-           subsample: int = 10) -> ScenarioVerdict:
-    """Fit every scenario to the window and pick the minimum-residual one."""
-    return detect_sequence(models, [window], subsample=subsample).verdicts[0]
-
-
 def detect_sequence(models: list[DiscreteStateSpace],
                     windows: list[MeasurementWindow],
                     truth: list[int] | None = None,

@@ -31,7 +31,7 @@ import numpy as np
 from .detection import DetectionReport, MeasurementWindow, detect_sequence
 from .errors import ConfigError, NumericalError
 from .linsys import discretize_zoh, eig_sorted, expm, free_outputs, simulate
-from .probing import ProbingDesign
+from .probing import ProbingDesign, whole_steps
 from .ssbuild import ScenarioFamily
 from .util import dump_json
 
@@ -66,11 +66,8 @@ class ExperimentConfig:
         if self.tau0 > self.tau / 10.0 + 1e-15:
             raise ConfigError(
                 f"detection window tau0={self.tau0} must be <= tau/10={self.tau / 10}")
-        for name, span in (("tau", self.tau), ("tau0", self.tau0)):
-            ratio = span / self.ts
-            if abs(ratio - round(ratio)) > 1e-6:
-                raise ConfigError(
-                    f"{name}={span} is not a whole number of samples at ts={self.ts}")
+        whole_steps("tau", self.tau, self.ts)
+        whole_steps("tau0", self.tau0, self.ts)
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.x0_mode not in ("zero", "random"):
@@ -338,7 +335,8 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
     subsample=1 against a family discretized at the recorded ts. Consecutive
     windows with bitwise-equal input columns share one frozen record. Files
     are taken in the order of their integer index, which must run over
-    0..len(window_starts)-1 of meta.json exactly once each.
+    0..len(window_starts)-1 of meta.json exactly once each, and meta.json's
+    ts must be ts_simulated * stride_applied.
     """
     meta = os.path.join(win_dir, "meta.json")
     if not os.path.exists(meta):
@@ -350,8 +348,12 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
         p = int(info["n_outputs"])
         q = int(info["n_u2"])
         count = len(info["window_starts"])
+        ts_written = float(info["ts_simulated"]) * int(info["stride_applied"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{meta}: malformed: {exc!r}") from exc
+    if not (np.isfinite(ts) and ts > 0 and abs(ts - ts_written) <= 1e-12 * ts):
+        raise ConfigError(f"{meta}: ts={ts} must be positive, finite and equal to "
+                          f"ts_simulated * stride_applied = {ts_written}")
     cols = 1 + p + 3 + q
     files = sorted((int(m.group(1)), m.string) for m in map(
         _WINDOW_NAME.fullmatch, os.listdir(win_dir)) if m)

@@ -9,7 +9,7 @@ name means SI units. Values are normalized to SI on parse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import NetworkFormatError
 
@@ -26,19 +26,6 @@ _UNIT_SUFFIXES = {
     "angle": {"": 1.0, "_rad": 1.0},
     "plain": {"": 1.0},
 }
-
-# Suffix the serializer emits per dimension (always SI so round-trips are exact).
-_SI_SUFFIX = {
-    "resistance": "_ohm",
-    "inductance": "_H",
-    "capacitance": "_F",
-    "current": "_A",
-    "active_power": "_W",
-    "reactive_power": "_VAR",
-    "angle": "_rad",
-    "plain": "",
-}
-
 
 @dataclass(frozen=True)
 class ControlInput:
@@ -421,8 +408,3 @@ def validate(model: NetworkModel) -> list[Violation]:
 
     out.sort(key=lambda v: (v.location, v.code))
     return out
-
-
-def with_line(model: NetworkModel, line: LineSpec) -> NetworkModel:
-    """Copy of the model with one extra line (test/tooling convenience)."""
-    return replace(model, lines=model.lines + (line,))

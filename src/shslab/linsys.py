@@ -1,5 +1,5 @@
-"""Numerical services on the assembled models: spectra, equilibria, exact
-zero-order-hold discretization, and discrete-time response simulation."""
+"""Numerical services on the assembled models: spectra, exact zero-order-hold
+discretization, and discrete-time response simulation."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericalError
-from .ssbuild import ScenarioFamily, StateSpaceModel
+from .ssbuild import StateSpaceModel
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,11 +41,9 @@ class DiscreteStateSpace:
 
 @dataclass(frozen=True, eq=False)
 class ResponseTrace:
-    """Uniformly sampled outputs plus the scalar sum of output components."""
+    """Uniformly sampled outputs, and the states when they were recorded."""
 
-    times: np.ndarray
     outputs: np.ndarray            # (steps+1, p)
-    aggregate: np.ndarray          # (steps+1,)
     states: np.ndarray | None = None
 
     @property
@@ -69,38 +67,6 @@ def eigenvalues(model: StateSpaceModel) -> np.ndarray:
     if not np.all(np.isfinite(model.A)):
         raise NumericalError("state matrix has non-finite entries")
     return eig_sorted(model.A)
-
-
-def is_hurwitz(model: StateSpaceModel, margin: float = 0.0) -> bool:
-    return bool(np.max(eigenvalues(model).real) < -margin)
-
-
-def assert_family_hurwitz(family: ScenarioFamily) -> None:
-    """Raise with a per-scenario diagnostic if any member is not stable."""
-    bad = []
-    for sc in family:
-        mx = float(np.max(eigenvalues(sc).real))
-        if mx >= 0.0:
-            bad.append(f"{sc.name}: max Re(lambda) = {mx:.6g}")
-    if bad:
-        raise NumericalError("family is not Hurwitz: " + "; ".join(bad))
-
-
-def equilibrium(model: StateSpaceModel, u1_star: np.ndarray,
-                u2_star: np.ndarray | None = None) -> np.ndarray:
-    """Deviation-model equilibrium x* = -A^-1 (B1 u1* + B2 u2*)."""
-    u1_star = np.asarray(u1_star, dtype=float)
-    rhs = model.B1 @ u1_star
-    if u2_star is not None and model.B2.shape[1]:
-        rhs = rhs + model.B2 @ np.asarray(u2_star, dtype=float)
-    try:
-        x_star = np.linalg.solve(model.A, -rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular state matrix; no unique equilibrium") from exc
-    resid = np.linalg.norm(model.A @ x_star + rhs)
-    if resid > 1e-9 * max(np.linalg.norm(x_star), 1e-30) and np.linalg.norm(x_star) > 0:
-        raise NumericalError(f"equilibrium residual too large: {resid:.3e}")
-    return x_star
 
 
 # Pade [m/m] coefficients b_0..b_m and the bound theta_m on the scaled norm
@@ -212,7 +178,7 @@ def discretize_zoh(model: StateSpaceModel, ts: float) -> DiscreteStateSpace:
 
 def simulate(dmodel: DiscreteStateSpace, x0: np.ndarray,
              u1: np.ndarray | None, u2: np.ndarray | None, steps: int,
-             t0: float = 0.0, record_states: bool = False) -> ResponseTrace:
+             record_states: bool = False) -> ResponseTrace:
     """Propagate x_{k+1} = Ad x_k + Bd1 u1_k + Bd2 u2_k for k = 0..steps-1 and
     record y_k = C x_k + D2 u2_k at k = 0..steps.
 
@@ -297,9 +263,7 @@ def simulate(dmodel: DiscreteStateSpace, x0: np.ndarray,
         np.matmul(Z[j], out_map, out=Y[j])
     ys = Y.transpose(1, 0, 2).reshape(-1, dmodel.p)[:rows]
     X = by_block[:, :, :n].reshape(-1, n)[:rows] if record_states else None
-    times = t0 + dmodel.ts * np.arange(rows)
-    return ResponseTrace(times=times, outputs=ys, aggregate=ys.sum(axis=1),
-                         states=X)
+    return ResponseTrace(outputs=ys, states=X)
 
 
 def free_outputs(dmodel: DiscreteStateSpace, X0: np.ndarray, out) -> None:

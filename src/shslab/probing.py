@@ -11,11 +11,12 @@ within the window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDesignError, NumericalError
+from .errors import ConfigError, DegenerateDesignError, NumericalError
 from .linsys import discretize_zoh, eigenvalues, step_response
 from .ssbuild import ScenarioFamily, StateSpaceModel
 
@@ -33,6 +34,15 @@ def channel_index(channel) -> int:
     if ch not in (0, 1, 2):
         raise DegenerateDesignError(f"probe channel index must be 0..2, got {ch}")
     return ch
+
+
+def whole_steps(name: str, span: float, ts: float) -> int:
+    """span / ts as a count of samples: it must be whole (to 1e-6) and >= 1."""
+    ratio = span / ts if ts > 0 else math.nan
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    if steps < 1 or abs(ratio - steps) > 1e-6:
+        raise ConfigError(f"{name}={span} is not a whole number (>= 1) of samples at ts={ts}")
+    return steps
 
 
 def current_state_mask(labels) -> np.ndarray:
@@ -125,11 +135,9 @@ def compute_delta_min(family: ScenarioFamily, channel, tau0: float,
     if len(family) < 2:
         raise DegenerateDesignError("delta_min needs at least two scenarios")
     ch = channel_index(channel)
-    steps = int(round(tau0 / ts))
-    if steps < 1:
-        raise DegenerateDesignError(f"window tau0={tau0} shorter than ts={ts}")
+    steps = whole_steps("tau0", tau0, ts)
 
-    aggregates = [step_response(discretize_zoh(sc, ts), ch, steps).aggregate
+    aggregates = [step_response(discretize_zoh(sc, ts), ch, steps).outputs.sum(axis=1)
                   for sc in family]
 
     gaps: dict[tuple[int, int], float] = {}

@@ -147,42 +147,6 @@ def neighbor_sets(segments: list[SegmentModel]) -> dict[int, set[int]]:
     return out
 
 
-def nearest_pvb_assignment(model: NetworkModel) -> dict[int, int]:
-    """Assign each bus to the hop-nearest PVB bus (ties to the lower PVB id).
-
-    Segment ids are 1..k in ascending PVB-bus order. Convenience only; the
-    paper-style configs supply explicit assignments.
-    """
-    pvbs = sorted(b.id for b in model.buses if b.kind == "PVB")
-    if not pvbs:
-        raise SegmentationError("network has no PVB bus")
-    adj: dict[int, set[int]] = {b.id: set() for b in model.buses}
-    for ln in model.lines:
-        adj[ln.from_bus].add(ln.to_bus)
-        adj[ln.to_bus].add(ln.from_bus)
-
-    seg_of_pvb = {p: i + 1 for i, p in enumerate(pvbs)}
-    best: dict[int, tuple[int, int]] = {}  # bus -> (distance, pvb id)
-    for p in pvbs:
-        dist = {p: 0}
-        frontier = [p]
-        while frontier:
-            nxt = []
-            for b in frontier:
-                for nb in adj[b]:
-                    if nb not in dist:
-                        dist[nb] = dist[b] + 1
-                        nxt.append(nb)
-            frontier = nxt
-        for b, d in dist.items():
-            if b not in best or (d, p) < best[b]:
-                best[b] = (d, p)
-    unreached = sorted(set(adj) - set(best))
-    if unreached:
-        raise SegmentationError(f"buses {unreached} unreachable from any PVB bus")
-    return {b: seg_of_pvb[p] for b, (d, p) in best.items()}
-
-
 def segments_to_json(segments: list[SegmentModel]) -> dict:
     """Inspection dump for `shslab segment --dump`."""
     out = []

@@ -116,17 +116,6 @@ def contingency_from_json(obj: dict, loc: str = "$") -> ContingencySpec:
         raise NetworkFormatError(str(exc), loc) from exc
 
 
-def contingency_to_json(c: ContingencySpec) -> dict:
-    out: dict = {"kind": c.kind}
-    if c.line is not None:
-        out["line"] = list(c.line)
-    if c.kind == "short_circuit":
-        out["R_f_ohm"] = c.R_f
-    if c.kind == "line_disconnect":
-        out["open_end"] = c.open_end
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class StateSpaceModel:
     """Continuous-time model of one scenario, linearized at its operating point.
@@ -173,10 +162,6 @@ class StateSpaceModel:
     @property
     def p(self) -> int:
         return self.C.shape[0]
-
-    @property
-    def n_aux(self) -> int:
-        return self.B2.shape[1] // 2
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,11 @@ PAPER_TS = 1e-6
 
 def load_bundled(name):
     return json.loads(data_path(name).read_text())
+
+
+def with_line(model, line: LineSpec):
+    """Copy of the network with one extra line."""
+    return replace(model, lines=model.lines + (line,))
 
 
 @pytest.fixture(scope="session")

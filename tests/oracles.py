@@ -276,7 +276,7 @@ def csv_read_window(path):
     return np.array(rows)
 
 
-def loop_truth(dmodels, hold, x, alphas, u1_win, u2_win, steps, tau,
+def loop_truth(dmodels, hold, x, alphas, u1_win, u2_win, steps,
                noise_sigma=0.0, rng_noise=None):
     """The switched truth one window at a time: a full `simulate` from the
     carried-over state in every interval, then `hold` across the probe-off
@@ -286,8 +286,7 @@ def loop_truth(dmodels, hold, x, alphas, u1_win, u2_win, steps, tau,
     boundaries = np.empty((len(alphas) + 1, len(x)))
     for k, a in enumerate(alphas):
         boundaries[k] = x
-        trace = simulate(dmodels[a], x, u1_win, u2_win, steps,
-                         t0=k * tau, record_states=True)
+        trace = simulate(dmodels[a], x, u1_win, u2_win, steps, record_states=True)
         y = trace.outputs
         if noise_sigma > 0:
             y = y + noise_sigma * rng_noise.standard_normal(y.shape)

@@ -214,11 +214,13 @@ def test_repro_paper_smoke(tmp_path, capsys):
     assert "bundled reference values" in out
 
 
-def _replay(recorded, tmp_path, window_text=None, truth_text=None):
+def _replay(recorded, tmp_path, window_text=None, truth_text=None, edit=None):
     """`shslab detect` on a copy of the recorded run with window_0001.csv or
-    truth.csv replaced by the given text."""
+    truth.csv replaced by the given text, after `edit` of its windows/."""
     run = tmp_path / "run"
     shutil.copytree(recorded / "run", run)
+    if edit is not None:
+        edit(run / "windows")
     if window_text is not None:
         (run / "windows" / "window_0001.csv").write_bytes(window_text.encode())
     if truth_text is not None:
@@ -277,3 +279,45 @@ def test_detect_missing_window_file_exits_2(recorded, tmp_path, capsys):
                "--trace", str(run / "windows"), "--out", str(tmp_path / "replay.json")])
     assert rc == 2
     assert "meta.json lists 3 windows, numbered 0..2; no file for 1" in capsys.readouterr().err
+
+
+def _edit_meta(win_dir, **changes):
+    meta = json.loads((win_dir / "meta.json").read_text())
+    meta.update(changes)
+    (win_dir / "meta.json").write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("ts", [0.0, -5e-5, float("nan"), 1e-4],
+                         ids=["zero", "negative", "nan", "doubled"])
+def test_detect_meta_ts_inconsistent_exits_2(recorded, tmp_path, capsys, ts):
+    # recorded at ts_simulated 1e-5 with stride 5, so meta.json's ts is 5e-5
+    assert _replay(recorded, tmp_path, edit=lambda d: _edit_meta(d, ts=ts)) == 2
+    err = capsys.readouterr().err
+    assert "meta.json: ts=" in err and "ts_simulated * stride_applied = 5e-05" in err
+
+
+# the family has 5 outputs and 2 aux inputs; drop column y4 or add a column u2_2
+@pytest.mark.parametrize("key, width, fields, message", [
+    ("n_outputs", 4, lambda f: f[:5] + f[6:], "records 4 outputs and 2 aux inputs"),
+    ("n_u2", 3, lambda f: f + ["0.0"], "records 5 outputs and 3 aux inputs"),
+], ids=["outputs", "aux-inputs"])
+def test_detect_width_mismatch_exits_2(recorded, tmp_path, capsys, key, width, fields, message):
+    def edit(win_dir):
+        _edit_meta(win_dir, **{key: width})
+        for path in win_dir.glob("window_*.csv"):
+            lines = path.read_bytes().decode().split("\r\n")
+            path.write_bytes("\r\n".join(",".join(fields(line.split(","))) if line else line
+                                          for line in lines).encode())
+
+    assert _replay(recorded, tmp_path, edit=edit) == 2
+    err = capsys.readouterr().err
+    assert message in err and "the family in" in err and "has 5 and 2" in err
+
+
+def test_design_probe_partial_sample_window_exits_2(recorded, tmp_path, capsys):
+    rc = main(["design-probe", "--family", str(recorded / "matrices.json"), "--segment", "1",
+               "--tau0", "0.01", "--ts", "7e-3", "--out", str(tmp_path / "p.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "tau0=0.01 is not a whole number (>= 1) of samples at ts=0.007" in err
+    assert not (tmp_path / "p.json").exists()

@@ -3,8 +3,8 @@ import pytest
 
 import shslab.detection as detection
 from conftest import PAPER_TS, make_model
-from shslab.detection import (MeasurementWindow, ScenarioVerdict, detect,
-                              detect_sequence, estimate_initial_state,
+from shslab.detection import (MeasurementWindow, ScenarioVerdict, detect_sequence,
+                              estimate_initial_state,
                               forced_outputs, observability_stack, sample_indices)
 from shslab.errors import EstimationError
 from shslab.linsys import discretize_zoh, simulate
@@ -84,7 +84,7 @@ def test_cross_fit_ordering_all_pairs(dmodels, m1_probe):
 
 def test_detect_picks_generating_scenario(dmodels, m1_probe):
     window = probe_window(dmodels[2], np.zeros(18), m1_probe.R)
-    verdict = detect(dmodels, window, subsample=SUB)
+    verdict = detect_sequence(dmodels, [window], subsample=SUB).verdicts[0]
     assert verdict.detected == 2
     assert verdict.x0_hat.shape == (4, 18)
     assert verdict.residuals[2] < min(r for j, r in enumerate(verdict.residuals) if j != 2)
@@ -92,7 +92,7 @@ def test_detect_picks_generating_scenario(dmodels, m1_probe):
 
 def test_detect_family_of_one(dmodels):
     window = probe_window(dmodels[1], np.ones(18), 0.0)
-    verdict = detect(dmodels[:1], window, subsample=SUB)
+    verdict = detect_sequence(dmodels[:1], [window], subsample=SUB).verdicts[0]
     assert verdict.detected == 0
 
 
@@ -107,7 +107,7 @@ def test_probe_off_adversarial_x0_can_miss(dmodels):
         for scale in scales:
             x0 = scale * direction
             window = probe_window(dmodels[1], x0, 0.0)
-            verdict = detect(dmodels, window, subsample=SUB)
+            verdict = detect_sequence(dmodels, [window], subsample=SUB).verdicts[0]
             misses += verdict.detected != 1
     assert misses >= 1
 
@@ -115,7 +115,7 @@ def test_probe_off_adversarial_x0_can_miss(dmodels):
 def test_tie_break_lowest_index(dmodels):
     twins = [dmodels[1], dmodels[1]]
     window = probe_window(dmodels[1], np.full(18, 3.0), 0.0)
-    verdict = detect(twins, window, subsample=SUB)
+    verdict = detect_sequence(twins, [window], subsample=SUB).verdicts[0]
     assert verdict.detected == 0
     assert verdict.residuals[0] == verdict.residuals[1]
 
@@ -136,8 +136,8 @@ def test_detection_deterministic(dmodels, m1_probe):
     x0 = rng.standard_normal(18)
     w1 = probe_window(dmodels[3], x0, m1_probe.R)
     w2 = probe_window(dmodels[3], x0, m1_probe.R)
-    v1 = detect(dmodels, w1, subsample=SUB)
-    v2 = detect(dmodels, w2, subsample=SUB)
+    v1 = detect_sequence(dmodels, [w1], subsample=SUB).verdicts[0]
+    v2 = detect_sequence(dmodels, [w2], subsample=SUB).verdicts[0]
     assert np.array_equal(v1.residuals, v2.residuals)
     assert np.array_equal(v1.x0_hat, v2.x0_hat)
     assert v1.detected == v2.detected

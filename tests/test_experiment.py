@@ -97,7 +97,7 @@ def oracle_truth(result):
     rng_noise = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[1])
     first = result.windows[0]
     return loop_truth(dmodels, hold, result.boundary_states[0], result.sequence.alphas,
-                      first.u1, first.u2, cfg.window_steps, cfg.tau,
+                      first.u1, first.u2, cfg.window_steps,
                       cfg.noise_sigma, rng_noise)
 
 

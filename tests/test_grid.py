@@ -3,10 +3,9 @@ import math
 
 import pytest
 
-from conftest import load_bundled
+from conftest import load_bundled, with_line
 from shslab.errors import NetworkFormatError
-from shslab.grid import (LineSpec, parse_network, serialize_network, validate,
-                         with_line)
+from shslab.grid import LineSpec, parse_network, serialize_network, validate
 
 
 def minimal_doc():

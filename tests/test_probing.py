@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_family, make_model, small_pvb_segment
 from oracles import trapezoid_lti
-from shslab.errors import DegenerateDesignError, NumericalError
+from shslab.errors import ConfigError, DegenerateDesignError, NumericalError
 from shslab.probing import (ProbingDesign, channel_index, compute_delta_min,
                             compute_mu0, compute_mu1, current_state_mask, design_mami)
 from shslab.ssbuild import ContingencySpec, ScenarioFamily, build_state_space
@@ -75,6 +75,12 @@ def test_mu1_refuses_unstable_family():
     fam = make_family([make_model(np.array([[1.0]]))])
     with pytest.raises(NumericalError, match="stable"):
         compute_mu1(fam)
+
+
+@pytest.mark.parametrize("ts", [7e-3, 0.02], ids=["partial-sample", "longer-than-window"])
+def test_delta_min_needs_whole_samples(m1_family, ts):
+    with pytest.raises(ConfigError, match="whole number"):
+        compute_delta_min(m1_family, "delta", 0.01, ts)
 
 
 def test_delta_min_identical_scenarios_flagged(m1_family):

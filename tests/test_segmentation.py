@@ -3,8 +3,7 @@ import pytest
 from conftest import PAPER_ASSIGNMENT, PVB_PARAMS, LOAD_A, LOAD_B
 from shslab.errors import SegmentationError
 from shslab.grid import BusSpec, LineSpec, NetworkModel
-from shslab.segmentation import (neighbor_sets, nearest_pvb_assignment,
-                                 segment_network, segments_to_json)
+from shslab.segmentation import neighbor_sets, segment_network, segments_to_json
 
 ARCH_ASSIGNMENT = {1: 1, 4: 1, 7: 1, 2: 2, 3: 2, 6: 2, 5: 3, 8: 3, 9: 3}
 
@@ -122,10 +121,6 @@ def test_disconnected_segment_rejected(paper_net):
     assignment = {3: 1, 4: 1, 1: 2, 2: 2, 5: 2, 6: 3}
     with pytest.raises(SegmentationError, match="not connected"):
         segment_network(paper_net, assignment)
-
-
-def test_nearest_pvb_matches_bundled_assignment(paper_net):
-    assert nearest_pvb_assignment(paper_net) == PAPER_ASSIGNMENT
 
 
 def test_aux_naming_scheme(paper_segments):
