@@ -278,7 +278,14 @@ def _read_truth(path) -> list[int]:
 def cmd_detect(args) -> int:
     fam = _pick_family(load_json(args.family), args.segment)
     probe = probe_from_json(load_json(args.probe)) if args.probe else None
-    windows = read_windows(args.trace, probe=probe)
+    meta = os.path.join(args.trace, "meta.json")
+    try:
+        windows = read_windows(args.trace, probe=probe)
+    except EstimationError as exc:
+        # read_windows has checked the files' layout; what is left is a
+        # recorded window length the probe design's tau0 does not imply
+        raise ConfigError(f"{args.probe} does not fit the windows {meta} describes: "
+                          f"{exc}") from exc
     if not windows:
         raise ConfigError(f"no window files under {args.trace}")
     truth = _read_truth(args.truth) if args.truth else None
@@ -287,9 +294,8 @@ def cmd_detect(args) -> int:
     widths = windows[0].samples.shape[1], windows[0].u2.shape[1]
     if widths != (fam[0].p, fam[0].B2.shape[1]):
         raise ConfigError(
-            f"{os.path.join(args.trace, 'meta.json')} records {widths[0]} outputs and "
-            f"{widths[1]} aux inputs; the family in {args.family} has {fam[0].p} and "
-            f"{fam[0].B2.shape[1]}")
+            f"{meta} records {widths[0]} outputs and {widths[1]} aux inputs; "
+            f"the family in {args.family} has {fam[0].p} and {fam[0].B2.shape[1]}")
     # windows are stored on the estimator grid; use every recorded sample
     dmodels = [discretize_zoh(sc, windows[0].ts) for sc in fam]
     report = detect_sequence(dmodels, windows, truth=truth, subsample=1)

@@ -5,10 +5,17 @@ stacked least squares against the recorded outputs (with the recorded probe
 and aux-voltage feedthrough removed), and the scenario with the smallest
 fit residual wins. Ties break toward the lowest scenario index. Windows that
 share their input records are fitted together, one solve per scenario.
+
+The forced response each fit discounts is the scenario's output from rest
+under the window's input record. A caller that already holds it, as the
+switched-truth simulation does, hands it to detect_sequence; anything else
+is simulated here. The observability stack is built in floor(sqrt(rows))
+blocks of rows, a few dozen small products instead of one per row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,16 +150,28 @@ def sample_indices(steps: int, subsample: int) -> np.ndarray:
 
 def observability_stack(dmodel: DiscreteStateSpace, steps: int,
                         subsample: int = 1) -> np.ndarray:
-    """Stacked map x0 -> [y_k]_{k in grid} for the free response."""
-    idx = sample_indices(steps, subsample)
+    """Stacked map x0 -> [y_k]_{k in grid} for the free response.
+
+    Row block k is C P^k with P = Ad^subsample. With b = floor(sqrt(rows)),
+    block i*b + j is (C P^j) (P^b)^i: b - 1 products give the heads C P^j,
+    about rows/b more give the hops (P^b)^i, and one batched product forms
+    every block, the same blocking linsys.simulate and free_outputs use.
+    """
+    rows = sample_indices(steps, subsample).size
+    n, p = dmodel.n, dmodel.p
+    b = math.isqrt(rows)
+    nb = -(-rows // b)
     P = np.linalg.matrix_power(dmodel.Ad, subsample)
-    blocks = np.empty((idx.size, dmodel.p, dmodel.n))
-    Phi = np.eye(dmodel.n)
-    for row in range(idx.size):
-        blocks[row] = dmodel.C @ Phi
-        if row + 1 < idx.size:
-            Phi = P @ Phi
-    return blocks.reshape(idx.size * dmodel.p, dmodel.n)
+    heads = np.empty((b, p, n))
+    heads[0] = dmodel.C
+    for j in range(1, b):
+        np.matmul(heads[j - 1], P, out=heads[j])
+    P_b = np.linalg.matrix_power(P, b)
+    hops = np.empty((nb, n, n))
+    hops[0] = np.eye(n)
+    for i in range(1, nb):
+        np.matmul(hops[i - 1], P_b, out=hops[i])
+    return np.matmul(heads, hops[:, None]).reshape(nb * b * p, n)[:rows * p]
 
 
 def forced_outputs(dmodel: DiscreteStateSpace, window: MeasurementWindow) -> np.ndarray:
@@ -171,14 +190,17 @@ def _check_window(dmodel: DiscreteStateSpace, window: MeasurementWindow) -> None
 
 
 def _free_outputs(windows: list[MeasurementWindow], forced: np.ndarray,
-                  idx: np.ndarray) -> np.ndarray:
+                  subsample: int) -> np.ndarray:
     """(rows, windows) matrix of the strided samples of windows that share
     their input records, with those records' forced response removed."""
-    # filled in place: these (rows, windows) matrices set detection's peak memory
-    forced = forced[idx]
+    if subsample < 1:
+        raise EstimationError(f"subsample must be >= 1, got {subsample}")
+    # filled in place from strided views: these (rows, windows) matrices set
+    # detection's peak memory
+    forced = forced[::subsample]
     free = np.empty((len(windows),) + forced.shape)
     for k, window in enumerate(windows):
-        np.subtract(window.samples[idx], forced, out=free[k])
+        np.subtract(window.samples[::subsample], forced, out=free[k])
     return free.reshape(len(windows), -1).T
 
 
@@ -221,21 +243,23 @@ def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow
     the solve detect_sequence makes per run of windows.
     """
     _check_window(dmodel, window)
-    steps = window.steps
     if stack is None:
-        stack = observability_stack(dmodel, steps, subsample)
+        stack = observability_stack(dmodel, window.steps, subsample)
     x0_hat, residual = _fit(stack, _free_outputs(
-        [window], forced_outputs(dmodel, window), sample_indices(steps, subsample)))
+        [window], forced_outputs(dmodel, window), subsample))
     return x0_hat[:, 0], float(residual[0])
 
 
 def _shared_input_runs(windows: list[MeasurementWindow]) -> list[list[MeasurementWindow]]:
     """Split the window list into runs of consecutive windows with identical
     input records (and hence one length), the common case for a fixed probe."""
+    def same(a, b):
+        return a is b or np.array_equal(a, b)
+
     runs = [[windows[0]]]
     for window in windows[1:]:
         head = runs[-1][0]
-        if np.array_equal(window.u1, head.u1) and np.array_equal(window.u2, head.u2):
+        if same(window.u1, head.u1) and same(window.u2, head.u2):
             runs[-1].append(window)
         else:
             runs.append([window])
@@ -245,13 +269,20 @@ def _shared_input_runs(windows: list[MeasurementWindow]) -> list[list[Measuremen
 def detect_sequence(models: list[DiscreteStateSpace],
                     windows: list[MeasurementWindow],
                     truth: list[int] | None = None,
-                    subsample: int = 10) -> DetectionReport:
+                    subsample: int = 10,
+                    forced: dict[int, np.ndarray] | None = None) -> DetectionReport:
     """Fit every scenario to every window of an ordered list and pick the
     minimum-residual scenario per window.
 
     Consecutive windows with identical input records share, per scenario, one
-    observability stack (cached by window length), one forced response and
-    one least-squares solve over all of their windows.
+    observability stack (cached by window length, built in floor(sqrt(rows))
+    blocks), one forced response and one least-squares solve over all of
+    their windows.
+
+    `forced` maps a scenario index to that model's forced outputs under the
+    input records of windows[0], for a caller that already simulated them.
+    An entry serves only the runs whose u1 and u2 are those very arrays; any
+    other run, and any scenario without an entry, is simulated here.
     """
     if truth is not None and len(truth) != len(windows):
         raise EstimationError("truth sequence length differs from window count")
@@ -263,18 +294,25 @@ def detect_sequence(models: list[DiscreteStateSpace],
     stacks_by_steps: dict[int, list[np.ndarray]] = {}
     verdicts = []
     for run in _shared_input_runs(windows):
-        steps = run[0].steps
+        head = run[0]
+        steps = head.steps
         if steps not in stacks_by_steps:
             stacks_by_steps[steps] = [
                 observability_stack(m, steps, subsample) for m in models]
-        idx = sample_indices(steps, subsample)
+        handed = forced if (forced is not None and head.u1 is windows[0].u1
+                            and head.u2 is windows[0].u2) else {}
         fits = []
         for i, (model, stack) in enumerate(zip(models, stacks_by_steps[steps])):
             try:
                 for window in run:
                     _check_window(model, window)
-                forced = forced_outputs(model, run[0])
-                fits.append(_fit(stack, _free_outputs(run, forced, idx)))
+                f = handed.get(i)
+                if f is None:
+                    f = forced_outputs(model, head)
+                elif f.shape != head.samples.shape:
+                    raise EstimationError(
+                        f"forced response is {f.shape}, windows are {head.samples.shape}")
+                fits.append(_fit(stack, _free_outputs(run, f, subsample)))
             except EstimationError as exc:
                 raise EstimationError(f"scenario {i}: {exc}") from exc
         x0_hat = np.stack([x for x, _ in fits])          # (m, n, windows)

@@ -14,6 +14,8 @@ the final state of the forced response from rest and
 hold_a = exp(A_a (tau - tau0)). The truth is evaluated that way, exactly up
 to round-off: one forced response per scenario, the chain of boundary
 states, and one blocked free response over all windows of each scenario.
+Detection discounts the same forced responses instead of simulating them
+again, so they are taken for every scenario of the family, visited or not.
 """
 
 from __future__ import annotations
@@ -147,7 +149,7 @@ def run_experiment(config: ExperimentConfig,
     # the affine truth of the module docstring: x_{k+1} = M_a x_k + h_a with
     # M_a = hold_a Ad_a^N and h_a = hold_a g_a; only f_a, M_a and h_a are kept
     forced, M, h = {}, {}, {}
-    for a in sorted(set(sequence.alphas)):
+    for a in range(m):
         trace = simulate(dmodels[a], None, u1_win, u2_win, steps, record_states=True)
         hold = expm(family[a].A * (config.tau - config.tau0))
         forced[a] = trace.outputs
@@ -184,7 +186,7 @@ def run_experiment(config: ExperimentConfig,
             u1=u1_win, u2=u2_win, probe=config.probe))
 
     report = detect_sequence(dmodels, windows, truth=list(sequence.alphas),
-                             subsample=config.subsample)
+                             subsample=config.subsample, forced=forced)
     return ExperimentResult(config=config, sequence=sequence, report=report,
                             windows=tuple(windows), boundary_states=boundaries)
 

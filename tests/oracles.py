@@ -4,11 +4,12 @@ These are deliberately separate implementations from the package: a classic
 fixed-step RK4 integrator, an implicit-trapezoid integrator, a per-sample
 discrete-time recursion, a central finite-difference Jacobian, an
 incidence-matrix builder, the segment element equations written out
-directly, the per-value csv.writer/csv.reader loops for window files, and the
-per-window switched-truth loop. Apart from that last one they never call into
-shslab's discretization, simulation or stamping code paths; the element
-equations share only the state layout. The truth loop runs shslab's
-`simulate` once per window, which `loop_simulate` checks in its own test.
+directly, the per-value csv.writer/csv.reader loops for window files, the
+per-row observability stack, and the per-window switched-truth loop. Apart
+from that last one they never call into shslab's discretization, simulation
+or stamping code paths; the element equations share only the state layout.
+The truth loop runs shslab's `simulate` once per window, which
+`loop_simulate` checks in its own test.
 """
 
 import csv
@@ -294,3 +295,17 @@ def loop_truth(dmodels, hold, x, alphas, u1_win, u2_win, steps,
         x = hold[a] @ trace.final_state
     boundaries[len(alphas)] = x
     return samples, boundaries
+
+
+def loop_observability_stack(dmodel, steps, subsample=1):
+    """Stacked map x0 -> [y_k]_{k in grid} for the free response, one
+    (n x n) product per row of the grid."""
+    idx = np.arange(0, steps + 1, subsample)
+    P = np.linalg.matrix_power(dmodel.Ad, subsample)
+    blocks = np.empty((idx.size, dmodel.p, dmodel.n))
+    Phi = np.eye(dmodel.n)
+    for row in range(idx.size):
+        blocks[row] = dmodel.C @ Phi
+        if row + 1 < idx.size:
+            Phi = P @ Phi
+    return blocks.reshape(idx.size * dmodel.p, dmodel.n)

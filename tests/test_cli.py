@@ -214,9 +214,11 @@ def test_repro_paper_smoke(tmp_path, capsys):
     assert "bundled reference values" in out
 
 
-def _replay(recorded, tmp_path, window_text=None, truth_text=None, edit=None):
+def _replay(recorded, tmp_path, window_text=None, truth_text=None, edit=None,
+            probe=False):
     """`shslab detect` on a copy of the recorded run with window_0001.csv or
-    truth.csv replaced by the given text, after `edit` of its windows/."""
+    truth.csv replaced by the given text, after `edit` of its windows/; with
+    `probe`, the run's probe.json is passed too."""
     run = tmp_path / "run"
     shutil.copytree(recorded / "run", run)
     if edit is not None:
@@ -227,7 +229,8 @@ def _replay(recorded, tmp_path, window_text=None, truth_text=None, edit=None):
         (run / "truth.csv").write_bytes(truth_text.encode())
     return main(["detect", "--family", str(recorded / "matrices.json"), "--segment", "1",
                  "--trace", str(run / "windows"), "--truth", str(run / "truth.csv"),
-                 "--out", str(tmp_path / "replay.json")])
+                 "--out", str(tmp_path / "replay.json")]
+                + (["--probe", str(run / "probe.json")] if probe else []))
 
 
 def _recorded_window(recorded):
@@ -312,6 +315,23 @@ def test_detect_width_mismatch_exits_2(recorded, tmp_path, capsys, key, width, f
     assert _replay(recorded, tmp_path, edit=edit) == 2
     err = capsys.readouterr().err
     assert message in err and "the family in" in err and "has 5 and 2" in err
+
+
+def test_detect_probe_tau0_mismatch_exits_2(recorded, tmp_path, capsys):
+    # recorded with tau0 0.005 at 5e-5 s: 101 samples per window, where a
+    # tau0 of 0.011 implies 221
+    def edit(win_dir):
+        path = win_dir.parent / "probe.json"
+        probe = json.loads(path.read_text())
+        probe["tau0"] = 0.011
+        path.write_text(json.dumps(probe))
+
+    assert _replay(recorded, tmp_path, probe=True) == 0
+    capsys.readouterr()
+    assert _replay(recorded, tmp_path / "edited", edit=edit, probe=True) == 2
+    err = capsys.readouterr().err
+    assert "probe.json does not fit the windows" in err and "meta.json" in err
+    assert "window has 101 samples, probe design implies 221" in err
 
 
 def test_design_probe_partial_sample_window_exits_2(recorded, tmp_path, capsys):

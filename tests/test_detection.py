@@ -3,6 +3,7 @@ import pytest
 
 import shslab.detection as detection
 from conftest import PAPER_TS, make_model
+from oracles import loop_observability_stack
 from shslab.detection import (MeasurementWindow, ScenarioVerdict, detect_sequence,
                               estimate_initial_state,
                               forced_outputs, observability_stack, sample_indices)
@@ -317,6 +318,54 @@ def test_observability_stack_shape(dmodels):
     n_rows = len(sample_indices(STEPS, SUB)) * 5
     assert G.shape == (n_rows, 18)
     assert np.array_equal(G[:5], dmodels[0].C)
+
+
+@pytest.mark.parametrize("ts, steps, subsample", [
+    (PAPER_TS, 10000, 10),  # the estimator grid of a run
+    (TS, 1000, 1),          # the recorded grid detect replays
+    (TS, 0, 1), (TS, 1, 1), (TS, 2, 1),
+    (TS, 40, 1),            # 41 rows in blocks of 6: the last holds 5
+], ids=["run-grid", "replay-grid", "steps0", "steps1", "steps2", "partial-block"])
+def test_observability_stack_matches_loop_oracle(m1_family, ts, steps, subsample):
+    full_grid = steps >= 1000
+    for sc, rank in zip(m1_family, (17, 17, 9, 11)):
+        d = discretize_zoh(sc, ts)
+        got = observability_stack(d, steps, subsample)
+        ref = loop_observability_stack(d, steps, subsample)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.linalg.matrix_rank(got) == np.linalg.matrix_rank(ref)
+        if full_grid:
+            assert np.linalg.matrix_rank(got) == rank
+
+
+def test_forced_entries_serve_only_their_record(dmodels, m1_probe, monkeypatch):
+    # windows[0]'s record is probe on; the probe-off run after it has another
+    # record, so the handed-in responses must not be used there
+    rng = np.random.default_rng(5)
+    windows = [probe_window(dmodels[a], rng.standard_normal(18) * m1_probe.mu0,
+                            m1_probe.R if on else 0.0)
+               for a, on in ((1, True), (3, True), (2, False), (0, False))]
+    forced = {i: forced_outputs(d, windows[0]) for i, d in enumerate(dmodels)}
+    ref = detect_sequence(dmodels, windows, subsample=SUB)
+    calls = []
+    original = detection.forced_outputs
+    monkeypatch.setattr(detection, "forced_outputs",
+                        lambda d, w: calls.append(w) or original(d, w))
+    got = detect_sequence(dmodels, windows, subsample=SUB, forced=forced)
+    monkeypatch.undo()
+    assert calls == [windows[2]] * len(dmodels)
+    for a, b in zip(ref.verdicts, got.verdicts):
+        assert np.array_equal(a.residuals, b.residuals)
+        assert np.array_equal(a.x0_hat, b.x0_hat)
+
+
+def test_forced_entry_of_wrong_shape_rejected(dmodels, m1_probe):
+    window = probe_window(dmodels[0], np.zeros(18), m1_probe.R)
+    forced = {i: forced_outputs(d, window) for i, d in enumerate(dmodels)}
+    forced[2] = forced[2][:-1]
+    with pytest.raises(EstimationError, match="scenario 2: forced response"):
+        detect_sequence(dmodels, [window], subsample=SUB, forced=forced)
 
 
 def test_report_truth_length_guard(dmodels, m1_probe):

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import make_family, make_model
 from oracles import csv_read_window, csv_write_windows, loop_truth
-from shslab.detection import MeasurementWindow, detect_sequence
+import shslab.detection as detection
+from shslab.detection import MeasurementWindow, detect_sequence, forced_outputs
 from shslab.errors import ConfigError, NumericalError
 from shslab.experiment import (ExperimentConfig, SwitchingSequence, eigen_report,
                                generate_sequence, read_windows, run_experiment,
@@ -138,17 +139,27 @@ TRUTH_CASES = [(probe, x0, sigma, None) for probe in (True, False)
 
 @pytest.mark.parametrize("probe_on, x0_mode, sigma, alphas", TRUTH_CASES)
 def test_truth_matches_per_window_oracle(m1_family, coarse_probe, probe_on, x0_mode,
-                                         sigma, alphas):
+                                         sigma, alphas, monkeypatch):
     K = 6 if alphas is None else len(alphas)
     cfg = config(m1_family, coarse_probe, K=K, seed=4, x0_mode=x0_mode,
                  noise_sigma=sigma, probe_override_R=None if probe_on else 0.0)
+    # detection discounts the truth's forced responses instead of simulating
+    # them again, also for a scenario the sequence never visits
+    calls = []
+    monkeypatch.setattr(detection, "forced_outputs",
+                        lambda d, w: calls.append(w) or forced_outputs(d, w))
     result = run_experiment(cfg, None if alphas is None else SwitchingSequence(alphas))
+    monkeypatch.undo()
+    assert calls == []
     samples = assert_truth_matches_oracle(result)
     oracle_windows = [dataclasses.replace(w, samples=y)
                       for w, y in zip(result.windows, samples)]
     dmodels = [discretize_zoh(sc, TS) for sc in m1_family]
     oracle = detect_sequence(dmodels, oracle_windows, subsample=SUB)
     assert result.report.detected == oracle.detected
+    simulated = detect_sequence(dmodels, list(result.windows), subsample=SUB)
+    for got, ref in zip(result.report.verdicts, simulated.verdicts):
+        assert np.array_equal(got.residuals, ref.residuals)
     if not probe_on and x0_mode == "zero" and sigma == 0.0:
         # the passive premise: nothing excites the system, every sample is zero
         assert all(np.all(w.samples == 0.0) for w in result.windows)
