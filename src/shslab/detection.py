@@ -10,21 +10,27 @@ The forced response each fit discounts is the scenario's output from rest
 under the window's input record. A caller that already holds it, as the
 switched-truth simulation does, hands it to detect_sequence; anything else
 is simulated here. The observability stack is built in floor(sqrt(rows))
-blocks of rows, a few dozen small products instead of one per row.
+blocks of rows, a few dozen small products instead of one per row. It and
+its streamed QR depend only on the discretized model and the estimator grid,
+so detect_sequence builds them once per model and grid and keeps them as
+long as the model lives; every later fit on that grid only applies the
+stored rotations to its window data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import EstimationError
 from .linsys import DiscreteStateSpace, simulate
 from .probing import ProbingDesign
+from .util import memo
 
-# rows per QR step in _fit
+# rows per QR step in _factor
 _QR_ROWS = 128
 
 
@@ -38,6 +44,14 @@ def _frozen(a) -> np.ndarray:
     arr = np.array(a, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+def window_rows(tau0: float, ts: float) -> int:
+    """Samples a window of length tau0 holds at period ts: those at 0, ts,
+    2 ts, ... up to tau0, to 1e-6 of a sample. A record that keeps every
+    stride-th sample of a window has this many rows at ts = stride times the
+    simulated period, whether or not the stride divides the window's steps."""
+    return math.floor(tau0 / ts + 1e-6) + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +81,7 @@ class MeasurementWindow:
             raise EstimationError(
                 f"u2 record must have {rows} rows, got {self.u2.shape}")
         if self.probe is not None:
-            expected = int(round(self.probe.tau0 / self.ts)) + 1
+            expected = window_rows(self.probe.tau0, self.ts)
             if rows != expected:
                 raise EstimationError(
                     f"window has {rows} samples, probe design implies {expected}")
@@ -204,25 +218,39 @@ def _free_outputs(windows: list[MeasurementWindow], forced: np.ndarray,
     return free.reshape(len(windows), -1).T
 
 
-def _fit(stack: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares window-start states for every column of `free` and the
-    attained residual norms.
+def _factor(dmodel: DiscreteStateSpace, steps: int, subsample: int):
+    """The observability stack of `dmodel` on the estimator grid of a window
+    of `steps` steps, with its QR streamed over chunks of _QR_ROWS rows: the
+    q of every chunk and the final n-by-n triangle, all read-only."""
+    stack = observability_stack(dmodel, steps, subsample)
+    if not np.any(stack):
+        raise EstimationError("all-zero observability map; model is unobservable")
+    qs, tri = [], np.empty((0, stack.shape[1]))
+    for lo in range(0, stack.shape[0], _QR_ROWS):
+        q, tri = np.linalg.qr(np.vstack([tri, stack[lo:lo + _QR_ROWS]]))
+        qs.append(q)
+    for arr in (stack, tri, *qs):
+        arr.setflags(write=False)
+    return stack, tuple(qs), tri
 
-    The tall stack is reduced to an n-by-n triangle by a QR that streams over
-    chunks of _QR_ROWS rows, rotating `free` along, so every LAPACK and BLAS
-    call stays small enough to run on the calling thread. The triangle goes
-    to numpy's lstsq at the rank cut numpy applies to the full stack,
+
+def _fit(factor, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares window-start states for every column of `free` and the
+    attained residual norms, against a factor from _factor.
+
+    The stored rotations of the streamed QR are applied to `free` chunk by
+    chunk, in the order they were taken, so every LAPACK and BLAS call stays
+    small enough to run on the calling thread. The triangle goes to numpy's
+    lstsq at the rank cut numpy applies to the full stack,
     eps * max(rows, n) times the largest singular value, so rank-deficient
     stacks get the minimum-norm estimate. Residuals are taken against the
     full stack.
     """
-    if not np.any(stack):
-        raise EstimationError("all-zero observability map; model is unobservable")
+    stack, qs, tri = factor
     rows, n = stack.shape
     chunks = range(0, rows, _QR_ROWS)
-    tri, rhs = np.empty((0, n)), np.empty((0, free.shape[1]))
-    for lo in chunks:
-        q, tri = np.linalg.qr(np.vstack([tri, stack[lo:lo + _QR_ROWS]]))
+    rhs = np.empty((0, free.shape[1]))
+    for lo, q in zip(chunks, qs):
         rhs = q.T @ np.vstack([rhs, free[lo:lo + _QR_ROWS]])
     x0_hat, _, _, _ = np.linalg.lstsq(tri, rhs, rcond=np.finfo(float).eps * max(rows, n))
     squares = np.zeros(free.shape[1])
@@ -234,18 +262,18 @@ def _fit(stack: np.ndarray, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow,
-                           subsample: int = 10,
-                           stack: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+                           subsample: int = 10) -> tuple[np.ndarray, float]:
     """Least-squares window-start state and the attained fit residual.
 
     Rank-deficient observability gives the minimum-norm estimate; an all-zero
     observability map is reported as an error. This is the one-window case of
-    the solve detect_sequence makes per run of windows.
+    the solve detect_sequence makes per run of windows, but it builds the
+    stack and its QR afresh on every call and stores nothing: it is the cold
+    path detect_sequence's stored factors are checked against, and a model
+    it is called on once pins no factor.
     """
     _check_window(dmodel, window)
-    if stack is None:
-        stack = observability_stack(dmodel, window.steps, subsample)
-    x0_hat, residual = _fit(stack, _free_outputs(
+    x0_hat, residual = _fit(_factor(dmodel, window.steps, subsample), _free_outputs(
         [window], forced_outputs(dmodel, window), subsample))
     return x0_hat[:, 0], float(residual[0])
 
@@ -275,9 +303,8 @@ def detect_sequence(models: list[DiscreteStateSpace],
     minimum-residual scenario per window.
 
     Consecutive windows with identical input records share, per scenario, one
-    observability stack (cached by window length, built in floor(sqrt(rows))
-    blocks), one forced response and one least-squares solve over all of
-    their windows.
+    forced response and one least-squares solve over all of their windows;
+    every scenario's stack and its QR come from the memo of _factor.
 
     `forced` maps a scenario index to that model's forced outputs under the
     input records of windows[0], for a caller that already simulated them.
@@ -291,28 +318,25 @@ def detect_sequence(models: list[DiscreteStateSpace],
     if not models:
         raise EstimationError("scenario list is empty")
 
-    stacks_by_steps: dict[int, list[np.ndarray]] = {}
     verdicts = []
     for run in _shared_input_runs(windows):
         head = run[0]
-        steps = head.steps
-        if steps not in stacks_by_steps:
-            stacks_by_steps[steps] = [
-                observability_stack(m, steps, subsample) for m in models]
         handed = forced if (forced is not None and head.u1 is windows[0].u1
                             and head.u2 is windows[0].u2) else {}
         fits = []
-        for i, (model, stack) in enumerate(zip(models, stacks_by_steps[steps])):
+        for i, model in enumerate(models):
             try:
                 for window in run:
                     _check_window(model, window)
+                factor = memo(model, ("factor", head.steps, subsample),
+                              partial(_factor, model, head.steps, subsample))
                 f = handed.get(i)
                 if f is None:
                     f = forced_outputs(model, head)
                 elif f.shape != head.samples.shape:
                     raise EstimationError(
                         f"forced response is {f.shape}, windows are {head.samples.shape}")
-                fits.append(_fit(stack, _free_outputs(run, f, subsample)))
+                fits.append(_fit(factor, _free_outputs(run, f, subsample)))
             except EstimationError as exc:
                 raise EstimationError(f"scenario {i}: {exc}") from exc
         x0_hat = np.stack([x for x, _ in fits])          # (m, n, windows)

@@ -16,6 +16,13 @@ to round-off: one forced response per scenario, the chain of boundary
 states, and one blocked free response over all windows of each scenario.
 Detection discounts the same forced responses instead of simulating them
 again, so they are taken for every scenario of the family, visited or not.
+
+None of that depends on the window data. The discretized models are built
+once per family and ts, and the input records, forced responses and
+boundary maps once per family and (ts, tau, tau0, probe channel, applied
+probe level); both are kept as long as the family lives. A later run on the
+same family draws its initial state, chains the boundary states, takes the
+free responses and the noise, and fits against detection's stored factors.
 """
 
 from __future__ import annotations
@@ -30,12 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectionReport, MeasurementWindow, detect_sequence
+from .detection import DetectionReport, MeasurementWindow, detect_sequence, window_rows
 from .errors import ConfigError, NumericalError
 from .linsys import discretize_zoh, eig_sorted, expm, free_outputs, simulate
 from .probing import ProbingDesign, whole_steps
 from .ssbuild import ScenarioFamily
-from .util import dump_json
+from .util import dump_json, memo
 
 
 @dataclass(frozen=True)
@@ -111,6 +118,43 @@ def generate_sequence(config: ExperimentConfig) -> SwitchingSequence:
     return SwitchingSequence(alphas=tuple(int(a) for a in draws))
 
 
+def _discretized(family: ScenarioFamily, ts: float) -> tuple:
+    """The family's scenarios discretized at ts, built once per family and ts."""
+    return memo(family, ("discretized", ts),
+                lambda: tuple(discretize_zoh(sc, ts) for sc in family))
+
+
+def _window_response(config: ExperimentConfig, dmodels: tuple):
+    """What every window of a run shares, built once per family and
+    (ts, tau, tau0, probe channel, applied probe level): the frozen input
+    records u1_win and u2_win, and per scenario a the read-only forced
+    outputs f_a and the affine boundary map x_{k+1} = M_a x_k + h_a of the
+    module docstring, with M_a = hold_a Ad_a^N and h_a = hold_a g_a."""
+    family = config.family
+    steps = config.window_steps
+
+    def build():
+        u1_win = np.zeros((steps + 1, 3))
+        u1_win[:steps, config.probe.channel] = config.applied_R
+        u2_win = np.zeros((steps + 1, dmodels[0].Bd2.shape[1]))
+        forced, M, h = {}, {}, {}
+        for a in range(len(family)):
+            trace = simulate(dmodels[a], None, u1_win, u2_win, steps, record_states=True)
+            hold = expm(family[a].A * (config.tau - config.tau0))
+            forced[a] = trace.outputs
+            M[a] = hold @ np.linalg.matrix_power(dmodels[a].Ad, steps)
+            h[a] = hold @ trace.final_state
+            del trace
+        # frozen, so every window of every run shares these arrays
+        for arr in (u1_win, u2_win, *forced.values(), *M.values(), *h.values()):
+            arr.setflags(write=False)
+        return u1_win, u2_win, forced, M, h
+
+    key = ("window response", config.ts, config.tau, config.tau0,
+           config.probe.channel, config.applied_R)
+    return memo(family, key, build)
+
+
 def run_experiment(config: ExperimentConfig,
                    sequence: SwitchingSequence | None = None) -> ExperimentResult:
     """Simulate the switched truth with probing, detect per window, score."""
@@ -125,11 +169,10 @@ def run_experiment(config: ExperimentConfig,
         raise ConfigError(
             f"sequence length {len(sequence)} differs from K={config.K}")
 
-    dmodels = [discretize_zoh(sc, config.ts) for sc in family]
+    dmodels = _discretized(family, config.ts)
     _, rng_noise, rng_x0 = _rngs(config.seed)
     n = family[0].n
     p = dmodels[0].p
-    q = dmodels[0].Bd2.shape[1]
     steps = config.window_steps
 
     if config.x0_mode == "zero":
@@ -139,23 +182,7 @@ def run_experiment(config: ExperimentConfig,
         scale = config.probe.mu0 if config.probe.mu0 > 0 else 1.0
         x *= scale / np.max(np.abs(x))
 
-    u1_win = np.zeros((steps + 1, 3))
-    u1_win[:steps, config.probe.channel] = config.applied_R
-    u2_win = np.zeros((steps + 1, q))
-    # frozen once, so every window shares these two records instead of a copy
-    u1_win.setflags(write=False)
-    u2_win.setflags(write=False)
-
-    # the affine truth of the module docstring: x_{k+1} = M_a x_k + h_a with
-    # M_a = hold_a Ad_a^N and h_a = hold_a g_a; only f_a, M_a and h_a are kept
-    forced, M, h = {}, {}, {}
-    for a in range(m):
-        trace = simulate(dmodels[a], None, u1_win, u2_win, steps, record_states=True)
-        hold = expm(family[a].A * (config.tau - config.tau0))
-        forced[a] = trace.outputs
-        M[a] = hold @ np.linalg.matrix_power(dmodels[a].Ad, steps)
-        h[a] = hold @ trace.final_state
-        del trace
+    u1_win, u2_win, forced, M, h = _window_response(config, dmodels)
 
     boundaries = np.empty((config.K + 1, n))
     boundaries[0] = x
@@ -338,7 +365,8 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
     windows with bitwise-equal input columns share one frozen record. Files
     are taken in the order of their integer index, which must run over
     0..len(window_starts)-1 of meta.json exactly once each, and meta.json's
-    ts must be ts_simulated * stride_applied.
+    ts must be ts_simulated * stride_applied. With a probe, meta.json's tau0
+    must be the probe design's, within 1e-12 relative.
     """
     meta = os.path.join(win_dir, "meta.json")
     if not os.path.exists(meta):
@@ -351,11 +379,18 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
         q = int(info["n_u2"])
         count = len(info["window_starts"])
         ts_written = float(info["ts_simulated"]) * int(info["stride_applied"])
+        tau0 = float(info["tau0"]) if probe is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{meta}: malformed: {exc!r}") from exc
     if not (np.isfinite(ts) and ts > 0 and abs(ts - ts_written) <= 1e-12 * ts):
         raise ConfigError(f"{meta}: ts={ts} must be positive, finite and equal to "
                           f"ts_simulated * stride_applied = {ts_written}")
+    if probe is not None and not abs(probe.tau0 - tau0) <= 1e-12 * probe.tau0:
+        rows = window_rows(tau0, ts) if np.isfinite(tau0) else "no"
+        raise ConfigError(
+            f"probe.json does not fit the windows {meta} describes: meta.json records "
+            f"tau0={tau0}, the probe design has tau0={probe.tau0}; window has "
+            f"{rows} samples, probe design implies {window_rows(probe.tau0, ts)}")
     cols = 1 + p + 3 + q
     files = sorted((int(m.group(1)), m.string) for m in map(
         _WINDOW_NAME.fullmatch, os.listdir(win_dir)) if m)

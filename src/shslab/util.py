@@ -1,8 +1,26 @@
-"""Small shared helpers: deterministic JSON output."""
+"""Small shared helpers: deterministic JSON output and per-object memos."""
 
 from __future__ import annotations
 
 import json
+import weakref
+
+# owner -> {key: value}; an entry goes when its owner is collected
+_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def memo(owner, key, build):
+    """build(), computed once per (owner, key) and kept while `owner` lives.
+
+    The owner must be immutable and hashed by identity (a frozen, eq=False
+    dataclass holding read-only arrays), so a value derived from it stays
+    valid. The value must not refer to its owner, or the entry would keep
+    the owner alive.
+    """
+    entries = _MEMO.setdefault(owner, {})
+    if key not in entries:
+        entries[key] = build()
+    return entries[key]
 
 
 def dump_json(obj, path, sort_keys: bool = False) -> None:

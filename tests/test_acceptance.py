@@ -161,8 +161,7 @@ def test_criterion_8_initial_state_estimator(m1_family, m1_probe):
         trace = simulate(d, x0, u1, u2, steps)
         window = MeasurementWindow(t_start=0.0, ts=PAPER_TS, samples=trace.outputs,
                                    u1=u1, u2=u2, probe=m1_probe)
-        x0_hat, residual = estimate_initial_state(d, window, subsample=SUBSAMPLE,
-                                                  stack=stacks[i])
+        x0_hat, residual = estimate_initial_state(d, window, subsample=SUBSAMPLE)
         rec = np.linalg.norm(x0_hat - x0) / np.linalg.norm(x0)
         worst_rec = max(worst_rec, float(rec))
         assert rec <= 1e-6
@@ -175,9 +174,8 @@ def test_criterion_8_initial_state_estimator(m1_family, m1_probe):
         trace = simulate(d_true, x0, u1, u2, steps)
         window = MeasurementWindow(t_start=0.0, ts=PAPER_TS, samples=trace.outputs,
                                    u1=u1, u2=u2, probe=m1_probe)
-        residuals = [estimate_initial_state(d, window, subsample=SUBSAMPLE,
-                                            stack=stacks[j])[1]
-                     for j, d in enumerate(dmodels)]
+        residuals = [estimate_initial_state(d, window, subsample=SUBSAMPLE)[1]
+                     for d in dmodels]
         for j in range(4):
             if j != i:
                 assert residuals[i] <= residuals[j], f"pair ({i},{j}) misordered"

@@ -243,7 +243,7 @@ def test_fit_rank_cut_is_full_stack_rule(m1_family):
         window = MeasurementWindow(t_start=0.0, ts=PAPER_TS, samples=samples,
                                    u1=np.zeros((steps + 1, 3)),
                                    u2=np.zeros((steps + 1, d.Bd2.shape[1])))
-        x0_hat, _ = estimate_initial_state(d, window, subsample=sub, stack=stack)
+        x0_hat, _ = estimate_initial_state(d, window, subsample=sub)
         assert np.linalg.norm(x0_hat - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
 
 
@@ -372,3 +372,43 @@ def test_report_truth_length_guard(dmodels, m1_probe):
     window = probe_window(dmodels[0], np.zeros(18), m1_probe.R)
     with pytest.raises(EstimationError, match="truth"):
         detect_sequence(dmodels, [window], truth=[0, 1])
+
+
+def test_warm_detection_matches_cold_and_full_stack_lstsq(m1_family, m1_probe, monkeypatch):
+    # the paper grid, where line_outage's stack has rank 9 and
+    # line_disconnect's rank 11; models built here, so the first call is cold
+    steps, sub = 10000, 10
+    models = [discretize_zoh(sc, PAPER_TS) for sc in m1_family]
+    u1 = np.zeros((steps + 1, 3))
+    u1[:steps, m1_probe.channel] = m1_probe.R
+    u2 = np.zeros((steps + 1, 2))
+    rng = np.random.default_rng(41)
+    windows = []
+    for a in (2, 3, 0, 1, 3, 2):
+        trace = simulate(models[a], rng.standard_normal(18) * m1_probe.mu0, u1, u2, steps)
+        windows.append(MeasurementWindow(
+            t_start=0.0, ts=PAPER_TS, samples=trace.outputs + 1e-3 * rng.standard_normal(
+                trace.outputs.shape), u1=u1, u2=u2, probe=m1_probe))
+    cold = detect_sequence(models, windows, subsample=sub)
+    stacks = [observability_stack(d, steps, sub) for d in models]
+    calls = []
+    monkeypatch.setattr(detection, "observability_stack", lambda *a: calls.append(a))
+    warm = detect_sequence(models, windows, subsample=sub)
+    monkeypatch.undo()
+    assert calls == []
+    for a, b in zip(cold.verdicts, warm.verdicts):
+        assert np.array_equal(a.residuals.view(np.int64), b.residuals.view(np.int64))
+        assert np.array_equal(a.x0_hat.view(np.int64), b.x0_hat.view(np.int64))
+
+    idx = sample_indices(steps, sub)
+    assert [np.linalg.matrix_rank(s) for s in stacks[2:]] == [9, 11]
+    for i, (d, stack) in enumerate(zip(models, stacks)):
+        Y = np.stack([(w.samples - forced_outputs(d, w))[idx].reshape(-1) for w in windows],
+                     axis=1)
+        X_ref = np.linalg.lstsq(stack, Y, rcond=None)[0]
+        ref = np.linalg.norm(stack @ X_ref - Y, axis=0)
+        for k, verdict in enumerate(warm.verdicts):
+            tol = 1e-14 * np.linalg.norm(Y[:, k])
+            assert abs(verdict.residuals[i] - ref[k]) <= 1e-9 * ref[k] + tol
+            assert np.linalg.norm(verdict.x0_hat[i] - X_ref[:, k]) \
+                <= 1e-9 * np.linalg.norm(X_ref[:, k])

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from conftest import make_family, make_model
 from oracles import csv_read_window, csv_write_windows, loop_truth
 import shslab.detection as detection
+import shslab.experiment as experiment
 from shslab.detection import MeasurementWindow, detect_sequence, forced_outputs
 from shslab.errors import ConfigError, NumericalError
 from shslab.experiment import (ExperimentConfig, SwitchingSequence, eigen_report,
@@ -13,6 +16,8 @@ from shslab.experiment import (ExperimentConfig, SwitchingSequence, eigen_report
                                write_outputs)
 from shslab.linsys import discretize_zoh, expm, simulate
 from shslab.probing import ProbingDesign
+from shslab.ssbuild import build_family
+from shslab.util import _MEMO
 
 # coarse, fast experiment grid for unit tests; the acceptance suite runs the
 # paper-scale one
@@ -348,6 +353,19 @@ def test_read_windows_rejects_malformed_meta(tmp_path, meta, message):
     assert message in str(exc.value)
 
 
+def test_read_windows_checks_probe_tau0_against_meta(tmp_path, m1_family, coarse_probe):
+    # a stride of 3 does not divide the 500 window steps: the record keeps
+    # samples 0, 3, ..., 498, 167 rows where tau0 / (3 ts) is 166.7
+    result = run_experiment(config(m1_family, coarse_probe, K=2, seed=3, subsample=3))
+    write_outputs(result, tmp_path, windows_mode="strided")
+    windows = read_windows(tmp_path / "windows", probe=coarse_probe)
+    assert [w.samples.shape[0] for w in windows] == [167, 167]
+    other = dataclasses.replace(coarse_probe, tau0=0.011)
+    with pytest.raises(ConfigError, match="meta.json") as exc:
+        read_windows(tmp_path / "windows", probe=other)
+    assert "tau0=0.005" in str(exc.value) and "tau0=0.011" in str(exc.value)
+
+
 # values whose text form is easy to get wrong: signed zero, the smallest
 # subnormal, exponent notation on both sides, overflow to inf, nan
 SPECIAL = (-0.0, 5e-324, 1e-5, 1e16, -1e300, float("nan"), float("inf"))
@@ -414,3 +432,87 @@ def test_sequence_csv_contents(tmp_path, m1_family, coarse_probe):
         assert int(fields[0]) == k + 1
         assert int(fields[1]) == result.sequence.alphas[k]
         assert int(fields[2]) == result.report.detected[k]
+
+
+# ---------------------------------------------------------------------------
+# what run_experiment keeps per family
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def fresh_family(seg1, m1_contingencies):
+    """A family no other test has run on, so its memo starts empty."""
+    return build_family(seg1, m1_contingencies)
+
+
+def assert_bitwise_equal_results(got, ref):
+    assert got.sequence == ref.sequence
+    assert np.array_equal(_bits(got.boundary_states), _bits(ref.boundary_states))
+    for a, b in zip(got.windows, ref.windows, strict=True):
+        assert np.array_equal(_bits(a.samples), _bits(b.samples))
+    for a, b in zip(got.report.verdicts, ref.report.verdicts, strict=True):
+        assert np.array_equal(_bits(a.residuals), _bits(b.residuals))
+        assert np.array_equal(_bits(a.x0_hat), _bits(b.x0_hat))
+
+
+def test_interleaved_runs_on_one_family_match_fresh_families(
+        fresh_family, seg1, m1_contingencies, coarse_probe):
+    # probe on, probe off, another tau and another ts, each met again after
+    # the others have filled the family's memo
+    variants = [dict(), dict(probe_override_R=0.0), dict(tau=0.06),
+                dict(ts=5e-6, subsample=10), dict(x0_mode="random", noise_sigma=1e-3),
+                dict(seed=8), dict(probe_override_R=0.0, x0_mode="random"),
+                dict(tau=0.06, seed=9), dict(ts=5e-6, subsample=10, seed=10)]
+    for kw in variants:
+        got = run_experiment(config(fresh_family, coarse_probe, **kw))
+        ref = run_experiment(config(build_family(seg1, m1_contingencies), coarse_probe, **kw))
+        assert_bitwise_equal_results(got, ref)
+
+
+def test_warm_run_does_no_cold_work(fresh_family, coarse_probe, monkeypatch):
+    calls = {"simulate": 0, "discretize_zoh": 0, "observability_stack": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((experiment, "simulate"), (detection, "simulate"),
+                         (experiment, "discretize_zoh"), (detection, "observability_stack")):
+        counted(module, name)
+    run_experiment(config(fresh_family, coarse_probe, seed=1))
+    assert calls == {"simulate": 4, "discretize_zoh": 4, "observability_stack": 4}
+    calls.update(dict.fromkeys(calls, 0))
+    run_experiment(config(fresh_family, coarse_probe, seed=2, x0_mode="random",
+                          noise_sigma=1e-3))
+    assert calls == {"simulate": 0, "discretize_zoh": 0, "observability_stack": 0}
+    # another probe record needs its own forced responses, nothing else
+    run_experiment(config(fresh_family, coarse_probe, seed=3, probe_override_R=0.0))
+    assert calls == {"simulate": 4, "discretize_zoh": 0, "observability_stack": 0}
+
+
+def test_memo_entries_are_frozen_and_die_with_the_family(seg1, m1_contingencies,
+                                                          coarse_probe):
+    gc.collect()
+    before = len(_MEMO)
+    family = build_family(seg1, m1_contingencies)
+    cfg = config(family, coarse_probe)
+    result = run_experiment(cfg)
+    dmodels = experiment._discretized(family, TS)
+    assert len(_MEMO) == before + 1 + len(dmodels)
+    u1, u2, forced, M, h = experiment._window_response(cfg, dmodels)
+    assert result.windows[0].u1 is u1 and result.windows[0].u2 is u2
+    arrays = [u1, u2, *forced.values(), *M.values(), *h.values()]
+    for d in dmodels:
+        stack, qs, tri = _MEMO[d][("factor", cfg.window_steps, SUB)]
+        arrays += [stack, *qs, tri]
+    assert not any(a.flags.writeable for a in arrays)
+
+    owner = weakref.ref(family)
+    del family, cfg, result, dmodels, u1, u2, forced, M, h, arrays, d, stack, qs, tri
+    gc.collect()
+    assert owner() is None
+    assert len(_MEMO) == before
