@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError
 from .ssbuild import StateSpaceModel
@@ -56,16 +55,15 @@ class ResponseTrace:
 def eig_sorted(A: np.ndarray) -> np.ndarray:
     """Eigenvalues sorted by (real part, imaginary part) ascending."""
     try:
-        vals = scipy.linalg.eigvals(np.asarray(A, dtype=float))
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        # numpy returns a real array when every eigenvalue is real
+        vals = np.linalg.eigvals(np.asarray(A, dtype=float)).astype(complex)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue solver failed: {exc}") from exc
     order = np.lexsort((vals.imag, vals.real))
     return vals[order]
 
 
 def eigenvalues(model: StateSpaceModel) -> np.ndarray:
-    if not np.all(np.isfinite(model.A)):
-        raise NumericalError("state matrix has non-finite entries")
     return eig_sorted(model.A)
 
 
@@ -302,10 +300,9 @@ def free_outputs(dmodel: DiscreteStateSpace, X0: np.ndarray, out) -> None:
         S = S @ AdT_b
 
 
-def step_response(dmodel: DiscreteStateSpace, channel: int, steps: int,
-                  magnitude: float = 1.0) -> ResponseTrace:
-    """Zero-initial response to a step of `magnitude` on one u1 channel,
-    active over [0, steps*ts)."""
+def step_response(dmodel: DiscreteStateSpace, channel: int, steps: int) -> ResponseTrace:
+    """Zero-initial response to a unit step on one u1 channel, active over
+    [0, steps*ts)."""
     u1 = np.zeros((steps + 1, 3))
-    u1[:steps, channel] = magnitude
+    u1[:steps, channel] = 1.0
     return simulate(dmodel, None, u1, None, steps)

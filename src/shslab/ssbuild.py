@@ -551,6 +551,13 @@ def family_from_json(doc: dict) -> ScenarioFamily:
                 omega_nom=float(sc.get("omega_rad_s", 0.0)))
             for sc in doc["scenarios"]
         )
-        return ScenarioFamily(segment_id=int(doc["segment_id"]), scenarios=scenarios)
+        family = ScenarioFamily(segment_id=int(doc["segment_id"]), scenarios=scenarios)
     except (KeyError, TypeError, ValueError) as exc:
         raise NetworkFormatError(f"malformed family document: {exc}") from exc
+    for i, sc in enumerate(family):
+        for fname in ("A", "B1", "B2", "C", "D2", "x_op"):
+            if not np.all(np.isfinite(getattr(sc, fname))):
+                raise NetworkFormatError(
+                    f"segment {family.segment_id} scenario {i} ({sc.name}): "
+                    f"{fname} has a NaN or infinite entry")
+    return family

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shslab
 from shslab import data_path
 from shslab.cli import main
 
@@ -200,6 +205,57 @@ def test_design_probe_degenerate_family_exits_3(workspace, capsys):
                "--out", str(workspace / "p.json")])
     assert rc == 3
     assert "indistinguishable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--out", "eigs.csv"],
+    ["design-probe", "--tau0", "0.005", "--ts", "1e-5", "--out", "p.json"],
+    ["detect", "--trace", "{run}/windows", "--truth", "{run}/truth.csv", "--out", "r.json"],
+], ids=lambda c: c[0])
+def test_non_finite_family_exits_2(recorded, tmp_path, capsys, command):
+    doc = json.loads((recorded / "matrices.json").read_text())
+    fam = next(f for f in doc["families"] if f["segment_id"] == 1)
+    fam["scenarios"][2]["A"][0][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    args = [a.format(run=recorded / "run") for a in command]
+    args[-1] = str(tmp_path / args[-1])
+    assert main(args + ["--family", str(bad), "--segment", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "segment 1 scenario 2 (line_outage_1_4): A has a NaN or infinite entry" in err
+    assert not os.path.exists(args[-1])
+
+
+NO_SCIPY_PIPELINE = """
+import json, sys
+sys.modules["scipy"] = None
+from shslab import data_path
+from shslab.cli import main
+rcs = [
+    main(["repro-paper", "--K", "3", "--out-dir", "rp"]),
+    main(["build", "--network", str(data_path("paper6bus.json")),
+          "--config", "stage.json", "--out", "matrices.json"]),
+    main(["detect", "--family", "matrices.json", "--segment", "1",
+          "--probe", "rp/probe.json", "--trace", "rp/windows",
+          "--truth", "rp/truth.csv", "--out", "replay.json"]),
+]
+loaded = sorted(m for m, mod in sys.modules.items()
+                if m.split(".")[0] == "scipy" and mod is not None)
+print(json.dumps({"rcs": rcs, "scipy": loaded}))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    (tmp_path / "stage.json").write_text(json.dumps(STAGE_CONFIG))
+    src = str(Path(shslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PIPELINE], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"rcs": [0, 0, 0], "scipy": []}
+    assert json.loads((tmp_path / "replay.json").read_text())["accuracy"] == 1.0
 
 
 def test_repro_paper_smoke(tmp_path, capsys):

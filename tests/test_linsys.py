@@ -7,8 +7,8 @@ import scipy.linalg
 from conftest import PAPER_TS, bare_line_segment, make_model
 from oracles import loop_simulate, rk4_lti
 from shslab.errors import NumericalError
-from shslab.linsys import (discretize_zoh, eigenvalues, expm, free_outputs, simulate,
-                           step_response)
+from shslab.linsys import (discretize_zoh, eig_sorted, eigenvalues, expm, free_outputs,
+                           simulate, step_response)
 from shslab.probing import compute_mu1
 from shslab.ssbuild import ContingencySpec, build_state_space
 
@@ -24,6 +24,45 @@ def test_eigenvalues_rl_line_multiplicity_two():
                               ContingencySpec.normal())
     eig = eigenvalues(model)
     assert np.allclose(eig, [-1.0, -1.0])
+
+
+def _scipy_eig_sorted(A):
+    vals = scipy.linalg.eigvals(A)
+    return vals[np.lexsort((vals.imag, vals.real))]
+
+
+def _assert_bitwise(a, b):
+    assert a.dtype == b.dtype == np.complex128
+    assert np.array_equal(a.view(np.float64), b.view(np.float64))
+
+
+def test_eig_sorted_bitwise_scipy_bundled(all_families):
+    for fam in all_families.values():
+        for sc in fam:
+            _assert_bitwise(eig_sorted(sc.A), _scipy_eig_sorted(sc.A))
+
+
+def test_eig_sorted_bitwise_scipy_random():
+    # symmetric and triangular matrices have all-real spectra, where numpy
+    # returns float64 unless eig_sorted casts
+    rng = np.random.default_rng(2024)
+    all_real = 0
+    for k in range(200):
+        n = 1 + k % 30
+        A = rng.standard_normal((n, n))
+        if k % 4 == 1:
+            A = A + A.T
+        elif k % 4 == 2:
+            A = np.triu(A)
+        all_real += np.isrealobj(np.linalg.eigvals(A))
+        _assert_bitwise(eig_sorted(A), _scipy_eig_sorted(A))
+    assert all_real >= 100
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_eigenvalues_non_finite_is_numerical_error(bad):
+    with pytest.raises(NumericalError, match="eigenvalue solver failed"):
+        eigenvalues(make_model(np.array([[bad, 0.0], [0.0, -1.0]])))
 
 
 def test_m1_scenarios_hurwitz(m1_family):

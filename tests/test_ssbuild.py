@@ -6,7 +6,7 @@ import pytest
 from conftest import (LOAD_A, LOAD_B, PVB_PARAMS, bare_line_segment,
                       small_pvb_segment, two_load_bus_segment)
 from oracles import branch_incidence, fd_jacobian, segment_rhs
-from shslab.errors import BuildError
+from shslab.errors import BuildError, NetworkFormatError
 from shslab.grid import BusSpec, LineSpec
 from shslab.segmentation import SegmentModel
 from shslab.ssbuild import (PVB_STATE_NAMES, ContingencySpec, ScenarioFamily,
@@ -345,6 +345,20 @@ def test_family_json_roundtrip(m1_family):
         assert a.name == b.name
         for fname in ("A", "B1", "B2", "C", "D2", "x_op"):
             assert np.array_equal(getattr(a, fname), getattr(b, fname))
+
+
+@pytest.mark.parametrize("fname", ["A", "B1", "B2", "C", "D2", "x_op"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_family_from_json_rejects_non_finite(m1_family, fname, bad):
+    doc = family_to_json(m1_family)
+    entry = doc["scenarios"][3][fname]
+    if fname == "x_op":
+        entry[-1] = bad
+    else:
+        entry[-1][-1] = bad
+    with pytest.raises(NetworkFormatError,
+                       match=rf"scenario 3 \(line_disconnect_1_4\): {fname} has a NaN"):
+        family_from_json(doc)
 
 
 def test_family_uniformity_enforced(m1_family):
