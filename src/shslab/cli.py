@@ -27,7 +27,7 @@ from .probing import design_mami, probe_from_json, probe_to_json
 from .segmentation import SegmentModel, segment_network, segments_to_json
 from .ssbuild import (ContingencySpec, ScenarioFamily, build_family, contingency_from_json,
                       family_from_json, family_to_json)
-from .util import dump_json, load_json
+from .util import doc_value, dump_json, load_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,41 +195,47 @@ def cmd_design_probe(args) -> int:
 def _experiment_from_config(cfg_path, probe_off: bool = False,
                             k_override: int | None = None):
     """The experiment a config file describes, the config itself, the input
-    files it read, and every segment of its network."""
+    files it read, and every segment of its network. A missing key or a value
+    of the wrong type is a ConfigError naming the file and the key."""
     cfg = load_json(cfg_path)
     base = os.path.dirname(os.path.abspath(cfg_path))
 
     def rel(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    inputs = [cfg_path]
-    net_path = rel(cfg["network"])
-    inputs.append(net_path)
+    def get(key, kind, *default, doc=cfg):
+        return doc_value(doc, key, kind, cfg_path, *default)
+
+    net_path = rel(get("network", str))
+    seg_id = get("segment", int)
+    contingencies = get("contingencies", list)
+    tau, tau0, ts = get("tau", float), get("tau0", float), get("ts", float)
+    K = k_override if k_override is not None else get("K", int)
+    seed = get("seed", int)
+    probe_cfg = get("probe", dict, {})
+
+    inputs = [cfg_path, net_path]
     net = _load_network(net_path)
     segments = segment_network(net, _assignment_from_config(cfg))
-    seg = _segment_by_id(segments, int(cfg["segment"]))
-    fam = build_family(seg, _contingencies(cfg["contingencies"]))
+    seg = _segment_by_id(segments, seg_id)
+    fam = build_family(seg, _contingencies(contingencies))
 
-    probe_cfg = cfg.get("probe", {})
     if "file" in probe_cfg:
-        probe_path = rel(probe_cfg["file"])
+        probe_path = rel(get("file", str, doc=probe_cfg))
         inputs.append(probe_path)
-        probe = probe_from_json(load_json(probe_path))
+        probe = probe_from_json(load_json(probe_path), probe_path)
     else:
         probe = design_mami(
             fam, fam[0].x_op,
             _channel_arg(probe_cfg.get("channel", "delta")),
-            float(probe_cfg.get("tau0", cfg["tau0"])),
-            float(probe_cfg.get("ts", cfg["ts"])),
-            margin=float(probe_cfg.get("margin", 1.01)))
+            get("tau0", float, tau0, doc=probe_cfg),
+            get("ts", float, ts, doc=probe_cfg),
+            margin=get("margin", float, 1.01, doc=probe_cfg))
 
     exp = ExperimentConfig(
-        family=fam, probe=probe,
-        tau=float(cfg["tau"]), tau0=float(cfg["tau0"]), ts=float(cfg["ts"]),
-        K=int(k_override if k_override is not None else cfg["K"]),
-        seed=int(cfg["seed"]),
-        noise_sigma=float(cfg.get("noise_sigma", 0.0)),
-        subsample=int(cfg.get("subsample", 10)),
+        family=fam, probe=probe, tau=tau, tau0=tau0, ts=ts, K=K, seed=seed,
+        noise_sigma=get("noise_sigma", float, 0.0),
+        subsample=get("subsample", int, 10),
         x0_mode=cfg.get("x0_mode", "zero"),
         probe_override_R=0.0 if probe_off else None)
     return exp, cfg, inputs, segments
@@ -277,7 +283,7 @@ def _read_truth(path) -> list[int]:
 
 def cmd_detect(args) -> int:
     fam = _pick_family(load_json(args.family), args.segment)
-    probe = probe_from_json(load_json(args.probe)) if args.probe else None
+    probe = probe_from_json(load_json(args.probe), args.probe) if args.probe else None
     meta = os.path.join(args.trace, "meta.json")
     windows = read_windows(args.trace, probe=probe)
     if not windows:

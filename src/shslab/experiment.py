@@ -262,6 +262,9 @@ def eigen_report(family: ScenarioFamily) -> EigenReport:
 # ---------------------------------------------------------------------------
 
 
+_WINDOW_NAME = re.compile(r"window_([0-9]+)\.csv")
+
+
 def _write_sequence_csv(path, rows, header):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -275,7 +278,8 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
     windows_mode: 'strided' records every subsample-th sample (the estimator
     grid), 'full' records every sample, 'none' skips window files. The stride
     and periods land in windows/meta.json so a replay can rebuild the exact
-    estimation problem.
+    estimation problem. Window files and meta.json an earlier run left in
+    windows/ that this run does not write are removed.
     """
     if windows_mode not in ("strided", "full", "none"):
         raise ConfigError(f"unknown windows mode '{windows_mode}'")
@@ -293,11 +297,14 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
                         ["k", "true", "detected"])
     dump_json(result.report.to_json(), os.path.join(out_dir, "report.json"))
 
+    win_dir = os.path.join(out_dir, "windows")
     if windows_mode == "none":
+        _clear_windows(win_dir, set())
         return
     stride = 1 if windows_mode == "full" else cfg.subsample
-    win_dir = os.path.join(out_dir, "windows")
     os.makedirs(win_dir, exist_ok=True)
+    names = [f"window_{k:04d}.csv" for k in range(len(result.windows))]
+    _clear_windows(win_dir, {"meta.json", *names})
     p = result.windows[0].samples.shape[1] if result.windows else 0
     q = result.windows[0].u2.shape[1] if result.windows else 0
     dump_json({
@@ -311,13 +318,30 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
     }, os.path.join(win_dir, "meta.json"))
     header = ",".join(["t"] + [f"y{i}" for i in range(p)]
                       + [f"u1_{i}" for i in range(3)] + [f"u2_{i}" for i in range(q)])
-    for k, w in enumerate(result.windows):
+    # The u1/u2 columns come from input records that consecutive windows
+    # share (run_experiment and read_windows hand them the same frozen
+    # arrays), so each record pair is formatted once into per-row tails.
+    records, tails = (None, None), None
+    for name, w in zip(names, result.windows):
         idx = np.arange(0, w.steps + 1, stride)
-        table = np.column_stack([w.t_start + w.ts * idx, w.samples[idx], w.u1[idx], w.u2[idx]])
-        with open(os.path.join(win_dir, f"window_{k:04d}.csv"), "w",
-                  newline="", encoding="utf-8") as fh:
-            fh.write(header + "\r\n")
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in table.tolist())
+        if records[0] is not w.u1 or records[1] is not w.u2:
+            records = w.u1, w.u2
+            inputs = np.column_stack([w.u1[idx], w.u2[idx]])
+            tails = [",".join(map(repr, row)) + "\r\n" for row in inputs.tolist()]
+        columns = [map(repr, (w.t_start + w.ts * idx).tolist()),
+                   *(map(repr, col) for col in w.samples[idx].T.tolist())]
+        with open(os.path.join(win_dir, name), "w", newline="", encoding="utf-8") as fh:
+            fh.write(header + "\r\n" + "".join(map(",".join, zip(*columns, tails))))
+
+
+def _clear_windows(win_dir, keep: set) -> None:
+    """Remove the window files and meta.json under win_dir whose names are
+    not in `keep`, so no earlier run's record is left beside this run's."""
+    if not os.path.isdir(win_dir):
+        return
+    for name in os.listdir(win_dir):
+        if (name == "meta.json" or _WINDOW_NAME.fullmatch(name)) and name not in keep:
+            os.remove(os.path.join(win_dir, name))
 
 
 def _bad_row(path, cols: int) -> str | None:
@@ -345,9 +369,6 @@ def _record(cols: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
     rec = np.array(cols)
     rec.setflags(write=False)
     return rec
-
-
-_WINDOW_NAME = re.compile(r"window_([0-9]+)\.csv")
 
 
 def _some(indices: list[int]) -> str:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateDesignError, NumericalError
 from .linsys import discretize_zoh, eigenvalues, step_response
 from .ssbuild import ScenarioFamily, StateSpaceModel
+from .util import doc_value
 
 CHANNELS = ("d", "delta", "m_a")
 
@@ -67,6 +68,9 @@ class ProbingDesign:
     argmin_pair: tuple[int, int] | None = None
 
     def __post_init__(self):
+        for name in ("mu0", "mu1", "delta_min", "R0", "R", "tau0"):
+            if not math.isfinite(getattr(self, name)):
+                raise DegenerateDesignError(f"{name} must be finite, got {getattr(self, name)}")
         if self.shape != "step":
             raise DegenerateDesignError(f"unsupported probe shape '{self.shape}'")
         if not self.tau0 > 0:
@@ -184,11 +188,25 @@ def probe_to_json(p: ProbingDesign) -> dict:
     return out
 
 
-def probe_from_json(doc: dict) -> ProbingDesign:
-    return ProbingDesign(
-        mu0=float(doc["mu0"]), mu1=float(doc["mu1"]),
-        delta_min=float(doc["delta_min"]), R0=float(doc["R0"]), R=float(doc["R"]),
-        channel=int(doc["channel"]), tau0=float(doc["tau0"]),
-        shape=doc.get("shape", "step"),
-        ts=float(doc["ts"]) if "ts" in doc else None,
-        argmin_pair=tuple(doc["argmin_pair"]) if "argmin_pair" in doc else None)
+def _pair(value) -> tuple[int, int]:
+    pair = tuple(int(i) for i in value)
+    if len(pair) != 2:
+        raise ValueError(f"expected two scenario indices, got {len(pair)}")
+    return pair
+
+
+def probe_from_json(doc: dict, source="probe document") -> ProbingDesign:
+    """The design a probe_to_json document describes. A missing key, a value
+    of the wrong type or a design that fails ProbingDesign's checks is a
+    ConfigError naming `source`."""
+    values = {key: doc_value(doc, key, float, source)
+              for key in ("mu0", "mu1", "delta_min", "R0", "R", "tau0")}
+    values.update(
+        channel=doc_value(doc, "channel", int, source),
+        shape=doc_value(doc, "shape", str, source, "step"),
+        ts=doc_value(doc, "ts", float, source, None),
+        argmin_pair=doc_value(doc, "argmin_pair", _pair, source, None))
+    try:
+        return ProbingDesign(**values)
+    except DegenerateDesignError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc

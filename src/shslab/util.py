@@ -1,9 +1,12 @@
-"""Small shared helpers: deterministic JSON output and per-object memos."""
+"""Small shared helpers: deterministic JSON I/O, typed document values and
+per-object memos."""
 
 from __future__ import annotations
 
 import json
 import weakref
+
+from .errors import ConfigError
 
 # owner -> {key: value}; an entry goes when its owner is collected
 _MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -32,4 +35,26 @@ def dump_json(obj, path, sort_keys: bool = False) -> None:
 
 def load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not a JSON document: {exc}") from exc
+
+
+_REQUIRED = object()
+
+
+def doc_value(doc, key: str, kind, source, default=_REQUIRED):
+    """kind(doc[key]), or `default` when the key is absent and a default is
+    given. A document that is not an object, a missing required key, or a
+    value kind rejects is a ConfigError that names `source` and the key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{source}: expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ConfigError(f"{source}: missing key '{key}'")
+        return default
+    try:
+        return kind(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{source}: key '{key}' has bad value {doc[key]!r}: {exc}") from exc

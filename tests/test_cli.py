@@ -397,3 +397,79 @@ def test_design_probe_partial_sample_window_exits_2(recorded, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "tau0=0.01 is not a whole number (>= 1) of samples at ts=0.007" in err
     assert not (tmp_path / "p.json").exists()
+
+
+def _drop(key):
+    return lambda doc: doc.pop(key)
+
+
+def _put(key, value):
+    return lambda doc: doc.update({key: value})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop("tau"), "experiment.json: missing key 'tau'"),
+    (_drop("K"), "experiment.json: missing key 'K'"),
+    (_drop("seed"), "experiment.json: missing key 'seed'"),
+    (_drop("segment"), "experiment.json: missing key 'segment'"),
+    (_drop("network"), "experiment.json: missing key 'network'"),
+    (_put("K", "x"), "experiment.json: key 'K' has bad value 'x'"),
+    (_put("probe", {"file": "probe.json"}), "probe.json: missing key 'mu1'"),
+], ids=["no-tau", "no-K", "no-seed", "no-segment", "no-network", "K-not-int", "bad-probe-file"])
+def test_run_malformed_config_exits_2(workspace, capsys, edit, message):
+    cfg = dict(EXPERIMENT_CONFIG)
+    edit(cfg)
+    (workspace / "experiment.json").write_text(json.dumps(cfg))
+    (workspace / "probe.json").write_text(json.dumps({"mu0": 1.0}))
+    rc = main(["run", "--config", str(workspace / "experiment.json"),
+               "--out-dir", str(workspace / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (workspace / "out").exists()
+
+
+def test_run_config_not_json_exits_2(workspace, capsys):
+    (workspace / "experiment.json").write_text("{")
+    assert main(["run", "--config", str(workspace / "experiment.json"),
+                 "--out-dir", str(workspace / "out")]) == 2
+    assert "experiment.json: not a JSON document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop("mu1"), "missing key 'mu1'"),
+    (_put("mu0", "abc"), "key 'mu0' has bad value 'abc'"),
+    (_put("mu0", float("nan")), "mu0 must be finite"),
+    (_put("argmin_pair", 3), "key 'argmin_pair' has bad value 3"),
+    (_put("argmin_pair", [0, 1, 2]), "expected two scenario indices, got 3"),
+    (_put("channel", 7), "probe channel index must be 0..2, got 7"),
+], ids=["no-mu1", "mu0-not-a-number", "mu0-nan", "pair-not-a-list", "pair-of-three",
+        "channel-7"])
+def test_detect_malformed_probe_exits_2(recorded, tmp_path, capsys, edit, message):
+    def edit_probe(win_dir):
+        path = win_dir.parent / "probe.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+
+    assert _replay(recorded, tmp_path, edit=edit_probe, probe=True) == 2
+    err = capsys.readouterr().err
+    assert "probe.json: " in err and message in err
+    assert not (tmp_path / "replay.json").exists()
+
+
+def test_rerun_into_same_out_dir_replays_only_its_own_windows(recorded, tmp_path, capsys):
+    run = tmp_path / "run"
+    config = str(recorded / "experiment.json")
+    assert main(["run", "--config", config, "--out-dir", str(run), "--K", "6"]) == 0
+    assert main(["run", "--config", config, "--out-dir", str(run)]) == 0
+    assert len(list((run / "windows").glob("window_*.csv"))) == 3
+    detect = ["detect", "--family", str(recorded / "matrices.json"), "--segment", "1",
+              "--probe", str(run / "probe.json"), "--trace", str(run / "windows"),
+              "--truth", str(run / "truth.csv"), "--out", str(tmp_path / "replay.json")]
+    assert main(detect) == 0
+    assert json.loads((tmp_path / "replay.json").read_text())["accuracy"] == 1.0
+    capsys.readouterr()
+
+    assert main(["run", "--config", config, "--out-dir", str(run), "--windows", "none"]) == 0
+    assert main(detect) == 2
+    assert f"missing {run / 'windows' / 'meta.json'}" in capsys.readouterr().err

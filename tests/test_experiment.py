@@ -421,6 +421,52 @@ def test_window_files_match_csv_oracle(tmp_path, special_result, mode, stride):
     assert np.shares_memory(windows[2].u2, windows[1].u2)
 
 
+@pytest.mark.parametrize("record", ["u1", "u2"])
+@pytest.mark.parametrize("mode, stride", [("strided", SUB), ("full", 1)])
+def test_window_files_format_each_record_from_its_own_values(
+        tmp_path, m1_family, coarse_probe, mode, stride, record):
+    # the input records run A, A, B, A, where B has -0.0 wherever A has 0.0:
+    # the last window must be written from A's values, not from B's tails
+    result = run_experiment(config(m1_family, coarse_probe, K=4, seed=13))
+    a = getattr(result.windows[0], record)
+    b = np.array(a)
+    b[b == 0.0] = -0.0
+    windows = list(result.windows)
+    windows[2] = dataclasses.replace(windows[2], **{record: b})
+    result = dataclasses.replace(result, windows=tuple(windows))
+    assert all(getattr(w, record) is a for w in windows[:2] + windows[3:])
+
+    out, ref = tmp_path / "run", tmp_path / "ref"
+    ref.mkdir()
+    write_outputs(result, out, windows_mode=mode)
+    csv_write_windows(result, ref, stride)
+    names = sorted(f.name for f in (out / "windows").glob("window_*.csv"))
+    assert names == sorted(f.name for f in ref.iterdir()) and len(names) == 4
+    for name in names:
+        assert (out / "windows" / name).read_bytes() == (ref / name).read_bytes(), name
+    p = result.windows[0].samples.shape[1]
+    cols = slice(1 + p, 4 + p) if record == "u1" else slice(4 + p, None)
+    zeros = [table[table == 0.0] for table in
+             (csv_read_window(out / "windows" / name)[:, cols] for name in names)]
+    assert all(z.size for z in zeros)
+    assert [np.signbit(z).any() for z in zeros] == [False, False, True, False]
+
+
+def test_rerun_removes_stale_window_files(tmp_path, m1_family, coarse_probe):
+    win_dir = tmp_path / "windows"
+    write_outputs(run_experiment(config(m1_family, coarse_probe, K=6, seed=3)), tmp_path)
+    (win_dir / "window_2.csv").write_bytes((win_dir / "window_0002.csv").read_bytes())
+    (win_dir / "notes.txt").write_text("kept")
+    result = run_experiment(config(m1_family, coarse_probe, K=3, seed=3))
+    write_outputs(result, tmp_path)
+    assert sorted(f.name for f in win_dir.iterdir()) == [
+        "meta.json", "notes.txt", "window_0000.csv", "window_0001.csv", "window_0002.csv"]
+    assert len(read_windows(win_dir)) == 3
+
+    write_outputs(result, tmp_path, windows_mode="none")
+    assert sorted(f.name for f in win_dir.iterdir()) == ["notes.txt"]
+
+
 def test_sequence_csv_contents(tmp_path, m1_family, coarse_probe):
     cfg = config(m1_family, coarse_probe, K=2, seed=21)
     result = run_experiment(cfg)
