@@ -23,7 +23,7 @@ from .experiment import (ExperimentConfig, eigen_report, generate_sequence,
 from .grid import NetworkModel, parse_network, validate
 from .linsys import discretize_zoh
 from .manifest import write_manifest
-from .probing import design_mami, probe_from_json, probe_to_json
+from .probing import channel_index, design_mami, probe_from_json, probe_to_json
 from .segmentation import SegmentModel, segment_network, segments_to_json
 from .ssbuild import (ContingencySpec, ScenarioFamily, build_family, contingency_from_json,
                       family_from_json, family_to_json)
@@ -47,19 +47,22 @@ def _load_network(path) -> NetworkModel:
     return parse_network(load_json(path))
 
 
-def _assignment_from_config(cfg: dict) -> dict[int, int]:
-    if "segments" not in cfg:
-        raise ConfigError("config needs a 'segments' assignment map")
+def _assignment_from_config(cfg: dict, source) -> dict[int, int]:
+    """Bus -> segment id from the config's 'segments' map of id -> bus list."""
     assignment: dict[int, int] = {}
-    for seg_key, buses in cfg["segments"].items():
+    for seg_key, buses in doc_value(cfg, "segments", dict, source).items():
         try:
-            seg_id = int(seg_key)
-        except ValueError as exc:
-            raise ConfigError(f"segment key '{seg_key}' is not an integer") from exc
+            if not isinstance(buses, list):
+                raise TypeError("not a list")
+            seg_id, buses = int(seg_key), [int(b) for b in buses]
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"{source}: key 'segments' maps {seg_key!r} to {buses!r}; expected "
+                f"an integer segment id and a list of bus ids") from exc
         for b in buses:
             if b in assignment:
-                raise ConfigError(f"bus {b} assigned to more than one segment")
-            assignment[int(b)] = seg_id
+                raise ConfigError(f"{source}: bus {b} assigned to more than one segment")
+            assignment[b] = seg_id
     return assignment
 
 
@@ -71,16 +74,15 @@ def _segment_by_id(segments: list[SegmentModel], seg_id: int) -> SegmentModel:
                       f"(have {[s.id for s in segments]})")
 
 
-def _contingencies(cfg_list: list) -> list:
-    return [contingency_from_json(obj, loc=f"$.contingencies[{i}]")
-            for i, obj in enumerate(cfg_list)]
+def _contingencies(cfg_list: list, loc: str) -> list:
+    return [contingency_from_json(obj, loc=f"{loc}[{i}]") for i, obj in enumerate(cfg_list)]
 
 
-def _channel_arg(value):
-    """Accept '0'/'1'/'2' as indices, otherwise a channel name."""
-    if isinstance(value, str) and value.lstrip("-").isdigit():
-        return int(value)
-    return value
+def _reject_key(doc: dict, key: str, source, why: str) -> None:
+    """A key this program does not read is an error, not ignored, where a
+    config that sets it expects another model or probe."""
+    if key in doc:
+        raise ConfigError(f"{source}: key '{key}' is not supported: {why}")
 
 
 def _pick_family(doc: dict, segment: int | None) -> ScenarioFamily:
@@ -121,7 +123,7 @@ def cmd_validate(args) -> int:
 def cmd_segment(args) -> int:
     net = _load_network(args.network)
     cfg = load_json(args.config)
-    segments = segment_network(net, _assignment_from_config(cfg))
+    segments = segment_network(net, _assignment_from_config(cfg, args.config))
     doc = segments_to_json(segments)
     if args.out:
         dump_json(doc, args.out)
@@ -138,14 +140,15 @@ def cmd_segment(args) -> int:
 def cmd_build(args) -> int:
     net = _load_network(args.network)
     cfg = load_json(args.config)
-    segments = segment_network(net, _assignment_from_config(cfg))
-    con_map = cfg.get("contingencies", {})
+    _reject_key(cfg, "monitored_bus", args.config,
+                "each segment monitors its resource bus's load, else the nearest loaded bus")
+    segments = segment_network(net, _assignment_from_config(cfg, args.config))
+    con_map = doc_value(cfg, "contingencies", dict, args.config, {})
     families = []
     for seg in segments:
-        listed = con_map.get(str(seg.id), [{"kind": "normal"}])
-        fam = build_family(seg, _contingencies(listed),
-                           monitored_bus=cfg.get("monitored_bus", {}).get(str(seg.id))
-                           if isinstance(cfg.get("monitored_bus"), dict) else None)
+        listed = doc_value(con_map, str(seg.id), list, f"{args.config}: contingencies",
+                           [{"kind": "normal"}])
+        fam = build_family(seg, _contingencies(listed, f"{args.config}: $.contingencies.{seg.id}"))
         families.append(family_to_json(fam))
         _say(f"segment {seg.id}: n={fam[0].n}, scenarios={fam.names}")
     dump_json({"families": families}, args.out)
@@ -175,8 +178,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_design_probe(args) -> int:
     fam = _pick_family(load_json(args.family), args.segment)
-    probe = design_mami(fam, fam[0].x_op, _channel_arg(args.channel),
-                        args.tau0, args.ts, margin=args.margin)
+    try:
+        channel = channel_index(args.channel)
+    except DegenerateDesignError as exc:
+        raise ConfigError(f"--channel: {exc}") from exc
+    probe = design_mami(fam, fam[0].x_op, channel, args.tau0, args.ts, margin=args.margin)
     dump_json(probe_to_json(probe), args.out)
     write_manifest(os.path.dirname(os.path.abspath(args.out)), "design-probe",
                    [args.family],
@@ -196,15 +202,19 @@ def _experiment_from_config(cfg_path, probe_off: bool = False,
                             k_override: int | None = None):
     """The experiment a config file describes, the config itself, the input
     files it read, and every segment of its network. A missing key or a value
-    of the wrong type is a ConfigError naming the file and the key."""
+    of the wrong type is a ConfigError naming the file and the key. The probe
+    is read from probe.file, or designed on the experiment's tau0 and ts."""
     cfg = load_json(cfg_path)
     base = os.path.dirname(os.path.abspath(cfg_path))
 
     def rel(p):
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    def get(key, kind, *default, doc=cfg):
-        return doc_value(doc, key, kind, cfg_path, *default)
+    def get(key, kind, *default):
+        return doc_value(cfg, key, kind, cfg_path, *default)
+
+    def probe_get(key, kind, *default):
+        return doc_value(probe_cfg, key, kind, f"{cfg_path}: probe", *default)
 
     net_path = rel(get("network", str))
     seg_id = get("segment", int)
@@ -213,31 +223,35 @@ def _experiment_from_config(cfg_path, probe_off: bool = False,
     K = k_override if k_override is not None else get("K", int)
     seed = get("seed", int)
     probe_cfg = get("probe", dict, {})
+    for key in ("tau0", "ts"):
+        _reject_key(probe_cfg, key, f"{cfg_path}: probe",
+                    f"the probe is designed on the experiment's own '{key}'")
+    channel = probe_get("channel", channel_index, "delta")
+    margin = probe_get("margin", float, 1.01)
 
     inputs = [cfg_path, net_path]
     net = _load_network(net_path)
-    segments = segment_network(net, _assignment_from_config(cfg))
+    segments = segment_network(net, _assignment_from_config(cfg, cfg_path))
     seg = _segment_by_id(segments, seg_id)
-    fam = build_family(seg, _contingencies(contingencies))
+    fam = build_family(seg, _contingencies(contingencies, f"{cfg_path}: $.contingencies"))
 
+    source = cfg_path
     if "file" in probe_cfg:
-        probe_path = rel(get("file", str, doc=probe_cfg))
+        probe_path = rel(probe_get("file", str))
         inputs.append(probe_path)
         probe = probe_from_json(load_json(probe_path), probe_path)
+        source = f"{cfg_path} with probe file {probe_path}"
     else:
-        probe = design_mami(
-            fam, fam[0].x_op,
-            _channel_arg(probe_cfg.get("channel", "delta")),
-            get("tau0", float, tau0, doc=probe_cfg),
-            get("ts", float, ts, doc=probe_cfg),
-            margin=get("margin", float, 1.01, doc=probe_cfg))
+        probe = design_mami(fam, fam[0].x_op, channel, tau0, ts, margin=margin)
 
-    exp = ExperimentConfig(
-        family=fam, probe=probe, tau=tau, tau0=tau0, ts=ts, K=K, seed=seed,
-        noise_sigma=get("noise_sigma", float, 0.0),
-        subsample=get("subsample", int, 10),
-        x0_mode=cfg.get("x0_mode", "zero"),
-        probe_override_R=0.0 if probe_off else None)
+    noise_sigma, subsample = get("noise_sigma", float, 0.0), get("subsample", int, 10)
+    try:
+        exp = ExperimentConfig(
+            family=fam, probe=probe, tau=tau, tau0=tau0, ts=ts, K=K, seed=seed,
+            noise_sigma=noise_sigma, subsample=subsample, x0_mode=cfg.get("x0_mode", "zero"),
+            probe_override_R=0.0 if probe_off else None)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
     return exp, cfg, inputs, segments
 
 

@@ -77,6 +77,10 @@ class ExperimentConfig:
                 f"detection window tau0={self.tau0} must be <= tau/10={self.tau / 10}")
         whole_steps("tau", self.tau, self.ts)
         whole_steps("tau0", self.tau0, self.ts)
+        if not abs(self.probe.tau0 - self.tau0) <= 1e-12 * self.tau0:
+            raise ConfigError(
+                f"the probe is designed over tau0={self.probe.tau0}, but the "
+                f"experiment's detection window is tau0={self.tau0}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if self.x0_mode not in ("zero", "random"):

@@ -272,38 +272,6 @@ def parse_network(doc: dict) -> NetworkModel:
     return model
 
 
-def serialize_network(model: NetworkModel) -> dict:
-    """Inverse of parse_network. Emits SI-suffixed fields, so
-    parse_network(serialize_network(m)) == m field-exactly."""
-    doc: dict = {"name": model.name, "omega_rad_s": model.omega_nom, "buses": [], "lines": []}
-    for b in model.buses:
-        entry: dict = {"id": b.id, "kind": b.kind}
-        if b.pvb is not None:
-            p = b.pvb
-            entry["pvb"] = {
-                "R_PV_ohm": p.R_PV, "I_PV_A": p.I_PV, "L_1PV_H": p.L_1PV,
-                "C_PV_F": p.C_PV, "R_2PV_ohm": p.R_2PV, "L_2PV_H": p.L_2PV,
-                "R_s_ohm": p.R_s, "R_e_ohm": p.R_e, "R_t_ohm": p.R_t,
-                "C_s_F": p.C_s, "C_b_F": p.C_b,
-                "operating_point": {
-                    "d": p.operating_point.d,
-                    "delta_rad": p.operating_point.delta,
-                    "m_a": p.operating_point.m_a,
-                },
-            }
-        if b.load is not None:
-            l = b.load
-            entry["load"] = {
-                "P_W": l.P, "Q_VAR": l.Q, "pf": l.pf,
-                "R_ohm": l.R, "L_H": l.L, "Rl_ohm": l.Rl, "C_F": l.C,
-            }
-        doc["buses"].append(entry)
-    for ln in model.lines:
-        doc["lines"].append({"from": ln.from_bus, "to": ln.to_bus,
-                             "R_ohm": ln.R, "L_H": ln.L})
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------

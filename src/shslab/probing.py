@@ -25,8 +25,9 @@ CHANNELS = ("d", "delta", "m_a")
 
 
 def channel_index(channel) -> int:
-    """Accept a u1 channel as index 0..2 or name 'd'/'delta'/'m_a'."""
-    if isinstance(channel, str):
+    """Accept a u1 channel as index 0..2 (an int or its digit string, as a
+    command line gives it) or name 'd'/'delta'/'m_a'."""
+    if isinstance(channel, str) and not channel.lstrip("-").isdigit():
         if channel not in CHANNELS:
             raise DegenerateDesignError(
                 f"unknown probe channel '{channel}' (one of {CHANNELS})")

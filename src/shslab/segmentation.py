@@ -136,17 +136,6 @@ def segment_network(model: NetworkModel,
     return segments
 
 
-def neighbor_sets(segments: list[SegmentModel]) -> dict[int, set[int]]:
-    """External endpoints of each segment's cut lines."""
-    out: dict[int, set[int]] = {}
-    for seg in segments:
-        ext = set()
-        for a in seg.aux_buses:
-            ext.add(a.cut_to if a.attach_bus == a.cut_from else a.cut_from)
-        out[seg.id] = ext
-    return out
-
-
 def segments_to_json(segments: list[SegmentModel]) -> dict:
     """Inspection dump for `shslab segment --dump`."""
     out = []

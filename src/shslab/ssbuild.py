@@ -100,11 +100,16 @@ class ContingencySpec:
 
 
 def contingency_from_json(obj: dict, loc: str = "$") -> ContingencySpec:
+    """The contingency a config entry describes. An entry that is not an
+    object, or a kind, line or R_f_ohm that does not fit, is a
+    NetworkFormatError at `loc`."""
+    if not isinstance(obj, dict):
+        raise NetworkFormatError(f"expected a contingency object, got {obj!r}", loc)
     kind = obj.get("kind")
     if kind not in _KINDS:
         raise NetworkFormatError(f"unknown contingency kind '{kind}'", loc)
-    line = tuple(obj["line"]) if "line" in obj else None
     try:
+        line = tuple(obj["line"]) if "line" in obj else None
         if kind == "normal":
             return ContingencySpec.normal()
         if kind == "short_circuit":
@@ -112,7 +117,7 @@ def contingency_from_json(obj: dict, loc: str = "$") -> ContingencySpec:
         if kind == "line_outage":
             return ContingencySpec.line_outage(line)
         return ContingencySpec.line_disconnect(line, open_end=obj.get("open_end"))
-    except BuildError as exc:
+    except (BuildError, TypeError, ValueError) as exc:
         raise NetworkFormatError(str(exc), loc) from exc
 
 
@@ -414,39 +419,35 @@ def _selection(idx: _Index, rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
     return C, np.eye(len(rows), len(idx.u2_labels))
 
 
-def build_measurement(segment: SegmentModel,
-                      monitored_bus: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def build_measurement(segment: SegmentModel) -> tuple[np.ndarray, np.ndarray]:
     """Selection-row C over {v_dc, i_t_q, i_t_d, I_LL_q, I_LL_d of the monitored
     load} and D2 as the indicator of the aux-voltage channels.
 
-    The monitored load defaults to the resource bus's own load, falling back
-    to the nearest internally connected loaded bus.
+    The monitored load is the resource bus's own load, falling back to the
+    nearest internally connected loaded bus.
     """
     idx = _Index(segment)
     if not idx.has_pvb:
         raise BuildError("segment has no resource bus; measurement set undefined")
-    if monitored_bus is None:
-        if segment.pvb_bus in idx.jq:
-            monitored_bus = segment.pvb_bus
-        else:
-            adjacent = sorted(
-                (ln.to_bus if ln.from_bus == segment.pvb_bus else ln.from_bus)
-                for ln in segment.internal_lines
-                if segment.pvb_bus in (ln.from_bus, ln.to_bus))
-            loaded = [b for b in adjacent if b in idx.jq]
-            if not loaded:
-                loaded = [b for b in segment.bus_ids if b in idx.jq]
-            if not loaded:
-                raise BuildError("no loaded bus available to monitor")
-            monitored_bus = loaded[0]
-    if monitored_bus not in idx.jq:
-        raise BuildError(f"requested label absent: bus {monitored_bus} has no load branch")
+    if segment.pvb_bus in idx.jq:
+        monitored = segment.pvb_bus
+    else:
+        adjacent = sorted(
+            (ln.to_bus if ln.from_bus == segment.pvb_bus else ln.from_bus)
+            for ln in segment.internal_lines
+            if segment.pvb_bus in (ln.from_bus, ln.to_bus))
+        loaded = [b for b in adjacent if b in idx.jq]
+        if not loaded:
+            loaded = [b for b in segment.bus_ids if b in idx.jq]
+        if not loaded:
+            raise BuildError("no loaded bus available to monitor")
+        monitored = loaded[0]
     return _selection(idx, ["v_dc", "i_t_q", "i_t_d",
-                            f"I_LL{monitored_bus}_q", f"I_LL{monitored_bus}_d"])
+                            f"I_LL{monitored}_q", f"I_LL{monitored}_d"])
 
 
 def build_state_space(segment: SegmentModel, contingency: ContingencySpec,
-                      alpha: int = 0, monitored_bus: int | None = None) -> StateSpaceModel:
+                      alpha: int = 0) -> StateSpaceModel:
     """Assemble one scenario's matrices.
 
     With the converter at its set point and the aux voltages at reference,
@@ -472,7 +473,7 @@ def build_state_space(segment: SegmentModel, contingency: ContingencySpec,
                 f"no operating point for scenario '{contingency.name()}': "
                 f"state matrix is singular") from exc
         B1[0:6] = _resource_input_map(pvb, u1_op, x_op)
-        C, D2 = build_measurement(segment, monitored_bus=monitored_bus)
+        C, D2 = build_measurement(segment)
     else:
         C, D2 = _selection(idx, idx.labels)
 
@@ -482,8 +483,7 @@ def build_state_space(segment: SegmentModel, contingency: ContingencySpec,
         x_op=x_op, omega_nom=segment.omega_nom)
 
 
-def build_family(segment: SegmentModel, contingencies: list[ContingencySpec],
-                 monitored_bus: int | None = None) -> ScenarioFamily:
+def build_family(segment: SegmentModel, contingencies: list[ContingencySpec]) -> ScenarioFamily:
     """Build all scenarios of a segment; the first entry must be 'normal'."""
     if not contingencies:
         raise BuildError("contingency list is empty")
@@ -493,8 +493,7 @@ def build_family(segment: SegmentModel, contingencies: list[ContingencySpec],
     scenarios = []
     for i, spec in enumerate(contingencies):
         try:
-            scenarios.append(
-                build_state_space(segment, spec, alpha=i, monitored_bus=monitored_bus))
+            scenarios.append(build_state_space(segment, spec, alpha=i))
         except BuildError as exc:
             raise BuildError(f"scenario {i} ({spec.name()}): {exc}") from exc
     return ScenarioFamily(segment_id=segment.id, scenarios=tuple(scenarios))

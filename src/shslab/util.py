@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import weakref
 
-from .errors import ConfigError
+from .errors import ConfigError, ShslabError
 
 # owner -> {key: value}; an entry goes when its owner is collected
 _MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -47,14 +47,18 @@ _REQUIRED = object()
 def doc_value(doc, key: str, kind, source, default=_REQUIRED):
     """kind(doc[key]), or `default` when the key is absent and a default is
     given. A document that is not an object, a missing required key, or a
-    value kind rejects is a ConfigError that names `source` and the key."""
+    value kind rejects is a ConfigError that names `source` and the key. The
+    kinds dict and list take only a JSON object and a JSON array as they are."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: expected a JSON object, got {type(doc).__name__}")
     if key not in doc:
         if default is _REQUIRED:
             raise ConfigError(f"{source}: missing key '{key}'")
         return default
+    value = doc[key]
     try:
-        return kind(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{source}: key '{key}' has bad value {doc[key]!r}: {exc}") from exc
+        if kind in (dict, list) and not isinstance(value, kind):
+            raise TypeError(f"expected a JSON {'object' if kind is dict else 'array'}")
+        return kind(value)
+    except (TypeError, ValueError, ShslabError) as exc:
+        raise ConfigError(f"{source}: key '{key}' has bad value {value!r}: {exc}") from exc

@@ -407,6 +407,11 @@ def _put(key, value):
     return lambda doc: doc.update({key: value})
 
 
+# a valid design over a 5 ms window, as `design-probe --tau0 0.005` writes one
+PROBE_5MS = {"mu0": 1.0, "mu1": 1.0, "delta_min": 1.0, "R0": 2.0, "R": 2.02,
+             "channel": 1, "tau0": 0.005, "ts": 1e-05}
+
+
 @pytest.mark.parametrize("edit, message", [
     (_drop("tau"), "experiment.json: missing key 'tau'"),
     (_drop("K"), "experiment.json: missing key 'K'"),
@@ -415,17 +420,65 @@ def _put(key, value):
     (_drop("network"), "experiment.json: missing key 'network'"),
     (_put("K", "x"), "experiment.json: key 'K' has bad value 'x'"),
     (_put("probe", {"file": "probe.json"}), "probe.json: missing key 'mu1'"),
-], ids=["no-tau", "no-K", "no-seed", "no-segment", "no-network", "K-not-int", "bad-probe-file"])
+    (_put("probe", {"channel": "delta", "tau0": 0.0025}),
+     "experiment.json: probe: key 'tau0' is not supported"),
+    (_put("probe", {"channel": "delta", "ts": 2e-5}),
+     "experiment.json: probe: key 'ts' is not supported"),
+    (lambda doc: doc.update(probe={"file": "probe5ms.json"}, tau=0.1, tau0=0.01),
+     "probe5ms.json: the probe is designed over tau0=0.005, but the experiment's "
+     "detection window is tau0=0.01"),
+    (_put("segments", [1, 4]), "experiment.json: key 'segments' has bad value [1, 4]"),
+    (_put("contingencies", ["normal"]),
+     "experiment.json: $.contingencies[0]: expected a contingency object, got 'normal'"),
+    (_put("contingencies", [{"kind": "normal"}, {"kind": "line_outage", "line": 5}]),
+     "experiment.json: $.contingencies[1]: 'int' object is not iterable"),
+    (_put("probe", {"channel": "bogus"}),
+     "experiment.json: probe: key 'channel' has bad value 'bogus'"),
+], ids=["no-tau", "no-K", "no-seed", "no-segment", "no-network", "K-not-int", "bad-probe-file",
+        "probe-tau0", "probe-ts", "probe-file-other-tau0", "segments-list",
+        "contingency-not-object", "contingency-line-not-list", "bogus-channel"])
 def test_run_malformed_config_exits_2(workspace, capsys, edit, message):
     cfg = dict(EXPERIMENT_CONFIG)
     edit(cfg)
     (workspace / "experiment.json").write_text(json.dumps(cfg))
     (workspace / "probe.json").write_text(json.dumps({"mu0": 1.0}))
+    (workspace / "probe5ms.json").write_text(json.dumps(PROBE_5MS))
     rc = main(["run", "--config", str(workspace / "experiment.json"),
                "--out-dir", str(workspace / "out")])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_put("monitored_bus", {"1": 1}), "stage.json: key 'monitored_bus' is not supported"),
+    (_put("contingencies", STAGE_CONFIG["contingencies"]["1"]),
+     "stage.json: key 'contingencies' has bad value [{"),
+    (_put("contingencies", {"1": ["normal"]}),
+     "stage.json: $.contingencies.1[0]: expected a contingency object, got 'normal'"),
+    (_put("segments", [1, 4]), "stage.json: key 'segments' has bad value [1, 4]"),
+    (_put("segments", {"1": 5}), "stage.json: key 'segments' maps '1' to 5"),
+], ids=["monitored-bus", "contingencies-list", "contingency-not-object", "segments-list",
+        "segment-buses-not-list"])
+def test_build_malformed_config_exits_2(workspace, capsys, edit, message):
+    cfg = json.loads(json.dumps(STAGE_CONFIG))
+    edit(cfg)
+    (workspace / "stage.json").write_text(json.dumps(cfg))
+    rc = main(["build", "--network", str(workspace / "paper6bus.json"),
+               "--config", str(workspace / "stage.json"),
+               "--out", str(workspace / "matrices.json")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (workspace / "matrices.json").exists()
+
+
+def test_design_probe_bogus_channel_exits_2(recorded, tmp_path, capsys):
+    rc = main(["design-probe", "--family", str(recorded / "matrices.json"), "--segment", "1",
+               "--tau0", "0.005", "--ts", "1e-5", "--channel", "bogus",
+               "--out", str(tmp_path / "p.json")])
+    assert rc == 2
+    assert "--channel: unknown probe channel 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
 
 
 def test_run_config_not_json_exits_2(workspace, capsys):

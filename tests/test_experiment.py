@@ -235,6 +235,14 @@ def test_config_validation(m1_family, coarse_probe):
         config(m1_family, coarse_probe, noise_sigma=-1.0)
 
 
+def test_config_rejects_probe_designed_over_another_window(m1_family):
+    from shslab.probing import design_mami
+    probe = design_mami(m1_family, m1_family[0].x_op, "delta", TAU0 / 2, TS)
+    with pytest.raises(ConfigError, match=r"designed over tau0=0\.0025, but the "
+                                          r"experiment's detection window is tau0=0\.005"):
+        config(m1_family, probe)
+
+
 def test_sequence_entry_out_of_range(m1_family, coarse_probe):
     cfg = config(m1_family, coarse_probe, K=2)
     with pytest.raises(ConfigError, match="outside"):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import load_bundled, with_line
 from shslab.errors import NetworkFormatError
-from shslab.grid import LineSpec, parse_network, serialize_network, validate
+from shslab.grid import LineSpec, parse_network, validate
 
 
 def minimal_doc():
@@ -144,15 +144,6 @@ def test_validation_report_is_deterministic(paper_net):
     r1, r2 = validate(bad), validate(bad)
     assert r1 == r2
     assert [v.location for v in r1] == sorted(v.location for v in r1)
-
-
-@pytest.mark.parametrize("name", ["paper6bus.json", "arch9bus.json"])
-def test_serialize_parse_roundtrip_field_exact(name):
-    model = parse_network(load_bundled(name))
-    again = parse_network(serialize_network(model))
-    assert again == model
-    # and through actual JSON text
-    assert parse_network(json.loads(json.dumps(serialize_network(model)))) == model
 
 
 def test_omega_defaults_to_60hz():

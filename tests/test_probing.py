@@ -14,10 +14,14 @@ def test_channel_index():
     assert channel_index("delta") == 1
     assert channel_index("m_a") == 2
     assert channel_index(2) == 2
+    assert channel_index("0") == 0
+    assert channel_index("2") == 2
     with pytest.raises(DegenerateDesignError):
         channel_index("phi")
     with pytest.raises(DegenerateDesignError):
         channel_index(5)
+    with pytest.raises(DegenerateDesignError):
+        channel_index("3")
 
 
 def test_current_state_mask(m1_family):

@@ -3,19 +3,9 @@ import pytest
 from conftest import PAPER_ASSIGNMENT, PVB_PARAMS, LOAD_A, LOAD_B
 from shslab.errors import SegmentationError
 from shslab.grid import BusSpec, LineSpec, NetworkModel
-from shslab.segmentation import neighbor_sets, segment_network, segments_to_json
+from shslab.segmentation import segment_network, segments_to_json
 
 ARCH_ASSIGNMENT = {1: 1, 4: 1, 7: 1, 2: 2, 3: 2, 6: 2, 5: 3, 8: 3, 9: 3}
-
-
-def three_bus_chain():
-    """1(PVB) - 2(Load) - 3(PVB); cutting 2-3 leaves two segments."""
-    return NetworkModel(
-        name="chain3", omega_nom=2 * 3.141592653589793 * 60,
-        buses=(BusSpec(1, "PVB", load=LOAD_A, pvb=PVB_PARAMS),
-               BusSpec(2, "Load", load=LOAD_B),
-               BusSpec(3, "PVB", load=LOAD_A, pvb=PVB_PARAMS)),
-        lines=(LineSpec(1, 2, 1.0, 1e-3), LineSpec(2, 3, 0.5, 2e-3)))
 
 
 def test_cut_line_1_4_gets_half_impedance(paper_net):
@@ -42,18 +32,6 @@ def test_single_segment_has_no_aux():
         lines=(LineSpec(1, 2, 1.0, 1e-3),))
     (seg,) = segment_network(net, {1: 1, 2: 1})
     assert seg.aux_buses == ()
-    assert neighbor_sets([seg]) == {1: set()}
-
-
-def test_neighbor_sets_arch9(arch_net):
-    segments = segment_network(arch_net, ARCH_ASSIGNMENT)
-    assert neighbor_sets(segments) == {1: {2, 5}, 2: {1, 8}, 3: {3, 7}}
-
-
-def test_neighbor_sets_two_segment_chain():
-    segments = segment_network(three_bus_chain(), {1: 1, 2: 1, 3: 2})
-    # cut line is 2-3: segment 1 sees bus 3, segment 2 sees bus 2
-    assert neighbor_sets(segments) == {1: {3}, 2: {2}}
 
 
 def test_impedance_conservation(paper_net, arch_net):

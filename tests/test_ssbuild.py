@@ -177,14 +177,6 @@ def test_measurement_rows_m1(seg1, m1_family):
     assert np.all(model.D2[2:] == 0.0)
 
 
-def test_measurement_monitored_bus_override(seg1):
-    C, D2 = build_measurement(seg1, monitored_bus=1)
-    labels = build_state_space(seg1, ContingencySpec.normal()).state_labels
-    ix = {lab: i for i, lab in enumerate(labels)}
-    assert C[3, ix["I_LL1_q"]] == 1.0
-    assert C[4, ix["I_LL1_d"]] == 1.0
-
-
 def test_measurement_without_aux_has_zero_columns():
     model = build_state_space(small_pvb_segment(), ContingencySpec.normal())
     assert model.D2.shape == (5, 0)
@@ -213,8 +205,6 @@ def test_measurement_falls_back_to_adjacent_load():
     model = build_state_space(seg, ContingencySpec.normal())
     picked = [model.state_labels[int(np.argmax(r))] for r in model.C]
     assert picked == ["v_dc", "i_t_q", "i_t_d", "I_LL1_q", "I_LL1_d"]
-    with pytest.raises(BuildError, match="no load branch"):
-        build_measurement(seg, monitored_bus=2)
 
 
 # ---------------------------------------------------------------------------
