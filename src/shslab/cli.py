@@ -20,7 +20,7 @@ from .errors import (BuildError, ConfigError, DegenerateDesignError, EstimationE
                      NetworkFormatError, NumericalError, SegmentationError, ShslabError)
 from .experiment import (ExperimentConfig, eigen_report, generate_sequence,
                          read_windows, run_experiment, write_outputs)
-from .grid import NetworkModel, parse_network, validate
+from .grid import NetworkModel, parse_network
 from .linsys import discretize_zoh
 from .manifest import write_manifest
 from .probing import channel_index, design_mami, probe_from_json, probe_to_json
@@ -85,19 +85,18 @@ def _reject_key(doc: dict, key: str, source, why: str) -> None:
         raise ConfigError(f"{source}: key '{key}' is not supported: {why}")
 
 
-def _pick_family(doc: dict, segment: int | None) -> ScenarioFamily:
-    families = doc.get("families")
-    if families is None:
-        raise NetworkFormatError("matrices document lacks 'families'")
+def _pick_family(path, segment: int | None) -> ScenarioFamily:
+    """The family of `segment` in the matrices document at `path`, or its
+    only family when no segment is given."""
+    families = doc_value(load_json(path), "families", list, path)
     if segment is None:
         if len(families) != 1:
-            raise ConfigError(
-                f"document holds {len(families)} families; pass --segment")
+            raise ConfigError(f"{path}: holds {len(families)} families; pass --segment")
         return family_from_json(families[0])
-    for fam in families:
-        if int(fam["segment_id"]) == segment:
+    for i, fam in enumerate(families):
+        if doc_value(fam, "segment_id", int, f"{path}: families[{i}]") == segment:
             return family_from_json(fam)
-    raise ConfigError(f"no family for segment {segment}")
+    raise ConfigError(f"{path}: no family for segment {segment}")
 
 
 # ---------------------------------------------------------------------------
@@ -110,11 +109,6 @@ def cmd_validate(args) -> int:
         model = _load_network(args.network)
     except NetworkFormatError as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
-        return 2
-    report = validate(model)
-    if report:
-        for v in report:
-            print(str(v), file=sys.stderr)
         return 2
     print(f"OK: {model.name} ({len(model.buses)} buses, {len(model.lines)} lines)")
     return 0
@@ -160,7 +154,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    fam = _pick_family(load_json(args.family), args.segment)
+    fam = _pick_family(args.family, args.segment)
     rep = eigen_report(fam)
     rep.write_csv(args.out)
     write_manifest(os.path.dirname(os.path.abspath(args.out)), "analyze",
@@ -177,7 +171,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_design_probe(args) -> int:
-    fam = _pick_family(load_json(args.family), args.segment)
+    fam = _pick_family(args.family, args.segment)
     try:
         channel = channel_index(args.channel)
     except DegenerateDesignError as exc:
@@ -203,12 +197,9 @@ def _experiment_from_config(cfg_path, probe_off: bool = False,
     """The experiment a config file describes, the config itself, the input
     files it read, and every segment of its network. A missing key or a value
     of the wrong type is a ConfigError naming the file and the key. The probe
-    is read from probe.file, or designed on the experiment's tau0 and ts."""
+    is designed from the config's probe channel and margin on the
+    experiment's tau0 and ts."""
     cfg = load_json(cfg_path)
-    base = os.path.dirname(os.path.abspath(cfg_path))
-
-    def rel(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
 
     def get(key, kind, *default):
         return doc_value(cfg, key, kind, cfg_path, *default)
@@ -216,7 +207,8 @@ def _experiment_from_config(cfg_path, probe_off: bool = False,
     def probe_get(key, kind, *default):
         return doc_value(probe_cfg, key, kind, f"{cfg_path}: probe", *default)
 
-    net_path = rel(get("network", str))
+    # relative to the config; os.path.join keeps an absolute path as it is
+    net_path = os.path.join(os.path.dirname(os.path.abspath(cfg_path)), get("network", str))
     seg_id = get("segment", int)
     contingencies = get("contingencies", list)
     tau, tau0, ts = get("tau", float), get("tau0", float), get("ts", float)
@@ -226,23 +218,17 @@ def _experiment_from_config(cfg_path, probe_off: bool = False,
     for key in ("tau0", "ts"):
         _reject_key(probe_cfg, key, f"{cfg_path}: probe",
                     f"the probe is designed on the experiment's own '{key}'")
+    _reject_key(probe_cfg, "file", f"{cfg_path}: probe",
+                "the probe is designed from 'channel' and 'margin'")
     channel = probe_get("channel", channel_index, "delta")
     margin = probe_get("margin", float, 1.01)
 
-    inputs = [cfg_path, net_path]
     net = _load_network(net_path)
     segments = segment_network(net, _assignment_from_config(cfg, cfg_path))
     seg = _segment_by_id(segments, seg_id)
     fam = build_family(seg, _contingencies(contingencies, f"{cfg_path}: $.contingencies"))
 
-    source = cfg_path
-    if "file" in probe_cfg:
-        probe_path = rel(probe_get("file", str))
-        inputs.append(probe_path)
-        probe = probe_from_json(load_json(probe_path), probe_path)
-        source = f"{cfg_path} with probe file {probe_path}"
-    else:
-        probe = design_mami(fam, fam[0].x_op, channel, tau0, ts, margin=margin)
+    probe = design_mami(fam, fam[0].x_op, channel, tau0, ts, margin=margin)
 
     noise_sigma, subsample = get("noise_sigma", float, 0.0), get("subsample", int, 10)
     try:
@@ -251,8 +237,8 @@ def _experiment_from_config(cfg_path, probe_off: bool = False,
             noise_sigma=noise_sigma, subsample=subsample, x0_mode=cfg.get("x0_mode", "zero"),
             probe_override_R=0.0 if probe_off else None)
     except ConfigError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
-    return exp, cfg, inputs, segments
+        raise ConfigError(f"{cfg_path}: {exc}") from exc
+    return exp, cfg, [cfg_path, net_path], segments
 
 
 def _run_and_record(args, command: str, exp: ExperimentConfig, cfg: dict, inputs) -> None:
@@ -296,7 +282,7 @@ def _read_truth(path) -> list[int]:
 
 
 def cmd_detect(args) -> int:
-    fam = _pick_family(load_json(args.family), args.segment)
+    fam = _pick_family(args.family, args.segment)
     probe = probe_from_json(load_json(args.probe), args.probe) if args.probe else None
     meta = os.path.join(args.trace, "meta.json")
     windows = read_windows(args.trace, probe=probe)

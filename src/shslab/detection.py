@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import EstimationError
 from .linsys import DiscreteStateSpace, simulate
-from .probing import ProbingDesign
 from .util import memo
 
 # rows per QR step in _factor
@@ -46,14 +45,6 @@ def _frozen(a) -> np.ndarray:
     return arr
 
 
-def window_rows(tau0: float, ts: float) -> int:
-    """Samples a window of length tau0 holds at period ts: those at 0, ts,
-    2 ts, ... up to tau0, to 1e-6 of a sample. A record that keeps every
-    stride-th sample of a window has this many rows at ts = stride times the
-    simulated period, whether or not the stride divides the window's steps."""
-    return math.floor(tau0 / ts + 1e-6) + 1
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementWindow:
     """Uniformly sampled output record over one detection window, together
@@ -64,7 +55,6 @@ class MeasurementWindow:
     samples: np.ndarray       # (N+1, p)
     u1: np.ndarray            # (N+1, 3); row N only pads the record
     u2: np.ndarray            # (N+1, q)
-    probe: ProbingDesign | None = None
 
     def __post_init__(self):
         for fname in ("samples", "u1", "u2"):
@@ -80,11 +70,6 @@ class MeasurementWindow:
         if self.u2.ndim != 2 or self.u2.shape[0] != rows:
             raise EstimationError(
                 f"u2 record must have {rows} rows, got {self.u2.shape}")
-        if self.probe is not None:
-            expected = window_rows(self.probe.tau0, self.ts)
-            if rows != expected:
-                raise EstimationError(
-                    f"window has {rows} samples, probe design implies {expected}")
 
     @property
     def steps(self) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
 import warnings
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectionReport, MeasurementWindow, detect_sequence, window_rows
+from .detection import DetectionReport, MeasurementWindow, detect_sequence
 from .errors import ConfigError, NumericalError
 from .linsys import discretize_zoh, eig_sorted, expm, free_outputs, simulate
 from .probing import ProbingDesign, whole_steps
@@ -214,7 +215,7 @@ def run_experiment(config: ExperimentConfig,
         y.setflags(write=False)
         windows.append(MeasurementWindow(
             t_start=k * config.tau, ts=config.ts, samples=y,
-            u1=u1_win, u2=u2_win, probe=config.probe))
+            u1=u1_win, u2=u2_win))
 
     report = detect_sequence(dmodels, windows, truth=list(sequence.alphas),
                              subsample=config.subsample, forced=forced)
@@ -267,6 +268,14 @@ def eigen_report(family: ScenarioFamily) -> EigenReport:
 
 
 _WINDOW_NAME = re.compile(r"window_([0-9]+)\.csv")
+
+
+def window_rows(tau0: float, ts: float) -> int:
+    """Samples a window of length tau0 holds at period ts: those at 0, ts,
+    2 ts, ... up to tau0, to 1e-6 of a sample. A record that keeps every
+    stride-th sample of a window has this many rows at ts = stride times the
+    simulated period, whether or not the stride divides the window's steps."""
+    return math.floor(tau0 / ts + 1e-6) + 1
 
 
 def _write_sequence_csv(path, rows, header):
@@ -389,9 +398,10 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
     subsample=1 against a family discretized at the recorded ts. Consecutive
     windows with bitwise-equal input columns share one frozen record. Files
     are taken in the order of their integer index, which must run over
-    0..len(window_starts)-1 of meta.json exactly once each, and meta.json's
-    ts must be ts_simulated * stride_applied. With a probe, meta.json's tau0
-    must be the probe design's, within 1e-12 relative.
+    0..len(window_starts)-1 of meta.json exactly once each, meta.json's ts
+    must be ts_simulated * stride_applied, and every file must hold
+    window_rows(tau0, ts) rows for meta.json's tau0. With a probe, meta.json's
+    tau0 must be the probe design's, within 1e-12 relative.
     """
     meta = os.path.join(win_dir, "meta.json")
     if not os.path.exists(meta):
@@ -404,14 +414,16 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
         q = int(info["n_u2"])
         count = len(info["window_starts"])
         ts_written = float(info["ts_simulated"]) * int(info["stride_applied"])
-        tau0 = float(info["tau0"]) if probe is not None else None
+        tau0 = float(info["tau0"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{meta}: malformed: {exc!r}") from exc
     if not (np.isfinite(ts) and ts > 0 and abs(ts - ts_written) <= 1e-12 * ts):
         raise ConfigError(f"{meta}: ts={ts} must be positive, finite and equal to "
                           f"ts_simulated * stride_applied = {ts_written}")
+    if not (np.isfinite(tau0) and tau0 > 0):
+        raise ConfigError(f"{meta}: tau0={tau0} must be positive and finite")
+    rows = window_rows(tau0, ts)
     if probe is not None and not abs(probe.tau0 - tau0) <= 1e-12 * probe.tau0:
-        rows = window_rows(tau0, ts) if np.isfinite(tau0) else "no"
         raise ConfigError(
             f"probe.json does not fit the windows {meta} describes: meta.json records "
             f"tau0={tau0}, the probe design has tau0={probe.tau0}; window has "
@@ -442,8 +454,11 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
             raise ConfigError(f"{fname}: needs at least two data rows, has {arr.shape[0]}")
         if arr.shape[1] != cols:
             raise ConfigError(f"{fname}: column count does not match meta.json")
+        if arr.shape[0] != rows:
+            raise ConfigError(f"{fname}: has {arr.shape[0]} data rows; meta.json's "
+                              f"tau0={tau0} at ts={ts} implies {rows}")
         u1 = _record(arr[:, 1 + p:4 + p], u1)
         u2 = _record(arr[:, 4 + p:], u2)
         windows.append(MeasurementWindow(
-            t_start=arr[0, 0], ts=ts, samples=arr[:, 1:1 + p], u1=u1, u2=u2, probe=probe))
+            t_start=arr[0, 0], ts=ts, samples=arr[:, 1:1 + p], u1=u1, u2=u2))
     return windows

@@ -277,22 +277,23 @@ def parse_network(doc: dict) -> NetworkModel:
 # ---------------------------------------------------------------------------
 
 
-def _connected(model: NetworkModel) -> bool:
-    if not model.buses:
+def connected(bus_ids, lines) -> bool:
+    """Whether `lines` join all of `bus_ids` into one graph; every line end
+    must be one of them. No buses is not connected."""
+    adj: dict[int, set[int]] = {b: set() for b in bus_ids}
+    for ln in lines:
+        adj[ln.from_bus].add(ln.to_bus)
+        adj[ln.to_bus].add(ln.from_bus)
+    if not adj:
         return False
-    adj: dict[int, set[int]] = {b.id: set() for b in model.buses}
-    for ln in model.lines:
-        if ln.from_bus in adj and ln.to_bus in adj:
-            adj[ln.from_bus].add(ln.to_bus)
-            adj[ln.to_bus].add(ln.from_bus)
-    seen = {model.buses[0].id}
-    stack = [model.buses[0].id]
+    first = next(iter(adj))
+    seen, stack = {first}, [first]
     while stack:
         for nxt in adj[stack.pop()]:
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return len(seen) == len(model.buses)
+    return len(seen) == len(adj)
 
 
 def validate(model: NetworkModel) -> list[Violation]:
@@ -371,7 +372,8 @@ def validate(model: NetworkModel) -> list[Violation]:
         if not ln.L > 0:
             bad("non-physical-inductance", f"{loc}.L", f"L must be > 0, got {ln.L}")
 
-    if not out and not _connected(model):
+    # only reached without dangling line ends
+    if not out and not connected(model.bus_ids, model.lines):
         bad("disconnected", "$", "network graph is not connected")
 
     out.sort(key=lambda v: (v.location, v.code))

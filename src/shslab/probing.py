@@ -64,7 +64,6 @@ class ProbingDesign:
     R: float
     channel: int
     tau0: float
-    shape: str = "step"
     ts: float | None = None
     argmin_pair: tuple[int, int] | None = None
 
@@ -72,8 +71,6 @@ class ProbingDesign:
         for name in ("mu0", "mu1", "delta_min", "R0", "R", "tau0"):
             if not math.isfinite(getattr(self, name)):
                 raise DegenerateDesignError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.shape != "step":
-            raise DegenerateDesignError(f"unsupported probe shape '{self.shape}'")
         if not self.tau0 > 0:
             raise DegenerateDesignError(f"tau0 must be > 0, got {self.tau0}")
         if not self.delta_min > 0:
@@ -180,7 +177,7 @@ def probe_to_json(p: ProbingDesign) -> dict:
         "mu0": p.mu0, "mu1": p.mu1, "delta_min": p.delta_min,
         "R0": p.R0, "R": p.R, "channel": p.channel,
         "channel_name": CHANNELS[p.channel],
-        "tau0": p.tau0, "shape": p.shape,
+        "tau0": p.tau0, "shape": "step",
     }
     if p.ts is not None:
         out["ts"] = p.ts
@@ -199,12 +196,15 @@ def _pair(value) -> tuple[int, int]:
 def probe_from_json(doc: dict, source="probe document") -> ProbingDesign:
     """The design a probe_to_json document describes. A missing key, a value
     of the wrong type or a design that fails ProbingDesign's checks is a
-    ConfigError naming `source`."""
+    ConfigError naming `source`. The only shape is 'step'; a document may
+    leave it out."""
+    shape = doc_value(doc, "shape", str, source, "step")
+    if shape != "step":
+        raise ConfigError(f"{source}: unsupported probe shape '{shape}'")
     values = {key: doc_value(doc, key, float, source)
               for key in ("mu0", "mu1", "delta_min", "R0", "R", "tau0")}
     values.update(
         channel=doc_value(doc, "channel", int, source),
-        shape=doc_value(doc, "shape", str, source, "step"),
         ts=doc_value(doc, "ts", float, source, None),
         argmin_pair=doc_value(doc, "argmin_pair", _pair, source, None))
     try:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SegmentationError
-from .grid import BusSpec, LineSpec, NetworkModel
+from .grid import BusSpec, LineSpec, NetworkModel, connected
 
 
 @dataclass(frozen=True)
@@ -93,18 +93,7 @@ def segment_network(model: NetworkModel,
             cut_lines.append(ln)
 
     for s in seg_ids:
-        adj: dict[int, set[int]] = {b: set() for b in members[s]}
-        for ln in internal[s]:
-            adj[ln.from_bus].add(ln.to_bus)
-            adj[ln.to_bus].add(ln.from_bus)
-        seen = {members[s][0]}
-        stack = [members[s][0]]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(members[s]):
+        if not connected(members[s], internal[s]):
             raise SegmentationError(
                 f"segment {s} is not connected through its internal lines")
 

@@ -160,7 +160,7 @@ def test_criterion_8_initial_state_estimator(m1_family, m1_probe):
         x0 = keep.T @ (keep @ (rng.standard_normal(18) * m1_probe.mu0))
         trace = simulate(d, x0, u1, u2, steps)
         window = MeasurementWindow(t_start=0.0, ts=PAPER_TS, samples=trace.outputs,
-                                   u1=u1, u2=u2, probe=m1_probe)
+                                   u1=u1, u2=u2)
         x0_hat, residual = estimate_initial_state(d, window, subsample=SUBSAMPLE)
         rec = np.linalg.norm(x0_hat - x0) / np.linalg.norm(x0)
         worst_rec = max(worst_rec, float(rec))
@@ -173,7 +173,7 @@ def test_criterion_8_initial_state_estimator(m1_family, m1_probe):
         x0 = rng.standard_normal(18) * m1_probe.mu0
         trace = simulate(d_true, x0, u1, u2, steps)
         window = MeasurementWindow(t_start=0.0, ts=PAPER_TS, samples=trace.outputs,
-                                   u1=u1, u2=u2, probe=m1_probe)
+                                   u1=u1, u2=u2)
         residuals = [estimate_initial_state(d, window, subsample=SUBSAMPLE)[1]
                      for d in dmodels]
         for j in range(4):

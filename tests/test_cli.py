@@ -226,6 +226,23 @@ def test_non_finite_family_exits_2(recorded, tmp_path, capsys, command):
     assert not os.path.exists(args[-1])
 
 
+@pytest.mark.parametrize("command", [
+    ["analyze", "--out", "eigs.csv"],
+    ["design-probe", "--tau0", "0.005", "--ts", "1e-5", "--out", "p.json"],
+    ["detect", "--trace", "{run}/windows", "--out", "r.json"],
+], ids=lambda c: c[0])
+def test_family_without_segment_id_exits_2(recorded, tmp_path, capsys, command):
+    doc = json.loads((recorded / "matrices.json").read_text())
+    del doc["families"][1]["segment_id"]
+    bad = tmp_path / "no_id.json"
+    bad.write_text(json.dumps(doc))
+    args = [a.format(run=recorded / "run") for a in command]
+    args[-1] = str(tmp_path / args[-1])
+    assert main(args + ["--family", str(bad), "--segment", "3"]) == 2
+    assert "no_id.json: families[1]: missing key 'segment_id'" in capsys.readouterr().err
+    assert not os.path.exists(args[-1])
+
+
 NO_SCIPY_PIPELINE = """
 import json, sys
 sys.modules["scipy"] = None
@@ -318,6 +335,18 @@ def test_detect_ragged_window_row_exits_2(recorded, tmp_path, capsys):
     assert f"window_0001.csv: row 6 has {cols - 1} fields, expected {cols}" in err
 
 
+@pytest.mark.parametrize("probe", [False, True], ids=["no-probe", "probe"])
+def test_detect_short_window_exits_2(recorded, tmp_path, capsys, probe):
+    # tau0 0.005 at the recorded 5e-5 s is 101 rows; drop the last one
+    lines = _recorded_window(recorded)
+    assert len(lines) == 103 and lines[-1] == ""
+    short = "\r\n".join(lines[:-2] + [""])
+    assert _replay(recorded, tmp_path, window_text=short, probe=probe) == 2
+    err = capsys.readouterr().err
+    assert "window_0001.csv: has 100 data rows; meta.json's tau0=0.005 at ts=5e-05 implies 101" in err
+    assert not (tmp_path / "replay.json").exists()
+
+
 @pytest.mark.parametrize("bad_row", ["2", "2,normal", ""])
 def test_detect_malformed_truth_row_exits_2(recorded, tmp_path, capsys, bad_row):
     truth = f"k,alpha\r\n1,0\r\n{bad_row}\r\n3,0\r\n"
@@ -407,11 +436,6 @@ def _put(key, value):
     return lambda doc: doc.update({key: value})
 
 
-# a valid design over a 5 ms window, as `design-probe --tau0 0.005` writes one
-PROBE_5MS = {"mu0": 1.0, "mu1": 1.0, "delta_min": 1.0, "R0": 2.0, "R": 2.02,
-             "channel": 1, "tau0": 0.005, "ts": 1e-05}
-
-
 @pytest.mark.parametrize("edit, message", [
     (_drop("tau"), "experiment.json: missing key 'tau'"),
     (_drop("K"), "experiment.json: missing key 'K'"),
@@ -419,14 +443,13 @@ PROBE_5MS = {"mu0": 1.0, "mu1": 1.0, "delta_min": 1.0, "R0": 2.0, "R": 2.02,
     (_drop("segment"), "experiment.json: missing key 'segment'"),
     (_drop("network"), "experiment.json: missing key 'network'"),
     (_put("K", "x"), "experiment.json: key 'K' has bad value 'x'"),
-    (_put("probe", {"file": "probe.json"}), "probe.json: missing key 'mu1'"),
+    (_put("probe", {"file": "probe.json", "channel": "delta"}),
+     "experiment.json: probe: key 'file' is not supported: the probe is designed "
+     "from 'channel' and 'margin'"),
     (_put("probe", {"channel": "delta", "tau0": 0.0025}),
      "experiment.json: probe: key 'tau0' is not supported"),
     (_put("probe", {"channel": "delta", "ts": 2e-5}),
      "experiment.json: probe: key 'ts' is not supported"),
-    (lambda doc: doc.update(probe={"file": "probe5ms.json"}, tau=0.1, tau0=0.01),
-     "probe5ms.json: the probe is designed over tau0=0.005, but the experiment's "
-     "detection window is tau0=0.01"),
     (_put("segments", [1, 4]), "experiment.json: key 'segments' has bad value [1, 4]"),
     (_put("contingencies", ["normal"]),
      "experiment.json: $.contingencies[0]: expected a contingency object, got 'normal'"),
@@ -434,15 +457,13 @@ PROBE_5MS = {"mu0": 1.0, "mu1": 1.0, "delta_min": 1.0, "R0": 2.0, "R": 2.02,
      "experiment.json: $.contingencies[1]: 'int' object is not iterable"),
     (_put("probe", {"channel": "bogus"}),
      "experiment.json: probe: key 'channel' has bad value 'bogus'"),
-], ids=["no-tau", "no-K", "no-seed", "no-segment", "no-network", "K-not-int", "bad-probe-file",
-        "probe-tau0", "probe-ts", "probe-file-other-tau0", "segments-list",
+], ids=["no-tau", "no-K", "no-seed", "no-segment", "no-network", "K-not-int", "probe-file",
+        "probe-tau0", "probe-ts", "segments-list",
         "contingency-not-object", "contingency-line-not-list", "bogus-channel"])
 def test_run_malformed_config_exits_2(workspace, capsys, edit, message):
     cfg = dict(EXPERIMENT_CONFIG)
     edit(cfg)
     (workspace / "experiment.json").write_text(json.dumps(cfg))
-    (workspace / "probe.json").write_text(json.dumps({"mu0": 1.0}))
-    (workspace / "probe5ms.json").write_text(json.dumps(PROBE_5MS))
     rc = main(["run", "--config", str(workspace / "experiment.json"),
                "--out-dir", str(workspace / "out")])
     assert rc == 2

@@ -287,18 +287,13 @@ def test_minimum_norm_on_rank_deficient():
     assert residual <= 1e-9
 
 
-def test_window_validation(m1_probe):
+def test_window_validation():
     with pytest.raises(EstimationError, match="u1"):
         MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((5, 2)),
                           u1=np.zeros((4, 3)), u2=np.zeros((5, 0)))
     with pytest.raises(EstimationError, match="sample period"):
         MeasurementWindow(t_start=0, ts=0.0, samples=np.zeros((5, 2)),
                           u1=np.zeros((5, 3)), u2=np.zeros((5, 0)))
-    # probe reference pins the window length
-    with pytest.raises(EstimationError, match="probe design implies"):
-        MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((5, 2)),
-                          u1=np.zeros((5, 3)), u2=np.zeros((5, 0)),
-                          probe=m1_probe)
 
 
 def test_forced_outputs_include_feedthrough(dmodels):
@@ -388,7 +383,7 @@ def test_warm_detection_matches_cold_and_full_stack_lstsq(m1_family, m1_probe, m
         trace = simulate(models[a], rng.standard_normal(18) * m1_probe.mu0, u1, u2, steps)
         windows.append(MeasurementWindow(
             t_start=0.0, ts=PAPER_TS, samples=trace.outputs + 1e-3 * rng.standard_normal(
-                trace.outputs.shape), u1=u1, u2=u2, probe=m1_probe))
+                trace.outputs.shape), u1=u1, u2=u2))
     cold = detect_sequence(models, windows, subsample=sub)
     stacks = [observability_stack(d, steps, sub) for d in models]
     calls = []

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import weakref
 
 import numpy as np
@@ -372,6 +373,27 @@ def test_read_windows_checks_probe_tau0_against_meta(tmp_path, m1_family, coarse
     with pytest.raises(ConfigError, match="meta.json") as exc:
         read_windows(tmp_path / "windows", probe=other)
     assert "tau0=0.005" in str(exc.value) and "tau0=0.011" in str(exc.value)
+
+
+@pytest.mark.parametrize("probe", [False, True], ids=["no-probe", "probe"])
+def test_read_windows_rejects_a_window_of_another_length(tmp_path, m1_family, coarse_probe,
+                                                         probe):
+    result = run_experiment(config(m1_family, coarse_probe, K=3, seed=3))
+    write_outputs(result, tmp_path, windows_mode="strided")
+    path = tmp_path / "windows" / "window_0002.csv"
+    path.write_bytes(path.read_bytes().rsplit(b"\r\n", 2)[0] + b"\r\n")
+    with pytest.raises(ConfigError, match="window_0002.csv: has 100 data rows") as exc:
+        read_windows(tmp_path / "windows", probe=coarse_probe if probe else None)
+    assert "tau0=0.005 at ts=5e-05 implies 101" in str(exc.value)
+
+
+@pytest.mark.parametrize("tau0", [0.0, float("nan")], ids=["zero", "nan"])
+def test_read_windows_rejects_bad_meta_tau0(tmp_path, m1_family, coarse_probe, tau0):
+    write_outputs(run_experiment(config(m1_family, coarse_probe, K=2, seed=3)), tmp_path)
+    meta = tmp_path / "windows" / "meta.json"
+    meta.write_text(json.dumps(dict(json.loads(meta.read_text()), tau0=tau0)))
+    with pytest.raises(ConfigError, match=f"meta.json: tau0={tau0} must be positive"):
+        read_windows(tmp_path / "windows")
 
 
 # values whose text form is easy to get wrong: signed zero, the smallest

@@ -5,7 +5,8 @@ from conftest import make_family, make_model, small_pvb_segment
 from oracles import trapezoid_lti
 from shslab.errors import ConfigError, DegenerateDesignError, NumericalError
 from shslab.probing import (ProbingDesign, channel_index, compute_delta_min,
-                            compute_mu0, compute_mu1, current_state_mask, design_mami)
+                            compute_mu0, compute_mu1, current_state_mask, design_mami,
+                            probe_from_json, probe_to_json)
 from shslab.ssbuild import ContingencySpec, ScenarioFamily, build_state_space
 
 
@@ -187,6 +188,16 @@ def test_probing_design_constructor_guards():
     with pytest.raises(DegenerateDesignError, match="delta_min"):
         ProbingDesign(mu0=1.0, mu1=1.0, delta_min=0.0, R0=1.0, R=2.0,
                       channel=0, tau0=1.0)
+
+
+def test_probe_document_shape_is_step(m1_probe):
+    doc = probe_to_json(m1_probe)
+    assert doc["shape"] == "step"
+    assert probe_from_json(doc) == m1_probe
+    doc.pop("shape")
+    assert probe_from_json(doc) == m1_probe
+    with pytest.raises(ConfigError, match="p.json: unsupported probe shape 'chirp'"):
+        probe_from_json(dict(doc, shape="chirp"), "p.json")
 
 
 def test_enlarging_family_cannot_increase_delta_min(m1_family):
