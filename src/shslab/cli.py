@@ -23,7 +23,8 @@ from .experiment import (ExperimentConfig, eigen_report, generate_sequence,
 from .grid import NetworkModel, parse_network
 from .linsys import discretize_zoh
 from .manifest import write_manifest
-from .probing import channel_index, design_mami, probe_from_json, probe_to_json
+from .probing import (channel_index, design_mami, probe_from_json, probe_margin,
+                      probe_to_json)
 from .segmentation import SegmentModel, segment_network, segments_to_json
 from .ssbuild import (ContingencySpec, ScenarioFamily, build_family, contingency_from_json,
                       family_from_json, family_to_json)
@@ -170,13 +171,18 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _flag(args, name: str, check):
+    """check(args.<name>); a value it rejects is a ConfigError naming the flag."""
+    try:
+        return check(getattr(args, name))
+    except DegenerateDesignError as exc:
+        raise ConfigError(f"--{name}: {exc}") from exc
+
+
 def cmd_design_probe(args) -> int:
     fam = _pick_family(args.family, args.segment)
-    try:
-        channel = channel_index(args.channel)
-    except DegenerateDesignError as exc:
-        raise ConfigError(f"--channel: {exc}") from exc
-    probe = design_mami(fam, fam[0].x_op, channel, args.tau0, args.ts, margin=args.margin)
+    channel, margin = _flag(args, "channel", channel_index), _flag(args, "margin", probe_margin)
+    probe = design_mami(fam, fam[0].x_op, channel, args.tau0, args.ts, margin=margin)
     dump_json(probe_to_json(probe), args.out)
     write_manifest(os.path.dirname(os.path.abspath(args.out)), "design-probe",
                    [args.family],
@@ -221,7 +227,8 @@ def _experiment_from_config(cfg_path, probe_off: bool = False,
     _reject_key(probe_cfg, "file", f"{cfg_path}: probe",
                 "the probe is designed from 'channel' and 'margin'")
     channel = probe_get("channel", channel_index, "delta")
-    margin = probe_get("margin", float, 1.01)
+    margin = probe_get("margin", probe_margin, 1.01)
+    get("reference", dict, {})  # printed after the run, so checked before it
 
     net = _load_network(net_path)
     segments = segment_network(net, _assignment_from_config(cfg, cfg_path))

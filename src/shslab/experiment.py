@@ -71,6 +71,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.K < 1:
             raise ConfigError(f"K must be >= 1, got {self.K}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (self.tau > 0 and self.tau0 > 0 and self.ts > 0):
             raise ConfigError("tau, tau0 and ts must all be > 0")
         if self.tau0 > self.tau / 10.0 + 1e-15:

@@ -38,6 +38,14 @@ def channel_index(channel) -> int:
     return ch
 
 
+def probe_margin(margin) -> float:
+    """margin as the factor R / R0, which must be finite and exceed 1."""
+    margin = float(margin)
+    if not (margin > 1.0 and math.isfinite(margin)):
+        raise DegenerateDesignError(f"margin must be finite and exceed 1, got {margin}")
+    return margin
+
+
 def whole_steps(name: str, span: float, ts: float) -> int:
     """span / ts as a count of samples: it must be whole (to 1e-6) and >= 1."""
     ratio = span / ts if ts > 0 else math.nan
@@ -153,8 +161,7 @@ def compute_delta_min(family: ScenarioFamily, channel, tau0: float,
 def design_mami(family: ScenarioFamily, equilibrium: np.ndarray, channel,
                 tau0: float, ts: float, margin: float = 1.01) -> ProbingDesign:
     """Full design: R0 = 2 mu0 mu1 / delta_min, R = margin * R0 (margin > 1)."""
-    if not margin > 1.0:
-        raise DegenerateDesignError(f"margin must exceed 1, got {margin}")
+    margin = probe_margin(margin)
     ch = channel_index(channel)
     mu1 = compute_mu1(family)
     dm = compute_delta_min(family, ch, tau0, ts)

@@ -7,16 +7,18 @@ State ordering is fixed as [resource | network lines | aux branches | loads]:
 * each aux branch (2):     I_{aux}_q, I_{aux}_d
 * each loaded bus (4):     V_{k}_q, V_{k}_d, I_LL{k}_q, I_LL{k}_d
 
-Circuit conventions (signs fixed once, covered by oracle tests):
+Circuit conventions (signs fixed once in two stamps, covered by oracle tests):
 
-* series R-L from a to b:  L di_q/dt = V_a,q - V_b,q - R i_q + w L i_d
-  (d axis mirrors with -w L i_q); the current contributes -i to a's KCL
-  and +i to b's KCL.
-* loaded bus k:  C dV_q/dt = sum(incident currents, q) - V_q/R - I_LL_q + w C V_d.
-* aux branch at bus k: same R-L stamp with the half impedance; the far-end
-  voltage is the disturbance channel u2, entering with -1/L.
-* a bus without a load has no voltage state and is treated as grounded
-  (only reachable through hand-built test segments).
+* _rotate: each dq pair decays and rotates, dx_q/dt = -rate x_q + w x_d and
+  dx_d/dt = -rate x_d - w x_q, at rate R/L for a branch current and 1/(RC)
+  for a bus voltage.
+* _terminal: branch current i of inductance L meets bus k with sign s:
+  s V_k / L enters its KVL and -s i / C enters k's KCL. A line from a to b
+  meets a with +1 and b with -1; an aux half and a load's Rl-L branch meet
+  their bus with +1; the converter filter current i_t meets the resource bus
+  with -1, flowing into it. A bus without a load has no voltage state, is
+  treated as grounded and takes nothing (only hand-built test segments).
+* the far end of an aux half is the disturbance channel u2, entering with -1/L.
 
 Contingency transforms keep the state dimension fixed:
 
@@ -100,25 +102,23 @@ class ContingencySpec:
 
 
 def contingency_from_json(obj: dict, loc: str = "$") -> ContingencySpec:
-    """The contingency a config entry describes. An entry that is not an
-    object, or a kind, line or R_f_ohm that does not fit, is a
-    NetworkFormatError at `loc`."""
+    """The contingency a config entry describes. Every kind reads 'kind' and
+    'line'; a short circuit also reads 'R_f_ohm', a disconnect 'open_end'.
+    An entry that is not an object, a value ContingencySpec rejects, or a key
+    its kind does not read is a NetworkFormatError at `loc`."""
     if not isinstance(obj, dict):
         raise NetworkFormatError(f"expected a contingency object, got {obj!r}", loc)
-    kind = obj.get("kind")
-    if kind not in _KINDS:
-        raise NetworkFormatError(f"unknown contingency kind '{kind}'", loc)
     try:
-        line = tuple(obj["line"]) if "line" in obj else None
-        if kind == "normal":
-            return ContingencySpec.normal()
-        if kind == "short_circuit":
-            return ContingencySpec.short_circuit(line, R_f=float(obj.get("R_f_ohm", 1e-3)))
-        if kind == "line_outage":
-            return ContingencySpec.line_outage(line)
-        return ContingencySpec.line_disconnect(line, open_end=obj.get("open_end"))
+        spec = ContingencySpec(
+            obj.get("kind"), tuple(obj["line"]) if "line" in obj else None,
+            float(obj.get("R_f_ohm", ContingencySpec.R_f)), obj.get("open_end"))
     except (BuildError, TypeError, ValueError) as exc:
         raise NetworkFormatError(str(exc), loc) from exc
+    own = {"short_circuit": "R_f_ohm", "line_disconnect": "open_end"}.get(spec.kind)
+    for key in obj:
+        if key not in ("kind", "line", own):
+            raise NetworkFormatError(f"'{spec.kind}' takes no key '{key}'", loc)
+    return spec
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,16 +248,17 @@ class _Index:
 
 
 def _resolve_line_mode(segment: SegmentModel, contingency: ContingencySpec):
-    """Return (line key -> contingency) map, validating the line reference."""
+    """The contingency's line key, or None for 'normal'; a line that is not
+    internal to the segment is a BuildError."""
     if contingency.kind == "normal":
-        return {}
+        return None
     key = tuple(sorted(contingency.line))
     internal = {ln.key() for ln in segment.internal_lines}
     if key not in internal:
         raise BuildError(
             f"contingency references line {key} which is not internal to "
             f"segment {segment.id} (internal lines: {sorted(internal)})")
-    return {key: contingency}
+    return key
 
 
 def _fault_drain(R: float, L: float, R_f: float, omega: float) -> np.ndarray:
@@ -268,53 +269,55 @@ def _fault_drain(R: float, L: float, R_f: float, omega: float) -> np.ndarray:
     return np.linalg.inv(M) / 2.0
 
 
+def _rotate(A: np.ndarray, q: int, d: int, rate: float, w: float) -> None:
+    """Decay plus dq rotation of the (q, d) row pair: dx_q/dt gets
+    -rate x_q + w x_d and dx_d/dt gets -rate x_d - w x_q."""
+    A[q, q] += -rate
+    A[q, d] += w
+    A[d, d] += -rate
+    A[d, q] += -w
+
+
+def _terminal(A: np.ndarray, idx: _Index, q: int, d: int, bus: int,
+              L: float, sign: float) -> None:
+    """Couple the branch current (q, d) of inductance L to `bus`: the bus
+    voltage enters the branch KVL with sign/L and the current leaves the
+    bus's KCL with sign/C. A bus without a voltage state is grounded."""
+    if bus not in idx.vq:
+        return
+    C = idx.shunt_C(bus)
+    A[q, idx.vq[bus]] += sign / L
+    A[d, idx.vd[bus]] += sign / L
+    A[idx.vq[bus], q] += -sign / C
+    A[idx.vd[bus], d] += -sign / C
+
+
 def _stamp_linear(segment: SegmentModel, contingency: ContingencySpec,
                   idx: _Index) -> tuple[np.ndarray, np.ndarray]:
     """Analytic A and B2 entries for everything except the resource block."""
-    modes = _resolve_line_mode(segment, contingency)
+    faulted = _resolve_line_mode(segment, contingency)
     w = segment.omega_nom
-    n = idx.n
-    A = np.zeros((n, n))
-    B2 = np.zeros((n, len(idx.u2_labels)))
+    A = np.zeros((idx.n, idx.n))
+    B2 = np.zeros((idx.n, len(idx.u2_labels)))
 
     for ln in segment.internal_lines:
         u, v = ln.key()
         iq, id_ = idx.line_i[(u, v)]
-        R, L = ln.R, ln.L
-        mode = modes.get((u, v))
-        if mode is not None and mode.kind == "line_outage":
-            A[iq, iq] = -R / L
-            A[id_, id_] = -R / L
+        kind = contingency.kind if (u, v) == faulted else "normal"
+        # an outaged line's current only decays: no rotation, no coupling
+        _rotate(A, iq, id_, ln.R / ln.L, 0.0 if kind == "line_outage" else w)
+        if kind == "line_outage":
             continue
-        A[iq, iq] += -R / L
-        A[iq, id_] += w
-        A[id_, id_] += -R / L
-        A[id_, iq] += -w
-        drop_u = drop_v = False
-        if mode is not None and mode.kind == "line_disconnect":
-            drop_u = mode.open_end == u
-            drop_v = mode.open_end == v
-        if u in idx.vq and not drop_u:
-            A[iq, idx.vq[u]] += 1.0 / L
-            A[id_, idx.vd[u]] += 1.0 / L
-            Cu = idx.shunt_C(u)
-            A[idx.vq[u], iq] += -1.0 / Cu
-            A[idx.vd[u], id_] += -1.0 / Cu
-        if v in idx.vq and not drop_v:
-            A[iq, idx.vq[v]] += -1.0 / L
-            A[id_, idx.vd[v]] += -1.0 / L
-            Cv = idx.shunt_C(v)
-            A[idx.vq[v], iq] += 1.0 / Cv
-            A[idx.vd[v], id_] += 1.0 / Cv
-        if mode is not None and mode.kind == "short_circuit":
-            G = _fault_drain(R, L, mode.R_f, w)
-            for a_bus in (u, v):
-                if a_bus not in idx.vq:
-                    continue
+        open_end = contingency.open_end if kind == "line_disconnect" else None
+        for bus, sign in ((u, 1.0), (v, -1.0)):
+            if bus != open_end:
+                _terminal(A, idx, iq, id_, bus, ln.L, sign)
+        if kind == "short_circuit":
+            G = _fault_drain(ln.R, ln.L, contingency.R_f, w)
+            ends = [b for b in (u, v) if b in idx.vq]
+            for a_bus in ends:
                 Ca = idx.shunt_C(a_bus)
-                for b_bus in (u, v):
-                    if b_bus not in idx.vq:
-                        continue
+                for b_bus in ends:
                     A[idx.vq[a_bus], idx.vq[b_bus]] += -G[0, 0] / Ca
                     A[idx.vq[a_bus], idx.vd[b_bus]] += -G[0, 1] / Ca
                     A[idx.vd[a_bus], idx.vq[b_bus]] += -G[1, 0] / Ca
@@ -323,47 +326,24 @@ def _stamp_linear(segment: SegmentModel, contingency: ContingencySpec,
     for a in segment.aux_buses:
         iq, id_ = idx.aux_i[a.aux_id]
         cq, cd = idx.u2_i[a.aux_id]
-        A[iq, iq] += -a.R / a.L
-        A[iq, id_] += w
-        A[id_, id_] += -a.R / a.L
-        A[id_, iq] += -w
-        k = a.attach_bus
-        if k in idx.vq:
-            A[iq, idx.vq[k]] += 1.0 / a.L
-            A[id_, idx.vd[k]] += 1.0 / a.L
-            Ck = idx.shunt_C(k)
-            A[idx.vq[k], iq] += -1.0 / Ck
-            A[idx.vd[k], id_] += -1.0 / Ck
+        _rotate(A, iq, id_, a.R / a.L, w)
+        _terminal(A, idx, iq, id_, a.attach_bus, a.L, 1.0)
         B2[iq, cq] = -1.0 / a.L
         B2[id_, cd] = -1.0 / a.L
 
-    if idx.has_pvb and segment.pvb_bus in idx.vq:
-        Ck = idx.shunt_C(segment.pvb_bus)
-        A[idx.vq[segment.pvb_bus], idx.index["i_t_q"]] += 1.0 / Ck
-        A[idx.vd[segment.pvb_bus], idx.index["i_t_d"]] += 1.0 / Ck
-
+    # after the lines, so a bus's shunt term lands after any fault drain
     for k, vqi in idx.vq.items():
         lp = segment.bus(k).load
-        vdi, jqi, jdi = idx.vd[k], idx.jq[k], idx.jd[k]
-        A[vqi, vqi] += -1.0 / (lp.R * lp.C)
-        A[vqi, vdi] += w
-        A[vqi, jqi] += -1.0 / lp.C
-        A[vdi, vdi] += -1.0 / (lp.R * lp.C)
-        A[vdi, vqi] += -w
-        A[vdi, jdi] += -1.0 / lp.C
-        A[jqi, vqi] += 1.0 / lp.L
-        A[jqi, jqi] += -lp.Rl / lp.L
-        A[jqi, jdi] += w
-        A[jdi, vdi] += 1.0 / lp.L
-        A[jdi, jdi] += -lp.Rl / lp.L
-        A[jdi, jqi] += -w
+        _rotate(A, vqi, idx.vd[k], 1.0 / (lp.R * lp.C), w)
+        _rotate(A, idx.jq[k], idx.jd[k], lp.Rl / lp.L, w)
+        _terminal(A, idx, idx.jq[k], idx.jd[k], k, lp.L, 1.0)
     return A, B2
 
 
 def _stamp_resource(A: np.ndarray, segment: SegmentModel, idx: _Index,
                     u1_op: np.ndarray) -> np.ndarray:
-    """Write the resource rows of A and return the constant term b of
-    dx/dt = A x + b.
+    """Write the resource rows of A, and the converter's terminal at its bus,
+    and return the constant term b of dx/dt = A x + b.
 
     With the converter held at u1_op the element equations are affine in
     (i_pv, v_dc, i_t_q, i_t_d, v_Cs, v_Cb) and the resource bus voltage, so
@@ -373,7 +353,6 @@ def _stamp_resource(A: np.ndarray, segment: SegmentModel, idx: _Index,
     the battery voltage is v_b = v_dc - R_t i_bat.
     """
     p = segment.bus(segment.pvb_bus).pvb
-    w = segment.omega_nom
     d, delta, m_a = u1_op
     sin, cos = math.sin(delta), math.cos(delta)
     denom = 1.0 + p.R_t / p.R_s + p.R_t / p.R_e
@@ -383,13 +362,12 @@ def _stamp_resource(A: np.ndarray, segment: SegmentModel, idx: _Index,
     A[0, 0:2] = p.R_PV / p.L_1PV, -(1.0 - d) / p.L_1PV
     A[1, 0:6] = np.array([1.0 - d, -(g_s + g_e), -0.75 * m_a * sin,
                           -0.75 * m_a * cos, g_s, g_e]) / p.C_PV
-    A[2, 1:4] = 0.5 * m_a * sin / p.L_2PV, -p.R_2PV / p.L_2PV, w
-    A[3, 1:4] = 0.5 * m_a * cos / p.L_2PV, -w, -p.R_2PV / p.L_2PV
+    A[2:4, 1] = 0.5 * m_a * np.array([sin, cos]) / p.L_2PV
+    # the filter current i_t flows into the resource bus
+    _rotate(A, 2, 3, p.R_2PV / p.L_2PV, segment.omega_nom)
+    _terminal(A, idx, 2, 3, segment.pvb_bus, p.L_2PV, -1.0)
     A[4, [1, 4, 5]] = (dvb - [0.0, 1.0, 0.0]) / (p.R_s * p.C_s)
     A[5, [1, 4, 5]] = (dvb - [0.0, 0.0, 1.0]) / (p.R_e * p.C_b)
-    if segment.pvb_bus in idx.vq:
-        A[2, idx.vq[segment.pvb_bus]] = -1.0 / p.L_2PV
-        A[3, idx.vd[segment.pvb_bus]] = -1.0 / p.L_2PV
     b = np.zeros(idx.n)
     b[0] = -p.R_PV * p.I_PV / p.L_1PV
     return b

@@ -11,6 +11,7 @@ from shslab.segmentation import SegmentModel, segment_network
 from shslab.ssbuild import ContingencySpec, ScenarioFamily, StateSpaceModel, build_family
 
 PAPER_ASSIGNMENT = {1: 1, 4: 1, 2: 2, 5: 2, 3: 3, 6: 3}
+ARCH_ASSIGNMENT = {1: 1, 4: 1, 7: 1, 2: 2, 3: 2, 6: 2, 5: 3, 8: 3, 9: 3}
 
 PAPER_TAU0 = 0.01
 PAPER_TS = 1e-6

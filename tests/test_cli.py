@@ -457,9 +457,20 @@ def _put(key, value):
      "experiment.json: $.contingencies[1]: 'int' object is not iterable"),
     (_put("probe", {"channel": "bogus"}),
      "experiment.json: probe: key 'channel' has bad value 'bogus'"),
+    (_put("contingencies", [{"kind": "normal"},
+                            {"kind": "short_circuit", "line": [1, 4], "R_f": 50}]),
+     "experiment.json: $.contingencies[1]: 'short_circuit' takes no key 'R_f'"),
+    (_put("reference", [1, 2]), "experiment.json: key 'reference' has bad value [1, 2]"),
+    (_put("seed", -1), "experiment.json: seed must be >= 0, got -1"),
+    (_put("probe", {"channel": "delta", "margin": 0.5}),
+     "experiment.json: probe: key 'margin' has bad value 0.5"),
+    (_put("probe", {"channel": "delta", "margin": float("inf")}),
+     "experiment.json: probe: key 'margin' has bad value inf"),
 ], ids=["no-tau", "no-K", "no-seed", "no-segment", "no-network", "K-not-int", "probe-file",
         "probe-tau0", "probe-ts", "segments-list",
-        "contingency-not-object", "contingency-line-not-list", "bogus-channel"])
+        "contingency-not-object", "contingency-line-not-list", "bogus-channel",
+        "contingency-unread-key", "reference-list", "negative-seed", "margin-below-1",
+        "margin-inf"])
 def test_run_malformed_config_exits_2(workspace, capsys, edit, message):
     cfg = dict(EXPERIMENT_CONFIG)
     edit(cfg)
@@ -479,8 +490,13 @@ def test_run_malformed_config_exits_2(workspace, capsys, edit, message):
      "stage.json: $.contingencies.1[0]: expected a contingency object, got 'normal'"),
     (_put("segments", [1, 4]), "stage.json: key 'segments' has bad value [1, 4]"),
     (_put("segments", {"1": 5}), "stage.json: key 'segments' maps '1' to 5"),
+    (_put("contingencies", {"1": [{"kind": "normal"},
+                                  {"kind": "line_outage", "line": [1, 4], "open_end": 1}]}),
+     "stage.json: $.contingencies.1[1]: 'line_outage' takes no key 'open_end'"),
+    (_put("contingencies", {"1": [{"kind": "normal", "line": [1, 4]}]}),
+     "stage.json: $.contingencies.1[0]: 'normal' takes no line reference"),
 ], ids=["monitored-bus", "contingencies-list", "contingency-not-object", "segments-list",
-        "segment-buses-not-list"])
+        "segment-buses-not-list", "outage-open-end", "normal-with-line"])
 def test_build_malformed_config_exits_2(workspace, capsys, edit, message):
     cfg = json.loads(json.dumps(STAGE_CONFIG))
     edit(cfg)
@@ -499,6 +515,17 @@ def test_design_probe_bogus_channel_exits_2(recorded, tmp_path, capsys):
                "--out", str(tmp_path / "p.json")])
     assert rc == 2
     assert "--channel: unknown probe channel 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("margin", ["0.5", "inf", "nan"])
+def test_design_probe_bad_margin_exits_2(recorded, tmp_path, capsys, margin):
+    rc = main(["design-probe", "--family", str(recorded / "matrices.json"), "--segment", "1",
+               "--tau0", "0.005", "--ts", "1e-5", "--margin", margin,
+               "--out", str(tmp_path / "p.json")])
+    assert rc == 2
+    assert f"--margin: margin must be finite and exceed 1, got {float(margin)}" in \
+        capsys.readouterr().err
     assert not (tmp_path / "p.json").exists()
 
 

@@ -1,11 +1,9 @@
 import pytest
 
-from conftest import PAPER_ASSIGNMENT, PVB_PARAMS, LOAD_A, LOAD_B
+from conftest import ARCH_ASSIGNMENT, PAPER_ASSIGNMENT, PVB_PARAMS, LOAD_A, LOAD_B
 from shslab.errors import SegmentationError
 from shslab.grid import BusSpec, LineSpec, NetworkModel
 from shslab.segmentation import segment_network, segments_to_json
-
-ARCH_ASSIGNMENT = {1: 1, 4: 1, 7: 1, 2: 2, 3: 2, 6: 2, 5: 3, 8: 3, 9: 3}
 
 
 def test_cut_line_1_4_gets_half_impedance(paper_net):

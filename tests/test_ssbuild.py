@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (LOAD_A, LOAD_B, PVB_PARAMS, bare_line_segment,
-                      small_pvb_segment, two_load_bus_segment)
+from conftest import (ARCH_ASSIGNMENT, LOAD_A, LOAD_B, PAPER_ASSIGNMENT, PVB_PARAMS,
+                      bare_line_segment, small_pvb_segment, two_load_bus_segment)
 from oracles import branch_incidence, fd_jacobian, segment_rhs
 from shslab.errors import BuildError, NetworkFormatError
 from shslab.grid import BusSpec, LineSpec
-from shslab.segmentation import SegmentModel
+from shslab.segmentation import SegmentModel, segment_network
 from shslab.ssbuild import (PVB_STATE_NAMES, ContingencySpec, ScenarioFamily,
                             build_family, build_measurement, build_state_space,
                             family_from_json, family_to_json)
@@ -230,23 +230,62 @@ def _u1_op(segment):
     return np.array([op.d, op.delta, op.m_a])
 
 
-@pytest.mark.parametrize("scenario_i", [0, 1, 2, 3])
-def test_assembled_a_is_exact_for_affine_rhs(seg1, m1_contingencies, m1_family, scenario_i):
-    # with u1 fixed the element equations are affine in x, so A must carry
-    # any step dx exactly, not just to first order
-    con, model = m1_contingencies[scenario_i], m1_family[scenario_i]
-    u1_op = _u1_op(seg1)
+def _assert_affine_exact(segment, con, model, seed):
+    # with u1 fixed the element equations are affine in (x, u2), so A and B2
+    # must carry any step exactly, not just to first order
+    u1_op = np.zeros(3) if segment.pvb_bus is None else _u1_op(segment)
+    u2_ref = np.zeros(model.B2.shape[1])
 
-    def rhs(x):
-        return segment_rhs(seg1, con, x, u1_op, np.zeros(2))
+    def rhs(x, u2=u2_ref):
+        return segment_rhs(segment, con, x, u1_op, u2)
 
     f_op = rhs(model.x_op)
-    norm_A = np.linalg.norm(model.A, 2)
-    rng = np.random.default_rng(scenario_i)
-    for _ in range(5):
-        dx = rng.uniform(-1.0, 1.0, model.n) * np.max(np.abs(model.x_op))
-        err = np.linalg.norm(rhs(model.x_op + dx) - f_op - model.A @ dx)
-        assert err <= 1e-14 * norm_A * np.linalg.norm(dx)
+    steps = [(model.A, lambda dx: rhs(model.x_op + dx))]
+    if u2_ref.size:
+        steps.append((model.B2, lambda du: rhs(model.x_op, du)))
+    scale = np.max(np.abs(model.x_op)) or 1.0  # a segment without a resource rests at 0
+    rng = np.random.default_rng(seed)
+    for M, step in steps:
+        for _ in range(5):
+            dv = rng.uniform(-1.0, 1.0, M.shape[1]) * scale
+            err = np.linalg.norm(step(dv) - f_op - M @ dv)
+            assert err <= 1e-14 * np.linalg.norm(M, 2) * np.linalg.norm(dv)
+
+
+@pytest.mark.parametrize("scenario_i", [0, 1, 2, 3])
+def test_assembled_a_is_exact_for_affine_rhs(seg1, m1_contingencies, m1_family, scenario_i):
+    _assert_affine_exact(seg1, m1_contingencies[scenario_i], m1_family[scenario_i],
+                         scenario_i)
+
+
+def _every_contingency(segment):
+    """normal, then each internal line short-circuited, outaged and open at each end"""
+    yield ContingencySpec.normal()
+    for ln in segment.internal_lines:
+        key = ln.key()
+        yield ContingencySpec.short_circuit(key)
+        yield ContingencySpec.line_outage(key)
+        for end in key:
+            yield ContingencySpec.line_disconnect(key, open_end=end)
+
+
+_CIRCUITS = {"bare_line": bare_line_segment, "two_load_bus": two_load_bus_segment,
+             "small_pvb": small_pvb_segment}
+
+
+@pytest.mark.parametrize("shape", ["paper6bus-1", "paper6bus-2", "paper6bus-3", "arch9bus-1",
+                                   "arch9bus-2", "arch9bus-3", *_CIRCUITS])
+def test_assembled_a_is_exact_for_every_scenario_shape(paper_net, arch_net, shape):
+    # every bundled segment and hand-built circuit under every contingency
+    # its internal lines admit: grounded ends, aux halves, no resource
+    if shape in _CIRCUITS:
+        segment = _CIRCUITS[shape]()
+    else:
+        net, seg_id = shape.split("-")
+        nets = {"paper6bus": (paper_net, PAPER_ASSIGNMENT), "arch9bus": (arch_net, ARCH_ASSIGNMENT)}
+        segment = next(s for s in segment_network(*nets[net]) if s.id == int(seg_id))
+    for i, con in enumerate(_every_contingency(segment)):
+        _assert_affine_exact(segment, con, build_state_space(segment, con), i)
 
 
 @pytest.mark.parametrize("scenario_i", [0, 1, 2, 3])
