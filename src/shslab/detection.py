@@ -4,7 +4,7 @@ For each candidate scenario the unknown window-start state is estimated by
 stacked least squares against the recorded outputs (with the recorded probe
 and aux-voltage feedthrough removed), and the scenario with the smallest
 fit residual wins. Ties break toward the lowest scenario index. Windows that
-share their input records are fitted together, one solve per scenario.
+share their input records are fitted together, in one pass for all scenarios.
 
 The forced response each fit discounts is the scenario's output from rest
 under the window's input record. A caller that already holds it, as the
@@ -188,21 +188,6 @@ def _check_window(dmodel: DiscreteStateSpace, window: MeasurementWindow) -> None
             f"window sampled at {window.ts}, model discretized at {dmodel.ts}")
 
 
-def _free_outputs(windows: list[MeasurementWindow], forced: np.ndarray,
-                  subsample: int) -> np.ndarray:
-    """(rows, windows) matrix of the strided samples of windows that share
-    their input records, with those records' forced response removed."""
-    if subsample < 1:
-        raise EstimationError(f"subsample must be >= 1, got {subsample}")
-    # filled in place from strided views: these (rows, windows) matrices set
-    # detection's peak memory
-    forced = forced[::subsample]
-    free = np.empty((len(windows),) + forced.shape)
-    for k, window in enumerate(windows):
-        np.subtract(window.samples[::subsample], forced, out=free[k])
-    return free.reshape(len(windows), -1).T
-
-
 def _factor(dmodel: DiscreteStateSpace, steps: int, subsample: int):
     """The observability stack of `dmodel` on the estimator grid of a window
     of `steps` steps, with its QR streamed over chunks of _QR_ROWS rows: the
@@ -219,30 +204,40 @@ def _factor(dmodel: DiscreteStateSpace, steps: int, subsample: int):
     return stack, tuple(qs), tri
 
 
-def _fit(factor, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares window-start states for every column of `free` and the
-    attained residual norms, against a factor from _factor.
+def _fit(factors, windows, forced, subsample: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares window-start states (m, n, W) of W windows of one length
+    against m factors from _factor of one state dimension, and the attained
+    residual norms (m, W), discounting the m scenarios' forced responses.
 
-    The stored rotations of the streamed QR are applied to `free` chunk by
-    chunk, in the order they were taken, so every LAPACK and BLAS call stays
-    small enough to run on the calling thread. The triangle goes to numpy's
-    lstsq at the rank cut numpy applies to the full stack,
-    eps * max(rows, n) times the largest singular value, so rank-deficient
-    stacks get the minimum-norm estimate. Residuals are taken against the
-    full stack.
+    The windows' estimator rows are copied once into one (rows, W) matrix,
+    detection's peak memory. One streamed pass forms, chunk by chunk, the
+    free part of every scenario and applies the m stored rotations of the
+    chunk in one batched product, small enough for the calling thread. Each
+    triangle goes to numpy's lstsq at the rank cut numpy applies to the full
+    stack, eps * max(rows, n) times the largest singular value, so
+    rank-deficient stacks get the minimum-norm estimate. Residuals are taken
+    against the full stacks.
     """
-    stack, qs, tri = factor
-    rows, n = stack.shape
+    samples = np.stack([w.samples[::subsample] for w in windows], axis=-1).reshape(-1, len(windows))
+    forced = np.reshape([f[::subsample] for f in forced], (len(factors), -1))
+    stacks, qs, tris = zip(*factors)
+    rows, n = stacks[0].shape
     chunks = range(0, rows, _QR_ROWS)
-    rhs = np.empty((0, free.shape[1]))
-    for lo, q in zip(chunks, qs):
-        rhs = q.T @ np.vstack([rhs, free[lo:lo + _QR_ROWS]])
-    x0_hat, _, _, _ = np.linalg.lstsq(tri, rhs, rcond=np.finfo(float).eps * max(rows, n))
-    squares = np.zeros(free.shape[1])
+
+    def free(lo):
+        return samples[lo:lo + _QR_ROWS] - forced[:, lo:lo + _QR_ROWS, None]
+
+    rhs = np.empty((len(factors), 0, samples.shape[1]))
+    for c, lo in enumerate(chunks):
+        q = np.stack([chunk_qs[c] for chunk_qs in qs]).transpose(0, 2, 1)
+        rhs = np.matmul(q, np.concatenate([rhs, free(lo)], axis=1))
+    rcond = np.finfo(float).eps * max(rows, n)
+    x0_hat = np.stack([np.linalg.lstsq(tri, r, rcond=rcond)[0] for tri, r in zip(tris, rhs)])
+    squares = np.zeros((len(factors), samples.shape[1]))
     for lo in chunks:
-        misfit = stack[lo:lo + _QR_ROWS] @ x0_hat
-        misfit -= free[lo:lo + _QR_ROWS]
-        squares += np.einsum("ij,ij->j", misfit, misfit)
+        misfit = np.stack([stack[lo:lo + _QR_ROWS] for stack in stacks]) @ x0_hat
+        misfit -= free(lo)
+        squares += np.einsum("aij,aij->aj", misfit, misfit)
     return x0_hat, np.sqrt(squares)
 
 
@@ -251,16 +246,15 @@ def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow
     """Least-squares window-start state and the attained fit residual.
 
     Rank-deficient observability gives the minimum-norm estimate; an all-zero
-    observability map is reported as an error. This is the one-window case of
-    the solve detect_sequence makes per run of windows, but it builds the
-    stack and its QR afresh on every call and stores nothing: it is the cold
-    path detect_sequence's stored factors are checked against, and a model
-    it is called on once pins no factor.
+    observability map is reported as an error. This is detect_sequence's fit
+    for one window and one scenario, but it builds the stack and its QR
+    afresh on every call and stores nothing: it is the cold path the stored
+    factors are checked against, and a model it is called on pins no factor.
     """
     _check_window(dmodel, window)
-    x0_hat, residual = _fit(_factor(dmodel, window.steps, subsample), _free_outputs(
-        [window], forced_outputs(dmodel, window), subsample))
-    return x0_hat[:, 0], float(residual[0])
+    x0_hat, residual = _fit([_factor(dmodel, window.steps, subsample)], [window],
+                            [forced_outputs(dmodel, window)], subsample)
+    return x0_hat[0, :, 0], float(residual[0, 0])
 
 
 def _shared_input_runs(windows: list[MeasurementWindow]) -> list[list[MeasurementWindow]]:
@@ -287,9 +281,9 @@ def detect_sequence(models: list[DiscreteStateSpace],
     """Fit every scenario to every window of an ordered list and pick the
     minimum-residual scenario per window.
 
-    Consecutive windows with identical input records share, per scenario, one
-    forced response and one least-squares solve over all of their windows;
-    every scenario's stack and its QR come from the memo of _factor.
+    Consecutive windows with identical input records share one forced
+    response per scenario and one fit of all scenarios over all of their
+    windows; each scenario's stack and its QR come from the memo of _factor.
 
     `forced` maps a scenario index to that model's forced outputs under the
     input records of windows[0], for a caller that already simulated them.
@@ -308,24 +302,23 @@ def detect_sequence(models: list[DiscreteStateSpace],
         head = run[0]
         handed = forced if (forced is not None and head.u1 is windows[0].u1
                             and head.u2 is windows[0].u2) else {}
-        fits = []
+        factors, responses = [], []
         for i, model in enumerate(models):
             try:
                 for window in run:
                     _check_window(model, window)
-                factor = memo(model, ("factor", head.steps, subsample),
-                              partial(_factor, model, head.steps, subsample))
+                factors.append(memo(model, ("factor", head.steps, subsample),
+                                    partial(_factor, model, head.steps, subsample)))
                 f = handed.get(i)
                 if f is None:
                     f = forced_outputs(model, head)
                 elif f.shape != head.samples.shape:
                     raise EstimationError(
                         f"forced response is {f.shape}, windows are {head.samples.shape}")
-                fits.append(_fit(factor, _free_outputs(run, f, subsample)))
+                responses.append(f)
             except EstimationError as exc:
                 raise EstimationError(f"scenario {i}: {exc}") from exc
-        x0_hat = np.stack([x for x, _ in fits])          # (m, n, windows)
-        residuals = np.stack([r for _, r in fits])       # (m, windows)
+        x0_hat, residuals = _fit(factors, run, responses, subsample)
         for col in range(len(run)):
             verdicts.append(ScenarioVerdict(
                 detected=int(np.argmin(residuals[:, col])),

@@ -84,12 +84,18 @@ class ExperimentConfig:
             raise ConfigError(
                 f"the probe is designed over tau0={self.probe.tau0}, but the "
                 f"experiment's detection window is tau0={self.tau0}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.x0_mode not in ("zero", "random"):
             raise ConfigError(f"x0_mode must be 'zero' or 'random', got '{self.x0_mode}'")
         if self.subsample < 1:
             raise ConfigError(f"subsample must be >= 1, got {self.subsample}")
+        # the fit needs more equations than states, or every residual is 0
+        rows = (self.window_steps // self.subsample + 1) * self.family[0].p
+        if rows <= self.family[0].n:
+            raise ConfigError(
+                f"subsample={self.subsample} leaves {rows} estimator equations per "
+                f"window for {self.family[0].n} states; it must leave more")
 
     @property
     def window_steps(self) -> int:

@@ -266,14 +266,15 @@ def simulate(dmodel: DiscreteStateSpace, x0: np.ndarray,
 
 def free_outputs(dmodel: DiscreteStateSpace, X0: np.ndarray, out) -> None:
     """Write the unforced outputs y_j = C Ad^j x0, j = 0..rows-1, of every row
-    x0 of X0 into the matching (rows, p) array of `out`.
+    x0 of X0 into the matching C-contiguous (rows, p) array of `out`.
 
     The samples are taken in blocks of b = floor(sqrt(rows)): with
     G = [(C Ad^0)^T ... (C Ad^(b-1))^T] (n, b*p), the outputs of block i for
-    all rows at once are S_i G, where the block-start states advance as
-    S_{i+1} = S_i (Ad^b)^T. That is one (len(X0) x n)(n x b*p) product per
-    block, small enough to stay on the calling thread, and about sqrt(rows)
-    Python iterations.
+    all rows at once are S_i G, where S_{i+1} = S_i (Ad^b)^T. All S_i are
+    advanced first; batched products then form the full blocks about one
+    array's worth at a time, each array taking its share in one copy. Every
+    block stays one product over all rows of X0, small enough for the calling
+    thread, so no sample's bits depend on the batch size.
     """
     if not out:
         return
@@ -282,9 +283,10 @@ def free_outputs(dmodel: DiscreteStateSpace, X0: np.ndarray, out) -> None:
     if S.shape != (len(out), n):
         raise NumericalError(f"X0 must be ({len(out)}, {n}), got {S.shape}")
     rows = out[0].shape[0]
-    if any(y.shape != (rows, p) for y in out):
-        raise NumericalError(f"every output array must be ({rows}, {p})")
+    if any(y.shape != (rows, p) or not y.flags.c_contiguous for y in out):
+        raise NumericalError(f"every output array must be C-contiguous ({rows}, {p})")
     b = max(1, math.isqrt(rows))
+    full = rows // b
     AdT = dmodel.Ad.T
     G = np.empty((n, b, p))
     G[:, 0] = dmodel.C.T
@@ -292,12 +294,17 @@ def free_outputs(dmodel: DiscreteStateSpace, X0: np.ndarray, out) -> None:
         np.matmul(AdT, G[:, j - 1], out=G[:, j])
     G = G.reshape(n, b * p)
     AdT_b = np.linalg.matrix_power(AdT, b)
-    for start in range(0, rows, b):
-        width = min(b, rows - start)
-        Y = (S @ G[:, :width * p]).reshape(len(out), width, p)
-        for y, block in zip(out, Y):
-            y[start:start + width] = block
-        S = S @ AdT_b
+    H = np.empty((-(-rows // b), len(out), n))
+    H[0] = S
+    for i in range(1, len(H)):
+        np.matmul(H[i - 1], AdT_b, out=H[i])
+    batch = max(1, full // len(out))
+    for lo in range(0, full, batch):
+        blocks = np.matmul(H[lo:min(lo + batch, full)], G).transpose(1, 0, 2)
+        for y, yb in zip(out, blocks):
+            y[:full * b].reshape(full, b * p)[lo:lo + batch] = yb
+    for y, tail in zip(out, H[-1] @ G[:, :(rows - full * b) * p]):
+        y[full * b:] = tail.reshape(-1, p)
 
 
 def step_response(dmodel: DiscreteStateSpace, channel: int, steps: int) -> ResponseTrace:

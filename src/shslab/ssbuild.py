@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BuildError, NetworkFormatError
+from .errors import BuildError, ConfigError, NetworkFormatError
 from .grid import PvbParams
 from .segmentation import SegmentModel
 
@@ -249,13 +249,13 @@ class _Index:
 
 def _resolve_line_mode(segment: SegmentModel, contingency: ContingencySpec):
     """The contingency's line key, or None for 'normal'; a line that is not
-    internal to the segment is a BuildError."""
+    internal to the segment is a ConfigError, a mistake in the input."""
     if contingency.kind == "normal":
         return None
     key = tuple(sorted(contingency.line))
     internal = {ln.key() for ln in segment.internal_lines}
     if key not in internal:
-        raise BuildError(
+        raise ConfigError(
             f"contingency references line {key} which is not internal to "
             f"segment {segment.id} (internal lines: {sorted(internal)})")
     return key
@@ -472,8 +472,8 @@ def build_family(segment: SegmentModel, contingencies: list[ContingencySpec]) ->
     for i, spec in enumerate(contingencies):
         try:
             scenarios.append(build_state_space(segment, spec, alpha=i))
-        except BuildError as exc:
-            raise BuildError(f"scenario {i} ({spec.name()}): {exc}") from exc
+        except (BuildError, ConfigError) as exc:
+            raise type(exc)(f"scenario {i} ({spec.name()}): {exc}") from exc
     return ScenarioFamily(segment_id=segment.id, scenarios=tuple(scenarios))
 
 

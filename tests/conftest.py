@@ -17,6 +17,11 @@ PAPER_TAU0 = 0.01
 PAPER_TS = 1e-6
 
 
+def bits(a):
+    """The bit patterns of a float64 array, for exact comparison."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 def load_bundled(name):
     return json.loads(data_path(name).read_text())
 

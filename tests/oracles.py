@@ -5,11 +5,17 @@ fixed-step RK4 integrator, an implicit-trapezoid integrator, a per-sample
 discrete-time recursion, a central finite-difference Jacobian, an
 incidence-matrix builder, the segment element equations written out
 directly, the per-value csv.writer/csv.reader loops for window files, the
-per-row observability stack, and the per-window switched-truth loop. Apart
-from that last one they never call into shslab's discretization, simulation
-or stamping code paths; the element equations share only the state layout.
+per-row observability stack, the per-window switched-truth loop, the
+per-scenario window fits, and the block-by-block free response. Apart from
+the last three they never call into shslab's discretization, simulation or
+stamping code paths; the element equations share only the state layout.
 The truth loop runs shslab's `simulate` once per window, which
-`loop_simulate` checks in its own test.
+`loop_simulate` checks in its own test. The per-scenario fits take their
+factors from shslab's `_factor` and differ from the package only in how
+the window data meet them: one (rows, windows) free matrix and one pass of
+rotations per scenario, the arithmetic detection is held to bit for bit.
+The block-by-block free response is the same arithmetic as `free_outputs`
+with a copy of every block into every window's array.
 """
 
 import csv
@@ -18,7 +24,8 @@ import os
 
 import numpy as np
 
-from shslab.errors import BuildError
+from shslab.detection import _QR_ROWS, _check_window, _factor, _shared_input_runs, forced_outputs
+from shslab.errors import BuildError, EstimationError
 from shslab.linsys import simulate
 from shslab.ssbuild import _Index  # state layout only, no coefficients
 
@@ -309,3 +316,87 @@ def loop_observability_stack(dmodel, steps, subsample=1):
         if row + 1 < idx.size:
             Phi = P @ Phi
     return blocks.reshape(idx.size * dmodel.p, dmodel.n)
+
+
+def loop_free_outputs(windows, forced, subsample):
+    """(rows, windows) matrix of the strided samples of windows that share
+    their input records, with those records' forced response removed."""
+    if subsample < 1:
+        raise EstimationError(f"subsample must be >= 1, got {subsample}")
+    # filled in place from strided views
+    forced = forced[::subsample]
+    free = np.empty((len(windows),) + forced.shape)
+    for k, window in enumerate(windows):
+        np.subtract(window.samples[::subsample], forced, out=free[k])
+    return free.reshape(len(windows), -1).T
+
+
+def loop_fit(factor, free):
+    """Least-squares window-start states for every column of `free` and the
+    attained residual norms against one factor from shslab's _factor: the
+    stored rotations applied chunk by chunk, lstsq on the triangle at the
+    full-stack rank cut, residuals against the full stack."""
+    stack, qs, tri = factor
+    rows, n = stack.shape
+    chunks = range(0, rows, _QR_ROWS)
+    rhs = np.empty((0, free.shape[1]))
+    for lo, q in zip(chunks, qs):
+        rhs = q.T @ np.vstack([rhs, free[lo:lo + _QR_ROWS]])
+    x0_hat, _, _, _ = np.linalg.lstsq(tri, rhs, rcond=np.finfo(float).eps * max(rows, n))
+    squares = np.zeros(free.shape[1])
+    for lo in chunks:
+        misfit = stack[lo:lo + _QR_ROWS] @ x0_hat
+        misfit -= free[lo:lo + _QR_ROWS]
+        squares += np.einsum("ij,ij->j", misfit, misfit)
+    return x0_hat, np.sqrt(squares)
+
+
+def loop_detect(models, windows, subsample, forced=None):
+    """Per window, the (m,) residuals and (m, n) states of every scenario's
+    fit, one scenario at a time per run of windows that share their input
+    records; `forced` serves the runs on windows[0]'s records, as in
+    detect_sequence."""
+    fits = []
+    for run in _shared_input_runs(windows):
+        head = run[0]
+        handed = forced if (forced is not None and head.u1 is windows[0].u1
+                            and head.u2 is windows[0].u2) else {}
+        per_model = []
+        for i, model in enumerate(models):
+            for window in run:
+                _check_window(model, window)
+            f = handed.get(i)
+            if f is None:
+                f = forced_outputs(model, head)
+            per_model.append(loop_fit(_factor(model, head.steps, subsample),
+                                      loop_free_outputs(run, f, subsample)))
+        x0_hat = np.stack([x for x, _ in per_model])
+        residuals = np.stack([r for _, r in per_model])
+        fits.extend((residuals[:, col], x0_hat[:, :, col]) for col in range(len(run)))
+    return fits
+
+
+def block_free_outputs(dmodel, X0, out):
+    """Write the unforced outputs y_j = C Ad^j x0 of every row x0 of X0 into
+    the matching array of `out`, one (len(X0) x n)(n x b*p) product per
+    block of b = floor(sqrt(rows)) samples and one copy of that block into
+    every array."""
+    if not out:
+        return
+    S = np.array(X0, dtype=float, ndmin=2)
+    n, p = dmodel.n, dmodel.p
+    rows = out[0].shape[0]
+    b = max(1, math.isqrt(rows))
+    AdT = dmodel.Ad.T
+    G = np.empty((n, b, p))
+    G[:, 0] = dmodel.C.T
+    for j in range(1, b):
+        np.matmul(AdT, G[:, j - 1], out=G[:, j])
+    G = G.reshape(n, b * p)
+    AdT_b = np.linalg.matrix_power(AdT, b)
+    for start in range(0, rows, b):
+        width = min(b, rows - start)
+        Y = (S @ G[:, :width * p]).reshape(len(out), width, p)
+        for y, block in zip(out, Y):
+            y[start:start + width] = block
+        S = S @ AdT_b

@@ -466,11 +466,19 @@ def _put(key, value):
      "experiment.json: probe: key 'margin' has bad value 0.5"),
     (_put("probe", {"channel": "delta", "margin": float("inf")}),
      "experiment.json: probe: key 'margin' has bad value inf"),
+    (_put("noise_sigma", float("nan")),
+     "experiment.json: noise_sigma must be finite and >= 0, got nan"),
+    (_put("subsample", 1e9),
+     "experiment.json: subsample=1000000000 leaves 5 estimator equations per window "
+     "for 18 states"),
+    (_put("contingencies", [{"kind": "normal"}, {"kind": "short_circuit", "line": [1, 2]}]),
+     "scenario 1 (short_circuit_1_2): contingency references line (1, 2) which is not "
+     "internal to segment 1"),
 ], ids=["no-tau", "no-K", "no-seed", "no-segment", "no-network", "K-not-int", "probe-file",
         "probe-tau0", "probe-ts", "segments-list",
         "contingency-not-object", "contingency-line-not-list", "bogus-channel",
         "contingency-unread-key", "reference-list", "negative-seed", "margin-below-1",
-        "margin-inf"])
+        "margin-inf", "noise-sigma-nan", "subsample-past-window", "contingency-foreign-line"])
 def test_run_malformed_config_exits_2(workspace, capsys, edit, message):
     cfg = dict(EXPERIMENT_CONFIG)
     edit(cfg)

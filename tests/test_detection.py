@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import shslab.detection as detection
-from conftest import PAPER_TS, make_model
-from oracles import loop_observability_stack
+from conftest import PAPER_TS, bits, make_model
+from oracles import loop_detect, loop_fit, loop_free_outputs, loop_observability_stack
 from shslab.detection import (MeasurementWindow, ScenarioVerdict, detect_sequence,
                               estimate_initial_state,
                               forced_outputs, observability_stack, sample_indices)
@@ -407,3 +407,63 @@ def test_warm_detection_matches_cold_and_full_stack_lstsq(m1_family, m1_probe, m
             assert abs(verdict.residuals[i] - ref[k]) <= 1e-9 * ref[k] + tol
             assert np.linalg.norm(verdict.x0_hat[i] - X_ref[:, k]) \
                 <= 1e-9 * np.linalg.norm(X_ref[:, k])
+
+
+@pytest.fixture(scope="module")
+def paper_grid_windows(m1_family, m1_probe):
+    """Noisy 10,000-step windows at the paper grid in runs of two input
+    records, probe on and probe off: two runs of several windows and two of
+    one window each."""
+    steps = 10000
+    models = [discretize_zoh(sc, PAPER_TS) for sc in m1_family]
+    records = {}
+    for on in (True, False):
+        u1 = np.zeros((steps + 1, 3))
+        u1[:steps, m1_probe.channel] = m1_probe.R if on else 0.0
+        records[on] = (u1, np.zeros((steps + 1, 2)))
+    rng = np.random.default_rng(43)
+    windows = []
+    for a, on in ((2, True), (0, True), (3, True), (1, False), (2, False), (3, False),
+                  (0, True), (1, False)):
+        u1, u2 = records[on]
+        trace = simulate(models[a], rng.standard_normal(18) * m1_probe.mu0, u1, u2, steps)
+        windows.append(MeasurementWindow(
+            t_start=0.0, ts=PAPER_TS, samples=trace.outputs + 1e-3 * rng.standard_normal(
+                trace.outputs.shape), u1=u1, u2=u2))
+    return models, windows
+
+
+@pytest.mark.parametrize("subsample", [1, 10])
+@pytest.mark.parametrize("handed", [False, True], ids=["simulated", "handed"])
+def test_detect_sequence_bitwise_per_scenario_loop(m1_family, paper_grid_windows,
+                                                   subsample, handed):
+    # the streamed all-scenario fit against one fit per scenario, bit for
+    # bit, cold (models built here) and warm, on the rank-9 and rank-11 stacks
+    # of line_outage and line_disconnect
+    _, windows = paper_grid_windows
+    models = [discretize_zoh(sc, PAPER_TS) for sc in m1_family]
+    forced = ({i: forced_outputs(models[i], windows[0]) for i in (0, 2)}
+              if handed else None)
+    if subsample == 10:
+        ranks = [np.linalg.matrix_rank(observability_stack(d, 10000, 10)) for d in models]
+        assert ranks == [17, 17, 9, 11]
+    ref = loop_detect(models, windows, subsample, forced)
+    for _ in ("cold", "warm"):
+        report = detect_sequence(models, windows, subsample=subsample, forced=forced)
+        assert len(report.verdicts) == len(ref)
+        for verdict, (residuals, x0_hat) in zip(report.verdicts, ref):
+            assert np.array_equal(bits(verdict.residuals), bits(residuals))
+            assert np.array_equal(bits(verdict.x0_hat), bits(x0_hat))
+
+
+@pytest.mark.parametrize("subsample", [1, 10])
+def test_estimate_initial_state_bitwise_per_scenario_fit(paper_grid_windows, subsample):
+    models, windows = paper_grid_windows
+    for window in windows[:4]:
+        for d in models:
+            x0_hat, residual = estimate_initial_state(d, window, subsample=subsample)
+            factor = detection._factor(d, window.steps, subsample)
+            x_ref, r_ref = loop_fit(factor, loop_free_outputs(
+                [window], forced_outputs(d, window), subsample))
+            assert np.array_equal(bits(x0_hat), bits(x_ref[:, 0]))
+            assert np.array_equal(bits(residual), bits(r_ref[0]))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import PAPER_TS, bare_line_segment, make_model
-from oracles import loop_simulate, rk4_lti
+from conftest import PAPER_TS, bare_line_segment, bits, make_model
+from oracles import block_free_outputs, loop_simulate, rk4_lti
 from shslab.errors import NumericalError
 from shslab.linsys import (discretize_zoh, eig_sorted, eigenvalues, expm, free_outputs,
                            simulate, step_response)
@@ -228,12 +228,30 @@ def test_free_outputs_matches_loop_oracle(paper_dmodels, steps, batch):
             assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref)), k
 
 
+# the batched free response against the block-by-block copy loop, bit for
+# bit: a window alone (vector products), a few, and a full sequence's worth
+@pytest.mark.parametrize("steps", [0, 1, 99, 100, 101, 10000])
+@pytest.mark.parametrize("batch", [1, 3, 40])
+def test_free_outputs_bitwise_block_loop(paper_dmodels, steps, batch):
+    rng = np.random.default_rng(7 * steps + batch)
+    for d in paper_dmodels:
+        X0 = rng.standard_normal((batch, d.n))
+        got = [np.empty((steps + 1, d.p)) for _ in range(batch)]
+        ref = [np.empty((steps + 1, d.p)) for _ in range(batch)]
+        free_outputs(d, X0, got)
+        block_free_outputs(d, X0, ref)
+        for k, (y, r) in enumerate(zip(got, ref)):
+            assert np.array_equal(bits(y), bits(r)), k
+
+
 def test_free_outputs_shape_errors(m1_family):
     d = discretize_zoh(m1_family[0], 1e-5)
     with pytest.raises(NumericalError, match="X0"):
         free_outputs(d, np.zeros((2, 18)), [np.empty((11, 5))])
     with pytest.raises(NumericalError, match="output array"):
         free_outputs(d, np.zeros((2, 18)), [np.empty((11, 5)), np.empty((10, 5))])
+    with pytest.raises(NumericalError, match="C-contiguous"):
+        free_outputs(d, np.zeros((1, 18)), [np.empty((11, 10))[:, ::2]])
 
 
 def test_simulate_shape_errors(m1_family):

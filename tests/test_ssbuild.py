@@ -6,7 +6,7 @@ import pytest
 from conftest import (ARCH_ASSIGNMENT, LOAD_A, LOAD_B, PAPER_ASSIGNMENT, PVB_PARAMS,
                       bare_line_segment, small_pvb_segment, two_load_bus_segment)
 from oracles import branch_incidence, fd_jacobian, segment_rhs
-from shslab.errors import BuildError, NetworkFormatError
+from shslab.errors import BuildError, ConfigError, NetworkFormatError
 from shslab.grid import BusSpec, LineSpec
 from shslab.segmentation import SegmentModel, segment_network
 from shslab.ssbuild import (PVB_STATE_NAMES, ContingencySpec, ScenarioFamily,
@@ -136,12 +136,14 @@ def test_family_requires_normal_first(seg1):
 
 
 def test_contingency_on_foreign_line_rejected(seg1):
-    with pytest.raises(BuildError, match="not internal"):
+    # a line outside the segment is an input mistake, not a failed assembly
+    with pytest.raises(ConfigError, match="not internal"):
         build_state_space(seg1, ContingencySpec.line_outage((2, 5)))
 
 
 def test_build_error_carries_scenario_index(seg1):
-    with pytest.raises(BuildError, match="scenario 1"):
+    # a foreign line is a ConfigError; it carries the index all the same
+    with pytest.raises(ConfigError, match="scenario 1"):
         build_family(seg1, [ContingencySpec.normal(),
                             ContingencySpec.line_outage((2, 5))])
 
