@@ -75,8 +75,12 @@ def _segment_by_id(segments: list[SegmentModel], seg_id: int) -> SegmentModel:
                       f"(have {[s.id for s in segments]})")
 
 
-def _contingencies(cfg_list: list, loc: str) -> list:
-    return [contingency_from_json(obj, loc=f"{loc}[{i}]") for i, obj in enumerate(cfg_list)]
+def _family(seg: SegmentModel, cfg_list: list, loc: str) -> ScenarioFamily:
+    """The family of `seg` for the contingency entries listed at `loc`; an
+    entry that is malformed or does not fit the segment is an error at
+    `loc[i]`."""
+    specs = [contingency_from_json(obj, loc=f"{loc}[{i}]") for i, obj in enumerate(cfg_list)]
+    return build_family(seg, specs, loc=loc)
 
 
 def _reject_key(doc: dict, key: str, source, why: str) -> None:
@@ -143,7 +147,7 @@ def cmd_build(args) -> int:
     for seg in segments:
         listed = doc_value(con_map, str(seg.id), list, f"{args.config}: contingencies",
                            [{"kind": "normal"}])
-        fam = build_family(seg, _contingencies(listed, f"{args.config}: $.contingencies.{seg.id}"))
+        fam = _family(seg, listed, f"{args.config}: $.contingencies.{seg.id}")
         families.append(family_to_json(fam))
         _say(f"segment {seg.id}: n={fam[0].n}, scenarios={fam.names}")
     dump_json({"families": families}, args.out)
@@ -233,7 +237,7 @@ def _experiment_from_config(cfg_path, probe_off: bool = False,
     net = _load_network(net_path)
     segments = segment_network(net, _assignment_from_config(cfg, cfg_path))
     seg = _segment_by_id(segments, seg_id)
-    fam = build_family(seg, _contingencies(contingencies, f"{cfg_path}: $.contingencies"))
+    fam = _family(seg, contingencies, f"{cfg_path}: $.contingencies")
 
     probe = design_mami(fam, fam[0].x_op, channel, tau0, ts, margin=margin)
 

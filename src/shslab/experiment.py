@@ -32,6 +32,7 @@ import json
 import math
 import os
 import re
+import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -300,7 +301,9 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
     grid), 'full' records every sample, 'none' skips window files. The stride
     and periods land in windows/meta.json so a replay can rebuild the exact
     estimation problem. Window files and meta.json an earlier run left in
-    windows/ that this run does not write are removed.
+    windows/ that this run does not write are removed. The window files are
+    written in contiguous shares, one per CPU this process may run on
+    (`_in_shares`); their bytes do not depend on how many shares there are.
     """
     if windows_mode not in ("strided", "full", "none"):
         raise ConfigError(f"unknown windows mode '{windows_mode}'")
@@ -339,20 +342,73 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
     }, os.path.join(win_dir, "meta.json"))
     header = ",".join(["t"] + [f"y{i}" for i in range(p)]
                       + [f"u1_{i}" for i in range(3)] + [f"u2_{i}" for i in range(q)])
-    # The u1/u2 columns come from input records that consecutive windows
-    # share (run_experiment and read_windows hand them the same frozen
-    # arrays), so each record pair is formatted once into per-row tails.
-    records, tails = (None, None), None
-    for name, w in zip(names, result.windows):
-        idx = np.arange(0, w.steps + 1, stride)
-        if records[0] is not w.u1 or records[1] is not w.u2:
-            records = w.u1, w.u2
-            inputs = np.column_stack([w.u1[idx], w.u2[idx]])
-            tails = [",".join(map(repr, row)) + "\r\n" for row in inputs.tolist()]
-        columns = [map(repr, (w.t_start + w.ts * idx).tolist()),
-                   *(map(repr, col) for col in w.samples[idx].T.tolist())]
-        with open(os.path.join(win_dir, name), "w", newline="", encoding="utf-8") as fh:
-            fh.write(header + "\r\n" + "".join(map(",".join, zip(*columns, tails))))
+
+    def write(share):
+        # The u1/u2 columns come from input records that consecutive windows
+        # share (run_experiment and read_windows hand them the same frozen
+        # arrays), so each record pair is formatted once into per-row tails.
+        records, tails = (None, None), None
+        for name, w in share:
+            idx = np.arange(0, w.steps + 1, stride)
+            if records[0] is not w.u1 or records[1] is not w.u2:
+                records = w.u1, w.u2
+                inputs = np.column_stack([w.u1[idx], w.u2[idx]])
+                tails = [",".join(map(repr, row)) + "\r\n" for row in inputs.tolist()]
+            columns = [map(repr, (w.t_start + w.ts * idx).tolist()),
+                       *(map(repr, col) for col in w.samples[idx].T.tolist())]
+            with open(os.path.join(win_dir, name), "w", newline="", encoding="utf-8") as fh:
+                fh.write(header + "\r\n" + "".join(map(",".join, zip(*columns, tails))))
+
+    _in_shares(write, list(zip(names, result.windows)))
+
+
+def _in_shares(write, items: list) -> None:
+    """write(share) over contiguous shares of `items`, one share per CPU this
+    process may run on and at most one per item. Forked children write every
+    share but the first, which this process writes itself; it then reaps
+    them all, and writes again any share whose child failed or could not be
+    forked, so an error is raised where write(items) would raise it. A child
+    only formats and writes, and leaves through os._exit, so it never
+    returns into the caller or flushes the caller's buffered output. Where
+    this process cannot fork, or another Python thread runs, there is one
+    share and no child."""
+    n, count = len(items), 1
+    if (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
+            and threading.active_count() == 1):
+        count = max(1, min(len(os.sched_getaffinity(0)), n))
+    shares = [items[n * i // count:n * (i + 1) // count] for i in range(count)]
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append((_fork(write, share), share))
+        write(shares[0])
+    finally:
+        failed = [share for pid, share in children
+                  if pid is None or os.waitpid(pid, 0)[1] != 0]
+    for share in failed:
+        write(share)
+
+
+def _fork(write, share) -> int | None:
+    """The pid of a child that runs write(share) and exits 0 only if it
+    returned, or None when no child could be forked."""
+    try:
+        with warnings.catch_warnings():
+            # From Python 3.12 os.fork warns whenever the process has another
+            # OS thread, and OpenBLAS's pool is one; the child calls no BLAS.
+            warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            write(share)
+            code = 0
+        finally:
+            os._exit(code)
+    return pid
 
 
 def _clear_windows(win_dir, keep: set) -> None:
@@ -408,8 +464,10 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
     are taken in the order of their integer index, which must run over
     0..len(window_starts)-1 of meta.json exactly once each, meta.json's ts
     must be ts_simulated * stride_applied, and every file must hold
-    window_rows(tau0, ts) rows for meta.json's tau0. With a probe, meta.json's
-    tau0 must be the probe design's, within 1e-12 relative.
+    window_rows(tau0, ts) rows for meta.json's tau0 and start at its entry of
+    window_starts exactly (both are repr round-trips of one float, and the
+    first t is t_start + ts * 0). With a probe, meta.json's tau0 must be the
+    probe design's, within 1e-12 relative.
     """
     meta = os.path.join(win_dir, "meta.json")
     if not os.path.exists(meta):
@@ -420,7 +478,7 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
         ts = float(info["ts"])
         p = int(info["n_outputs"])
         q = int(info["n_u2"])
-        count = len(info["window_starts"])
+        starts = [float(t) for t in info["window_starts"]]
         ts_written = float(info["ts_simulated"]) * int(info["stride_applied"])
         tau0 = float(info["tau0"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -440,6 +498,7 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
     files = sorted((int(m.group(1)), m.string) for m in map(
         _WINDOW_NAME.fullmatch, os.listdir(win_dir)) if m)
     indices = [k for k, _ in files]
+    count = len(starts)
     if indices != list(range(count)):
         missing = sorted(set(range(count)).difference(indices))
         surplus = sorted(k for k, c in Counter(indices).items()
@@ -449,7 +508,7 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
             f"no file for {_some(missing)}, unexpected or repeated {_some(surplus)}")
     windows = []
     u1 = u2 = None
-    for _, fname in files:
+    for k, fname in files:
         path = os.path.join(win_dir, fname)
         try:
             with warnings.catch_warnings():
@@ -465,6 +524,9 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
         if arr.shape[0] != rows:
             raise ConfigError(f"{fname}: has {arr.shape[0]} data rows; meta.json's "
                               f"tau0={tau0} at ts={ts} implies {rows}")
+        if arr[0, 0] != starts[k]:
+            raise ConfigError(f"{fname}: starts at t={float(arr[0, 0])!r}; meta.json's "
+                              f"window_starts[{k}] is {starts[k]!r}")
         u1 = _record(arr[:, 1 + p:4 + p], u1)
         u2 = _record(arr[:, 4 + p:], u2)
         windows.append(MeasurementWindow(

@@ -461,8 +461,11 @@ def build_state_space(segment: SegmentModel, contingency: ContingencySpec,
         x_op=x_op, omega_nom=segment.omega_nom)
 
 
-def build_family(segment: SegmentModel, contingencies: list[ContingencySpec]) -> ScenarioFamily:
-    """Build all scenarios of a segment; the first entry must be 'normal'."""
+def build_family(segment: SegmentModel, contingencies: list[ContingencySpec],
+                 loc: str | None = None) -> ScenarioFamily:
+    """Build all scenarios of a segment; the first entry must be 'normal'.
+    An error in scenario i names it, and names `loc[i]` when the entries
+    came from a document at `loc`."""
     if not contingencies:
         raise BuildError("contingency list is empty")
     if contingencies[0].kind != "normal":
@@ -473,7 +476,8 @@ def build_family(segment: SegmentModel, contingencies: list[ContingencySpec]) ->
         try:
             scenarios.append(build_state_space(segment, spec, alpha=i))
         except (BuildError, ConfigError) as exc:
-            raise type(exc)(f"scenario {i} ({spec.name()}): {exc}") from exc
+            where = f"{loc}[{i}]: " if loc is not None else ""
+            raise type(exc)(f"{where}scenario {i} ({spec.name()}): {exc}") from exc
     return ScenarioFamily(segment_id=segment.id, scenarios=tuple(scenarios))
 
 

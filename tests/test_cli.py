@@ -472,8 +472,8 @@ def _put(key, value):
      "experiment.json: subsample=1000000000 leaves 5 estimator equations per window "
      "for 18 states"),
     (_put("contingencies", [{"kind": "normal"}, {"kind": "short_circuit", "line": [1, 2]}]),
-     "scenario 1 (short_circuit_1_2): contingency references line (1, 2) which is not "
-     "internal to segment 1"),
+     "experiment.json: $.contingencies[1]: scenario 1 (short_circuit_1_2): contingency "
+     "references line (1, 2) which is not internal to segment 1"),
 ], ids=["no-tau", "no-K", "no-seed", "no-segment", "no-network", "K-not-int", "probe-file",
         "probe-tau0", "probe-ts", "segments-list",
         "contingency-not-object", "contingency-line-not-list", "bogus-channel",
@@ -503,8 +503,13 @@ def test_run_malformed_config_exits_2(workspace, capsys, edit, message):
      "stage.json: $.contingencies.1[1]: 'line_outage' takes no key 'open_end'"),
     (_put("contingencies", {"1": [{"kind": "normal", "line": [1, 4]}]}),
      "stage.json: $.contingencies.1[0]: 'normal' takes no line reference"),
+    (_put("contingencies", {"1": [{"kind": "normal"},
+                                  {"kind": "short_circuit", "line": [1, 2]}]}),
+     "stage.json: $.contingencies.1[1]: scenario 1 (short_circuit_1_2): contingency "
+     "references line (1, 2) which is not internal to segment 1"),
 ], ids=["monitored-bus", "contingencies-list", "contingency-not-object", "segments-list",
-        "segment-buses-not-list", "outage-open-end", "normal-with-line"])
+        "segment-buses-not-list", "outage-open-end", "normal-with-line",
+        "contingency-foreign-line"])
 def test_build_malformed_config_exits_2(workspace, capsys, edit, message):
     cfg = json.loads(json.dumps(STAGE_CONFIG))
     edit(cfg)

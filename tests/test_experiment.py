@@ -1,13 +1,19 @@
 import dataclasses
 import gc
 import json
+import os
+import subprocess
+import sys
 import weakref
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_family, make_model
 from oracles import csv_read_window, csv_write_windows, loop_truth
+import shslab
 import shslab.detection as detection
 import shslab.experiment as experiment
 from shslab.detection import MeasurementWindow, detect_sequence, forced_outputs
@@ -333,6 +339,19 @@ def test_read_windows_orders_files_by_index(tmp_path, m1_family, coarse_probe):
         assert np.array_equal(w.samples, src.samples[::SUB])
 
 
+def test_read_windows_checks_each_start_against_meta(tmp_path, m1_family, coarse_probe):
+    result = run_experiment(config(m1_family, coarse_probe, K=3, seed=3))
+    write_outputs(result, tmp_path, windows_mode="strided")
+    path = tmp_path / "windows" / "window_0001.csv"
+    header, first, rest = path.read_bytes().split(b"\r\n", 2)
+    t, fields = first.split(b",", 1)
+    assert float(t) == result.windows[1].t_start == TAU
+    path.write_bytes(b"\r\n".join([header, b"0.05000000000000001," + fields, rest]))
+    with pytest.raises(ConfigError, match=r"window_0001.csv: starts at t=0.05000000000000001; "
+                                          r"meta.json's window_starts\[1\] is 0.05"):
+        read_windows(tmp_path / "windows")
+
+
 @pytest.mark.parametrize("change, message", [
     (lambda d: (d / "window_0001.csv").unlink(), "no file for 1, unexpected or repeated none"),
     (lambda d: (d / "window_0003.csv").write_bytes((d / "window_0002.csv").read_bytes()),
@@ -480,6 +499,105 @@ def test_window_files_format_each_record_from_its_own_values(
              (csv_read_window(out / "windows" / name)[:, cols] for name in names)]
     assert all(z.size for z in zeros)
     assert [np.signbit(z).any() for z in zeros] == [False, False, True, False]
+
+
+def _cpus(monkeypatch, count):
+    """Let write_outputs see `count` usable CPUs, and count its forks."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5], ids=["one-cpu", "two-cpus", "more-cpus-than-windows"])
+@pytest.mark.parametrize("mode, stride", [("strided", SUB), ("full", 1)])
+def test_window_files_same_bytes_at_any_cpu_count(tmp_path, monkeypatch, special_result,
+                                                  mode, stride, cpus):
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    csv_write_windows(special_result, ref, stride)
+    forks = _cpus(monkeypatch, cpus)
+    write_outputs(special_result, tmp_path / "run", windows_mode=mode)
+    assert len(forks) == min(cpus, len(special_result.windows)) - 1
+    out = tmp_path / "run" / "windows"
+    names = sorted(f.name for f in out.glob("window_*.csv"))
+    assert names == sorted(f.name for f in ref.iterdir()) and len(names) == 3
+    for name in names:
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_window_files_written_here_when_no_child_can_be_forked(tmp_path, monkeypatch,
+                                                              special_result):
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    csv_write_windows(special_result, ref, SUB)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    write_outputs(special_result, tmp_path / "run")
+    for name in sorted(f.name for f in ref.iterdir()):
+        assert (tmp_path / "run" / "windows" / name).read_bytes() == (ref / name).read_bytes()
+
+
+@pytest.mark.parametrize("bad", [0, 3], ids=["own-share", "child-share"])
+def test_failed_share_raises_as_the_serial_writer(tmp_path, monkeypatch, m1_family,
+                                                  coarse_probe, bad):
+    # two shares, windows 0-1 written here and 2-3 by a child; a directory
+    # in a window file's place makes its share fail
+    result = run_experiment(config(m1_family, coarse_probe, K=4, seed=13))
+    (tmp_path / "windows" / f"window_{bad:04d}.csv").mkdir(parents=True)
+    errors = []
+    for cpus in (1, 2):
+        forks = _cpus(monkeypatch, cpus)
+        with pytest.raises(OSError) as exc:
+            write_outputs(result, tmp_path)
+        assert len(forks) == cpus - 1
+        errors.append((type(exc.value), str(exc.value)))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert errors[0] == errors[1]
+    assert errors[0][0] is IsADirectoryError and f"window_{bad:04d}.csv" in errors[0][1]
+
+
+REPRO_WITH_FOUR_CPUS = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
+from shslab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_forked_writer_prints_each_summary_line_once(tmp_path):
+    # stdout to a pipe is block-buffered, so a child that flushed the
+    # parent's buffer on exit would print the summary twice
+    src = str(Path(shslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", REPRO_WITH_FOUR_CPUS, "repro-paper", "--K", "4",
+         "--out-dir", str(tmp_path / "rp")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    repeated = [line for line, n in Counter(lines).items() if n > 1]
+    assert not repeated
+    for line in ("== segment state dimensions ==", "== eigenvalue analysis ==",
+                 "== probing design and switched-sequence detection ==",
+                 "intervals = 4, accuracy = 1.0000 (4/4)"):
+        assert line in lines
+    assert len(list((tmp_path / "rp" / "windows").glob("window_*.csv"))) == 4
 
 
 def test_rerun_removes_stale_window_files(tmp_path, m1_family, coarse_probe):
