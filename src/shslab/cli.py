@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import __version__, data_path
-from .detection import detect_sequence
+from .detection import detect_sequence, forced_responses
 from .errors import (BuildError, ConfigError, DegenerateDesignError, EstimationError,
                      NetworkFormatError, NumericalError, SegmentationError, ShslabError)
 from .experiment import (ExperimentConfig, eigen_report, generate_sequence,
@@ -28,7 +28,7 @@ from .probing import (channel_index, design_mami, probe_from_json, probe_margin,
 from .segmentation import SegmentModel, segment_network, segments_to_json
 from .ssbuild import (ContingencySpec, ScenarioFamily, build_family, contingency_from_json,
                       family_from_json, family_to_json)
-from .util import doc_value, dump_json, load_json
+from .util import doc_value, dump_json, integer, load_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +55,7 @@ def _assignment_from_config(cfg: dict, source) -> dict[int, int]:
         try:
             if not isinstance(buses, list):
                 raise TypeError("not a list")
-            seg_id, buses = int(seg_key), [int(b) for b in buses]
+            seg_id, buses = int(seg_key), [integer(b) for b in buses]
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"{source}: key 'segments' maps {seg_key!r} to {buses!r}; expected "
@@ -78,8 +78,10 @@ def _segment_by_id(segments: list[SegmentModel], seg_id: int) -> SegmentModel:
 def _family(seg: SegmentModel, cfg_list: list, loc: str) -> ScenarioFamily:
     """The family of `seg` for the contingency entries listed at `loc`; an
     entry that is malformed or does not fit the segment is an error at
-    `loc[i]`."""
+    `loc[i]`, and a list that does not start with 'normal' one at `loc`."""
     specs = [contingency_from_json(obj, loc=f"{loc}[{i}]") for i, obj in enumerate(cfg_list)]
+    if not specs or specs[0].kind != "normal":
+        raise ConfigError(f"{loc}: the list must start with a 'normal' entry")
     return build_family(seg, specs, loc=loc)
 
 
@@ -99,7 +101,7 @@ def _pick_family(path, segment: int | None) -> ScenarioFamily:
             raise ConfigError(f"{path}: holds {len(families)} families; pass --segment")
         return family_from_json(families[0])
     for i, fam in enumerate(families):
-        if doc_value(fam, "segment_id", int, f"{path}: families[{i}]") == segment:
+        if doc_value(fam, "segment_id", integer, f"{path}: families[{i}]") == segment:
             return family_from_json(fam)
     raise ConfigError(f"{path}: no family for segment {segment}")
 
@@ -219,11 +221,11 @@ def _experiment_from_config(cfg_path, probe_off: bool = False,
 
     # relative to the config; os.path.join keeps an absolute path as it is
     net_path = os.path.join(os.path.dirname(os.path.abspath(cfg_path)), get("network", str))
-    seg_id = get("segment", int)
+    seg_id = get("segment", integer)
     contingencies = get("contingencies", list)
     tau, tau0, ts = get("tau", float), get("tau0", float), get("ts", float)
-    K = k_override if k_override is not None else get("K", int)
-    seed = get("seed", int)
+    K = k_override if k_override is not None else get("K", integer)
+    seed = get("seed", integer)
     probe_cfg = get("probe", dict, {})
     for key in ("tau0", "ts"):
         _reject_key(probe_cfg, key, f"{cfg_path}: probe",
@@ -241,7 +243,7 @@ def _experiment_from_config(cfg_path, probe_off: bool = False,
 
     probe = design_mami(fam, fam[0].x_op, channel, tau0, ts, margin=margin)
 
-    noise_sigma, subsample = get("noise_sigma", float, 0.0), get("subsample", int, 10)
+    noise_sigma, subsample = get("noise_sigma", float, 0.0), get("subsample", integer, 10)
     try:
         exp = ExperimentConfig(
             family=fam, probe=probe, tau=tau, tau0=tau0, ts=ts, K=K, seed=seed,
@@ -309,7 +311,8 @@ def cmd_detect(args) -> int:
             f"the family in {args.family} has {fam[0].p} and {fam[0].B2.shape[1]}")
     # windows are stored on the estimator grid; use every recorded sample
     dmodels = [discretize_zoh(sc, windows[0].ts) for sc in fam]
-    report = detect_sequence(dmodels, windows, truth=truth, subsample=1)
+    report = detect_sequence(dmodels, windows, forced_responses(dmodels, windows),
+                             truth=truth, subsample=1)
     dump_json(report.to_json(), args.out)
     write_manifest(os.path.dirname(os.path.abspath(args.out)), "detect",
                    [args.family] + ([args.probe] if args.probe else [])

@@ -3,18 +3,17 @@
 For each candidate scenario the unknown window-start state is estimated by
 stacked least squares against the recorded outputs (with the recorded probe
 and aux-voltage feedthrough removed), and the scenario with the smallest
-fit residual wins. Ties break toward the lowest scenario index. Windows that
-share their input records are fitted together, in one pass for all scenarios.
+fit residual wins. Ties break toward the lowest scenario index.
 
 The forced response each fit discounts is the scenario's output from rest
-under the window's input record. A caller that already holds it, as the
-switched-truth simulation does, hands it to detect_sequence; anything else
-is simulated here. The observability stack is built in floor(sqrt(rows))
-blocks of rows, a few dozen small products instead of one per row. It and
-its streamed QR depend only on the discretized model and the estimator grid,
-so detect_sequence builds them once per model and grid and keeps them as
-long as the model lives; every later fit on that grid only applies the
-stored rotations to its window data.
+under the window's input records. detect_sequence never simulates it: the
+caller hands in one (m, N+1, p) array per window, the switched truth the
+responses it already holds, anything else those of forced_responses. The
+observability stack is built in floor(sqrt(rows)) blocks of rows. It and its
+streamed QR depend only on the discretized model and the estimator grid, so
+detect_sequence builds them once per model and grid and keeps them as long
+as the model lives; every later fit on that grid only applies the stored
+rotations to its window data.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
@@ -257,71 +257,62 @@ def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow
     return x0_hat[0, :, 0], float(residual[0, 0])
 
 
-def _shared_input_runs(windows: list[MeasurementWindow]) -> list[list[MeasurementWindow]]:
-    """Split the window list into runs of consecutive windows with identical
-    input records (and hence one length), the common case for a fixed probe."""
-    def same(a, b):
-        return a is b or np.array_equal(a, b)
-
-    runs = [[windows[0]]]
-    for window in windows[1:]:
-        head = runs[-1][0]
-        if same(window.u1, head.u1) and same(window.u2, head.u2):
-            runs[-1].append(window)
-        else:
-            runs.append([window])
-    return runs
+def forced_responses(models: list[DiscreteStateSpace],
+                     windows: list[MeasurementWindow]) -> list[np.ndarray]:
+    """Per window, the read-only (m, N+1, p) forced outputs of the m models
+    under its input records, as detect_sequence takes them. Consecutive
+    windows whose u1 and u2 are the same arrays or equal ones share one
+    array, simulated once per model."""
+    out, head = [], None
+    for window in windows:
+        if head is None or not all(a is b or np.array_equal(a, b) for a, b in (
+                (window.u1, head.u1), (window.u2, head.u2))):
+            head = window
+            f = np.array([forced_outputs(model, window) for model in models])
+            f.setflags(write=False)
+        out.append(f)
+    return out
 
 
 def detect_sequence(models: list[DiscreteStateSpace],
                     windows: list[MeasurementWindow],
+                    forced: list[np.ndarray],
                     truth: list[int] | None = None,
-                    subsample: int = 10,
-                    forced: dict[int, np.ndarray] | None = None) -> DetectionReport:
+                    subsample: int = 10) -> DetectionReport:
     """Fit every scenario to every window of an ordered list and pick the
     minimum-residual scenario per window.
 
-    Consecutive windows with identical input records share one forced
-    response per scenario and one fit of all scenarios over all of their
-    windows; each scenario's stack and its QR come from the memo of _factor.
-
-    `forced` maps a scenario index to that model's forced outputs under the
-    input records of windows[0], for a caller that already simulated them.
-    An entry serves only the runs whose u1 and u2 are those very arrays; any
-    other run, and any scenario without an entry, is simulated here.
+    forced[k] is the (m, N+1, p) forced outputs of the m models under the
+    input records of windows[k]. Consecutive windows that hold the same
+    array, by identity, are fitted in one pass for all scenarios, with each
+    scenario's stack and QR from the memo of _factor. Runs are never merged
+    across records of one length: a fit's last bits depend on which windows
+    share its batch, so that would move residuals by round-off.
     """
     if truth is not None and len(truth) != len(windows):
         raise EstimationError("truth sequence length differs from window count")
-    if not windows:
-        return DetectionReport(verdicts=(), truth=tuple(truth or ()) if truth is not None else None)
-    if not models:
+    if len(forced) != len(windows):
+        raise EstimationError(f"{len(forced)} forced responses for {len(windows)} windows")
+    if windows and not models:
         raise EstimationError("scenario list is empty")
+    for k, (f, window) in enumerate(zip(forced, windows)):
+        if f.shape != (len(models), *window.samples.shape):
+            raise EstimationError(f"window {k}: forced responses are {f.shape}, "
+                                  f"expected {(len(models), *window.samples.shape)}")
 
     verdicts = []
-    for run in _shared_input_runs(windows):
-        head = run[0]
-        handed = forced if (forced is not None and head.u1 is windows[0].u1
-                            and head.u2 is windows[0].u2) else {}
-        factors, responses = [], []
+    for _, group in groupby(zip(forced, windows), key=lambda pair: id(pair[0])):
+        responses, run = zip(*group)
+        factors = []
         for i, model in enumerate(models):
             try:
                 for window in run:
                     _check_window(model, window)
-                factors.append(memo(model, ("factor", head.steps, subsample),
-                                    partial(_factor, model, head.steps, subsample)))
-                f = handed.get(i)
-                if f is None:
-                    f = forced_outputs(model, head)
-                elif f.shape != head.samples.shape:
-                    raise EstimationError(
-                        f"forced response is {f.shape}, windows are {head.samples.shape}")
-                responses.append(f)
+                factors.append(memo(model, ("factor", run[0].steps, subsample),
+                                    partial(_factor, model, run[0].steps, subsample)))
             except EstimationError as exc:
                 raise EstimationError(f"scenario {i}: {exc}") from exc
-        x0_hat, residuals = _fit(factors, run, responses, subsample)
-        for col in range(len(run)):
-            verdicts.append(ScenarioVerdict(
-                detected=int(np.argmin(residuals[:, col])),
-                residuals=residuals[:, col], x0_hat=x0_hat[:, :, col]))
-    return DetectionReport(verdicts=tuple(verdicts),
-                           truth=tuple(truth) if truth is not None else None)
+        x0_hat, residuals = _fit(factors, run, responses[0], subsample)
+        verdicts += [ScenarioVerdict(detected=int(np.argmin(r)), residuals=r, x0_hat=x)
+                     for r, x in zip(residuals.T, x0_hat.transpose(2, 0, 1))]
+    return DetectionReport(verdicts=verdicts, truth=truth)

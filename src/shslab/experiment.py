@@ -14,8 +14,8 @@ the final state of the forced response from rest and
 hold_a = exp(A_a (tau - tau0)). The truth is evaluated that way, exactly up
 to round-off: one forced response per scenario, the chain of boundary
 states, and one blocked free response over all windows of each scenario.
-Detection discounts the same forced responses instead of simulating them
-again, so they are taken for every scenario of the family, visited or not.
+Every window hands detection those same forced responses, one array of all
+scenarios of the family, visited or not, so detection simulates nothing.
 
 None of that depends on the window data. The discretized models are built
 once per family and ts, and the input records, forced responses and
@@ -141,9 +141,10 @@ def _discretized(family: ScenarioFamily, ts: float) -> tuple:
 def _window_response(config: ExperimentConfig, dmodels: tuple):
     """What every window of a run shares, built once per family and
     (ts, tau, tau0, probe channel, applied probe level): the frozen input
-    records u1_win and u2_win, and per scenario a the read-only forced
-    outputs f_a and the affine boundary map x_{k+1} = M_a x_k + h_a of the
-    module docstring, with M_a = hold_a Ad_a^N and h_a = hold_a g_a."""
+    records u1_win and u2_win, the read-only (m, N+1, p) forced outputs
+    whose row a is f_a, and per scenario a the affine boundary map
+    x_{k+1} = M_a x_k + h_a of the module docstring, with M_a = hold_a Ad_a^N
+    and h_a = hold_a g_a."""
     family = config.family
     steps = config.window_steps
 
@@ -151,7 +152,7 @@ def _window_response(config: ExperimentConfig, dmodels: tuple):
         u1_win = np.zeros((steps + 1, 3))
         u1_win[:steps, config.probe.channel] = config.applied_R
         u2_win = np.zeros((steps + 1, dmodels[0].Bd2.shape[1]))
-        forced, M, h = {}, {}, {}
+        forced, M, h = np.empty((len(family), steps + 1, dmodels[0].p)), {}, {}
         for a in range(len(family)):
             trace = simulate(dmodels[a], None, u1_win, u2_win, steps, record_states=True)
             hold = expm(family[a].A * (config.tau - config.tau0))
@@ -160,7 +161,7 @@ def _window_response(config: ExperimentConfig, dmodels: tuple):
             h[a] = hold @ trace.final_state
             del trace
         # frozen, so every window of every run shares these arrays
-        for arr in (u1_win, u2_win, *forced.values(), *M.values(), *h.values()):
+        for arr in (u1_win, u2_win, forced, *M.values(), *h.values()):
             arr.setflags(write=False)
         return u1_win, u2_win, forced, M, h
 
@@ -186,8 +187,6 @@ def run_experiment(config: ExperimentConfig,
     dmodels = _discretized(family, config.ts)
     _, rng_noise, rng_x0 = _rngs(config.seed)
     n = family[0].n
-    p = dmodels[0].p
-    steps = config.window_steps
 
     if config.x0_mode == "zero":
         x = np.zeros(n)
@@ -210,9 +209,9 @@ def run_experiment(config: ExperimentConfig,
 
     # the free part, one blocked pass over all windows of a scenario, written
     # into arrays the windows then own without a copy
-    samples = [np.empty((steps + 1, p)) for _ in range(config.K)]
+    samples = [np.empty_like(forced[0]) for _ in range(config.K)]
     alphas = np.asarray(sequence.alphas)
-    for a in forced:
+    for a in range(m):
         ks = np.flatnonzero(alphas == a)
         free_outputs(dmodels[a], boundaries[ks], [samples[k] for k in ks])
 
@@ -226,8 +225,8 @@ def run_experiment(config: ExperimentConfig,
             t_start=k * config.tau, ts=config.ts, samples=y,
             u1=u1_win, u2=u2_win))
 
-    report = detect_sequence(dmodels, windows, truth=list(sequence.alphas),
-                             subsample=config.subsample, forced=forced)
+    report = detect_sequence(dmodels, windows, [forced] * config.K,
+                             truth=list(sequence.alphas), subsample=config.subsample)
     return ExperimentResult(config=config, sequence=sequence, report=report,
                             windows=tuple(windows), boundary_states=boundaries)
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateDesignError, NumericalError
 from .linsys import discretize_zoh, eigenvalues, step_response
 from .ssbuild import ScenarioFamily, StateSpaceModel
-from .util import doc_value
+from .util import doc_value, integer
 
 CHANNELS = ("d", "delta", "m_a")
 
@@ -32,7 +32,7 @@ def channel_index(channel) -> int:
             raise DegenerateDesignError(
                 f"unknown probe channel '{channel}' (one of {CHANNELS})")
         return CHANNELS.index(channel)
-    ch = int(channel)
+    ch = integer(channel)
     if ch not in (0, 1, 2):
         raise DegenerateDesignError(f"probe channel index must be 0..2, got {ch}")
     return ch
@@ -211,7 +211,7 @@ def probe_from_json(doc: dict, source="probe document") -> ProbingDesign:
     values = {key: doc_value(doc, key, float, source)
               for key in ("mu0", "mu1", "delta_min", "R0", "R", "tau0")}
     values.update(
-        channel=doc_value(doc, "channel", int, source),
+        channel=doc_value(doc, "channel", integer, source),
         ts=doc_value(doc, "ts", float, source, None),
         argmin_pair=doc_value(doc, "argmin_pair", _pair, source, None))
     try:

@@ -44,6 +44,13 @@ def load_json(path) -> dict:
 _REQUIRED = object()
 
 
+def integer(value) -> int:
+    """int(value), but a bool or a fractional float is a ValueError, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def doc_value(doc, key: str, kind, source, default=_REQUIRED):
     """kind(doc[key]), or `default` when the key is absent and a default is
     given. A document that is not an object, a missing required key, or a

@@ -14,6 +14,9 @@ The truth loop runs shslab's `simulate` once per window, which
 factors from shslab's `_factor` and differ from the package only in how
 the window data meet them: one (rows, windows) free matrix and one pass of
 rotations per scenario, the arithmetic detection is held to bit for bit.
+They split the windows into runs of equal input records themselves and
+simulate each run's forced responses, so they share no run split with
+`detection.forced_responses`.
 The block-by-block free response is the same arithmetic as `free_outputs`
 with a copy of every block into every window's array.
 """
@@ -24,7 +27,8 @@ import os
 
 import numpy as np
 
-from shslab.detection import _QR_ROWS, _check_window, _factor, _shared_input_runs, forced_outputs
+from shslab.detection import (_QR_ROWS, MeasurementWindow, _check_window, _factor,
+                              forced_outputs)
 from shslab.errors import BuildError, EstimationError
 from shslab.linsys import simulate
 from shslab.ssbuild import _Index  # state layout only, no coefficients
@@ -351,25 +355,36 @@ def loop_fit(factor, free):
     return x0_hat, np.sqrt(squares)
 
 
-def loop_detect(models, windows, subsample, forced=None):
+def _shared_input_runs(windows: list[MeasurementWindow]) -> list[list[MeasurementWindow]]:
+    """Split the window list into runs of consecutive windows with identical
+    input records (and hence one length), the common case for a fixed probe."""
+    def same(a, b):
+        return a is b or np.array_equal(a, b)
+
+    runs = [[windows[0]]]
+    for window in windows[1:]:
+        head = runs[-1][0]
+        if same(window.u1, head.u1) and same(window.u2, head.u2):
+            runs[-1].append(window)
+        else:
+            runs.append([window])
+    return runs
+
+
+def loop_detect(models, windows, subsample):
     """Per window, the (m,) residuals and (m, n) states of every scenario's
     fit, one scenario at a time per run of windows that share their input
-    records; `forced` serves the runs on windows[0]'s records, as in
-    detect_sequence."""
+    records, each run's forced responses simulated from its first window."""
     fits = []
     for run in _shared_input_runs(windows):
         head = run[0]
-        handed = forced if (forced is not None and head.u1 is windows[0].u1
-                            and head.u2 is windows[0].u2) else {}
         per_model = []
-        for i, model in enumerate(models):
+        for model in models:
             for window in run:
                 _check_window(model, window)
-            f = handed.get(i)
-            if f is None:
-                f = forced_outputs(model, head)
             per_model.append(loop_fit(_factor(model, head.steps, subsample),
-                                      loop_free_outputs(run, f, subsample)))
+                                      loop_free_outputs(run, forced_outputs(model, head),
+                                                        subsample)))
         x0_hat = np.stack([x for x, _ in per_model])
         residuals = np.stack([r for _, r in per_model])
         fits.extend((residuals[:, col], x0_hat[:, :, col]) for col in range(len(run)))

@@ -474,11 +474,27 @@ def _put(key, value):
     (_put("contingencies", [{"kind": "normal"}, {"kind": "short_circuit", "line": [1, 2]}]),
      "experiment.json: $.contingencies[1]: scenario 1 (short_circuit_1_2): contingency "
      "references line (1, 2) which is not internal to segment 1"),
+    (_put("contingencies", []),
+     "experiment.json: $.contingencies: the list must start with a 'normal' entry"),
+    (_put("contingencies", [{"kind": "line_outage", "line": [1, 4]}]),
+     "experiment.json: $.contingencies: the list must start with a 'normal' entry"),
+    (_put("K", 4.9), "experiment.json: key 'K' has bad value 4.9"),
+    (_put("subsample", 10.7), "experiment.json: key 'subsample' has bad value 10.7"),
+    (_put("seed", True), "experiment.json: key 'seed' has bad value True"),
+    (_put("segment", 1.5), "experiment.json: key 'segment' has bad value 1.5"),
+    (_put("probe", {"channel": 1.5}), "experiment.json: probe: key 'channel' has bad value 1.5"),
+    (_put("probe", {"channel": True}),
+     "experiment.json: probe: key 'channel' has bad value True"),
+    (_put("segments", {"1": [1.9, 4], "2": [2, 5], "3": [3, 6]}),
+     "experiment.json: key 'segments' maps '1' to [1.9, 4]"),
 ], ids=["no-tau", "no-K", "no-seed", "no-segment", "no-network", "K-not-int", "probe-file",
         "probe-tau0", "probe-ts", "segments-list",
         "contingency-not-object", "contingency-line-not-list", "bogus-channel",
         "contingency-unread-key", "reference-list", "negative-seed", "margin-below-1",
-        "margin-inf", "noise-sigma-nan", "subsample-past-window", "contingency-foreign-line"])
+        "margin-inf", "noise-sigma-nan", "subsample-past-window", "contingency-foreign-line",
+        "contingencies-empty", "first-not-normal", "K-fractional", "subsample-fractional",
+        "seed-bool", "segment-fractional", "channel-fractional", "channel-bool",
+        "segment-bus-fractional"])
 def test_run_malformed_config_exits_2(workspace, capsys, edit, message):
     cfg = dict(EXPERIMENT_CONFIG)
     edit(cfg)
@@ -507,9 +523,13 @@ def test_run_malformed_config_exits_2(workspace, capsys, edit, message):
                                   {"kind": "short_circuit", "line": [1, 2]}]}),
      "stage.json: $.contingencies.1[1]: scenario 1 (short_circuit_1_2): contingency "
      "references line (1, 2) which is not internal to segment 1"),
+    (_put("contingencies", {"1": []}),
+     "stage.json: $.contingencies.1: the list must start with a 'normal' entry"),
+    (_put("contingencies", {"1": [{"kind": "line_outage", "line": [1, 4]}]}),
+     "stage.json: $.contingencies.1: the list must start with a 'normal' entry"),
 ], ids=["monitored-bus", "contingencies-list", "contingency-not-object", "segments-list",
         "segment-buses-not-list", "outage-open-end", "normal-with-line",
-        "contingency-foreign-line"])
+        "contingency-foreign-line", "contingencies-empty", "first-not-normal"])
 def test_build_malformed_config_exits_2(workspace, capsys, edit, message):
     cfg = json.loads(json.dumps(STAGE_CONFIG))
     edit(cfg)

@@ -5,8 +5,8 @@ import shslab.detection as detection
 from conftest import PAPER_TS, bits, make_model
 from oracles import loop_detect, loop_fit, loop_free_outputs, loop_observability_stack
 from shslab.detection import (MeasurementWindow, ScenarioVerdict, detect_sequence,
-                              estimate_initial_state,
-                              forced_outputs, observability_stack, sample_indices)
+                              estimate_initial_state, forced_outputs, forced_responses,
+                              observability_stack, sample_indices)
 from shslab.errors import EstimationError
 from shslab.linsys import discretize_zoh, simulate
 
@@ -27,6 +27,11 @@ def probe_window(dmodel, x0, magnitude, channel=1, steps=STEPS, noise=None):
     trace = simulate(dmodel, x0, u1, u2, steps)
     y = trace.outputs if noise is None else trace.outputs + noise
     return MeasurementWindow(t_start=0.0, ts=TS, samples=y, u1=u1, u2=u2)
+
+
+def detect(models, windows, **kwargs):
+    """detect_sequence on the forced responses forced_responses simulates."""
+    return detect_sequence(models, windows, forced_responses(models, windows), **kwargs)
 
 
 def observable_projector(G, rtol=1e-6):
@@ -85,7 +90,7 @@ def test_cross_fit_ordering_all_pairs(dmodels, m1_probe):
 
 def test_detect_picks_generating_scenario(dmodels, m1_probe):
     window = probe_window(dmodels[2], np.zeros(18), m1_probe.R)
-    verdict = detect_sequence(dmodels, [window], subsample=SUB).verdicts[0]
+    verdict = detect(dmodels, [window], subsample=SUB).verdicts[0]
     assert verdict.detected == 2
     assert verdict.x0_hat.shape == (4, 18)
     assert verdict.residuals[2] < min(r for j, r in enumerate(verdict.residuals) if j != 2)
@@ -93,7 +98,7 @@ def test_detect_picks_generating_scenario(dmodels, m1_probe):
 
 def test_detect_family_of_one(dmodels):
     window = probe_window(dmodels[1], np.ones(18), 0.0)
-    verdict = detect_sequence(dmodels[:1], [window], subsample=SUB).verdicts[0]
+    verdict = detect(dmodels[:1], [window], subsample=SUB).verdicts[0]
     assert verdict.detected == 0
 
 
@@ -108,7 +113,7 @@ def test_probe_off_adversarial_x0_can_miss(dmodels):
         for scale in scales:
             x0 = scale * direction
             window = probe_window(dmodels[1], x0, 0.0)
-            verdict = detect_sequence(dmodels, [window], subsample=SUB).verdicts[0]
+            verdict = detect(dmodels, [window], subsample=SUB).verdicts[0]
             misses += verdict.detected != 1
     assert misses >= 1
 
@@ -116,7 +121,7 @@ def test_probe_off_adversarial_x0_can_miss(dmodels):
 def test_tie_break_lowest_index(dmodels):
     twins = [dmodels[1], dmodels[1]]
     window = probe_window(dmodels[1], np.full(18, 3.0), 0.0)
-    verdict = detect_sequence(twins, [window], subsample=SUB).verdicts[0]
+    verdict = detect(twins, [window], subsample=SUB).verdicts[0]
     assert verdict.detected == 0
     assert verdict.residuals[0] == verdict.residuals[1]
 
@@ -137,15 +142,15 @@ def test_detection_deterministic(dmodels, m1_probe):
     x0 = rng.standard_normal(18)
     w1 = probe_window(dmodels[3], x0, m1_probe.R)
     w2 = probe_window(dmodels[3], x0, m1_probe.R)
-    v1 = detect_sequence(dmodels, [w1], subsample=SUB).verdicts[0]
-    v2 = detect_sequence(dmodels, [w2], subsample=SUB).verdicts[0]
+    v1 = detect(dmodels, [w1], subsample=SUB).verdicts[0]
+    v2 = detect(dmodels, [w2], subsample=SUB).verdicts[0]
     assert np.array_equal(v1.residuals, v2.residuals)
     assert np.array_equal(v1.x0_hat, v2.x0_hat)
     assert v1.detected == v2.detected
 
 
 def test_detect_sequence_empty(dmodels):
-    report = detect_sequence(dmodels, [], truth=[])
+    report = detect(dmodels, [], truth=[])
     assert report.verdicts == ()
     assert report.accuracy is None
 
@@ -155,7 +160,7 @@ def test_detect_sequence_scores(dmodels, m1_probe):
     truth = [3, 0, 2, 1, 2, 0]
     windows = [probe_window(dmodels[a], rng.standard_normal(18), m1_probe.R)
                for a in truth]
-    report = detect_sequence(dmodels, windows, truth=truth, subsample=SUB)
+    report = detect(dmodels, windows, truth=truth, subsample=SUB)
     assert report.detected == truth
     assert report.accuracy == 1.0
     assert report.matches == 6
@@ -182,7 +187,7 @@ def test_grouped_detection_matches_per_window_fits(dmodels, m1_probe, monkeypatc
     original = detection.forced_outputs
     monkeypatch.setattr(detection, "forced_outputs",
                         lambda d, w: calls.append(w) or original(d, w))
-    report = detect_sequence(dmodels, windows, subsample=SUB)
+    report = detect(dmodels, windows, subsample=SUB)
     monkeypatch.undo()
     assert len(calls) == runs * len(dmodels)
 
@@ -335,38 +340,48 @@ def test_observability_stack_matches_loop_oracle(m1_family, ts, steps, subsample
 
 
 def test_forced_entries_serve_only_their_record(dmodels, m1_probe, monkeypatch):
-    # windows[0]'s record is probe on; the probe-off run after it has another
-    # record, so the handed-in responses must not be used there
+    # records A, an equal copy of A, B (u1 differs), B, C (u2 differs), A again:
+    # consecutive equal records share one array, any change starts a new one
     rng = np.random.default_rng(5)
     windows = [probe_window(dmodels[a], rng.standard_normal(18) * m1_probe.mu0,
                             m1_probe.R if on else 0.0)
-               for a, on in ((1, True), (3, True), (2, False), (0, False))]
-    forced = {i: forced_outputs(d, windows[0]) for i, d in enumerate(dmodels)}
-    ref = detect_sequence(dmodels, windows, subsample=SUB)
+               for a, on in ((1, True), (3, True), (2, False), (0, False), (1, True),
+                             (2, True))]
+    assert windows[0].u1 is not windows[1].u1
+    u2 = np.full_like(windows[4].u2, 0.1)
+    windows[4] = MeasurementWindow(t_start=0.0, ts=TS, samples=windows[4].samples,
+                                   u1=windows[4].u1, u2=u2)
     calls = []
     original = detection.forced_outputs
     monkeypatch.setattr(detection, "forced_outputs",
-                        lambda d, w: calls.append(w) or original(d, w))
-    got = detect_sequence(dmodels, windows, subsample=SUB, forced=forced)
+                        lambda d, w: calls.append((d, w)) or original(d, w))
+    forced = forced_responses(dmodels, windows)
     monkeypatch.undo()
-    assert calls == [windows[2]] * len(dmodels)
-    for a, b in zip(ref.verdicts, got.verdicts):
-        assert np.array_equal(a.residuals, b.residuals)
-        assert np.array_equal(a.x0_hat, b.x0_hat)
+    heads = [windows[k] for k in (0, 2, 4, 5)]
+    assert calls == [(d, w) for w in heads for d in dmodels]
+    assert forced[1] is forced[0] and forced[3] is forced[2]
+    assert len({id(f) for f in forced}) == 4
+    for f, window in zip(forced, windows):
+        assert not f.flags.writeable
+        assert f.shape == (len(dmodels), *window.samples.shape)
+        for d, response in zip(dmodels, f):
+            assert np.array_equal(bits(response), bits(forced_outputs(d, window)))
 
 
 def test_forced_entry_of_wrong_shape_rejected(dmodels, m1_probe):
-    window = probe_window(dmodels[0], np.zeros(18), m1_probe.R)
-    forced = {i: forced_outputs(d, window) for i, d in enumerate(dmodels)}
-    forced[2] = forced[2][:-1]
-    with pytest.raises(EstimationError, match="scenario 2: forced response"):
-        detect_sequence(dmodels, [window], subsample=SUB, forced=forced)
+    windows = [probe_window(dmodels[0], np.zeros(18), m1_probe.R) for _ in range(2)]
+    forced = forced_responses(dmodels, windows)
+    with pytest.raises(EstimationError, match="1 forced responses for 2 windows"):
+        detect_sequence(dmodels, windows, forced[:1], subsample=SUB)
+    for wrong in (forced[1][:, :-1], forced[1][:-1]):
+        with pytest.raises(EstimationError, match=r"window 1: forced responses are \("):
+            detect_sequence(dmodels, windows, [forced[0], wrong], subsample=SUB)
 
 
 def test_report_truth_length_guard(dmodels, m1_probe):
     window = probe_window(dmodels[0], np.zeros(18), m1_probe.R)
     with pytest.raises(EstimationError, match="truth"):
-        detect_sequence(dmodels, [window], truth=[0, 1])
+        detect(dmodels, [window], truth=[0, 1])
 
 
 def test_warm_detection_matches_cold_and_full_stack_lstsq(m1_family, m1_probe, monkeypatch):
@@ -384,11 +399,11 @@ def test_warm_detection_matches_cold_and_full_stack_lstsq(m1_family, m1_probe, m
         windows.append(MeasurementWindow(
             t_start=0.0, ts=PAPER_TS, samples=trace.outputs + 1e-3 * rng.standard_normal(
                 trace.outputs.shape), u1=u1, u2=u2))
-    cold = detect_sequence(models, windows, subsample=sub)
+    cold = detect(models, windows, subsample=sub)
     stacks = [observability_stack(d, steps, sub) for d in models]
     calls = []
     monkeypatch.setattr(detection, "observability_stack", lambda *a: calls.append(a))
-    warm = detect_sequence(models, windows, subsample=sub)
+    warm = detect(models, windows, subsample=sub)
     monkeypatch.undo()
     assert calls == []
     for a, b in zip(cold.verdicts, warm.verdicts):
@@ -434,22 +449,19 @@ def paper_grid_windows(m1_family, m1_probe):
 
 
 @pytest.mark.parametrize("subsample", [1, 10])
-@pytest.mark.parametrize("handed", [False, True], ids=["simulated", "handed"])
-def test_detect_sequence_bitwise_per_scenario_loop(m1_family, paper_grid_windows,
-                                                   subsample, handed):
+def test_detect_sequence_bitwise_per_scenario_loop(m1_family, paper_grid_windows, subsample):
     # the streamed all-scenario fit against one fit per scenario, bit for
     # bit, cold (models built here) and warm, on the rank-9 and rank-11 stacks
     # of line_outage and line_disconnect
     _, windows = paper_grid_windows
     models = [discretize_zoh(sc, PAPER_TS) for sc in m1_family]
-    forced = ({i: forced_outputs(models[i], windows[0]) for i in (0, 2)}
-              if handed else None)
     if subsample == 10:
         ranks = [np.linalg.matrix_rank(observability_stack(d, 10000, 10)) for d in models]
         assert ranks == [17, 17, 9, 11]
-    ref = loop_detect(models, windows, subsample, forced)
+    ref = loop_detect(models, windows, subsample)
     for _ in ("cold", "warm"):
-        report = detect_sequence(models, windows, subsample=subsample, forced=forced)
+        report = detect_sequence(models, windows, forced_responses(models, windows),
+                                 subsample=subsample)
         assert len(report.verdicts) == len(ref)
         for verdict, (residuals, x0_hat) in zip(report.verdicts, ref):
             assert np.array_equal(bits(verdict.residuals), bits(residuals))

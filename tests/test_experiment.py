@@ -16,7 +16,7 @@ from oracles import csv_read_window, csv_write_windows, loop_truth
 import shslab
 import shslab.detection as detection
 import shslab.experiment as experiment
-from shslab.detection import MeasurementWindow, detect_sequence, forced_outputs
+from shslab.detection import MeasurementWindow, detect_sequence, forced_outputs, forced_responses
 from shslab.errors import ConfigError, NumericalError
 from shslab.experiment import (ExperimentConfig, SwitchingSequence, eigen_report,
                                generate_sequence, read_windows, run_experiment,
@@ -167,9 +167,11 @@ def test_truth_matches_per_window_oracle(m1_family, coarse_probe, probe_on, x0_m
     oracle_windows = [dataclasses.replace(w, samples=y)
                       for w, y in zip(result.windows, samples)]
     dmodels = [discretize_zoh(sc, TS) for sc in m1_family]
-    oracle = detect_sequence(dmodels, oracle_windows, subsample=SUB)
+    oracle = detect_sequence(dmodels, oracle_windows,
+                             forced_responses(dmodels, oracle_windows), subsample=SUB)
     assert result.report.detected == oracle.detected
-    simulated = detect_sequence(dmodels, list(result.windows), subsample=SUB)
+    simulated = detect_sequence(dmodels, list(result.windows),
+                                forced_responses(dmodels, result.windows), subsample=SUB)
     for got, ref in zip(result.report.verdicts, simulated.verdicts):
         assert np.array_equal(got.residuals, ref.residuals)
     if not probe_on and x0_mode == "zero" and sigma == 0.0:
@@ -699,7 +701,8 @@ def test_memo_entries_are_frozen_and_die_with_the_family(seg1, m1_contingencies,
     assert len(_MEMO) == before + 1 + len(dmodels)
     u1, u2, forced, M, h = experiment._window_response(cfg, dmodels)
     assert result.windows[0].u1 is u1 and result.windows[0].u2 is u2
-    arrays = [u1, u2, *forced.values(), *M.values(), *h.values()]
+    assert forced.shape == (len(dmodels), *result.windows[0].samples.shape)
+    arrays = [u1, u2, forced, *M.values(), *h.values()]
     for d in dmodels:
         stack, qs, tri = _MEMO[d][("factor", cfg.window_steps, SUB)]
         arrays += [stack, *qs, tri]
