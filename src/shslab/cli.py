@@ -142,7 +142,7 @@ def cmd_build(args) -> int:
     net = _load_network(args.network)
     cfg = load_json(args.config)
     _reject_key(cfg, "monitored_bus", args.config,
-                "each segment monitors its resource bus's load, else the nearest loaded bus")
+                "each segment monitors the load at its resource bus")
     segments = segment_network(net, _assignment_from_config(cfg, args.config))
     con_map = doc_value(cfg, "contingencies", dict, args.config, {})
     families = []
@@ -281,8 +281,9 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _read_truth(path) -> list[int]:
-    """The alpha column of a truth.csv as `run` writes it (header `k,alpha`)."""
+def _read_truth(path, m: int) -> list[int]:
+    """The alpha column of a truth.csv as `run` writes it (header `k,alpha`);
+    each alpha must index one of the family's m scenarios."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     truth = []
@@ -291,6 +292,9 @@ def _read_truth(path) -> list[int]:
             truth.append(int(row[1]))
         except (IndexError, ValueError) as exc:
             raise ConfigError(f"{path}: row {line_no} is not 'k,alpha': {row}") from exc
+        if not 0 <= truth[-1] < m:
+            raise ConfigError(f"{path}: row {line_no} has alpha {truth[-1]}; the family "
+                              f"has scenarios 0..{m - 1}")
     return truth
 
 
@@ -301,7 +305,7 @@ def cmd_detect(args) -> int:
     windows = read_windows(args.trace, probe=probe)
     if not windows:
         raise ConfigError(f"no window files under {args.trace}")
-    truth = _read_truth(args.truth) if args.truth else None
+    truth = _read_truth(args.truth, len(fam)) if args.truth else None
     if truth is not None and len(truth) != len(windows):
         raise ConfigError(f"{args.truth}: {len(truth)} rows for {len(windows)} windows")
     widths = windows[0].samples.shape[1], windows[0].u2.shape[1]
@@ -309,6 +313,12 @@ def cmd_detect(args) -> int:
         raise ConfigError(
             f"{meta} records {widths[0]} outputs and {widths[1]} aux inputs; "
             f"the family in {args.family} has {fam[0].p} and {fam[0].B2.shape[1]}")
+    # the fit needs more equations than states, or every residual is 0
+    equations = windows[0].samples.size
+    if equations <= fam[0].n:
+        raise ConfigError(
+            f"{meta}: each window holds {equations} estimator equations for "
+            f"{fam[0].n} states; it must hold more")
     # windows are stored on the estimator grid; use every recorded sample
     dmodels = [discretize_zoh(sc, windows[0].ts) for sc in fam]
     report = detect_sequence(dmodels, windows, forced_responses(dmodels, windows),

@@ -1,9 +1,10 @@
 """Scenario identification per measurement window.
 
 For each candidate scenario the unknown window-start state is estimated by
-stacked least squares against the recorded outputs (with the recorded probe
-and aux-voltage feedthrough removed), and the scenario with the smallest
-fit residual wins. Ties break toward the lowest scenario index.
+stacked least squares against the recorded outputs (with the forced
+response to the recorded probe and aux voltages removed), and the scenario
+with the smallest fit residual wins. Ties break toward the lowest scenario
+index.
 
 The forced response each fit discounts is the scenario's output from rest
 under the window's input records. detect_sequence never simulates it: the
@@ -175,7 +176,7 @@ def observability_stack(dmodel: DiscreteStateSpace, steps: int,
 
 def forced_outputs(dmodel: DiscreteStateSpace, window: MeasurementWindow) -> np.ndarray:
     """Outputs the scenario would produce from zero initial state under the
-    window's recorded inputs (includes the D2 u2 feedthrough)."""
+    window's recorded inputs; u2 reaches them only through the state."""
     return simulate(dmodel, None, window.u1, window.u2, window.steps).outputs
 
 

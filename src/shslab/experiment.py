@@ -44,7 +44,7 @@ from .errors import ConfigError, NumericalError
 from .linsys import discretize_zoh, eig_sorted, expm, free_outputs, simulate
 from .probing import ProbingDesign, whole_steps
 from .ssbuild import ScenarioFamily
-from .util import dump_json, memo
+from .util import doc_value, dump_json, integer, memo
 
 
 @dataclass(frozen=True)
@@ -475,13 +475,14 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
         with open(meta, "r", encoding="utf-8") as fh:
             info = json.load(fh)
         ts = float(info["ts"])
-        p = int(info["n_outputs"])
-        q = int(info["n_u2"])
         starts = [float(t) for t in info["window_starts"]]
-        ts_written = float(info["ts_simulated"]) * int(info["stride_applied"])
+        ts_simulated = float(info["ts_simulated"])
         tau0 = float(info["tau0"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{meta}: malformed: {exc!r}") from exc
+    p, q, stride = (doc_value(info, key, integer, meta)
+                    for key in ("n_outputs", "n_u2", "stride_applied"))
+    ts_written = ts_simulated * stride
     if not (np.isfinite(ts) and ts > 0 and abs(ts - ts_written) <= 1e-12 * ts):
         raise ConfigError(f"{meta}: ts={ts} must be positive, finite and equal to "
                           f"ts_simulated * stride_applied = {ts_written}")

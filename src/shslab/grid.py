@@ -77,8 +77,9 @@ class PvbParams:
 
 @dataclass(frozen=True)
 class BusSpec:
-    """One bus. kind='PVB' requires pvb params (a local load is optional);
-    kind='Load' requires load params and forbids pvb."""
+    """One bus. Every bus requires load params: the resource's measurements
+    include the load current at its own bus. kind='PVB' also requires pvb
+    params; kind='Load' forbids them."""
 
     id: int
     kind: str  # 'PVB' | 'Load'
@@ -242,8 +243,8 @@ def parse_network(doc: dict) -> NetworkModel:
         pvb = _parse_pvb(b["pvb"], loc + ".pvb") if "pvb" in b else None
         if kind == "PVB" and pvb is None:
             raise NetworkFormatError("PVB bus needs 'pvb' parameters", loc)
-        if kind == "Load" and load is None:
-            raise NetworkFormatError("Load bus needs 'load' parameters", loc)
+        if load is None:
+            raise NetworkFormatError(f"{kind} bus needs 'load' parameters", loc)
         if kind == "Load" and pvb is not None:
             raise NetworkFormatError("Load bus cannot carry 'pvb' parameters", loc)
         buses.append(BusSpec(id=bus_id, kind=kind, load=load, pvb=pvb))
@@ -317,8 +318,8 @@ def validate(model: NetworkModel) -> list[Violation]:
         seen_ids.add(b.id)
         if b.kind == "PVB" and b.pvb is None:
             bad("missing-pvb-params", loc, "PVB bus without pvb parameters")
-        if b.kind == "Load" and b.load is None:
-            bad("missing-load-params", loc, "Load bus without load parameters")
+        if b.load is None:
+            bad("missing-load-params", loc, f"{b.kind} bus without load parameters")
         if b.kind == "Load" and b.pvb is not None:
             bad("unexpected-pvb-params", loc, "Load bus carries pvb parameters")
         if b.load is not None:

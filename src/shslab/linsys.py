@@ -20,11 +20,10 @@ class DiscreteStateSpace:
     Bd1: np.ndarray
     Bd2: np.ndarray
     C: np.ndarray
-    D2: np.ndarray
     ts: float
 
     def __post_init__(self):
-        for fname in ("Ad", "Bd1", "Bd2", "C", "D2"):
+        for fname in ("Ad", "Bd1", "Bd2", "C"):
             arr = np.array(getattr(self, fname), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, fname, arr)
@@ -171,18 +170,17 @@ def discretize_zoh(model: StateSpaceModel, ts: float) -> DiscreteStateSpace:
     Ad = E[:n, :n]
     Bd = E[:n, n:]
     return DiscreteStateSpace(Ad=Ad, Bd1=Bd[:, :3], Bd2=Bd[:, 3:],
-                              C=model.C, D2=model.D2, ts=ts)
+                              C=model.C, ts=ts)
 
 
 def simulate(dmodel: DiscreteStateSpace, x0: np.ndarray,
              u1: np.ndarray | None, u2: np.ndarray | None, steps: int,
              record_states: bool = False) -> ResponseTrace:
     """Propagate x_{k+1} = Ad x_k + Bd1 u1_k + Bd2 u2_k for k = 0..steps-1 and
-    record y_k = C x_k + D2 u2_k at k = 0..steps.
+    record y_k = C x_k at k = 0..steps.
 
-    Input arrays need at least `steps` rows; a missing row `steps` (used only
-    for the final sample's feedthrough) is treated as zero, and rows past
-    `steps` are ignored.
+    Input arrays need at least `steps` rows; a row `steps` is never used, so
+    a missing one is treated as zero, and rows past `steps` are ignored.
 
     The recursion is evaluated exactly (up to round-off) in blocks of
     b = floor(sqrt(steps+1)) samples rather than one sample at a time. The
@@ -235,7 +233,6 @@ def simulate(dmodel: DiscreteStateSpace, x0: np.ndarray,
         by_block[:-1, :, cols] = U[:(nb - 1) * b].reshape(nb - 1, b, U.shape[1])
         by_block[-1, :last, cols] = U[(nb - 1) * b:rows]
     step_map = np.vstack([dmodel.Ad.T, dmodel.Bd1.T, dmodel.Bd2.T])
-    out_map = np.vstack([dmodel.C.T, np.zeros((3, dmodel.p)), dmodel.D2.T])
 
     # pass 1: the recursion inside every block at once, zero carry-in
     Z[0, 0, :n] = x
@@ -258,7 +255,7 @@ def simulate(dmodel: DiscreteStateSpace, x0: np.ndarray,
         if nb > 1:
             carry = carry @ AdT
             Z[j, 1:, :n] += carry
-        np.matmul(Z[j], out_map, out=Y[j])
+        np.matmul(Z[j, :, :n], dmodel.C.T, out=Y[j])
     ys = Y.transpose(1, 0, 2).reshape(-1, dmodel.p)[:rows]
     X = by_block[:, :, :n].reshape(-1, n)[:rows] if record_states else None
     return ResponseTrace(outputs=ys, states=X)

@@ -48,6 +48,7 @@ import numpy as np
 from .errors import BuildError, ConfigError, NetworkFormatError
 from .grid import PvbParams
 from .segmentation import SegmentModel
+from .util import doc_value, integer
 
 PVB_STATE_NAMES = ("i_pv", "v_dc", "i_t_q", "i_t_d", "v_Cs", "v_Cb")
 
@@ -135,14 +136,13 @@ class StateSpaceModel:
     B1: np.ndarray
     B2: np.ndarray
     C: np.ndarray
-    D2: np.ndarray
     state_labels: tuple[str, ...]
     u2_labels: tuple[str, ...]
     x_op: np.ndarray
     omega_nom: float = 0.0
 
     def __post_init__(self):
-        for fname in ("A", "B1", "B2", "C", "D2", "x_op"):
+        for fname in ("A", "B1", "B2", "C", "x_op"):
             arr = np.array(getattr(self, fname), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, fname, arr)
@@ -153,8 +153,8 @@ class StateSpaceModel:
             raise BuildError(f"B1 must be {n}x3, got {self.B1.shape}")
         if self.B2.shape[0] != n or self.B2.shape[1] % 2:
             raise BuildError(f"B2 must be {n}x(2*n_aux), got {self.B2.shape}")
-        if self.C.shape[1] != n or self.D2.shape != (self.C.shape[0], self.B2.shape[1]):
-            raise BuildError("C/D2 dimensions inconsistent with A/B2")
+        if self.C.shape[1] != n:
+            raise BuildError("C dimensions inconsistent with A")
         if len(self.state_labels) != n or len(self.u2_labels) != self.B2.shape[1]:
             raise BuildError("label lists inconsistent with matrix dimensions")
         if self.x_op.shape != (n,):
@@ -388,40 +388,25 @@ def _resource_input_map(p: PvbParams, u1_op: np.ndarray, x_op: np.ndarray) -> np
     return B1
 
 
-def _selection(idx: _Index, rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Selection-row C over the labels `rows` and D2 indicating the
-    aux-voltage channels on the first outputs."""
+def _selection(idx: _Index, rows: list[str]) -> np.ndarray:
+    """Selection-row C over the labels `rows`: every output is a state."""
     C = np.zeros((len(rows), idx.n))
     for r, lab in enumerate(rows):
         C[r, idx.index[lab]] = 1.0
-    return C, np.eye(len(rows), len(idx.u2_labels))
+    return C
 
 
-def build_measurement(segment: SegmentModel) -> tuple[np.ndarray, np.ndarray]:
-    """Selection-row C over {v_dc, i_t_q, i_t_d, I_LL_q, I_LL_d of the monitored
-    load} and D2 as the indicator of the aux-voltage channels.
-
-    The monitored load is the resource bus's own load, falling back to the
-    nearest internally connected loaded bus.
-    """
+def build_measurement(segment: SegmentModel) -> np.ndarray:
+    """Selection-row C over v_dc, i_t_q, i_t_d and the load current
+    I_LL_q, I_LL_d at the resource bus; a resource bus without a load is a
+    BuildError."""
     idx = _Index(segment)
     if not idx.has_pvb:
         raise BuildError("segment has no resource bus; measurement set undefined")
-    if segment.pvb_bus in idx.jq:
-        monitored = segment.pvb_bus
-    else:
-        adjacent = sorted(
-            (ln.to_bus if ln.from_bus == segment.pvb_bus else ln.from_bus)
-            for ln in segment.internal_lines
-            if segment.pvb_bus in (ln.from_bus, ln.to_bus))
-        loaded = [b for b in adjacent if b in idx.jq]
-        if not loaded:
-            loaded = [b for b in segment.bus_ids if b in idx.jq]
-        if not loaded:
-            raise BuildError("no loaded bus available to monitor")
-        monitored = loaded[0]
-    return _selection(idx, ["v_dc", "i_t_q", "i_t_d",
-                            f"I_LL{monitored}_q", f"I_LL{monitored}_d"])
+    k = segment.pvb_bus
+    if k not in idx.jq:
+        raise BuildError(f"resource bus {k} has no load to monitor")
+    return _selection(idx, ["v_dc", "i_t_q", "i_t_d", f"I_LL{k}_q", f"I_LL{k}_d"])
 
 
 def build_state_space(segment: SegmentModel, contingency: ContingencySpec,
@@ -451,12 +436,12 @@ def build_state_space(segment: SegmentModel, contingency: ContingencySpec,
                 f"no operating point for scenario '{contingency.name()}': "
                 f"state matrix is singular") from exc
         B1[0:6] = _resource_input_map(pvb, u1_op, x_op)
-        C, D2 = build_measurement(segment)
+        C = build_measurement(segment)
     else:
-        C, D2 = _selection(idx, idx.labels)
+        C = _selection(idx, idx.labels)
 
     return StateSpaceModel(
-        alpha=alpha, name=contingency.name(), A=A, B1=B1, B2=B2, C=C, D2=D2,
+        alpha=alpha, name=contingency.name(), A=A, B1=B1, B2=B2, C=C,
         state_labels=tuple(idx.labels), u2_labels=tuple(idx.u2_labels),
         x_op=x_op, omega_nom=segment.omega_nom)
 
@@ -500,7 +485,6 @@ def family_to_json(family: ScenarioFamily) -> dict:
                 "B1": sc.B1.tolist(),
                 "B2": sc.B2.tolist(),
                 "C": sc.C.tolist(),
-                "D2": sc.D2.tolist(),
                 "x_op": sc.x_op.tolist(),
                 "omega_rad_s": sc.omega_nom,
             }
@@ -510,6 +494,9 @@ def family_to_json(family: ScenarioFamily) -> dict:
 
 
 def family_from_json(doc: dict) -> ScenarioFamily:
+    """The family a `build` document describes. Keys it does not read are
+    ignored, such as the aux-voltage feedthrough matrix of files written
+    while outputs carried one."""
     try:
         labels = tuple(doc["state_labels"])
         u2_labels = tuple(doc["u2_labels"])
@@ -521,22 +508,22 @@ def family_from_json(doc: dict) -> ScenarioFamily:
 
         scenarios = tuple(
             StateSpaceModel(
-                alpha=sc["alpha"], name=sc["name"],
+                alpha=doc_value(sc, "alpha", integer, f"$.scenarios[{i}]"), name=sc["name"],
                 A=np.array(sc["A"], dtype=float),
                 B1=np.array(sc["B1"], dtype=float),
                 B2=mat(sc["B2"], len(u2_labels)),
                 C=np.array(sc["C"], dtype=float),
-                D2=mat(sc["D2"], len(u2_labels)),
                 state_labels=labels, u2_labels=u2_labels,
                 x_op=np.array(sc["x_op"], dtype=float),
                 omega_nom=float(sc.get("omega_rad_s", 0.0)))
-            for sc in doc["scenarios"]
+            for i, sc in enumerate(doc["scenarios"])
         )
-        family = ScenarioFamily(segment_id=int(doc["segment_id"]), scenarios=scenarios)
-    except (KeyError, TypeError, ValueError) as exc:
+        family = ScenarioFamily(segment_id=doc_value(doc, "segment_id", integer, "$"),
+                                scenarios=scenarios)
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise NetworkFormatError(f"malformed family document: {exc}") from exc
     for i, sc in enumerate(family):
-        for fname in ("A", "B1", "B2", "C", "D2", "x_op"):
+        for fname in ("A", "B1", "B2", "C", "x_op"):
             if not np.all(np.isfinite(getattr(sc, fname))):
                 raise NetworkFormatError(
                     f"segment {family.segment_id} scenario {i} ({sc.name}): "

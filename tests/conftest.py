@@ -129,7 +129,7 @@ def make_model(A, B1=None, C=None, alpha=0, name="normal"):
     C = np.eye(n) if C is None else np.asarray(C, dtype=float)
     return StateSpaceModel(
         alpha=alpha, name=name, A=A, B1=B1,
-        B2=np.zeros((n, 0)), C=C, D2=np.zeros((C.shape[0], 0)),
+        B2=np.zeros((n, 0)), C=C,
         state_labels=tuple(f"x{i}" for i in range(n)),
         u2_labels=(), x_op=np.zeros(n))
 

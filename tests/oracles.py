@@ -110,16 +110,16 @@ def branch_incidence(bus_ids, branches):
     return inc
 
 
-def loop_simulate(Ad, Bd1, Bd2, C, D2, x0, u1, u2, steps):
+def loop_simulate(Ad, Bd1, Bd2, C, x0, u1, u2, steps):
     """Per-sample recursion x_{k+1} = Ad x_k + Bd1 u1_k + Bd2 u2_k with
-    y_k = C x_k + D2 u2_k, one Python iteration per sample.
+    y_k = C x_k, one Python iteration per sample.
 
     u1 and u2 need at least `steps` rows; a missing row `steps` is zero.
     Returns ((steps+1, n) states, (steps+1, p) outputs). x0 may also be a
     batch of K initial states (K, n), which gives (steps+1, K, n) states and
     (steps+1, K, p) outputs under the same inputs.
     """
-    Ad, Bd1, Bd2, C, D2 = (np.asarray(a, dtype=float) for a in (Ad, Bd1, Bd2, C, D2))
+    Ad, Bd1, Bd2, C = (np.asarray(a, dtype=float) for a in (Ad, Bd1, Bd2, C))
     n, q = Ad.shape[0], Bd2.shape[1]
 
     def padded(u, cols):
@@ -135,7 +135,7 @@ def loop_simulate(Ad, Bd1, Bd2, C, D2, x0, u1, u2, steps):
     ys = np.empty((steps + 1,) + x.shape[:-1] + (C.shape[0],))
     for k in range(steps + 1):
         xs[k] = x
-        ys[k] = (C @ x.T).T + D2 @ U2[k]
+        ys[k] = (C @ x.T).T
         if k < steps:
             x = (Ad @ x.T).T + Bd1 @ U1[k] + Bd2 @ U2[k]
     return xs, ys

@@ -88,6 +88,26 @@ def test_validate_bad_document_exits_2(tmp_path, capsys):
     assert "non-physical" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "build", "run"])
+def test_resource_bus_without_load_exits_2(workspace, capsys, command):
+    # bus 4 is segment 1's resource bus; its outputs include that load's current
+    doc = json.loads((workspace / "paper6bus.json").read_text())
+    assert doc["buses"][3]["id"] == 4 and doc["buses"][3]["kind"] == "PVB"
+    del doc["buses"][3]["load"]
+    (workspace / "paper6bus.json").write_text(json.dumps(doc))
+    out = workspace / "out"
+    args = {
+        "validate": ["validate", str(workspace / "paper6bus.json")],
+        "build": ["build", "--network", str(workspace / "paper6bus.json"),
+                  "--config", str(workspace / "stage.json"), "--out", str(out)],
+        "run": ["run", "--config", str(workspace / "experiment.json"),
+                "--out-dir", str(out)],
+    }[command]
+    assert main(args) == 2
+    assert "$.buses[3]: PVB bus needs 'load' parameters" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_file_exits_1(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 1
 
@@ -345,6 +365,57 @@ def test_detect_short_window_exits_2(recorded, tmp_path, capsys, probe):
     err = capsys.readouterr().err
     assert "window_0001.csv: has 100 data rows; meta.json's tau0=0.005 at ts=5e-05 implies 101" in err
     assert not (tmp_path / "replay.json").exists()
+
+
+@pytest.mark.parametrize("alpha", [9, 4, -1])
+def test_detect_truth_alpha_outside_family_exits_2(recorded, tmp_path, capsys, alpha):
+    truth = f"k,alpha\r\n1,0\r\n2,{alpha}\r\n3,0\r\n"
+    assert _replay(recorded, tmp_path, truth_text=truth) == 2
+    err = capsys.readouterr().err
+    assert f"truth.csv: row 3 has alpha {alpha}; the family has scenarios 0..3" in err
+    assert not (tmp_path / "replay.json").exists()
+
+
+def test_detect_too_few_equations_exits_2(recorded, tmp_path, capsys):
+    # windows cut to 3 samples of 5 outputs: 15 equations for 18 states,
+    # where every residual would be 0 and every verdict scenario 0
+    def edit(win_dir):
+        meta = json.loads((win_dir / "meta.json").read_text())
+        _edit_meta(win_dir, tau0=2 * meta["ts"])
+        for path in win_dir.glob("window_*.csv"):
+            lines = path.read_bytes().decode().split("\r\n")
+            path.write_bytes("\r\n".join(lines[:4] + [""]).encode())
+
+    assert _replay(recorded, tmp_path, edit=edit) == 2
+    err = capsys.readouterr().err
+    assert "meta.json: each window holds 15 estimator equations for 18 states" in err
+    assert not (tmp_path / "replay.json").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_outputs", 5.9), ("n_u2", True), ("stride_applied", 10.4),
+], ids=["outputs-fractional", "aux-inputs-bool", "stride-fractional"])
+def test_detect_non_integer_meta_field_exits_2(recorded, tmp_path, capsys, key, value):
+    assert _replay(recorded, tmp_path, edit=lambda d: _edit_meta(d, **{key: value})) == 2
+    assert f"meta.json: key '{key}' has bad value {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "replay.json").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda fam: fam["scenarios"][1].update(alpha=True),
+     "$.scenarios[1]: key 'alpha' has bad value True"),
+    (lambda fam: fam.update(segment_id=1.7), "$: key 'segment_id' has bad value 1.7"),
+], ids=["alpha-bool", "segment-fractional"])
+def test_analyze_non_integer_family_field_exits_2(recorded, tmp_path, capsys, edit, message):
+    doc = json.loads((recorded / "matrices.json").read_text())
+    fam = doc["families"][0]
+    edit(fam)
+    bad = tmp_path / "one.json"
+    bad.write_text(json.dumps({"families": [fam]}))
+    out = tmp_path / "eigs.csv"
+    assert main(["analyze", "--family", str(bad), "--out", str(out)]) == 2
+    assert f"malformed family document: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad_row", ["2", "2,normal", ""])

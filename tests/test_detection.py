@@ -261,8 +261,7 @@ def test_estimator_rejects_mismatched_ts(dmodels):
 
 def discretize_zoh_like(d):
     from shslab.linsys import DiscreteStateSpace
-    return DiscreteStateSpace(Ad=d.Ad, Bd1=d.Bd1, Bd2=d.Bd2, C=d.C, D2=d.D2,
-                              ts=d.ts * 2)
+    return DiscreteStateSpace(Ad=d.Ad, Bd1=d.Bd1, Bd2=d.Bd2, C=d.C, ts=d.ts * 2)
 
 
 def test_estimator_rejects_unobservable():
@@ -301,16 +300,16 @@ def test_window_validation():
                           u1=np.zeros((5, 3)), u2=np.zeros((5, 0)))
 
 
-def test_forced_outputs_include_feedthrough(dmodels):
+def test_forced_outputs_take_u2_through_the_state(dmodels):
     d = dmodels[0]
     steps = 20
     u2 = np.ones((steps + 1, 2))
     window = MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((steps + 1, 5)),
                                u1=np.zeros((steps + 1, 3)), u2=u2)
     forced = forced_outputs(d, window)
-    # at k=0 the state is zero, so the output is exactly D2 u2
-    assert np.array_equal(forced[0], d.D2 @ u2[0])
-    assert not np.allclose(forced[-1], d.D2 @ u2[-1])  # state built up
+    # at k=0 the state is zero and outputs are states: no feedthrough
+    assert np.array_equal(forced[0], np.zeros(5))
+    assert np.all(forced[-1, :2] != 0.0)  # u2 reached v_dc and i_t_q by then
 
 
 def test_observability_stack_shape(dmodels):

@@ -131,6 +131,27 @@ def test_load_bus_with_pvb_params_rejected():
         parse_network(doc)
 
 
+@pytest.mark.parametrize("i, kind", [(0, "PVB"), (1, "Load")])
+def test_bus_without_load_rejected(i, kind):
+    doc = minimal_doc()
+    del doc["buses"][i]["load"]
+    with pytest.raises(NetworkFormatError,
+                       match=rf"\$\.buses\[{i}\]: {kind} bus needs 'load' parameters"):
+        parse_network(doc)
+
+
+@pytest.mark.parametrize("bus_id", [4, 1])
+def test_bus_without_load_violation(paper_net, bus_id):
+    import dataclasses
+    i = paper_net.bus_ids.index(bus_id)
+    buses = list(paper_net.buses)
+    buses[i] = dataclasses.replace(buses[i], load=None)
+    bad = dataclasses.replace(paper_net, buses=tuple(buses))
+    kind = buses[i].kind
+    assert [(v.code, v.location, v.message) for v in validate(bad)] == [
+        ("missing-load-params", f"$.buses[{i}]", f"{kind} bus without load parameters")]
+
+
 def test_positive_r_pv_rejected():
     doc = minimal_doc()
     doc["buses"][0]["pvb"]["R_PV_ohm"] = 2.3

@@ -200,13 +200,13 @@ def paper_dmodels(m1_family):
 def test_simulate_matches_loop_oracle(paper_dmodels, steps, extra_rows):
     rng = np.random.default_rng(1000 * steps + extra_rows)
     for d in paper_dmodels:
-        assert np.any(d.D2)  # the feedthrough path is exercised
+        assert np.any(d.Bd2)  # u2 drives the state
         rows = steps + extra_rows
         x0 = rng.standard_normal(d.n)
         u1 = rng.standard_normal((rows, 3))
         u2 = rng.standard_normal((rows, d.Bd2.shape[1]))
         trace = simulate(d, x0, u1, u2, steps, record_states=True)
-        xs, ys = loop_simulate(d.Ad, d.Bd1, d.Bd2, d.C, d.D2, x0, u1, u2, steps)
+        xs, ys = loop_simulate(d.Ad, d.Bd1, d.Bd2, d.C, x0, u1, u2, steps)
         assert trace.states.shape == xs.shape and trace.outputs.shape == ys.shape
         assert np.max(np.abs(trace.states - xs)) <= 1e-12 * np.max(np.abs(xs))
         assert np.max(np.abs(trace.outputs - ys)) <= 1e-12 * np.max(np.abs(ys))
@@ -222,7 +222,7 @@ def test_free_outputs_matches_loop_oracle(paper_dmodels, steps, batch):
         X0 = rng.standard_normal((batch, d.n))
         out = [np.empty((steps + 1, d.p)) for _ in range(batch)]
         free_outputs(d, X0, out)
-        _, ys = loop_simulate(d.Ad, d.Bd1, d.Bd2, d.C, d.D2, X0, None, None, steps)
+        _, ys = loop_simulate(d.Ad, d.Bd1, d.Bd2, d.C, X0, None, None, steps)
         for k, y in enumerate(out):
             ref = ys[:, k]
             assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref)), k

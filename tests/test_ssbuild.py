@@ -126,7 +126,7 @@ def test_family_of_one(seg1):
 def test_identical_normals_bitwise(seg1):
     a = build_state_space(seg1, ContingencySpec.normal())
     b = build_state_space(seg1, ContingencySpec.normal())
-    for fname in ("A", "B1", "B2", "C", "D2", "x_op"):
+    for fname in ("A", "B1", "B2", "C", "x_op"):
         assert np.array_equal(getattr(a, fname), getattr(b, fname))
 
 
@@ -173,15 +173,10 @@ def test_measurement_rows_m1(seg1, m1_family):
         row = np.zeros(18)
         row[ix[lab]] = 1.0
         assert np.array_equal(model.C[r], row)
-    # aux-voltage indicator
-    assert model.D2.shape == (5, 2)
-    assert np.array_equal(model.D2[:2, :2], np.eye(2))
-    assert np.all(model.D2[2:] == 0.0)
 
 
 def test_measurement_without_aux_has_zero_columns():
     model = build_state_space(small_pvb_segment(), ContingencySpec.normal())
-    assert model.D2.shape == (5, 0)
     assert model.B2.shape == (16, 0)
 
 
@@ -195,8 +190,9 @@ def test_measurement_requires_resource():
         build_measurement(two_load_bus_segment())
 
 
-def test_measurement_falls_back_to_adjacent_load():
-    # resource bus without its own load: monitor the internally adjacent one
+def test_measurement_needs_load_at_resource_bus():
+    # a resource bus without its own load has no voltage state, so it would
+    # be grounded; the measurement set is undefined, not taken elsewhere
     seg = SegmentModel(
         id=3, pvb_bus=2, load_buses=frozenset({1}),
         internal_lines=(LineSpec(1, 2, 1.0, 0.7e-3),),
@@ -204,9 +200,10 @@ def test_measurement_falls_back_to_adjacent_load():
         buses=(BusSpec(1, "Load", load=LOAD_A),
                BusSpec(2, "PVB", load=None, pvb=PVB_PARAMS)),
         omega_nom=377.0)
-    model = build_state_space(seg, ContingencySpec.normal())
-    picked = [model.state_labels[int(np.argmax(r))] for r in model.C]
-    assert picked == ["v_dc", "i_t_q", "i_t_d", "I_LL1_q", "I_LL1_d"]
+    with pytest.raises(BuildError, match="resource bus 2 has no load to monitor"):
+        build_measurement(seg)
+    with pytest.raises(BuildError, match="resource bus 2 has no load to monitor"):
+        build_state_space(seg, ContingencySpec.normal())
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +371,25 @@ def test_family_json_roundtrip(m1_family):
     assert again.state_labels == m1_family.state_labels
     for a, b in zip(again, m1_family):
         assert a.name == b.name
-        for fname in ("A", "B1", "B2", "C", "D2", "x_op"):
+        for fname in ("A", "B1", "B2", "C", "x_op"):
             assert np.array_equal(getattr(a, fname), getattr(b, fname))
+    assert all("D2" not in sc for sc in json.loads(text)["scenarios"])
 
 
-@pytest.mark.parametrize("fname", ["A", "B1", "B2", "C", "D2", "x_op"])
+def test_family_from_json_ignores_d2(m1_family):
+    # matrices files written while outputs had an aux-voltage feedthrough
+    # carry a D2 per scenario; it is read past
+    doc = family_to_json(m1_family)
+    old = json.loads(json.dumps(doc))
+    for sc in old["scenarios"]:
+        sc["D2"] = np.eye(5, 2).tolist()
+    new, legacy = family_from_json(doc), family_from_json(old)
+    for a, b in zip(new, legacy):
+        for fname in ("A", "B1", "B2", "C", "x_op"):
+            assert getattr(a, fname).tobytes() == getattr(b, fname).tobytes()
+
+
+@pytest.mark.parametrize("fname", ["A", "B1", "B2", "C", "x_op"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_family_from_json_rejects_non_finite(m1_family, fname, bad):
     doc = family_to_json(m1_family)
