@@ -1,9 +1,11 @@
 """Command-line pipeline: validate, segment, build, analyze, design-probe,
 run, detect, repro-paper.
 
-Exit codes: 0 success, 1 usage or unreadable input path, 2 document/config
-validation failure, 3 numerical failure. Every file-producing stage writes a
-manifest recording input digests and the effective configuration.
+Exit codes: 0 success, 1 usage or unreadable input path, 2 a rejected
+document, config or argument (ConfigError), 3 a computation that cannot
+proceed on accepted inputs (NumericalError), such as scenarios the probe
+cannot tell apart. Every file-producing stage writes a manifest recording
+input digests and the effective configuration.
 """
 
 from __future__ import annotations
@@ -16,15 +18,13 @@ import sys
 
 from . import __version__, data_path
 from .detection import detect_sequence, forced_responses
-from .errors import (BuildError, ConfigError, DegenerateDesignError, EstimationError,
-                     NetworkFormatError, NumericalError, SegmentationError, ShslabError)
+from .errors import ConfigError, NumericalError
 from .experiment import (ExperimentConfig, eigen_report, generate_sequence,
                          read_windows, run_experiment, write_outputs)
 from .grid import NetworkModel, parse_network
-from .linsys import discretize_zoh
 from .manifest import write_manifest
-from .probing import (channel_index, design_mami, probe_from_json, probe_margin,
-                      probe_to_json)
+from .probing import (channel_index, design_mami, discretized, probe_from_json,
+                      probe_margin, probe_to_json)
 from .segmentation import SegmentModel, segment_network, segments_to_json
 from .ssbuild import (ContingencySpec, ScenarioFamily, build_family, contingency_from_json,
                       family_from_json, family_to_json)
@@ -80,8 +80,6 @@ def _family(seg: SegmentModel, cfg_list: list, loc: str) -> ScenarioFamily:
     entry that is malformed or does not fit the segment is an error at
     `loc[i]`, and a list that does not start with 'normal' one at `loc`."""
     specs = [contingency_from_json(obj, loc=f"{loc}[{i}]") for i, obj in enumerate(cfg_list)]
-    if not specs or specs[0].kind != "normal":
-        raise ConfigError(f"{loc}: the list must start with a 'normal' entry")
     return build_family(seg, specs, loc=loc)
 
 
@@ -114,7 +112,7 @@ def _pick_family(path, segment: int | None) -> ScenarioFamily:
 def cmd_validate(args) -> int:
     try:
         model = _load_network(args.network)
-    except NetworkFormatError as exc:
+    except ConfigError as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
         return 2
     print(f"OK: {model.name} ({len(model.buses)} buses, {len(model.lines)} lines)")
@@ -181,7 +179,7 @@ def _flag(args, name: str, check):
     """check(args.<name>); a value it rejects is a ConfigError naming the flag."""
     try:
         return check(getattr(args, name))
-    except DegenerateDesignError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"--{name}: {exc}") from exc
 
 
@@ -240,6 +238,9 @@ def _experiment_from_config(cfg_path, probe_off: bool = False,
     segments = segment_network(net, _assignment_from_config(cfg, cfg_path))
     seg = _segment_by_id(segments, seg_id)
     fam = _family(seg, contingencies, f"{cfg_path}: $.contingencies")
+    if len(fam) < 2:
+        raise ConfigError("a run needs at least two scenarios to tell apart, got 1",
+                          f"{cfg_path}: $.contingencies")
 
     probe = design_mami(fam, fam[0].x_op, channel, tau0, ts, margin=margin)
 
@@ -283,15 +284,20 @@ def cmd_run(args) -> int:
 
 def _read_truth(path, m: int) -> list[int]:
     """The alpha column of a truth.csv as `run` writes it (header `k,alpha`);
+    its k must run 1, 2, ... in order, pairing row k with window k - 1, and
     each alpha must index one of the family's m scenarios."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     truth = []
     for line_no, row in enumerate(rows[1:], start=2):
         try:
+            k = int(row[0])
             truth.append(int(row[1]))
         except (IndexError, ValueError) as exc:
             raise ConfigError(f"{path}: row {line_no} is not 'k,alpha': {row}") from exc
+        if k != len(truth):
+            raise ConfigError(f"{path}: row {line_no} has k={k}; rows must be numbered "
+                              f"1, 2, ... in order, so it must have k={len(truth)}")
         if not 0 <= truth[-1] < m:
             raise ConfigError(f"{path}: row {line_no} has alpha {truth[-1]}; the family "
                               f"has scenarios 0..{m - 1}")
@@ -320,7 +326,7 @@ def cmd_detect(args) -> int:
             f"{meta}: each window holds {equations} estimator equations for "
             f"{fam[0].n} states; it must hold more")
     # windows are stored on the estimator grid; use every recorded sample
-    dmodels = [discretize_zoh(sc, windows[0].ts) for sc in fam]
+    dmodels = discretized(fam, windows[0].ts)
     report = detect_sequence(dmodels, windows, forced_responses(dmodels, windows),
                              truth=truth, subsample=1)
     dump_json(report.to_json(), args.out)
@@ -440,15 +446,12 @@ def main(argv=None) -> int:
         return 1
     try:
         rc = args.func(args)
-    except (NetworkFormatError, ConfigError, SegmentationError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BuildError, NumericalError, DegenerateDesignError, EstimationError) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except ShslabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"cannot read/write: {exc}", file=sys.stderr)
         return 1

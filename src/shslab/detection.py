@@ -26,7 +26,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import EstimationError
+from .errors import ConfigError, NumericalError, ShslabError
 from .linsys import DiscreteStateSpace, simulate
 from .util import memo
 
@@ -61,16 +61,14 @@ class MeasurementWindow:
         for fname in ("samples", "u1", "u2"):
             object.__setattr__(self, fname, _frozen(getattr(self, fname)))
         if not self.ts > 0:
-            raise EstimationError(f"sample period must be > 0, got {self.ts}")
+            raise ConfigError(f"sample period must be > 0, got {self.ts}")
         rows = self.samples.shape[0]
         if rows < 2:
-            raise EstimationError("window needs at least two samples")
+            raise ConfigError("window needs at least two samples")
         if self.u1.shape != (rows, 3):
-            raise EstimationError(
-                f"u1 record must be ({rows}, 3), got {self.u1.shape}")
+            raise ConfigError(f"u1 record must be ({rows}, 3), got {self.u1.shape}")
         if self.u2.ndim != 2 or self.u2.shape[0] != rows:
-            raise EstimationError(
-                f"u2 record must have {rows} rows, got {self.u2.shape}")
+            raise ConfigError(f"u2 record must have {rows} rows, got {self.u2.shape}")
 
     @property
     def steps(self) -> int:
@@ -86,9 +84,9 @@ class ScenarioVerdict:
     def __post_init__(self):
         res = np.asarray(self.residuals, dtype=float)
         if not np.all(np.isfinite(res)):
-            raise EstimationError("verdict residuals must be finite")
+            raise NumericalError("verdict residuals must be finite")
         if self.detected != int(np.argmin(res)):
-            raise EstimationError("detected scenario must be the residual argmin")
+            raise NumericalError("detected scenario must be the residual argmin")
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,7 +101,7 @@ class DetectionReport:
         if self.truth is not None:
             truth = tuple(int(a) for a in self.truth)
             if len(truth) != len(self.verdicts):
-                raise EstimationError("truth length differs from verdict count")
+                raise ConfigError("truth length differs from verdict count")
             object.__setattr__(self, "truth", truth)
 
     @property
@@ -144,7 +142,7 @@ class DetectionReport:
 def sample_indices(steps: int, subsample: int) -> np.ndarray:
     """Estimator grid: every subsample-th sample index, always including 0."""
     if subsample < 1:
-        raise EstimationError(f"subsample must be >= 1, got {subsample}")
+        raise ConfigError(f"subsample must be >= 1, got {subsample}")
     return np.arange(0, steps + 1, subsample)
 
 
@@ -182,11 +180,10 @@ def forced_outputs(dmodel: DiscreteStateSpace, window: MeasurementWindow) -> np.
 
 def _check_window(dmodel: DiscreteStateSpace, window: MeasurementWindow) -> None:
     if window.samples.shape[1] != dmodel.p:
-        raise EstimationError(
+        raise ConfigError(
             f"window has {window.samples.shape[1]} outputs, model has {dmodel.p}")
     if abs(window.ts - dmodel.ts) > 1e-12 * max(window.ts, dmodel.ts):
-        raise EstimationError(
-            f"window sampled at {window.ts}, model discretized at {dmodel.ts}")
+        raise ConfigError(f"window sampled at {window.ts}, model discretized at {dmodel.ts}")
 
 
 def _factor(dmodel: DiscreteStateSpace, steps: int, subsample: int):
@@ -195,7 +192,7 @@ def _factor(dmodel: DiscreteStateSpace, steps: int, subsample: int):
     q of every chunk and the final n-by-n triangle, all read-only."""
     stack = observability_stack(dmodel, steps, subsample)
     if not np.any(stack):
-        raise EstimationError("all-zero observability map; model is unobservable")
+        raise NumericalError("all-zero observability map; model is unobservable")
     qs, tri = [], np.empty((0, stack.shape[1]))
     for lo in range(0, stack.shape[0], _QR_ROWS):
         q, tri = np.linalg.qr(np.vstack([tri, stack[lo:lo + _QR_ROWS]]))
@@ -291,15 +288,15 @@ def detect_sequence(models: list[DiscreteStateSpace],
     share its batch, so that would move residuals by round-off.
     """
     if truth is not None and len(truth) != len(windows):
-        raise EstimationError("truth sequence length differs from window count")
+        raise ConfigError("truth sequence length differs from window count")
     if len(forced) != len(windows):
-        raise EstimationError(f"{len(forced)} forced responses for {len(windows)} windows")
+        raise ConfigError(f"{len(forced)} forced responses for {len(windows)} windows")
     if windows and not models:
-        raise EstimationError("scenario list is empty")
+        raise ConfigError("scenario list is empty")
     for k, (f, window) in enumerate(zip(forced, windows)):
         if f.shape != (len(models), *window.samples.shape):
-            raise EstimationError(f"window {k}: forced responses are {f.shape}, "
-                                  f"expected {(len(models), *window.samples.shape)}")
+            raise ConfigError(f"window {k}: forced responses are {f.shape}, "
+                              f"expected {(len(models), *window.samples.shape)}")
 
     verdicts = []
     for _, group in groupby(zip(forced, windows), key=lambda pair: id(pair[0])):
@@ -311,8 +308,8 @@ def detect_sequence(models: list[DiscreteStateSpace],
                     _check_window(model, window)
                 factors.append(memo(model, ("factor", run[0].steps, subsample),
                                     partial(_factor, model, run[0].steps, subsample)))
-            except EstimationError as exc:
-                raise EstimationError(f"scenario {i}: {exc}") from exc
+            except ShslabError as exc:
+                raise type(exc)(f"scenario {i}: {exc}") from exc
         x0_hat, residuals = _fit(factors, run, responses[0], subsample)
         verdicts += [ScenarioVerdict(detected=int(np.argmin(r)), residuals=r, x0_hat=x)
                      for r, x in zip(residuals.T, x0_hat.transpose(2, 0, 1))]

@@ -1,37 +1,25 @@
-"""Exception hierarchy. CLI maps these onto exit codes (2 = bad input, 3 = numerics)."""
+"""The two error kinds, chosen where the error is raised.
+
+* ConfigError: a document, config, argument or caller-supplied value was
+  rejected. The CLI exits with code 2.
+* NumericalError: the inputs passed their checks, but a computation cannot
+  proceed (a singular operating point, an unstable family, scenarios the
+  probe cannot tell apart) or an internal invariant failed. The CLI exits
+  with code 3.
+"""
 
 
 class ShslabError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NetworkFormatError(ShslabError):
-    """A network/config document violates the schema. Carries a document location."""
+class ConfigError(ShslabError):
+    """A rejected input; `location` names the place in its document, if any."""
 
-    def __init__(self, message: str, location: str = ""):
+    def __init__(self, message: str, location: str | None = None):
         self.location = location
         super().__init__(f"{location}: {message}" if location else message)
 
 
-class ConfigError(ShslabError):
-    """An experiment or stage configuration is inconsistent."""
-
-
-class SegmentationError(ShslabError):
-    """A bus-to-segment assignment cannot produce valid segments."""
-
-
-class BuildError(ShslabError):
-    """State-space assembly failed (bad contingency reference, no equilibrium, ...)."""
-
-
 class NumericalError(ShslabError):
-    """A numerical routine failed (singular matrix, eigensolver non-convergence, ...)."""
-
-
-class DegenerateDesignError(ShslabError):
-    """Probing design is degenerate (zero state bound or indistinguishable scenarios)."""
-
-
-class EstimationError(ShslabError):
-    """Initial-state estimation cannot proceed (unobservable model, shape mismatch)."""
+    """A computation on accepted inputs cannot proceed."""

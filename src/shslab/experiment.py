@@ -17,12 +17,13 @@ states, and one blocked free response over all windows of each scenario.
 Every window hands detection those same forced responses, one array of all
 scenarios of the family, visited or not, so detection simulates nothing.
 
-None of that depends on the window data. The discretized models are built
-once per family and ts, and the input records, forced responses and
-boundary maps once per family and (ts, tau, tau0, probe channel, applied
-probe level); both are kept as long as the family lives. A later run on the
-same family draws its initial state, chains the boundary states, takes the
-free responses and the noise, and fits against detection's stored factors.
+None of that depends on the window data. The discretized models are
+probing.discretized's, built once per family and ts, and the input records,
+forced responses and boundary maps once per family and (ts, tau, tau0, probe
+channel, applied probe level); both are kept as long as the family lives.
+A later run on the same family draws its initial state, chains the boundary
+states, takes the free responses and the noise, and fits against
+detection's stored factors.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ import numpy as np
 
 from .detection import DetectionReport, MeasurementWindow, detect_sequence
 from .errors import ConfigError, NumericalError
-from .linsys import discretize_zoh, eig_sorted, expm, free_outputs, simulate
-from .probing import ProbingDesign, whole_steps
+from .linsys import eig_sorted, expm, free_outputs, simulate
+from .probing import ProbingDesign, discretized, whole_steps
 from .ssbuild import ScenarioFamily
 from .util import doc_value, dump_json, integer, memo
 
@@ -132,12 +133,6 @@ def generate_sequence(config: ExperimentConfig) -> SwitchingSequence:
     return SwitchingSequence(alphas=tuple(int(a) for a in draws))
 
 
-def _discretized(family: ScenarioFamily, ts: float) -> tuple:
-    """The family's scenarios discretized at ts, built once per family and ts."""
-    return memo(family, ("discretized", ts),
-                lambda: tuple(discretize_zoh(sc, ts) for sc in family))
-
-
 def _window_response(config: ExperimentConfig, dmodels: tuple):
     """What every window of a run shares, built once per family and
     (ts, tau, tau0, probe channel, applied probe level): the frozen input
@@ -184,7 +179,7 @@ def run_experiment(config: ExperimentConfig,
         raise ConfigError(
             f"sequence length {len(sequence)} differs from K={config.K}")
 
-    dmodels = _discretized(family, config.ts)
+    dmodels = discretized(family, config.ts)
     _, rng_noise, rng_x0 = _rngs(config.seed)
     n = family[0].n
 

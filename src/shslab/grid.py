@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NetworkFormatError
+from .errors import ConfigError
 
 OMEGA_60HZ = 2.0 * math.pi * 60.0
 
@@ -146,25 +146,25 @@ def _get_number(obj: dict, name: str, dim: str, loc: str, required: bool = True,
     if not hits:
         if required:
             spellings = ", ".join(name + s for s in _UNIT_SUFFIXES[dim])
-            raise NetworkFormatError(
+            raise ConfigError(
                 f"missing field '{name}' (accepted spellings: {spellings})", loc)
         return default
     if len(hits) > 1:
-        raise NetworkFormatError(
+        raise ConfigError(
             f"field '{name}' given more than once: {[k for k, _ in hits]}", loc)
     key, factor = hits[0]
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise NetworkFormatError(f"field '{key}' must be a number", loc)
+        raise ConfigError(f"field '{key}' must be a number", loc)
     return float(value) * factor
 
 
 def _require(obj, key, typ, loc):
     if key not in obj:
-        raise NetworkFormatError(f"missing field '{key}'", loc)
+        raise ConfigError(f"missing field '{key}'", loc)
     value = obj[key]
     if not isinstance(value, typ) or isinstance(value, bool):
-        raise NetworkFormatError(f"field '{key}' has wrong type", loc)
+        raise ConfigError(f"field '{key}' has wrong type", loc)
     return value
 
 
@@ -186,9 +186,9 @@ def _parse_pvb(obj: dict, loc: str) -> PvbParams:
         op_obj = _require(obj, "operating_point", dict, loc)
         op_loc = loc + ".operating_point"
         op = ControlInput(
-            d=_get_number(op_obj, "d", "plain", op_loc, required=False, default=0.5),
-            delta=_get_number(op_obj, "delta", "angle", op_loc, required=False, default=0.1),
-            m_a=_get_number(op_obj, "m_a", "plain", op_loc, required=False, default=0.8),
+            d=_get_number(op_obj, "d", "plain", op_loc, required=False, default=op.d),
+            delta=_get_number(op_obj, "delta", "angle", op_loc, required=False, default=op.delta),
+            m_a=_get_number(op_obj, "m_a", "plain", op_loc, required=False, default=op.m_a),
         )
     return PvbParams(
         R_PV=_get_number(obj, "R_PV", "resistance", loc),
@@ -209,17 +209,17 @@ def _parse_pvb(obj: dict, loc: str) -> PvbParams:
 def parse_network(doc: dict) -> NetworkModel:
     """Build a NetworkModel from a parsed JSON document.
 
-    Raises NetworkFormatError with a document location on any schema or
+    Raises ConfigError with a document location on any schema or
     invariant problem; the returned model always satisfies validate().
     """
     if not isinstance(doc, dict):
-        raise NetworkFormatError("document root must be a JSON object", "$")
+        raise ConfigError("document root must be a JSON object", "$")
     name = doc.get("name", "network")
     if not isinstance(name, str):
-        raise NetworkFormatError("field 'name' must be a string", "$")
+        raise ConfigError("field 'name' must be a string", "$")
 
     if "omega_hz" in doc and "omega_rad_s" in doc:
-        raise NetworkFormatError("give either 'omega_hz' or 'omega_rad_s', not both", "$")
+        raise ConfigError("give either 'omega_hz' or 'omega_rad_s', not both", "$")
     if "omega_rad_s" in doc:
         omega = float(_require(doc, "omega_rad_s", (int, float), "$"))
     elif "omega_hz" in doc:
@@ -229,24 +229,24 @@ def parse_network(doc: dict) -> NetworkModel:
 
     bus_objs = _require(doc, "buses", list, "$")
     if len(bus_objs) == 0:
-        raise NetworkFormatError("empty network (no buses)", "$.buses")
+        raise ConfigError("empty network (no buses)", "$.buses")
     buses = []
     for i, b in enumerate(bus_objs):
         loc = f"$.buses[{i}]"
         if not isinstance(b, dict):
-            raise NetworkFormatError("bus entry must be an object", loc)
+            raise ConfigError("bus entry must be an object", loc)
         bus_id = _require(b, "id", int, loc)
         kind = _require(b, "kind", str, loc)
         if kind not in ("PVB", "Load"):
-            raise NetworkFormatError(f"unknown bus kind '{kind}'", loc)
+            raise ConfigError(f"unknown bus kind '{kind}'", loc)
         load = _parse_load(b["load"], loc + ".load") if "load" in b else None
         pvb = _parse_pvb(b["pvb"], loc + ".pvb") if "pvb" in b else None
         if kind == "PVB" and pvb is None:
-            raise NetworkFormatError("PVB bus needs 'pvb' parameters", loc)
+            raise ConfigError("PVB bus needs 'pvb' parameters", loc)
         if load is None:
-            raise NetworkFormatError(f"{kind} bus needs 'load' parameters", loc)
+            raise ConfigError(f"{kind} bus needs 'load' parameters", loc)
         if kind == "Load" and pvb is not None:
-            raise NetworkFormatError("Load bus cannot carry 'pvb' parameters", loc)
+            raise ConfigError("Load bus cannot carry 'pvb' parameters", loc)
         buses.append(BusSpec(id=bus_id, kind=kind, load=load, pvb=pvb))
 
     line_objs = _require(doc, "lines", list, "$")
@@ -254,7 +254,7 @@ def parse_network(doc: dict) -> NetworkModel:
     for i, ln in enumerate(line_objs):
         loc = f"$.lines[{i}]"
         if not isinstance(ln, dict):
-            raise NetworkFormatError("line entry must be an object", loc)
+            raise ConfigError("line entry must be an object", loc)
         lines.append(LineSpec(
             from_bus=_require(ln, "from", int, loc),
             to_bus=_require(ln, "to", int, loc),
@@ -267,7 +267,7 @@ def parse_network(doc: dict) -> NetworkModel:
     report = validate(model)
     if report:
         first = report[0]
-        raise NetworkFormatError(
+        raise ConfigError(
             f"[{first.code}] {first.message} ({len(report)} violation(s) total)",
             first.location)
     return model

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDesignError, NumericalError
+from .errors import ConfigError, NumericalError
 from .linsys import discretize_zoh, eigenvalues, step_response
 from .ssbuild import ScenarioFamily, StateSpaceModel
-from .util import doc_value, integer
+from .util import doc_value, integer, memo
 
 CHANNELS = ("d", "delta", "m_a")
 
@@ -29,12 +29,11 @@ def channel_index(channel) -> int:
     command line gives it) or name 'd'/'delta'/'m_a'."""
     if isinstance(channel, str) and not channel.lstrip("-").isdigit():
         if channel not in CHANNELS:
-            raise DegenerateDesignError(
-                f"unknown probe channel '{channel}' (one of {CHANNELS})")
+            raise ConfigError(f"unknown probe channel '{channel}' (one of {CHANNELS})")
         return CHANNELS.index(channel)
     ch = integer(channel)
     if ch not in (0, 1, 2):
-        raise DegenerateDesignError(f"probe channel index must be 0..2, got {ch}")
+        raise ConfigError(f"probe channel index must be 0..2, got {ch}")
     return ch
 
 
@@ -42,7 +41,7 @@ def probe_margin(margin) -> float:
     """margin as the factor R / R0, which must be finite and exceed 1."""
     margin = float(margin)
     if not (margin > 1.0 and math.isfinite(margin)):
-        raise DegenerateDesignError(f"margin must be finite and exceed 1, got {margin}")
+        raise ConfigError(f"margin must be finite and exceed 1, got {margin}")
     return margin
 
 
@@ -53,6 +52,13 @@ def whole_steps(name: str, span: float, ts: float) -> int:
     if steps < 1 or abs(ratio - steps) > 1e-6:
         raise ConfigError(f"{name}={span} is not a whole number (>= 1) of samples at ts={ts}")
     return steps
+
+
+def discretized(family: ScenarioFamily, ts: float) -> tuple:
+    """The family's scenarios discretized at ts, built once per family and ts
+    and shared by probe design, the switched truth and detection."""
+    return memo(family, ("discretized", ts),
+                lambda: tuple(discretize_zoh(sc, ts) for sc in family))
 
 
 def current_state_mask(labels) -> np.ndarray:
@@ -78,18 +84,17 @@ class ProbingDesign:
     def __post_init__(self):
         for name in ("mu0", "mu1", "delta_min", "R0", "R", "tau0"):
             if not math.isfinite(getattr(self, name)):
-                raise DegenerateDesignError(f"{name} must be finite, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.tau0 > 0:
-            raise DegenerateDesignError(f"tau0 must be > 0, got {self.tau0}")
+            raise ConfigError(f"tau0 must be > 0, got {self.tau0}")
         if not self.delta_min > 0:
-            raise DegenerateDesignError(
-                f"delta_min must be > 0, got {self.delta_min}")
+            raise ConfigError(f"delta_min must be > 0, got {self.delta_min}")
         expected_R0 = 2.0 * self.mu0 * self.mu1 / self.delta_min
         if abs(self.R0 - expected_R0) > 1e-9 * max(1.0, abs(expected_R0)):
-            raise DegenerateDesignError(
+            raise ConfigError(
                 f"R0={self.R0} inconsistent with 2*mu0*mu1/delta_min={expected_R0}")
         if not self.R > self.R0:
-            raise DegenerateDesignError(
+            raise ConfigError(
                 f"probe magnitude R={self.R} does not exceed threshold R0={self.R0}")
         channel_index(self.channel)
 
@@ -116,7 +121,7 @@ def compute_mu0(model: StateSpaceModel, equilibrium: np.ndarray) -> float:
         raise NumericalError("equilibrium has non-finite entries")
     mask = current_state_mask(model.state_labels)
     if not mask.any():
-        raise DegenerateDesignError("model has no current-type states")
+        raise NumericalError("model has no current-type states")
     return 0.02 * float(np.max(np.abs(eq[mask])))
 
 
@@ -143,12 +148,12 @@ def compute_delta_min(family: ScenarioFamily, channel, tau0: float,
     is indistinguishable under this probe channel.
     """
     if len(family) < 2:
-        raise DegenerateDesignError("delta_min needs at least two scenarios")
+        raise ConfigError("delta_min needs at least two scenarios")
     ch = channel_index(channel)
     steps = whole_steps("tau0", tau0, ts)
 
-    aggregates = [step_response(discretize_zoh(sc, ts), ch, steps).outputs.sum(axis=1)
-                  for sc in family]
+    aggregates = [step_response(dm, ch, steps).outputs.sum(axis=1)
+                  for dm in discretized(family, ts)]
 
     gaps: dict[tuple[int, int], float] = {}
     for i in range(len(family)):
@@ -166,13 +171,12 @@ def design_mami(family: ScenarioFamily, equilibrium: np.ndarray, channel,
     mu1 = compute_mu1(family)
     dm = compute_delta_min(family, ch, tau0, ts)
     if dm.indistinguishable:
-        raise DegenerateDesignError(
+        raise NumericalError(
             f"scenarios {dm.pair} are output-indistinguishable under channel "
             f"'{CHANNELS[ch]}'; probing channel must change")
     mu0 = compute_mu0(family[0], equilibrium)
     if mu0 == 0.0:
-        raise DegenerateDesignError(
-            "operating point has zero currents; state bound mu0 degenerates")
+        raise NumericalError("operating point has zero currents; state bound mu0 degenerates")
     R0 = 2.0 * mu0 * mu1 / dm.value
     return ProbingDesign(mu0=mu0, mu1=mu1, delta_min=dm.value, R0=R0,
                          R=margin * R0, channel=ch, tau0=tau0, ts=ts,
@@ -216,5 +220,5 @@ def probe_from_json(doc: dict, source="probe document") -> ProbingDesign:
         argmin_pair=doc_value(doc, "argmin_pair", _pair, source, None))
     try:
         return ProbingDesign(**values)
-    except DegenerateDesignError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from exc

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SegmentationError
+from .errors import ConfigError
 from .grid import BusSpec, LineSpec, NetworkModel, connected
 
 
@@ -70,10 +70,10 @@ def segment_network(model: NetworkModel,
     ids = set(model.bus_ids)
     missing = sorted(ids - set(assignment))
     if missing:
-        raise SegmentationError(f"assignment does not cover buses {missing}")
+        raise ConfigError(f"assignment does not cover buses {missing}")
     extra = sorted(set(assignment) - ids)
     if extra:
-        raise SegmentationError(f"assignment references unknown buses {extra}")
+        raise ConfigError(f"assignment references unknown buses {extra}")
 
     seg_ids = sorted(set(assignment.values()))
     members = {s: sorted(b for b, sid in assignment.items() if sid == s) for s in seg_ids}
@@ -81,7 +81,7 @@ def segment_network(model: NetworkModel,
     for s in seg_ids:
         pvbs = [b for b in members[s] if model.bus(b).kind == "PVB"]
         if len(pvbs) != 1:
-            raise SegmentationError(
+            raise ConfigError(
                 f"segment {s} must contain exactly one PVB bus, found {pvbs or 'none'}")
 
     internal: dict[int, list[LineSpec]] = {s: [] for s in seg_ids}
@@ -94,8 +94,7 @@ def segment_network(model: NetworkModel,
 
     for s in seg_ids:
         if not connected(members[s], internal[s]):
-            raise SegmentationError(
-                f"segment {s} is not connected through its internal lines")
+            raise ConfigError(f"segment {s} is not connected through its internal lines")
 
     aux: dict[int, list[AuxBusSpec]] = {s: [] for s in seg_ids}
     for ln in cut_lines:

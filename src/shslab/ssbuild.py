@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BuildError, ConfigError, NetworkFormatError
+from .errors import ConfigError, NumericalError, ShslabError
 from .grid import PvbParams
 from .segmentation import SegmentModel
 from .util import doc_value, integer
@@ -66,18 +66,18 @@ class ContingencySpec:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise BuildError(f"unknown contingency kind '{self.kind}'")
+            raise ConfigError(f"unknown contingency kind '{self.kind}'")
         if self.kind == "normal":
             if self.line is not None:
-                raise BuildError("'normal' takes no line reference")
+                raise ConfigError("'normal' takes no line reference")
         else:
             if self.line is None:
-                raise BuildError(f"'{self.kind}' needs a line reference")
+                raise ConfigError(f"'{self.kind}' needs a line reference")
         if self.kind == "short_circuit" and not self.R_f > 0:
-            raise BuildError(f"fault resistance must be > 0, got {self.R_f}")
+            raise ConfigError(f"fault resistance must be > 0, got {self.R_f}")
         if self.kind == "line_disconnect":
             if self.open_end is None or self.open_end not in self.line:
-                raise BuildError("'line_disconnect' needs open_end at one line endpoint")
+                raise ConfigError("'line_disconnect' needs open_end at one line endpoint")
 
     @classmethod
     def normal(cls) -> "ContingencySpec":
@@ -106,19 +106,19 @@ def contingency_from_json(obj: dict, loc: str = "$") -> ContingencySpec:
     """The contingency a config entry describes. Every kind reads 'kind' and
     'line'; a short circuit also reads 'R_f_ohm', a disconnect 'open_end'.
     An entry that is not an object, a value ContingencySpec rejects, or a key
-    its kind does not read is a NetworkFormatError at `loc`."""
+    its kind does not read is a ConfigError at `loc`."""
     if not isinstance(obj, dict):
-        raise NetworkFormatError(f"expected a contingency object, got {obj!r}", loc)
+        raise ConfigError(f"expected a contingency object, got {obj!r}", loc)
     try:
         spec = ContingencySpec(
             obj.get("kind"), tuple(obj["line"]) if "line" in obj else None,
             float(obj.get("R_f_ohm", ContingencySpec.R_f)), obj.get("open_end"))
-    except (BuildError, TypeError, ValueError) as exc:
-        raise NetworkFormatError(str(exc), loc) from exc
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(str(exc), loc) from exc
     own = {"short_circuit": "R_f_ohm", "line_disconnect": "open_end"}.get(spec.kind)
     for key in obj:
         if key not in ("kind", "line", own):
-            raise NetworkFormatError(f"'{spec.kind}' takes no key '{key}'", loc)
+            raise ConfigError(f"'{spec.kind}' takes no key '{key}'", loc)
     return spec
 
 
@@ -144,21 +144,23 @@ class StateSpaceModel:
     def __post_init__(self):
         for fname in ("A", "B1", "B2", "C", "x_op"):
             arr = np.array(getattr(self, fname), dtype=float)
+            if fname != "x_op" and arr.ndim != 2:
+                raise ConfigError(f"{fname} must be a matrix, got shape {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, fname, arr)
         n = self.A.shape[0]
         if self.A.shape != (n, n):
-            raise BuildError("A must be square")
+            raise ConfigError(f"A must be square, got {self.A.shape}")
         if self.B1.shape != (n, 3):
-            raise BuildError(f"B1 must be {n}x3, got {self.B1.shape}")
+            raise ConfigError(f"B1 must be {n}x3, got {self.B1.shape}")
         if self.B2.shape[0] != n or self.B2.shape[1] % 2:
-            raise BuildError(f"B2 must be {n}x(2*n_aux), got {self.B2.shape}")
+            raise ConfigError(f"B2 must be {n}x(2*n_aux), got {self.B2.shape}")
         if self.C.shape[1] != n:
-            raise BuildError("C dimensions inconsistent with A")
+            raise ConfigError(f"C must have {n} columns, got {self.C.shape}")
         if len(self.state_labels) != n or len(self.u2_labels) != self.B2.shape[1]:
-            raise BuildError("label lists inconsistent with matrix dimensions")
+            raise ConfigError("label lists inconsistent with matrix dimensions")
         if self.x_op.shape != (n,):
-            raise BuildError("x_op length inconsistent with A")
+            raise ConfigError(f"x_op must have length {n}, got {self.x_op.shape}")
 
     @property
     def n(self) -> int:
@@ -179,15 +181,15 @@ class ScenarioFamily:
     def __post_init__(self):
         object.__setattr__(self, "scenarios", tuple(self.scenarios))
         if not self.scenarios:
-            raise BuildError("family needs at least one scenario")
+            raise ConfigError("family needs at least one scenario")
         first = self.scenarios[0]
         for i, sc in enumerate(self.scenarios):
             if sc.alpha != i:
-                raise BuildError(f"scenario {i} carries alpha={sc.alpha}")
+                raise ConfigError(f"scenario {i} carries alpha={sc.alpha}")
             if sc.state_labels != first.state_labels or sc.u2_labels != first.u2_labels:
-                raise BuildError(f"scenario {i} labels differ from scenario 0")
+                raise ConfigError(f"scenario {i} labels differ from scenario 0")
             if sc.p != first.p:
-                raise BuildError(f"scenario {i} output dimension differs")
+                raise ConfigError(f"scenario {i} output dimension differs")
 
     def __len__(self) -> int:
         return len(self.scenarios)
@@ -399,13 +401,13 @@ def _selection(idx: _Index, rows: list[str]) -> np.ndarray:
 def build_measurement(segment: SegmentModel) -> np.ndarray:
     """Selection-row C over v_dc, i_t_q, i_t_d and the load current
     I_LL_q, I_LL_d at the resource bus; a resource bus without a load is a
-    BuildError."""
+    ConfigError."""
     idx = _Index(segment)
     if not idx.has_pvb:
-        raise BuildError("segment has no resource bus; measurement set undefined")
+        raise ConfigError("segment has no resource bus; measurement set undefined")
     k = segment.pvb_bus
     if k not in idx.jq:
-        raise BuildError(f"resource bus {k} has no load to monitor")
+        raise ConfigError(f"resource bus {k} has no load to monitor")
     return _selection(idx, ["v_dc", "i_t_q", "i_t_d", f"I_LL{k}_q", f"I_LL{k}_d"])
 
 
@@ -432,7 +434,7 @@ def build_state_space(segment: SegmentModel, contingency: ContingencySpec,
         try:
             x_op = np.linalg.solve(A, -b)
         except np.linalg.LinAlgError as exc:
-            raise BuildError(
+            raise NumericalError(
                 f"no operating point for scenario '{contingency.name()}': "
                 f"state matrix is singular") from exc
         B1[0:6] = _resource_input_map(pvb, u1_op, x_op)
@@ -448,19 +450,17 @@ def build_state_space(segment: SegmentModel, contingency: ContingencySpec,
 
 def build_family(segment: SegmentModel, contingencies: list[ContingencySpec],
                  loc: str | None = None) -> ScenarioFamily:
-    """Build all scenarios of a segment; the first entry must be 'normal'.
-    An error in scenario i names it, and names `loc[i]` when the entries
-    came from a document at `loc`."""
-    if not contingencies:
-        raise BuildError("contingency list is empty")
-    if contingencies[0].kind != "normal":
-        raise BuildError("the first scenario must be 'normal'")
+    """Build all scenarios of a segment; the list must start with 'normal',
+    or it is a ConfigError at `loc`. An error in scenario i names it, and
+    names `loc[i]` when the entries came from a document at `loc`."""
+    if not contingencies or contingencies[0].kind != "normal":
+        raise ConfigError("the list must start with a 'normal' entry", loc)
 
     scenarios = []
     for i, spec in enumerate(contingencies):
         try:
             scenarios.append(build_state_space(segment, spec, alpha=i))
-        except (BuildError, ConfigError) as exc:
+        except ShslabError as exc:
             where = f"{loc}[{i}]: " if loc is not None else ""
             raise type(exc)(f"{where}scenario {i} ({spec.name()}): {exc}") from exc
     return ScenarioFamily(segment_id=segment.id, scenarios=tuple(scenarios))
@@ -496,7 +496,8 @@ def family_to_json(family: ScenarioFamily) -> dict:
 def family_from_json(doc: dict) -> ScenarioFamily:
     """The family a `build` document describes. Keys it does not read are
     ignored, such as the aux-voltage feedthrough matrix of files written
-    while outputs carried one."""
+    while outputs carried one. A document the model or family checks
+    reject is a ConfigError."""
     try:
         labels = tuple(doc["state_labels"])
         u2_labels = tuple(doc["u2_labels"])
@@ -521,11 +522,11 @@ def family_from_json(doc: dict) -> ScenarioFamily:
         family = ScenarioFamily(segment_id=doc_value(doc, "segment_id", integer, "$"),
                                 scenarios=scenarios)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise NetworkFormatError(f"malformed family document: {exc}") from exc
+        raise ConfigError(f"malformed family document: {exc}") from exc
     for i, sc in enumerate(family):
         for fname in ("A", "B1", "B2", "C", "x_op"):
             if not np.all(np.isfinite(getattr(sc, fname))):
-                raise NetworkFormatError(
+                raise ConfigError(
                     f"segment {family.segment_id} scenario {i} ({sc.name}): "
                     f"{fname} has a NaN or infinite entry")
     return family

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import weakref
 
-from .errors import ConfigError, ShslabError
+from .errors import ConfigError
 
 # owner -> {key: value}; an entry goes when its owner is collected
 _MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -67,5 +67,5 @@ def doc_value(doc, key: str, kind, source, default=_REQUIRED):
         if kind in (dict, list) and not isinstance(value, kind):
             raise TypeError(f"expected a JSON {'object' if kind is dict else 'array'}")
         return kind(value)
-    except (TypeError, ValueError, ShslabError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{source}: key '{key}' has bad value {value!r}: {exc}") from exc

@@ -29,7 +29,7 @@ import numpy as np
 
 from shslab.detection import (_QR_ROWS, MeasurementWindow, _check_window, _factor,
                               forced_outputs)
-from shslab.errors import BuildError, EstimationError
+from shslab.errors import ConfigError
 from shslab.linsys import simulate
 from shslab.ssbuild import _Index  # state layout only, no coefficients
 
@@ -184,7 +184,7 @@ def segment_rhs(segment, contingency, x, u1, u2):
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     if x.shape != (idx.n,):
-        raise BuildError(f"state vector must have length {idx.n}")
+        raise ConfigError(f"state vector must have length {idx.n}")
     modes = ({} if contingency.kind == "normal"
              else {tuple(sorted(contingency.line)): contingency})
     w = segment.omega_nom
@@ -326,7 +326,7 @@ def loop_free_outputs(windows, forced, subsample):
     """(rows, windows) matrix of the strided samples of windows that share
     their input records, with those records' forced response removed."""
     if subsample < 1:
-        raise EstimationError(f"subsample must be >= 1, got {subsample}")
+        raise ConfigError(f"subsample must be >= 1, got {subsample}")
     # filled in place from strided views
     forced = forced[::subsample]
     free = np.empty((len(windows),) + forced.shape)

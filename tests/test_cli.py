@@ -418,6 +418,39 @@ def test_analyze_non_integer_family_field_exits_2(recorded, tmp_path, capsys, ed
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda fam: fam["scenarios"][1]["B1"].pop(0), "B1 must be 18x3, got (17, 3)"),
+    (lambda fam: fam["scenarios"][1].update(C=fam["scenarios"][1]["C"][0]),
+     "C must be a matrix, got shape (18,)"),
+    (lambda fam: fam["scenarios"][1].update(alpha=2), "scenario 1 carries alpha=2"),
+], ids=["B1-row-missing", "C-1d", "alpha-out-of-order"])
+def test_analyze_malformed_matrices_exits_2(recorded, tmp_path, capsys, edit, message):
+    doc = json.loads((recorded / "matrices.json").read_text())
+    edit(doc["families"][0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "eigs.csv"
+    assert main(["analyze", "--family", str(bad), "--segment", "1", "--out", str(out)]) == 2
+    assert f"error: malformed family document: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, row, k, expected", [
+    (lambda rows: rows[::-1], 2, 3, 1),
+    (lambda rows: [(k + 90, a) for k, a in rows], 2, 91, 1),
+    (lambda rows: [rows[0], rows[0], rows[2]], 3, 1, 2),
+], ids=["reversed", "renumbered", "duplicated"])
+def test_detect_truth_rows_out_of_order_exit_2(recorded, tmp_path, capsys, edit, row, k,
+                                              expected):
+    lines = (recorded / "run" / "truth.csv").read_text().split()
+    rows = edit([tuple(map(int, line.split(","))) for line in lines[1:]])
+    truth = "".join(f"{k},{a}\r\n" for k, a in rows)
+    assert _replay(recorded, tmp_path, truth_text="k,alpha\r\n" + truth) == 2
+    assert (f"truth.csv: row {row} has k={k}; rows must be numbered 1, 2, ... in order, "
+            f"so it must have k={expected}") in capsys.readouterr().err
+    assert not (tmp_path / "replay.json").exists()
+
+
 @pytest.mark.parametrize("bad_row", ["2", "2,normal", ""])
 def test_detect_malformed_truth_row_exits_2(recorded, tmp_path, capsys, bad_row):
     truth = f"k,alpha\r\n1,0\r\n{bad_row}\r\n3,0\r\n"
@@ -558,6 +591,8 @@ def _put(key, value):
      "experiment.json: probe: key 'channel' has bad value True"),
     (_put("segments", {"1": [1.9, 4], "2": [2, 5], "3": [3, 6]}),
      "experiment.json: key 'segments' maps '1' to [1.9, 4]"),
+    (_put("contingencies", [{"kind": "normal"}]),
+     "experiment.json: $.contingencies: a run needs at least two scenarios to tell apart, got 1"),
 ], ids=["no-tau", "no-K", "no-seed", "no-segment", "no-network", "K-not-int", "probe-file",
         "probe-tau0", "probe-ts", "segments-list",
         "contingency-not-object", "contingency-line-not-list", "bogus-channel",
@@ -565,7 +600,7 @@ def _put(key, value):
         "margin-inf", "noise-sigma-nan", "subsample-past-window", "contingency-foreign-line",
         "contingencies-empty", "first-not-normal", "K-fractional", "subsample-fractional",
         "seed-bool", "segment-fractional", "channel-fractional", "channel-bool",
-        "segment-bus-fractional"])
+        "segment-bus-fractional", "normal-only"])
 def test_run_malformed_config_exits_2(workspace, capsys, edit, message):
     cfg = dict(EXPERIMENT_CONFIG)
     edit(cfg)

@@ -7,7 +7,7 @@ from oracles import loop_detect, loop_fit, loop_free_outputs, loop_observability
 from shslab.detection import (MeasurementWindow, ScenarioVerdict, detect_sequence,
                               estimate_initial_state, forced_outputs, forced_responses,
                               observability_stack, sample_indices)
-from shslab.errors import EstimationError
+from shslab.errors import ConfigError, NumericalError
 from shslab.linsys import discretize_zoh, simulate
 
 TS = 1e-5
@@ -127,7 +127,7 @@ def test_tie_break_lowest_index(dmodels):
 
 
 def test_verdict_requires_argmin_consistency():
-    with pytest.raises(EstimationError, match="argmin"):
+    with pytest.raises(NumericalError, match="argmin"):
         ScenarioVerdict(detected=1, residuals=np.array([0.1, 0.2]),
                         x0_hat=np.zeros((2, 3)))
     v = ScenarioVerdict(detected=0, residuals=np.array([0.1, 0.2]),
@@ -255,7 +255,7 @@ def test_fit_rank_cut_is_full_stack_rule(m1_family):
 def test_estimator_rejects_mismatched_ts(dmodels):
     window = probe_window(dmodels[0], np.zeros(18), 0.0)
     other = discretize_zoh_like(dmodels[0])
-    with pytest.raises(EstimationError, match="discretized"):
+    with pytest.raises(ConfigError, match="discretized"):
         estimate_initial_state(other, window, subsample=SUB)
 
 
@@ -271,7 +271,7 @@ def test_estimator_rejects_unobservable():
     u2 = np.zeros((11, 0))
     window = MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((11, 1)),
                                u1=u1, u2=u2)
-    with pytest.raises(EstimationError, match="unobservable"):
+    with pytest.raises(NumericalError, match="unobservable"):
         estimate_initial_state(d, window, subsample=1)
 
 
@@ -292,10 +292,10 @@ def test_minimum_norm_on_rank_deficient():
 
 
 def test_window_validation():
-    with pytest.raises(EstimationError, match="u1"):
+    with pytest.raises(ConfigError, match="u1"):
         MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((5, 2)),
                           u1=np.zeros((4, 3)), u2=np.zeros((5, 0)))
-    with pytest.raises(EstimationError, match="sample period"):
+    with pytest.raises(ConfigError, match="sample period"):
         MeasurementWindow(t_start=0, ts=0.0, samples=np.zeros((5, 2)),
                           u1=np.zeros((5, 3)), u2=np.zeros((5, 0)))
 
@@ -370,16 +370,16 @@ def test_forced_entries_serve_only_their_record(dmodels, m1_probe, monkeypatch):
 def test_forced_entry_of_wrong_shape_rejected(dmodels, m1_probe):
     windows = [probe_window(dmodels[0], np.zeros(18), m1_probe.R) for _ in range(2)]
     forced = forced_responses(dmodels, windows)
-    with pytest.raises(EstimationError, match="1 forced responses for 2 windows"):
+    with pytest.raises(ConfigError, match="1 forced responses for 2 windows"):
         detect_sequence(dmodels, windows, forced[:1], subsample=SUB)
     for wrong in (forced[1][:, :-1], forced[1][:-1]):
-        with pytest.raises(EstimationError, match=r"window 1: forced responses are \("):
+        with pytest.raises(ConfigError, match=r"window 1: forced responses are \("):
             detect_sequence(dmodels, windows, [forced[0], wrong], subsample=SUB)
 
 
 def test_report_truth_length_guard(dmodels, m1_probe):
     window = probe_window(dmodels[0], np.zeros(18), m1_probe.R)
-    with pytest.raises(EstimationError, match="truth"):
+    with pytest.raises(ConfigError, match="truth"):
         detect(dmodels, [window], truth=[0, 1])
 
 

@@ -16,6 +16,7 @@ from oracles import csv_read_window, csv_write_windows, loop_truth
 import shslab
 import shslab.detection as detection
 import shslab.experiment as experiment
+import shslab.probing as probing
 from shslab.detection import MeasurementWindow, detect_sequence, forced_outputs, forced_responses
 from shslab.errors import ConfigError, NumericalError
 from shslab.experiment import (ExperimentConfig, SwitchingSequence, eigen_report,
@@ -677,7 +678,7 @@ def test_warm_run_does_no_cold_work(fresh_family, coarse_probe, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in ((experiment, "simulate"), (detection, "simulate"),
-                         (experiment, "discretize_zoh"), (detection, "observability_stack")):
+                         (probing, "discretize_zoh"), (detection, "observability_stack")):
         counted(module, name)
     run_experiment(config(fresh_family, coarse_probe, seed=1))
     assert calls == {"simulate": 4, "discretize_zoh": 4, "observability_stack": 4}
@@ -690,6 +691,18 @@ def test_warm_run_does_no_cold_work(fresh_family, coarse_probe, monkeypatch):
     assert calls == {"simulate": 4, "discretize_zoh": 0, "observability_stack": 0}
 
 
+def test_design_and_run_share_one_discretization(fresh_family, monkeypatch):
+    probe = probing.design_mami(fresh_family, fresh_family[0].x_op, "delta", TAU0, TS)
+    dmodels = probing.discretized(fresh_family, TS)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("discretized the family again")
+    monkeypatch.setattr(probing, "discretize_zoh", refuse)
+    result = run_experiment(config(fresh_family, probe))
+    assert result.accuracy == 1.0
+    assert probing.discretized(fresh_family, TS) is dmodels
+
+
 def test_memo_entries_are_frozen_and_die_with_the_family(seg1, m1_contingencies,
                                                           coarse_probe):
     gc.collect()
@@ -697,7 +710,7 @@ def test_memo_entries_are_frozen_and_die_with_the_family(seg1, m1_contingencies,
     family = build_family(seg1, m1_contingencies)
     cfg = config(family, coarse_probe)
     result = run_experiment(cfg)
-    dmodels = experiment._discretized(family, TS)
+    dmodels = probing.discretized(family, TS)
     assert len(_MEMO) == before + 1 + len(dmodels)
     u1, u2, forced, M, h = experiment._window_response(cfg, dmodels)
     assert result.windows[0].u1 is u1 and result.windows[0].u2 is u2

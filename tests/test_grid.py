@@ -4,8 +4,8 @@ import math
 import pytest
 
 from conftest import load_bundled, with_line
-from shslab.errors import NetworkFormatError
-from shslab.grid import LineSpec, parse_network, validate
+from shslab.errors import ConfigError
+from shslab.grid import ControlInput, LineSpec, parse_network, validate
 
 
 def minimal_doc():
@@ -72,19 +72,19 @@ def test_si_and_milli_spellings_agree():
 def test_duplicate_unit_spelling_rejected():
     doc = minimal_doc()
     doc["lines"][0]["R"] = 1.26
-    with pytest.raises(NetworkFormatError, match="more than once"):
+    with pytest.raises(ConfigError, match="more than once"):
         parse_network(doc)
 
 
 def test_empty_network_rejected():
-    with pytest.raises(NetworkFormatError, match="empty network"):
+    with pytest.raises(ConfigError, match="empty network"):
         parse_network({"name": "none", "buses": [], "lines": []})
 
 
 def test_parse_error_carries_location():
     doc = minimal_doc()
     del doc["lines"][0]["R_ohm"]
-    with pytest.raises(NetworkFormatError, match=r"\$\.lines\[0\]"):
+    with pytest.raises(ConfigError, match=r"\$\.lines\[0\]"):
         parse_network(doc)
 
 
@@ -127,7 +127,7 @@ def test_disconnected_graph_violation(paper_net):
 def test_load_bus_with_pvb_params_rejected():
     doc = minimal_doc()
     doc["buses"][1]["pvb"] = doc["buses"][0]["pvb"]
-    with pytest.raises(NetworkFormatError, match="cannot carry 'pvb'"):
+    with pytest.raises(ConfigError, match="cannot carry 'pvb'"):
         parse_network(doc)
 
 
@@ -135,7 +135,7 @@ def test_load_bus_with_pvb_params_rejected():
 def test_bus_without_load_rejected(i, kind):
     doc = minimal_doc()
     del doc["buses"][i]["load"]
-    with pytest.raises(NetworkFormatError,
+    with pytest.raises(ConfigError,
                        match=rf"\$\.buses\[{i}\]: {kind} bus needs 'load' parameters"):
         parse_network(doc)
 
@@ -152,10 +152,22 @@ def test_bus_without_load_violation(paper_net, bus_id):
         ("missing-load-params", f"$.buses[{i}]", f"{kind} bus without load parameters")]
 
 
+def test_operating_point_parsed_and_checked():
+    doc = minimal_doc()
+    doc["buses"][0]["pvb"]["operating_point"] = {"delta_rad": 0.25}
+    # fields left out take ControlInput's defaults
+    assert parse_network(doc).bus(1).pvb.operating_point == ControlInput(delta=0.25)
+    assert ControlInput() == ControlInput(d=0.5, delta=0.1, m_a=0.8)
+    doc["buses"][0]["pvb"]["operating_point"]["m_a"] = 1.2
+    with pytest.raises(ConfigError, match=r"\[bad-operating-point\] modulation index") as exc:
+        parse_network(doc)
+    assert exc.value.location == "$.buses[0].pvb.operating_point.m_a"
+
+
 def test_positive_r_pv_rejected():
     doc = minimal_doc()
     doc["buses"][0]["pvb"]["R_PV_ohm"] = 2.3
-    with pytest.raises(NetworkFormatError, match="R_PV"):
+    with pytest.raises(ConfigError, match="R_PV"):
         parse_network(doc)
 
 

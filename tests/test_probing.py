@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_family, make_model, small_pvb_segment
 from oracles import trapezoid_lti
-from shslab.errors import ConfigError, DegenerateDesignError, NumericalError
+from shslab.errors import ConfigError, NumericalError
 from shslab.probing import (ProbingDesign, channel_index, compute_delta_min,
                             compute_mu0, compute_mu1, current_state_mask, design_mami,
                             probe_from_json, probe_to_json)
@@ -17,11 +17,11 @@ def test_channel_index():
     assert channel_index(2) == 2
     assert channel_index("0") == 0
     assert channel_index("2") == 2
-    with pytest.raises(DegenerateDesignError):
+    with pytest.raises(ConfigError):
         channel_index("phi")
-    with pytest.raises(DegenerateDesignError):
+    with pytest.raises(ConfigError):
         channel_index(5)
-    with pytest.raises(DegenerateDesignError):
+    with pytest.raises(ConfigError):
         channel_index("3")
 
 
@@ -94,7 +94,7 @@ def test_delta_min_identical_scenarios_flagged(m1_family):
     result = compute_delta_min(twin, "delta", 0.01, 1e-4)
     assert result.value == 0.0
     assert result.indistinguishable
-    with pytest.raises(DegenerateDesignError, match="indistinguishable"):
+    with pytest.raises(NumericalError, match="indistinguishable"):
         design_mami(twin, np.array([0.0, 1.0]), "delta", 0.01, 1e-4)
 
 
@@ -169,23 +169,23 @@ def test_r0_scaling_properties():
 
 
 def test_design_rejects_non_positive_margin(m1_family):
-    with pytest.raises(DegenerateDesignError, match="margin"):
+    with pytest.raises(ConfigError, match="margin"):
         design_mami(m1_family, m1_family[0].x_op, 1, 0.002, 1e-5, margin=1.0)
 
 
 def test_design_rejects_zero_mu0(m1_family):
-    with pytest.raises(DegenerateDesignError, match="mu0"):
+    with pytest.raises(NumericalError, match="mu0"):
         design_mami(m1_family, np.zeros(18), 1, 0.002, 1e-5)
 
 
 def test_probing_design_constructor_guards():
-    with pytest.raises(DegenerateDesignError, match="does not exceed"):
+    with pytest.raises(ConfigError, match="does not exceed"):
         ProbingDesign(mu0=1.0, mu1=1.0, delta_min=2.0, R0=1.0, R=0.5,
                       channel=0, tau0=1.0)
-    with pytest.raises(DegenerateDesignError, match="inconsistent"):
+    with pytest.raises(ConfigError, match="inconsistent"):
         ProbingDesign(mu0=1.0, mu1=1.0, delta_min=2.0, R0=0.9, R=1.5,
                       channel=0, tau0=1.0)
-    with pytest.raises(DegenerateDesignError, match="delta_min"):
+    with pytest.raises(ConfigError, match="delta_min"):
         ProbingDesign(mu0=1.0, mu1=1.0, delta_min=0.0, R0=1.0, R=2.0,
                       channel=0, tau0=1.0)
 

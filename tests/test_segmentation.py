@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import ARCH_ASSIGNMENT, PAPER_ASSIGNMENT, PVB_PARAMS, LOAD_A, LOAD_B
-from shslab.errors import SegmentationError
+from shslab.errors import ConfigError
 from shslab.grid import BusSpec, LineSpec, NetworkModel
 from shslab.segmentation import segment_network, segments_to_json
 
@@ -75,27 +75,27 @@ def test_internal_lines_preserved_verbatim(paper_net, paper_segments):
 
 
 def test_uncovered_bus_rejected(paper_net):
-    with pytest.raises(SegmentationError, match="does not cover"):
+    with pytest.raises(ConfigError, match="does not cover"):
         segment_network(paper_net, {1: 1, 4: 1})
 
 
 def test_two_pvb_segment_rejected(paper_net):
     assignment = dict(PAPER_ASSIGNMENT)
     assignment[5] = 1  # puts PVB buses 4 and 5 together
-    with pytest.raises(SegmentationError, match="exactly one PVB"):
+    with pytest.raises(ConfigError, match="exactly one PVB"):
         segment_network(paper_net, assignment)
 
 
 def test_pvb_free_segment_rejected(paper_net):
     assignment = {1: 9, 2: 9, 3: 9, 4: 1, 5: 1, 6: 1}  # 9 has no PVB, 1 has three
-    with pytest.raises(SegmentationError, match="exactly one PVB"):
+    with pytest.raises(ConfigError, match="exactly one PVB"):
         segment_network(paper_net, assignment)
 
 
 def test_disconnected_segment_rejected(paper_net):
     # buses 3 and 4 share no internal line; PVB counts are all valid
     assignment = {3: 1, 4: 1, 1: 2, 2: 2, 5: 2, 6: 3}
-    with pytest.raises(SegmentationError, match="not connected"):
+    with pytest.raises(ConfigError, match="not connected"):
         segment_network(paper_net, assignment)
 
 

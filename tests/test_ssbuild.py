@@ -6,7 +6,7 @@ import pytest
 from conftest import (ARCH_ASSIGNMENT, LOAD_A, LOAD_B, PAPER_ASSIGNMENT, PVB_PARAMS,
                       bare_line_segment, small_pvb_segment, two_load_bus_segment)
 from oracles import branch_incidence, fd_jacobian, segment_rhs
-from shslab.errors import BuildError, ConfigError, NetworkFormatError
+from shslab.errors import ConfigError
 from shslab.grid import BusSpec, LineSpec
 from shslab.segmentation import SegmentModel, segment_network
 from shslab.ssbuild import (PVB_STATE_NAMES, ContingencySpec, ScenarioFamily,
@@ -131,7 +131,7 @@ def test_identical_normals_bitwise(seg1):
 
 
 def test_family_requires_normal_first(seg1):
-    with pytest.raises(BuildError, match="must be 'normal'"):
+    with pytest.raises(ConfigError, match="must start with a 'normal' entry"):
         build_family(seg1, [ContingencySpec.line_outage((1, 4))])
 
 
@@ -149,13 +149,13 @@ def test_build_error_carries_scenario_index(seg1):
 
 
 def test_contingency_spec_validation():
-    with pytest.raises(BuildError):
+    with pytest.raises(ConfigError):
         ContingencySpec(kind="normal", line=(1, 4))
-    with pytest.raises(BuildError):
+    with pytest.raises(ConfigError):
         ContingencySpec(kind="line_outage")
-    with pytest.raises(BuildError):
+    with pytest.raises(ConfigError):
         ContingencySpec.short_circuit((1, 4), R_f=0.0)
-    with pytest.raises(BuildError):
+    with pytest.raises(ConfigError):
         ContingencySpec.line_disconnect((1, 4), open_end=2)
 
 
@@ -186,7 +186,7 @@ def test_measurement_norm_is_one(m1_family):
 
 
 def test_measurement_requires_resource():
-    with pytest.raises(BuildError, match="no resource bus"):
+    with pytest.raises(ConfigError, match="no resource bus"):
         build_measurement(two_load_bus_segment())
 
 
@@ -200,9 +200,9 @@ def test_measurement_needs_load_at_resource_bus():
         buses=(BusSpec(1, "Load", load=LOAD_A),
                BusSpec(2, "PVB", load=None, pvb=PVB_PARAMS)),
         omega_nom=377.0)
-    with pytest.raises(BuildError, match="resource bus 2 has no load to monitor"):
+    with pytest.raises(ConfigError, match="resource bus 2 has no load to monitor"):
         build_measurement(seg)
-    with pytest.raises(BuildError, match="resource bus 2 has no load to monitor"):
+    with pytest.raises(ConfigError, match="resource bus 2 has no load to monitor"):
         build_state_space(seg, ContingencySpec.normal())
 
 
@@ -398,12 +398,12 @@ def test_family_from_json_rejects_non_finite(m1_family, fname, bad):
         entry[-1] = bad
     else:
         entry[-1][-1] = bad
-    with pytest.raises(NetworkFormatError,
+    with pytest.raises(ConfigError,
                        match=rf"scenario 3 \(line_disconnect_1_4\): {fname} has a NaN"):
         family_from_json(doc)
 
 
 def test_family_uniformity_enforced(m1_family):
     small = build_state_space(small_pvb_segment(), ContingencySpec.normal(), alpha=1)
-    with pytest.raises(BuildError, match="labels differ"):
+    with pytest.raises(ConfigError, match="labels differ"):
         ScenarioFamily(segment_id=1, scenarios=(m1_family[0], small))
