@@ -33,7 +33,6 @@ import json
 import math
 import os
 import re
-import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -270,6 +269,8 @@ def eigen_report(family: ScenarioFamily) -> EigenReport:
 # ---------------------------------------------------------------------------
 
 
+_NPY = "windows.npy"
+# the per-window files of traces recorded before windows.npy
 _WINDOW_NAME = re.compile(r"window_([0-9]+)\.csv")
 
 
@@ -292,12 +293,14 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
     """Emit truth.csv, detected.csv, sequence.csv, report.json and windows/.
 
     windows_mode: 'strided' records every subsample-th sample (the estimator
-    grid), 'full' records every sample, 'none' skips window files. The stride
+    grid), 'full' records every sample, 'none' skips the window record. The
+    record is windows/windows.npy, one float64 table of shape (K, rows,
+    1 + p + 3 + q) whose columns are t, the outputs, u1 and u2; the stride
     and periods land in windows/meta.json so a replay can rebuild the exact
-    estimation problem. Window files and meta.json an earlier run left in
-    windows/ that this run does not write are removed. The window files are
-    written in contiguous shares, one per CPU this process may run on
-    (`_in_shares`); their bytes do not depend on how many shares there are.
+    estimation problem. The table is streamed one window at a time, and its
+    bytes are those of np.save of the stacked table. Window files and
+    meta.json an earlier run left in windows/ that this run does not write
+    are removed.
     """
     if windows_mode not in ("strided", "full", "none"):
         raise ConfigError(f"unknown windows mode '{windows_mode}'")
@@ -321,11 +324,11 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
         return
     stride = 1 if windows_mode == "full" else cfg.subsample
     os.makedirs(win_dir, exist_ok=True)
-    names = [f"window_{k:04d}.csv" for k in range(len(result.windows))]
-    _clear_windows(win_dir, {"meta.json", *names})
+    _clear_windows(win_dir, {"meta.json", _NPY})
     p = result.windows[0].samples.shape[1] if result.windows else 0
     q = result.windows[0].u2.shape[1] if result.windows else 0
     dump_json({
+        "format": "npy",
         "ts": cfg.ts * stride,
         "ts_simulated": cfg.ts,
         "stride_applied": stride,
@@ -334,75 +337,15 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
         "n_u2": q,
         "window_starts": [w.t_start for w in result.windows],
     }, os.path.join(win_dir, "meta.json"))
-    header = ",".join(["t"] + [f"y{i}" for i in range(p)]
-                      + [f"u1_{i}" for i in range(3)] + [f"u2_{i}" for i in range(q)])
-
-    def write(share):
-        # The u1/u2 columns come from input records that consecutive windows
-        # share (run_experiment and read_windows hand them the same frozen
-        # arrays), so each record pair is formatted once into per-row tails.
-        records, tails = (None, None), None
-        for name, w in share:
+    shape = (len(result.windows), window_rows(cfg.tau0, cfg.ts * stride), 1 + p + 3 + q)
+    with open(os.path.join(win_dir, _NPY), "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+            "fortran_order": False, "shape": shape})
+        for w in result.windows:
             idx = np.arange(0, w.steps + 1, stride)
-            if records[0] is not w.u1 or records[1] is not w.u2:
-                records = w.u1, w.u2
-                inputs = np.column_stack([w.u1[idx], w.u2[idx]])
-                tails = [",".join(map(repr, row)) + "\r\n" for row in inputs.tolist()]
-            columns = [map(repr, (w.t_start + w.ts * idx).tolist()),
-                       *(map(repr, col) for col in w.samples[idx].T.tolist())]
-            with open(os.path.join(win_dir, name), "w", newline="", encoding="utf-8") as fh:
-                fh.write(header + "\r\n" + "".join(map(",".join, zip(*columns, tails))))
-
-    _in_shares(write, list(zip(names, result.windows)))
-
-
-def _in_shares(write, items: list) -> None:
-    """write(share) over contiguous shares of `items`, one share per CPU this
-    process may run on and at most one per item. Forked children write every
-    share but the first, which this process writes itself; it then reaps
-    them all, and writes again any share whose child failed or could not be
-    forked, so an error is raised where write(items) would raise it. A child
-    only formats and writes, and leaves through os._exit, so it never
-    returns into the caller or flushes the caller's buffered output. Where
-    this process cannot fork, or another Python thread runs, there is one
-    share and no child."""
-    n, count = len(items), 1
-    if (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
-            and threading.active_count() == 1):
-        count = max(1, min(len(os.sched_getaffinity(0)), n))
-    shares = [items[n * i // count:n * (i + 1) // count] for i in range(count)]
-    children = []
-    try:
-        for share in shares[1:]:
-            children.append((_fork(write, share), share))
-        write(shares[0])
-    finally:
-        failed = [share for pid, share in children
-                  if pid is None or os.waitpid(pid, 0)[1] != 0]
-    for share in failed:
-        write(share)
-
-
-def _fork(write, share) -> int | None:
-    """The pid of a child that runs write(share) and exits 0 only if it
-    returned, or None when no child could be forked."""
-    try:
-        with warnings.catch_warnings():
-            # From Python 3.12 os.fork warns whenever the process has another
-            # OS thread, and OpenBLAS's pool is one; the child calls no BLAS.
-            warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
-                                    DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            write(share)
-            code = 0
-        finally:
-            os._exit(code)
-    return pid
+            fh.write(np.column_stack(
+                [w.t_start + w.ts * idx, w.samples[idx], w.u1[idx], w.u2[idx]]).tobytes())
 
 
 def _clear_windows(win_dir, keep: set) -> None:
@@ -411,7 +354,7 @@ def _clear_windows(win_dir, keep: set) -> None:
     if not os.path.isdir(win_dir):
         return
     for name in os.listdir(win_dir):
-        if (name == "meta.json" or _WINDOW_NAME.fullmatch(name)) and name not in keep:
+        if (name in ("meta.json", _NPY) or _WINDOW_NAME.fullmatch(name)) and name not in keep:
             os.remove(os.path.join(win_dir, name))
 
 
@@ -454,14 +397,18 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
 
     The returned windows live on the recorded grid; detect them with
     subsample=1 against a family discretized at the recorded ts. Consecutive
-    windows with bitwise-equal input columns share one frozen record. Files
-    are taken in the order of their integer index, which must run over
-    0..len(window_starts)-1 of meta.json exactly once each, meta.json's ts
-    must be ts_simulated * stride_applied, and every file must hold
-    window_rows(tau0, ts) rows for meta.json's tau0 and start at its entry of
-    window_starts exactly (both are repr round-trips of one float, and the
-    first t is t_start + ts * 0). With a probe, meta.json's tau0 must be the
-    probe design's, within 1e-12 relative.
+    windows with bitwise-equal input columns share one frozen record.
+    meta.json's ts must be ts_simulated * stride_applied, and every window
+    must hold window_rows(tau0, ts) rows for meta.json's tau0 and start at
+    its entry of window_starts exactly (both are round-trips of one float,
+    and the first t is t_start + ts * 0). With a probe, meta.json's tau0
+    must be the probe design's, within 1e-12 relative.
+
+    A meta.json with "format": "npy" describes windows.npy, whose dtype and
+    shape (len(window_starts), rows, 1 + p + 3 + q) must match it. One
+    without a format key describes the window_<k>.csv files of traces
+    recorded before windows.npy, taken in the order of their integer index,
+    which must run over 0..len(window_starts)-1 exactly once each.
     """
     meta = os.path.join(win_dir, "meta.json")
     if not os.path.exists(meta):
@@ -477,6 +424,10 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
         raise ConfigError(f"{meta}: malformed: {exc!r}") from exc
     p, q, stride = (doc_value(info, key, integer, meta)
                     for key in ("n_outputs", "n_u2", "stride_applied"))
+    fmt = info.get("format")
+    if fmt not in (None, "npy"):
+        raise ConfigError(f"{meta}: unknown window format {fmt!r}; this version "
+                          f"reads 'npy', or window CSV files when the key is absent")
     ts_written = ts_simulated * stride
     if not (np.isfinite(ts) and ts > 0 and abs(ts - ts_written) <= 1e-12 * ts):
         raise ConfigError(f"{meta}: ts={ts} must be positive, finite and equal to "
@@ -489,11 +440,51 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
             f"probe.json does not fit the windows {meta} describes: meta.json records "
             f"tau0={tau0}, the probe design has tau0={probe.tau0}; window has "
             f"{rows} samples, probe design implies {window_rows(probe.tau0, ts)}")
-    cols = 1 + p + 3 + q
+    shape = (len(starts), rows, 1 + p + 3 + q)
+    if fmt is None:
+        tables = _csv_tables(win_dir, shape, f"tau0={tau0} at ts={ts}")
+    else:
+        tables = _npy_tables(os.path.join(win_dir, _NPY), shape)
+    windows = []
+    u1 = u2 = None
+    for k, (name, arr) in enumerate(tables):
+        if arr[0, 0] != starts[k]:
+            raise ConfigError(f"{name}: starts at t={float(arr[0, 0])!r}; meta.json's "
+                              f"window_starts[{k}] is {starts[k]!r}")
+        u1 = _record(arr[:, 1 + p:4 + p], u1)
+        u2 = _record(arr[:, 4 + p:], u2)
+        windows.append(MeasurementWindow(
+            t_start=arr[0, 0], ts=ts, samples=arr[:, 1:1 + p], u1=u1, u2=u2))
+    return windows
+
+
+def _npy_tables(path, shape: tuple):
+    """(name, table) of each window in windows.npy at `path`, after checking
+    that the file holds a float64 array of `shape`. Nothing is unpickled, and
+    the file is mapped, not read, so a header that declares more data than
+    the file holds is an error before anything is allocated; the windows
+    copy what they keep."""
+    if not os.path.exists(path):
+        raise ConfigError(f"missing {path}")
+    try:
+        table = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ConfigError(f"{path}: not a readable .npy table: {exc}") from exc
+    if not isinstance(table, np.ndarray) or (table.dtype, table.shape) != (np.float64, shape):
+        found = (f"a {table.dtype} table of shape {table.shape}"
+                 if isinstance(table, np.ndarray) else "an archive")
+        raise ConfigError(f"{path}: holds {found}; meta.json implies a float64 table "
+                          f"of shape {shape}")
+    return ((f"{path} window {k}", arr) for k, arr in enumerate(table))
+
+
+def _csv_tables(win_dir, shape: tuple, grid: str):
+    """(file name, table) of each window_<k>.csv under win_dir in the order of
+    k, each parsed and checked against `shape` as it is reached."""
+    count, rows, cols = shape
     files = sorted((int(m.group(1)), m.string) for m in map(
         _WINDOW_NAME.fullmatch, os.listdir(win_dir)) if m)
     indices = [k for k, _ in files]
-    count = len(starts)
     if indices != list(range(count)):
         missing = sorted(set(range(count)).difference(indices))
         surplus = sorted(k for k, c in Counter(indices).items()
@@ -501,9 +492,7 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
         raise ConfigError(
             f"{win_dir}: meta.json lists {count} windows, numbered 0..{count - 1}; "
             f"no file for {_some(missing)}, unexpected or repeated {_some(surplus)}")
-    windows = []
-    u1 = u2 = None
-    for k, fname in files:
+    for _, fname in files:
         path = os.path.join(win_dir, fname)
         try:
             with warnings.catch_warnings():
@@ -518,12 +507,5 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
             raise ConfigError(f"{fname}: column count does not match meta.json")
         if arr.shape[0] != rows:
             raise ConfigError(f"{fname}: has {arr.shape[0]} data rows; meta.json's "
-                              f"tau0={tau0} at ts={ts} implies {rows}")
-        if arr[0, 0] != starts[k]:
-            raise ConfigError(f"{fname}: starts at t={float(arr[0, 0])!r}; meta.json's "
-                              f"window_starts[{k}] is {starts[k]!r}")
-        u1 = _record(arr[:, 1 + p:4 + p], u1)
-        u2 = _record(arr[:, 4 + p:], u2)
-        windows.append(MeasurementWindow(
-            t_start=arr[0, 0], ts=ts, samples=arr[:, 1:1 + p], u1=u1, u2=u2))
-    return windows
+                              f"{grid} implies {rows}")
+        yield fname, arr

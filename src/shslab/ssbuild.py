@@ -497,7 +497,8 @@ def family_from_json(doc: dict) -> ScenarioFamily:
     """The family a `build` document describes. Keys it does not read are
     ignored, such as the aux-voltage feedthrough matrix of files written
     while outputs carried one. A document the model or family checks
-    reject is a ConfigError."""
+    reject is a ConfigError; one about a single scenario names it as
+    `$.scenarios[i]`."""
     try:
         labels = tuple(doc["state_labels"])
         u2_labels = tuple(doc["u2_labels"])
@@ -507,18 +508,25 @@ def family_from_json(doc: dict) -> ScenarioFamily:
                 arr = arr.reshape(len(rows), ncols)
             return arr
 
-        scenarios = tuple(
-            StateSpaceModel(
-                alpha=doc_value(sc, "alpha", integer, f"$.scenarios[{i}]"), name=sc["name"],
-                A=np.array(sc["A"], dtype=float),
-                B1=np.array(sc["B1"], dtype=float),
-                B2=mat(sc["B2"], len(u2_labels)),
-                C=np.array(sc["C"], dtype=float),
-                state_labels=labels, u2_labels=u2_labels,
-                x_op=np.array(sc["x_op"], dtype=float),
-                omega_nom=float(sc.get("omega_rad_s", 0.0)))
-            for i, sc in enumerate(doc["scenarios"])
-        )
+        def scenario(i, sc):
+            where = f"$.scenarios[{i}]"
+            alpha = doc_value(sc, "alpha", integer, where)
+            try:
+                return StateSpaceModel(
+                    alpha=alpha, name=sc["name"],
+                    A=np.array(sc["A"], dtype=float),
+                    B1=np.array(sc["B1"], dtype=float),
+                    B2=mat(sc["B2"], len(u2_labels)),
+                    C=np.array(sc["C"], dtype=float),
+                    state_labels=labels, u2_labels=u2_labels,
+                    x_op=np.array(sc["x_op"], dtype=float),
+                    omega_nom=float(sc.get("omega_rad_s", 0.0)))
+            except KeyError as exc:
+                raise ConfigError(f"{where}: missing key {exc}") from exc
+            except (TypeError, ValueError, ConfigError) as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+
+        scenarios = tuple(scenario(i, sc) for i, sc in enumerate(doc["scenarios"]))
         family = ScenarioFamily(segment_id=doc_value(doc, "segment_id", integer, "$"),
                                 scenarios=scenarios)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:

@@ -1,19 +1,16 @@
 import dataclasses
 import gc
+import io
 import json
-import os
-import subprocess
-import sys
+import re
 import weakref
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_family, make_model
-from oracles import csv_read_window, csv_write_windows, loop_truth
-import shslab
+from oracles import csv_read_window, csv_write_trace, loop_truth, window_table
 import shslab.detection as detection
 import shslab.experiment as experiment
 import shslab.probing as probing
@@ -331,8 +328,7 @@ def test_read_windows_share_input_records(tmp_path, m1_family, coarse_probe):
 
 def test_read_windows_orders_files_by_index(tmp_path, m1_family, coarse_probe):
     result = run_experiment(config(m1_family, coarse_probe, K=11, seed=3))
-    write_outputs(result, tmp_path, windows_mode="strided")
-    win_dir = tmp_path / "windows"
+    win_dir = Path(csv_write_trace(result, tmp_path))
     # unpadded names sort window_10 before window_2 by name
     for k in range(11):
         (win_dir / f"window_{k:04d}.csv").rename(win_dir / f"window_{k}.csv")
@@ -344,14 +340,26 @@ def test_read_windows_orders_files_by_index(tmp_path, m1_family, coarse_probe):
 
 def test_read_windows_checks_each_start_against_meta(tmp_path, m1_family, coarse_probe):
     result = run_experiment(config(m1_family, coarse_probe, K=3, seed=3))
-    write_outputs(result, tmp_path, windows_mode="strided")
-    path = tmp_path / "windows" / "window_0001.csv"
+    path = Path(csv_write_trace(result, tmp_path)) / "window_0001.csv"
     header, first, rest = path.read_bytes().split(b"\r\n", 2)
     t, fields = first.split(b",", 1)
     assert float(t) == result.windows[1].t_start == TAU
     path.write_bytes(b"\r\n".join([header, b"0.05000000000000001," + fields, rest]))
     with pytest.raises(ConfigError, match=r"window_0001.csv: starts at t=0.05000000000000001; "
                                           r"meta.json's window_starts\[1\] is 0.05"):
+        read_windows(tmp_path / "windows")
+
+
+def test_read_windows_checks_each_npy_start_against_meta(tmp_path, m1_family, coarse_probe):
+    write_outputs(run_experiment(config(m1_family, coarse_probe, K=3, seed=3)), tmp_path)
+    path = tmp_path / "windows" / "windows.npy"
+    table = np.load(path)
+    assert table[1, 0, 0] == TAU
+    table[1, 0, 0] = 0.05000000000000001
+    np.save(path, table)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path} window 1: starts at t=0.05000000000000001; "
+            f"meta.json's window_starts[1] is 0.05")):
         read_windows(tmp_path / "windows")
 
 
@@ -365,8 +373,7 @@ def test_read_windows_checks_each_start_against_meta(tmp_path, m1_family, coarse
 def test_read_windows_needs_every_listed_window_once(tmp_path, m1_family, coarse_probe,
                                                      change, message):
     result = run_experiment(config(m1_family, coarse_probe, K=3, seed=3))
-    write_outputs(result, tmp_path, windows_mode="strided")
-    change(tmp_path / "windows")
+    change(Path(csv_write_trace(result, tmp_path)))
     with pytest.raises(ConfigError, match="meta.json lists 3 windows") as exc:
         read_windows(tmp_path / "windows")
     assert message in str(exc.value)
@@ -401,8 +408,7 @@ def test_read_windows_checks_probe_tau0_against_meta(tmp_path, m1_family, coarse
 def test_read_windows_rejects_a_window_of_another_length(tmp_path, m1_family, coarse_probe,
                                                          probe):
     result = run_experiment(config(m1_family, coarse_probe, K=3, seed=3))
-    write_outputs(result, tmp_path, windows_mode="strided")
-    path = tmp_path / "windows" / "window_0002.csv"
+    path = Path(csv_write_trace(result, tmp_path)) / "window_0002.csv"
     path.write_bytes(path.read_bytes().rsplit(b"\r\n", 2)[0] + b"\r\n")
     with pytest.raises(ConfigError, match="window_0002.csv: has 100 data rows") as exc:
         read_windows(tmp_path / "windows", probe=coarse_probe if probe else None)
@@ -416,6 +422,21 @@ def test_read_windows_rejects_bad_meta_tau0(tmp_path, m1_family, coarse_probe, t
     meta.write_text(json.dumps(dict(json.loads(meta.read_text()), tau0=tau0)))
     with pytest.raises(ConfigError, match=f"meta.json: tau0={tau0} must be positive"):
         read_windows(tmp_path / "windows")
+
+
+def test_csv_and_npy_traces_read_back_the_same(tmp_path, m1_family, coarse_probe):
+    cfg = config(m1_family, coarse_probe, K=4, seed=3, x0_mode="random", noise_sigma=1e-3)
+    result = run_experiment(cfg)
+    write_outputs(result, tmp_path / "npy")
+    csv_dir = csv_write_trace(result, tmp_path / "csv")
+    from_npy, from_csv = read_windows(tmp_path / "npy" / "windows"), read_windows(csv_dir)
+    assert len(from_npy) == len(from_csv) == 4
+    for a, b in zip(from_npy, from_csv):
+        assert _bits(a.t_start) == _bits(b.t_start) and a.ts == b.ts == TS * SUB
+        for name in ("samples", "u1", "u2"):
+            assert np.array_equal(_bits(getattr(a, name)), _bits(getattr(b, name))), name
+    for windows in (from_npy, from_csv):
+        assert all(w.u1 is windows[0].u1 and w.u2 is windows[0].u2 for w in windows)
 
 
 # values whose text form is easy to get wrong: signed zero, the smallest
@@ -445,32 +466,44 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def _saved(tables) -> bytes:
+    """The bytes np.save writes for the stacked tables."""
+    buf = io.BytesIO()
+    np.save(buf, np.stack(tables))
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("mode, stride", [("strided", SUB), ("full", 1)])
 def test_window_files_match_csv_oracle(tmp_path, special_result, mode, stride):
-    out, ref = tmp_path / "run", tmp_path / "ref"
-    ref.mkdir()
-    write_outputs(special_result, out, windows_mode=mode)
-    csv_write_windows(special_result, ref, stride)
-    names = sorted(f.name for f in (out / "windows").glob("window_*.csv"))
-    assert names == sorted(f.name for f in ref.iterdir())
-    for name in names:
-        assert (out / "windows" / name).read_bytes() == (ref / name).read_bytes(), name
+    # windows.npy holds the oracle's tables bit for bit, and a trace the CSV
+    # oracle writes reads back as csv.reader parses it; the two agree but
+    # for the sign of a nan, which a CSV file does not keep
+    write_outputs(special_result, tmp_path / "run", windows_mode=mode)
+    csv_dir = Path(csv_write_trace(special_result, tmp_path / "ref", windows_mode=mode))
+    tables = [window_table(w, stride) for w in special_result.windows]
+    npy = tmp_path / "run" / "windows" / "windows.npy"
+    assert npy.read_bytes() == _saved(tables)
+    names = sorted(f.name for f in csv_dir.glob("window_*.csv"))
+    assert len(names) == 3
 
-    windows = read_windows(out / "windows")
     p = special_result.windows[0].samples.shape[1]
-    for name, w in zip(names, windows):
-        table = csv_read_window(ref / name)
-        assert np.array_equal(_bits(w.t_start), _bits(table[0, 0]))
-        assert np.array_equal(_bits(w.samples), _bits(table[:, 1:1 + p]))
-        assert np.array_equal(_bits(w.u1), _bits(table[:, 1 + p:4 + p]))
-        assert np.array_equal(_bits(w.u2), _bits(table[:, 4 + p:]))
-    # the special values made it through, and only bitwise-equal records are shared
-    assert np.isnan(windows[1].samples).any() and np.isinf(windows[1].samples).any()
-    assert (windows[1].samples == 5e-324).any()
-    assert np.signbit(windows[2].u1[windows[2].u1 == 0.0]).all()
-    assert np.shares_memory(windows[1].u1, windows[0].u1)
-    assert not np.shares_memory(windows[2].u1, windows[1].u1)
-    assert np.shares_memory(windows[2].u2, windows[1].u2)
+    for windows, refs in ((read_windows(npy.parent), tables),
+                          (read_windows(csv_dir), [csv_read_window(csv_dir / n) for n in names])):
+        for w, table in zip(windows, refs):
+            assert np.array_equal(_bits(w.t_start), _bits(table[0, 0]))
+            assert np.array_equal(_bits(w.samples), _bits(table[:, 1:1 + p]))
+            assert np.array_equal(_bits(w.u1), _bits(table[:, 1 + p:4 + p]))
+            assert np.array_equal(_bits(w.u2), _bits(table[:, 4 + p:]))
+        # the special values made it through, and only bitwise-equal records are shared
+        assert np.isnan(windows[1].samples).any() and np.isinf(windows[1].samples).any()
+        assert (windows[1].samples == 5e-324).any()
+        assert np.signbit(windows[2].u1[windows[2].u1 == 0.0]).all()
+        assert np.shares_memory(windows[1].u1, windows[0].u1)
+        assert not np.shares_memory(windows[2].u1, windows[1].u1)
+        assert np.shares_memory(windows[2].u2, windows[1].u2)
+    a, b = tables[1], csv_read_window(csv_dir / names[1])
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a[~np.isnan(a)]), np.signbit(b[~np.isnan(b)]))
 
 
 @pytest.mark.parametrize("record", ["u1", "u2"])
@@ -478,7 +511,7 @@ def test_window_files_match_csv_oracle(tmp_path, special_result, mode, stride):
 def test_window_files_format_each_record_from_its_own_values(
         tmp_path, m1_family, coarse_probe, mode, stride, record):
     # the input records run A, A, B, A, where B has -0.0 wherever A has 0.0:
-    # the last window must be written from A's values, not from B's tails
+    # the last window must be written from A's values, not from B's
     result = run_experiment(config(m1_family, coarse_probe, K=4, seed=13))
     a = getattr(result.windows[0], record)
     b = np.array(a)
@@ -488,130 +521,24 @@ def test_window_files_format_each_record_from_its_own_values(
     result = dataclasses.replace(result, windows=tuple(windows))
     assert all(getattr(w, record) is a for w in windows[:2] + windows[3:])
 
-    out, ref = tmp_path / "run", tmp_path / "ref"
-    ref.mkdir()
-    write_outputs(result, out, windows_mode=mode)
-    csv_write_windows(result, ref, stride)
-    names = sorted(f.name for f in (out / "windows").glob("window_*.csv"))
-    assert names == sorted(f.name for f in ref.iterdir()) and len(names) == 4
-    for name in names:
-        assert (out / "windows" / name).read_bytes() == (ref / name).read_bytes(), name
+    write_outputs(result, tmp_path, windows_mode=mode)
+    npy = tmp_path / "windows" / "windows.npy"
+    assert npy.read_bytes() == _saved([window_table(w, stride) for w in result.windows])
     p = result.windows[0].samples.shape[1]
     cols = slice(1 + p, 4 + p) if record == "u1" else slice(4 + p, None)
-    zeros = [table[table == 0.0] for table in
-             (csv_read_window(out / "windows" / name)[:, cols] for name in names)]
+    zeros = [table[table == 0.0] for table in np.load(npy)[:, :, cols]]
     assert all(z.size for z in zeros)
     assert [np.signbit(z).any() for z in zeros] == [False, False, True, False]
 
 
-def _cpus(monkeypatch, count):
-    """Let write_outputs see `count` usable CPUs, and count its forks."""
-    forks = []
-    fork = os.fork
-
-    def counted():
-        forks.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 5], ids=["one-cpu", "two-cpus", "more-cpus-than-windows"])
-@pytest.mark.parametrize("mode, stride", [("strided", SUB), ("full", 1)])
-def test_window_files_same_bytes_at_any_cpu_count(tmp_path, monkeypatch, special_result,
-                                                  mode, stride, cpus):
-    ref = tmp_path / "ref"
-    ref.mkdir()
-    csv_write_windows(special_result, ref, stride)
-    forks = _cpus(monkeypatch, cpus)
-    write_outputs(special_result, tmp_path / "run", windows_mode=mode)
-    assert len(forks) == min(cpus, len(special_result.windows)) - 1
-    out = tmp_path / "run" / "windows"
-    names = sorted(f.name for f in out.glob("window_*.csv"))
-    assert names == sorted(f.name for f in ref.iterdir()) and len(names) == 3
-    for name in names:
-        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_window_files_written_here_when_no_child_can_be_forked(tmp_path, monkeypatch,
-                                                              special_result):
-    ref = tmp_path / "ref"
-    ref.mkdir()
-    csv_write_windows(special_result, ref, SUB)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    write_outputs(special_result, tmp_path / "run")
-    for name in sorted(f.name for f in ref.iterdir()):
-        assert (tmp_path / "run" / "windows" / name).read_bytes() == (ref / name).read_bytes()
-
-
-@pytest.mark.parametrize("bad", [0, 3], ids=["own-share", "child-share"])
-def test_failed_share_raises_as_the_serial_writer(tmp_path, monkeypatch, m1_family,
-                                                  coarse_probe, bad):
-    # two shares, windows 0-1 written here and 2-3 by a child; a directory
-    # in a window file's place makes its share fail
-    result = run_experiment(config(m1_family, coarse_probe, K=4, seed=13))
-    (tmp_path / "windows" / f"window_{bad:04d}.csv").mkdir(parents=True)
-    errors = []
-    for cpus in (1, 2):
-        forks = _cpus(monkeypatch, cpus)
-        with pytest.raises(OSError) as exc:
-            write_outputs(result, tmp_path)
-        assert len(forks) == cpus - 1
-        errors.append((type(exc.value), str(exc.value)))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-    assert errors[0] == errors[1]
-    assert errors[0][0] is IsADirectoryError and f"window_{bad:04d}.csv" in errors[0][1]
-
-
-REPRO_WITH_FOUR_CPUS = """
-import os, sys
-os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
-from shslab.cli import main
-sys.exit(main(sys.argv[1:]))
-"""
-
-
-def test_forked_writer_prints_each_summary_line_once(tmp_path):
-    # stdout to a pipe is block-buffered, so a child that flushed the
-    # parent's buffer on exit would print the summary twice
-    src = str(Path(shslab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", REPRO_WITH_FOUR_CPUS, "repro-paper", "--K", "4",
-         "--out-dir", str(tmp_path / "rp")],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    repeated = [line for line, n in Counter(lines).items() if n > 1]
-    assert not repeated
-    for line in ("== segment state dimensions ==", "== eigenvalue analysis ==",
-                 "== probing design and switched-sequence detection ==",
-                 "intervals = 4, accuracy = 1.0000 (4/4)"):
-        assert line in lines
-    assert len(list((tmp_path / "rp" / "windows").glob("window_*.csv"))) == 4
-
-
 def test_rerun_removes_stale_window_files(tmp_path, m1_family, coarse_probe):
-    win_dir = tmp_path / "windows"
-    write_outputs(run_experiment(config(m1_family, coarse_probe, K=6, seed=3)), tmp_path)
+    win_dir = Path(csv_write_trace(run_experiment(config(m1_family, coarse_probe, K=6, seed=3)),
+                                   tmp_path))
     (win_dir / "window_2.csv").write_bytes((win_dir / "window_0002.csv").read_bytes())
     (win_dir / "notes.txt").write_text("kept")
     result = run_experiment(config(m1_family, coarse_probe, K=3, seed=3))
     write_outputs(result, tmp_path)
-    assert sorted(f.name for f in win_dir.iterdir()) == [
-        "meta.json", "notes.txt", "window_0000.csv", "window_0001.csv", "window_0002.csv"]
+    assert sorted(f.name for f in win_dir.iterdir()) == ["meta.json", "notes.txt", "windows.npy"]
     assert len(read_windows(win_dir)) == 3
 
     write_outputs(result, tmp_path, windows_mode="none")
