@@ -310,7 +310,7 @@ def cmd_detect(args) -> int:
     meta = os.path.join(args.trace, "meta.json")
     windows = read_windows(args.trace, probe=probe)
     if not windows:
-        raise ConfigError(f"no window files under {args.trace}")
+        raise ConfigError(f"no windows in {args.trace}")
     truth = _read_truth(args.truth, len(fam)) if args.truth else None
     if truth is not None and len(truth) != len(windows):
         raise ConfigError(f"{args.truth}: {len(truth)} rows for {len(windows)} windows")

@@ -285,7 +285,10 @@ def detect_sequence(models: list[DiscreteStateSpace],
     array, by identity, are fitted in one pass for all scenarios, with each
     scenario's stack and QR from the memo of _factor. Runs are never merged
     across records of one length: a fit's last bits depend on which windows
-    share its batch, so that would move residuals by round-off.
+    share its batch, so that would move residuals by round-off. A window
+    whose estimator grid holds no more equations (samples times outputs)
+    than the models have states is a ConfigError: every scenario would fit
+    it exactly, and round-off would pick the verdict.
     """
     if truth is not None and len(truth) != len(windows):
         raise ConfigError("truth sequence length differs from window count")
@@ -297,6 +300,11 @@ def detect_sequence(models: list[DiscreteStateSpace],
         if f.shape != (len(models), *window.samples.shape):
             raise ConfigError(f"window {k}: forced responses are {f.shape}, "
                               f"expected {(len(models), *window.samples.shape)}")
+        # the fit needs more equations than states, or it is exact for every scenario
+        equations = sample_indices(window.steps, subsample).size * window.samples.shape[1]
+        if equations <= models[0].n:
+            raise ConfigError(f"window {k}: {equations} estimator equations at subsample="
+                              f"{subsample} for {models[0].n} states; it must hold more")
 
     verdicts = []
     for _, group in groupby(zip(forced, windows), key=lambda pair: id(pair[0])):

@@ -32,9 +32,6 @@ import csv
 import json
 import math
 import os
-import re
-import warnings
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,8 +267,6 @@ def eigen_report(family: ScenarioFamily) -> EigenReport:
 
 
 _NPY = "windows.npy"
-# the per-window files of traces recorded before windows.npy
-_WINDOW_NAME = re.compile(r"window_([0-9]+)\.csv")
 
 
 def window_rows(tau0: float, ts: float) -> int:
@@ -298,7 +293,7 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
     1 + p + 3 + q) whose columns are t, the outputs, u1 and u2; the stride
     and periods land in windows/meta.json so a replay can rebuild the exact
     estimation problem. The table is streamed one window at a time, and its
-    bytes are those of np.save of the stacked table. Window files and
+    bytes are those of np.save of the stacked table. A windows.npy and
     meta.json an earlier run left in windows/ that this run does not write
     are removed.
     """
@@ -349,31 +344,13 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
 
 
 def _clear_windows(win_dir, keep: set) -> None:
-    """Remove the window files and meta.json under win_dir whose names are
-    not in `keep`, so no earlier run's record is left beside this run's."""
-    if not os.path.isdir(win_dir):
-        return
-    for name in os.listdir(win_dir):
-        if (name in ("meta.json", _NPY) or _WINDOW_NAME.fullmatch(name)) and name not in keep:
-            os.remove(os.path.join(win_dir, name))
-
-
-def _bad_row(path, cols: int) -> str | None:
-    """Name the first data row of a window file that is not `cols` numbers."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        next(fh, None)
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            fields = line.split(",")
-            if len(fields) != cols:
-                return f"row {line_no} has {len(fields)} fields, expected {cols}"
-            for field in fields:
-                try:
-                    float(field)
-                except ValueError:
-                    return f"row {line_no} has non-numeric field {field.strip()!r}"
-    return None
+    """Remove meta.json and windows.npy under win_dir unless named in `keep`,
+    so no earlier run's record is left beside this run's. Other files are
+    not the run's and stay."""
+    for name in {"meta.json", _NPY} - keep:
+        path = os.path.join(win_dir, name)
+        if os.path.exists(path):
+            os.remove(path)
 
 
 def _record(cols: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
@@ -383,13 +360,6 @@ def _record(cols: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
     rec = np.array(cols)
     rec.setflags(write=False)
     return rec
-
-
-def _some(indices: list[int]) -> str:
-    """The first few of `indices` for a message, or 'none'."""
-    if not indices:
-        return "none"
-    return ", ".join(map(str, indices[:5])) + (", ..." if len(indices) > 5 else "")
 
 
 def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[MeasurementWindow]:
@@ -404,11 +374,11 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
     and the first t is t_start + ts * 0). With a probe, meta.json's tau0
     must be the probe design's, within 1e-12 relative.
 
-    A meta.json with "format": "npy" describes windows.npy, whose dtype and
-    shape (len(window_starts), rows, 1 + p + 3 + q) must match it. One
-    without a format key describes the window_<k>.csv files of traces
-    recorded before windows.npy, taken in the order of their integer index,
-    which must run over 0..len(window_starts)-1 exactly once each.
+    meta.json must carry "format": "npy" and describes windows.npy, whose
+    dtype and shape (len(window_starts), rows, 1 + p + 3 + q) must match it.
+    A meta.json without a format key is a trace of per-window CSV files,
+    which this version no longer reads; `shslab run` with the config in the
+    run's manifest.json writes the same windows again as windows.npy.
     """
     meta = os.path.join(win_dir, "meta.json")
     if not os.path.exists(meta):
@@ -425,9 +395,13 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
     p, q, stride = (doc_value(info, key, integer, meta)
                     for key in ("n_outputs", "n_u2", "stride_applied"))
     fmt = info.get("format")
-    if fmt not in (None, "npy"):
-        raise ConfigError(f"{meta}: unknown window format {fmt!r}; this version "
-                          f"reads 'npy', or window CSV files when the key is absent")
+    if fmt is None:
+        raise ConfigError(f"{meta}: no window format; this is a trace of window CSV "
+                          f"files, which this version no longer reads. Re-run "
+                          f"`shslab run` with the config in the run's manifest.json "
+                          f"to record its windows as {_NPY}")
+    if fmt != "npy":
+        raise ConfigError(f"{meta}: unknown window format {fmt!r}; this version reads 'npy'")
     ts_written = ts_simulated * stride
     if not (np.isfinite(ts) and ts > 0 and abs(ts - ts_written) <= 1e-12 * ts):
         raise ConfigError(f"{meta}: ts={ts} must be positive, finite and equal to "
@@ -440,11 +414,7 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
             f"probe.json does not fit the windows {meta} describes: meta.json records "
             f"tau0={tau0}, the probe design has tau0={probe.tau0}; window has "
             f"{rows} samples, probe design implies {window_rows(probe.tau0, ts)}")
-    shape = (len(starts), rows, 1 + p + 3 + q)
-    if fmt is None:
-        tables = _csv_tables(win_dir, shape, f"tau0={tau0} at ts={ts}")
-    else:
-        tables = _npy_tables(os.path.join(win_dir, _NPY), shape)
+    tables = _npy_tables(os.path.join(win_dir, _NPY), (len(starts), rows, 1 + p + 3 + q))
     windows = []
     u1 = u2 = None
     for k, (name, arr) in enumerate(tables):
@@ -476,36 +446,3 @@ def _npy_tables(path, shape: tuple):
         raise ConfigError(f"{path}: holds {found}; meta.json implies a float64 table "
                           f"of shape {shape}")
     return ((f"{path} window {k}", arr) for k, arr in enumerate(table))
-
-
-def _csv_tables(win_dir, shape: tuple, grid: str):
-    """(file name, table) of each window_<k>.csv under win_dir in the order of
-    k, each parsed and checked against `shape` as it is reached."""
-    count, rows, cols = shape
-    files = sorted((int(m.group(1)), m.string) for m in map(
-        _WINDOW_NAME.fullmatch, os.listdir(win_dir)) if m)
-    indices = [k for k, _ in files]
-    if indices != list(range(count)):
-        missing = sorted(set(range(count)).difference(indices))
-        surplus = sorted(k for k, c in Counter(indices).items()
-                         if c > 1 or not 0 <= k < count)
-        raise ConfigError(
-            f"{win_dir}: meta.json lists {count} windows, numbered 0..{count - 1}; "
-            f"no file for {_some(missing)}, unexpected or repeated {_some(surplus)}")
-    for _, fname in files:
-        path = os.path.join(win_dir, fname)
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is reported below, not as a warning
-                warnings.simplefilter("ignore", UserWarning)
-                arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
-        except ValueError as exc:
-            raise ConfigError(f"{fname}: {_bad_row(path, cols) or exc}") from exc
-        if arr.shape[0] < 2:
-            raise ConfigError(f"{fname}: needs at least two data rows, has {arr.shape[0]}")
-        if arr.shape[1] != cols:
-            raise ConfigError(f"{fname}: column count does not match meta.json")
-        if arr.shape[0] != rows:
-            raise ConfigError(f"{fname}: has {arr.shape[0]} data rows; meta.json's "
-                              f"{grid} implies {rows}")
-        yield fname, arr

@@ -4,13 +4,11 @@ These are deliberately separate implementations from the package: a classic
 fixed-step RK4 integrator, an implicit-trapezoid integrator, a per-sample
 discrete-time recursion, a central finite-difference Jacobian, an
 incidence-matrix builder, the segment element equations written out
-directly, the per-value csv.writer/csv.reader loops of the window CSV files
-that traces recorded before windows.npy hold, the per-row observability
-stack, the per-window switched-truth loop, the per-scenario window fits,
-and the block-by-block free response. Apart from the last three they never
-call into shslab's discretization, simulation or stamping code paths; the
-element equations share only the state layout. `csv_write_trace` takes
-every artifact but the window files from `write_outputs`.
+directly, the column-by-column window table that windows.npy must hold,
+the per-row observability stack, the per-window switched-truth loop, the
+per-scenario window fits, and the block-by-block free response. Apart from
+the last three they never call into shslab's discretization, simulation or
+stamping code paths; the element equations share only the state layout.
 The truth loop runs shslab's `simulate` once per window, which
 `loop_simulate` checks in its own test. The per-scenario fits take their
 factors from shslab's `_factor` and differ from the package only in how
@@ -23,17 +21,13 @@ The block-by-block free response is the same arithmetic as `free_outputs`
 with a copy of every block into every window's array.
 """
 
-import csv
-import json
 import math
-import os
 
 import numpy as np
 
 from shslab.detection import (_QR_ROWS, MeasurementWindow, _check_window, _factor,
                               forced_outputs)
 from shslab.errors import ConfigError
-from shslab.experiment import write_outputs
 from shslab.linsys import simulate
 from shslab.ssbuild import _Index  # state layout only, no coefficients
 
@@ -262,68 +256,13 @@ def segment_rhs(segment, contingency, x, u1, u2):
 
 def window_table(window, stride):
     """The (rows, columns) record of one window at `stride`, column by
-    column: t = t_start + ts * index, the outputs, u1 and u2. The rows the
-    window CSV files hold, and one slice of windows.npy."""
+    column: t = t_start + ts * index, the outputs, u1 and u2: one slice of
+    windows.npy."""
     idx = np.arange(0, window.steps + 1, stride)
     table = np.empty((idx.size, 1 + window.samples.shape[1] + 3 + window.u2.shape[1]))
     table[:, 0] = window.t_start + window.ts * idx
     table[:, 1:] = np.hstack([window.samples[idx], window.u1[idx], window.u2[idx]])
     return table
-
-
-def csv_write_trace(result, out_dir, windows_mode="strided"):
-    """result's artifacts as a trace recorded before windows.npy: what
-    experiment.write_outputs writes, turned by as_csv_trace. Returns the
-    windows/ directory."""
-    write_outputs(result, out_dir, windows_mode=windows_mode)
-    win_dir = os.path.join(out_dir, "windows")
-    as_csv_trace(win_dir, result, 1 if windows_mode == "full" else result.config.subsample)
-    return win_dir
-
-
-def as_csv_trace(win_dir, result, stride):
-    """Replace windows.npy under win_dir by csv_write_windows' files of
-    result's windows at `stride`, and drop meta.json's format key."""
-    os.remove(os.path.join(win_dir, "windows.npy"))
-    with open(os.path.join(win_dir, "meta.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
-    del meta["format"]
-    with open(os.path.join(win_dir, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
-    csv_write_windows(result, win_dir, stride)
-
-
-def csv_write_windows(result, win_dir, stride):
-    """Write result's window files one value at a time through csv.writer,
-    as experiment.write_outputs wrote them before windows.npy (meta.json is
-    not written)."""
-    p = result.windows[0].samples.shape[1] if result.windows else 0
-    q = result.windows[0].u2.shape[1] if result.windows else 0
-    header = (["t"] + [f"y{i}" for i in range(p)]
-              + [f"u1_{i}" for i in range(3)] + [f"u2_{i}" for i in range(q)])
-    for k, w in enumerate(result.windows):
-        idx = np.arange(0, w.steps + 1, stride)
-        times = w.t_start + w.ts * idx
-        with open(os.path.join(win_dir, f"window_{k:04d}.csv"), "w",
-                  newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row, i in enumerate(idx):
-                writer.writerow([repr(float(times[row]))]
-                                + [repr(float(v)) for v in w.samples[i]]
-                                + [repr(float(v)) for v in w.u1[i]]
-                                + [repr(float(v)) for v in w.u2[i]])
-
-
-def csv_read_window(path):
-    """Parse one window file field by field through csv.reader: the
-    (rows, columns) table experiment.read_windows must reproduce."""
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    return np.array(rows)
 
 
 def loop_truth(dmodels, hold, x, alphas, u1_win, u2_win, steps,

@@ -5,16 +5,13 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracles import as_csv_trace
 import shslab
 from shslab import data_path
 from shslab.cli import main
-from shslab.experiment import read_windows
 
 STAGE_CONFIG = {
     "segments": {"1": [1, 4], "2": [2, 5], "3": [3, 6]},
@@ -62,19 +59,6 @@ def recorded(tmp_path_factory):
                  "--out", str(root / "matrices.json")]) == 0
     assert main(["run", "--config", str(root / "experiment.json"),
                  "--out-dir", str(root / "run")]) == 0
-    return root
-
-
-@pytest.fixture(scope="module")
-def recorded_csv(recorded, tmp_path_factory):
-    """The recorded run as a trace recorded before windows.npy: the CSV
-    oracle's window files in place of windows.npy, and meta.json without its
-    format key. Shared read-only, like `recorded`."""
-    root = tmp_path_factory.mktemp("recorded_csv")
-    shutil.copy(recorded / "matrices.json", root / "matrices.json")
-    shutil.copytree(recorded / "run", root / "run")
-    win_dir = root / "run" / "windows"
-    as_csv_trace(win_dir, SimpleNamespace(windows=read_windows(win_dir)), 1)
     return root
 
 
@@ -323,18 +307,14 @@ def test_repro_paper_smoke(tmp_path, capsys):
     assert "bundled reference values" in out
 
 
-def _replay(recorded, tmp_path, window_text=None, truth_text=None, edit=None,
-            probe=False):
-    """`shslab detect` on a copy of the recorded run (`recorded` or
-    `recorded_csv`) with window_0001.csv or truth.csv replaced by the given
-    text, after `edit` of its windows/; with `probe`, the run's probe.json is
-    passed too."""
+def _replay(recorded, tmp_path, truth_text=None, edit=None, probe=False):
+    """`shslab detect` on a copy of the recorded run after `edit` of its
+    windows/, with truth.csv replaced by `truth_text` if given; with `probe`,
+    the run's probe.json is passed too."""
     run = tmp_path / "run"
     shutil.copytree(recorded / "run", run)
     if edit is not None:
         edit(run / "windows")
-    if window_text is not None:
-        (run / "windows" / "window_0001.csv").write_bytes(window_text.encode())
     if truth_text is not None:
         (run / "truth.csv").write_bytes(truth_text.encode())
     return main(["detect", "--family", str(recorded / "matrices.json"), "--segment", "1",
@@ -343,44 +323,28 @@ def _replay(recorded, tmp_path, window_text=None, truth_text=None, edit=None,
                 + (["--probe", str(run / "probe.json")] if probe else []))
 
 
-def _recorded_window(recorded):
-    return (recorded / "run" / "windows" / "window_0001.csv").read_bytes().decode().split("\r\n")
+def _edit_meta(win_dir, **changes):
+    meta = json.loads((win_dir / "meta.json").read_text())
+    meta.update(changes)
+    (win_dir / "meta.json").write_text(json.dumps(meta))
 
 
-def test_detect_header_only_window_exits_2(recorded_csv, tmp_path, capsys):
-    header = _recorded_window(recorded_csv)[0]
-    assert _replay(recorded_csv, tmp_path, window_text=header + "\r\n") == 2
+def _npy_edit(change):
+    """An edit of windows/ that saves change(table) as windows.npy."""
+    def edit(win_dir):
+        path = win_dir / "windows.npy"
+        np.save(path, change(np.load(path)))
+    return edit
+
+
+@pytest.mark.parametrize("probe", [True], ids=["probe"])
+def test_detect_short_window_exits_2(recorded, tmp_path, capsys, probe):
+    # tau0 0.005 at the recorded 5e-5 s is 101 rows; drop the last one. The
+    # probe agrees with meta.json, so the table's shape is what fails
+    assert _replay(recorded, tmp_path, edit=_npy_edit(lambda t: t[:, :100]), probe=probe) == 2
     err = capsys.readouterr().err
-    assert "window_0001.csv: needs at least two data rows, has 0" in err
-
-
-def test_detect_non_numeric_window_cell_exits_2(recorded_csv, tmp_path, capsys):
-    lines = _recorded_window(recorded_csv)
-    fields = lines[3].split(",")
-    fields[2] = "abc"
-    lines[3] = ",".join(fields)
-    assert _replay(recorded_csv, tmp_path, window_text="\r\n".join(lines)) == 2
-    assert "window_0001.csv: row 4 has non-numeric field 'abc'" in capsys.readouterr().err
-
-
-def test_detect_ragged_window_row_exits_2(recorded_csv, tmp_path, capsys):
-    lines = _recorded_window(recorded_csv)
-    cols = len(lines[0].split(","))
-    lines[5] = lines[5].rsplit(",", 1)[0]
-    assert _replay(recorded_csv, tmp_path, window_text="\r\n".join(lines)) == 2
-    err = capsys.readouterr().err
-    assert f"window_0001.csv: row 6 has {cols - 1} fields, expected {cols}" in err
-
-
-@pytest.mark.parametrize("probe", [False, True], ids=["no-probe", "probe"])
-def test_detect_short_window_exits_2(recorded_csv, tmp_path, capsys, probe):
-    # tau0 0.005 at the recorded 5e-5 s is 101 rows; drop the last one
-    lines = _recorded_window(recorded_csv)
-    assert len(lines) == 103 and lines[-1] == ""
-    short = "\r\n".join(lines[:-2] + [""])
-    assert _replay(recorded_csv, tmp_path, window_text=short, probe=probe) == 2
-    err = capsys.readouterr().err
-    assert "window_0001.csv: has 100 data rows; meta.json's tau0=0.005 at ts=5e-05 implies 101" in err
+    assert (f"{tmp_path / 'run' / 'windows' / 'windows.npy'}: holds a float64 table of shape "
+            f"(3, 100, 11); meta.json implies a float64 table of shape (3, 101, 11)") in err
     assert not (tmp_path / "replay.json").exists()
 
 
@@ -393,17 +357,15 @@ def test_detect_truth_alpha_outside_family_exits_2(recorded, tmp_path, capsys, a
     assert not (tmp_path / "replay.json").exists()
 
 
-def test_detect_too_few_equations_exits_2(recorded_csv, tmp_path, capsys):
+def test_detect_too_few_equations_exits_2(recorded, tmp_path, capsys):
     # windows cut to 3 samples of 5 outputs: 15 equations for 18 states,
     # where every residual would be 0 and every verdict scenario 0
     def edit(win_dir):
         meta = json.loads((win_dir / "meta.json").read_text())
         _edit_meta(win_dir, tau0=2 * meta["ts"])
-        for path in win_dir.glob("window_*.csv"):
-            lines = path.read_bytes().decode().split("\r\n")
-            path.write_bytes("\r\n".join(lines[:4] + [""]).encode())
+        _npy_edit(lambda t: t[:, :3])(win_dir)
 
-    assert _replay(recorded_csv, tmp_path, edit=edit) == 2
+    assert _replay(recorded, tmp_path, edit=edit) == 2
     err = capsys.readouterr().err
     assert "meta.json: each window holds 15 estimator equations for 18 states" in err
     assert not (tmp_path / "replay.json").exists()
@@ -482,22 +444,6 @@ def test_detect_truth_length_mismatch_exits_2(recorded, tmp_path, capsys):
     assert "truth.csv: 1 rows for 3 windows" in capsys.readouterr().err
 
 
-def test_detect_missing_window_file_exits_2(recorded_csv, tmp_path, capsys):
-    run = tmp_path / "run"
-    shutil.copytree(recorded_csv / "run", run)
-    (run / "windows" / "window_0001.csv").unlink()
-    rc = main(["detect", "--family", str(recorded_csv / "matrices.json"), "--segment", "1",
-               "--trace", str(run / "windows"), "--out", str(tmp_path / "replay.json")])
-    assert rc == 2
-    assert "meta.json lists 3 windows, numbered 0..2; no file for 1" in capsys.readouterr().err
-
-
-def _edit_meta(win_dir, **changes):
-    meta = json.loads((win_dir / "meta.json").read_text())
-    meta.update(changes)
-    (win_dir / "meta.json").write_text(json.dumps(meta))
-
-
 @pytest.mark.parametrize("ts", [0.0, -5e-5, float("nan"), 1e-4],
                          ids=["zero", "negative", "nan", "doubled"])
 def test_detect_meta_ts_inconsistent_exits_2(recorded, tmp_path, capsys, ts):
@@ -508,47 +454,19 @@ def test_detect_meta_ts_inconsistent_exits_2(recorded, tmp_path, capsys, ts):
 
 
 # the family has 5 outputs and 2 aux inputs; drop column y4 or add a column u2_2
-@pytest.mark.parametrize("key, width, fields, message", [
-    ("n_outputs", 4, lambda f: f[:5] + f[6:], "records 4 outputs and 2 aux inputs"),
-    ("n_u2", 3, lambda f: f + ["0.0"], "records 5 outputs and 3 aux inputs"),
+@pytest.mark.parametrize("key, width, columns, message", [
+    ("n_outputs", 4, lambda t: np.delete(t, 5, axis=2), "records 4 outputs and 2 aux inputs"),
+    ("n_u2", 3, lambda t: np.concatenate([t, np.zeros(t.shape[:2] + (1,))], axis=2),
+     "records 5 outputs and 3 aux inputs"),
 ], ids=["outputs", "aux-inputs"])
-def test_detect_width_mismatch_exits_2(recorded_csv, tmp_path, capsys, key, width, fields, message):
+def test_detect_width_mismatch_exits_2(recorded, tmp_path, capsys, key, width, columns, message):
     def edit(win_dir):
         _edit_meta(win_dir, **{key: width})
-        for path in win_dir.glob("window_*.csv"):
-            lines = path.read_bytes().decode().split("\r\n")
-            path.write_bytes("\r\n".join(",".join(fields(line.split(","))) if line else line
-                                          for line in lines).encode())
+        _npy_edit(columns)(win_dir)
 
-    assert _replay(recorded_csv, tmp_path, edit=edit) == 2
+    assert _replay(recorded, tmp_path, edit=edit) == 2
     err = capsys.readouterr().err
     assert message in err and "the family in" in err and "has 5 and 2" in err
-
-
-def test_detect_replays_csv_and_npy_traces_alike(recorded, recorded_csv, tmp_path):
-    from_npy, from_csv = (read_windows(root / "run" / "windows")
-                          for root in (recorded, recorded_csv))
-    bits = lambda a: np.ascontiguousarray(a).view(np.int64)
-    assert len(from_npy) == len(from_csv) == 3
-    for a, b in zip(from_npy, from_csv):
-        assert bits(a.t_start) == bits(b.t_start) and a.ts == b.ts
-        for name in ("samples", "u1", "u2"):
-            assert np.array_equal(bits(getattr(a, name)), bits(getattr(b, name))), name
-    for windows in (from_npy, from_csv):
-        assert all(w.u1 is windows[0].u1 and w.u2 is windows[0].u2 for w in windows)
-    for root, name in ((recorded, "npy"), (recorded_csv, "csv")):
-        assert _replay(root, tmp_path / name, probe=True) == 0
-    replays = [(tmp_path / name / "replay.json").read_bytes() for name in ("npy", "csv")]
-    assert replays[0] == replays[1]
-    assert json.loads(replays[0])["accuracy"] == 1.0
-
-
-def _npy_edit(change):
-    """An edit of windows/ that saves change(table) as windows.npy."""
-    def edit(win_dir):
-        path = win_dir / "windows.npy"
-        np.save(path, change(np.load(path)))
-    return edit
 
 
 def _truncate(win_dir):
@@ -602,6 +520,30 @@ def test_detect_unknown_window_format_exits_2(recorded, tmp_path, capsys):
     assert _replay(recorded, tmp_path, edit=lambda d: _edit_meta(d, format="csv2")) == 2
     meta = tmp_path / "run" / "windows" / "meta.json"
     assert f"{meta}: unknown window format 'csv2'" in capsys.readouterr().err
+    assert not (tmp_path / "replay.json").exists()
+
+
+def test_detect_csv_era_trace_exits_2(recorded, tmp_path, capsys):
+    # a meta.json without a format key is a trace of window CSV files
+    def edit(win_dir):
+        meta = json.loads((win_dir / "meta.json").read_text())
+        del meta["format"]
+        (win_dir / "meta.json").write_text(json.dumps(meta))
+
+    assert _replay(recorded, tmp_path, edit=edit) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'run' / 'windows' / 'meta.json'}: no window format" in err
+    assert "`shslab run` with the config in the run's manifest.json" in err
+    assert not (tmp_path / "replay.json").exists()
+
+
+def test_detect_empty_trace_exits_2(recorded, tmp_path, capsys):
+    def edit(win_dir):
+        _edit_meta(win_dir, window_starts=[])
+        _npy_edit(lambda t: t[:0])(win_dir)
+
+    assert _replay(recorded, tmp_path, edit=edit) == 2
+    assert f"no windows in {tmp_path / 'run' / 'windows'}" in capsys.readouterr().err
     assert not (tmp_path / "replay.json").exists()
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -375,6 +377,18 @@ def test_forced_entry_of_wrong_shape_rejected(dmodels, m1_probe):
     for wrong in (forced[1][:, :-1], forced[1][:-1]):
         with pytest.raises(ConfigError, match=r"window 1: forced responses are \("):
             detect_sequence(dmodels, windows, [forced[0], wrong], subsample=SUB)
+
+
+def test_detect_sequence_needs_more_equations_than_states(dmodels, m1_probe):
+    # 11 samples at stride 10 leave 2 estimator rows of 5 outputs: 10
+    # equations for 18 states, which every scenario fits exactly
+    long = probe_window(dmodels[0], np.zeros(18), m1_probe.R)
+    short = probe_window(dmodels[1], np.zeros(18), m1_probe.R, steps=10)
+    with pytest.raises(ConfigError, match=re.escape(
+            "window 1: 10 estimator equations at subsample=10 for 18 states")):
+        detect(dmodels, [long, short], subsample=10)
+    # every sample of the same window is 55 equations
+    assert len(detect(dmodels, [long, short], subsample=1).verdicts) == 2
 
 
 def test_report_truth_length_guard(dmodels, m1_probe):

@@ -4,13 +4,12 @@ import io
 import json
 import re
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_family, make_model
-from oracles import csv_read_window, csv_write_trace, loop_truth, window_table
+from oracles import loop_truth, window_table
 import shslab.detection as detection
 import shslab.experiment as experiment
 import shslab.probing as probing
@@ -326,30 +325,6 @@ def test_read_windows_share_input_records(tmp_path, m1_family, coarse_probe):
         assert not np.shares_memory(window.samples, first.samples)
 
 
-def test_read_windows_orders_files_by_index(tmp_path, m1_family, coarse_probe):
-    result = run_experiment(config(m1_family, coarse_probe, K=11, seed=3))
-    win_dir = Path(csv_write_trace(result, tmp_path))
-    # unpadded names sort window_10 before window_2 by name
-    for k in range(11):
-        (win_dir / f"window_{k:04d}.csv").rename(win_dir / f"window_{k}.csv")
-    windows = read_windows(win_dir)
-    assert [w.t_start for w in windows] == [w.t_start for w in result.windows]
-    for w, src in zip(windows, result.windows):
-        assert np.array_equal(w.samples, src.samples[::SUB])
-
-
-def test_read_windows_checks_each_start_against_meta(tmp_path, m1_family, coarse_probe):
-    result = run_experiment(config(m1_family, coarse_probe, K=3, seed=3))
-    path = Path(csv_write_trace(result, tmp_path)) / "window_0001.csv"
-    header, first, rest = path.read_bytes().split(b"\r\n", 2)
-    t, fields = first.split(b",", 1)
-    assert float(t) == result.windows[1].t_start == TAU
-    path.write_bytes(b"\r\n".join([header, b"0.05000000000000001," + fields, rest]))
-    with pytest.raises(ConfigError, match=r"window_0001.csv: starts at t=0.05000000000000001; "
-                                          r"meta.json's window_starts\[1\] is 0.05"):
-        read_windows(tmp_path / "windows")
-
-
 def test_read_windows_checks_each_npy_start_against_meta(tmp_path, m1_family, coarse_probe):
     write_outputs(run_experiment(config(m1_family, coarse_probe, K=3, seed=3)), tmp_path)
     path = tmp_path / "windows" / "windows.npy"
@@ -361,22 +336,6 @@ def test_read_windows_checks_each_npy_start_against_meta(tmp_path, m1_family, co
             f"{path} window 1: starts at t=0.05000000000000001; "
             f"meta.json's window_starts[1] is 0.05")):
         read_windows(tmp_path / "windows")
-
-
-@pytest.mark.parametrize("change, message", [
-    (lambda d: (d / "window_0001.csv").unlink(), "no file for 1, unexpected or repeated none"),
-    (lambda d: (d / "window_0003.csv").write_bytes((d / "window_0002.csv").read_bytes()),
-     "no file for none, unexpected or repeated 3"),
-    (lambda d: (d / "window_2.csv").write_bytes((d / "window_0002.csv").read_bytes()),
-     "no file for none, unexpected or repeated 2"),
-], ids=["missing", "extra", "repeated"])
-def test_read_windows_needs_every_listed_window_once(tmp_path, m1_family, coarse_probe,
-                                                     change, message):
-    result = run_experiment(config(m1_family, coarse_probe, K=3, seed=3))
-    change(Path(csv_write_trace(result, tmp_path)))
-    with pytest.raises(ConfigError, match="meta.json lists 3 windows") as exc:
-        read_windows(tmp_path / "windows")
-    assert message in str(exc.value)
 
 
 @pytest.mark.parametrize("meta, message", [
@@ -407,12 +366,29 @@ def test_read_windows_checks_probe_tau0_against_meta(tmp_path, m1_family, coarse
 @pytest.mark.parametrize("probe", [False, True], ids=["no-probe", "probe"])
 def test_read_windows_rejects_a_window_of_another_length(tmp_path, m1_family, coarse_probe,
                                                          probe):
-    result = run_experiment(config(m1_family, coarse_probe, K=3, seed=3))
-    path = Path(csv_write_trace(result, tmp_path)) / "window_0002.csv"
-    path.write_bytes(path.read_bytes().rsplit(b"\r\n", 2)[0] + b"\r\n")
-    with pytest.raises(ConfigError, match="window_0002.csv: has 100 data rows") as exc:
+    # tau0=0.005 at ts=5e-05 implies 101 rows; the table holds 100
+    write_outputs(run_experiment(config(m1_family, coarse_probe, K=3, seed=3)), tmp_path)
+    path = tmp_path / "windows" / "windows.npy"
+    table = np.load(path)
+    assert table.shape[:2] == (3, 101)
+    np.save(path, table[:, :100])
+    cols = table.shape[2]
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path}: holds a float64 table of shape (3, 100, {cols}); "
+            f"meta.json implies a float64 table of shape (3, 101, {cols})")):
         read_windows(tmp_path / "windows", probe=coarse_probe if probe else None)
-    assert "tau0=0.005 at ts=5e-05 implies 101" in str(exc.value)
+
+
+def test_read_windows_refuses_a_trace_without_format(tmp_path, m1_family, coarse_probe):
+    # what traces of window CSV files carry, which this version no longer reads
+    write_outputs(run_experiment(config(m1_family, coarse_probe, K=2, seed=3)), tmp_path)
+    meta = tmp_path / "windows" / "meta.json"
+    doc = json.loads(meta.read_text())
+    del doc["format"]
+    meta.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(f"{meta}: no window format")) as exc:
+        read_windows(tmp_path / "windows")
+    assert "manifest.json" in str(exc.value)
 
 
 @pytest.mark.parametrize("tau0", [0.0, float("nan")], ids=["zero", "nan"])
@@ -424,23 +400,8 @@ def test_read_windows_rejects_bad_meta_tau0(tmp_path, m1_family, coarse_probe, t
         read_windows(tmp_path / "windows")
 
 
-def test_csv_and_npy_traces_read_back_the_same(tmp_path, m1_family, coarse_probe):
-    cfg = config(m1_family, coarse_probe, K=4, seed=3, x0_mode="random", noise_sigma=1e-3)
-    result = run_experiment(cfg)
-    write_outputs(result, tmp_path / "npy")
-    csv_dir = csv_write_trace(result, tmp_path / "csv")
-    from_npy, from_csv = read_windows(tmp_path / "npy" / "windows"), read_windows(csv_dir)
-    assert len(from_npy) == len(from_csv) == 4
-    for a, b in zip(from_npy, from_csv):
-        assert _bits(a.t_start) == _bits(b.t_start) and a.ts == b.ts == TS * SUB
-        for name in ("samples", "u1", "u2"):
-            assert np.array_equal(_bits(getattr(a, name)), _bits(getattr(b, name))), name
-    for windows in (from_npy, from_csv):
-        assert all(w.u1 is windows[0].u1 and w.u2 is windows[0].u2 for w in windows)
-
-
-# values whose text form is easy to get wrong: signed zero, the smallest
-# subnormal, exponent notation on both sides, overflow to inf, nan
+# values a record must keep bit for bit: signed zero, the smallest
+# subnormal, large and small exponents, inf and nan
 SPECIAL = (-0.0, 5e-324, 1e-5, 1e16, -1e300, float("nan"), float("inf"))
 
 
@@ -474,36 +435,28 @@ def _saved(tables) -> bytes:
 
 
 @pytest.mark.parametrize("mode, stride", [("strided", SUB), ("full", 1)])
-def test_window_files_match_csv_oracle(tmp_path, special_result, mode, stride):
-    # windows.npy holds the oracle's tables bit for bit, and a trace the CSV
-    # oracle writes reads back as csv.reader parses it; the two agree but
-    # for the sign of a nan, which a CSV file does not keep
-    write_outputs(special_result, tmp_path / "run", windows_mode=mode)
-    csv_dir = Path(csv_write_trace(special_result, tmp_path / "ref", windows_mode=mode))
+def test_windows_npy_matches_table_oracle(tmp_path, special_result, mode, stride):
+    # windows.npy holds the oracle's tables bit for bit, and reads back as them
+    write_outputs(special_result, tmp_path, windows_mode=mode)
     tables = [window_table(w, stride) for w in special_result.windows]
-    npy = tmp_path / "run" / "windows" / "windows.npy"
+    npy = tmp_path / "windows" / "windows.npy"
     assert npy.read_bytes() == _saved(tables)
-    names = sorted(f.name for f in csv_dir.glob("window_*.csv"))
-    assert len(names) == 3
 
     p = special_result.windows[0].samples.shape[1]
-    for windows, refs in ((read_windows(npy.parent), tables),
-                          (read_windows(csv_dir), [csv_read_window(csv_dir / n) for n in names])):
-        for w, table in zip(windows, refs):
-            assert np.array_equal(_bits(w.t_start), _bits(table[0, 0]))
-            assert np.array_equal(_bits(w.samples), _bits(table[:, 1:1 + p]))
-            assert np.array_equal(_bits(w.u1), _bits(table[:, 1 + p:4 + p]))
-            assert np.array_equal(_bits(w.u2), _bits(table[:, 4 + p:]))
-        # the special values made it through, and only bitwise-equal records are shared
-        assert np.isnan(windows[1].samples).any() and np.isinf(windows[1].samples).any()
-        assert (windows[1].samples == 5e-324).any()
-        assert np.signbit(windows[2].u1[windows[2].u1 == 0.0]).all()
-        assert np.shares_memory(windows[1].u1, windows[0].u1)
-        assert not np.shares_memory(windows[2].u1, windows[1].u1)
-        assert np.shares_memory(windows[2].u2, windows[1].u2)
-    a, b = tables[1], csv_read_window(csv_dir / names[1])
-    assert np.array_equal(a, b, equal_nan=True)
-    assert np.array_equal(np.signbit(a[~np.isnan(a)]), np.signbit(b[~np.isnan(b)]))
+    windows = read_windows(npy.parent)
+    assert len(windows) == 3
+    for w, table in zip(windows, tables):
+        assert np.array_equal(_bits(w.t_start), _bits(table[0, 0]))
+        assert np.array_equal(_bits(w.samples), _bits(table[:, 1:1 + p]))
+        assert np.array_equal(_bits(w.u1), _bits(table[:, 1 + p:4 + p]))
+        assert np.array_equal(_bits(w.u2), _bits(table[:, 4 + p:]))
+    # the special values made it through, and only bitwise-equal records are shared
+    assert np.isnan(windows[1].samples).any() and np.isinf(windows[1].samples).any()
+    assert (windows[1].samples == 5e-324).any()
+    assert np.signbit(windows[2].u1[windows[2].u1 == 0.0]).all()
+    assert np.shares_memory(windows[1].u1, windows[0].u1)
+    assert not np.shares_memory(windows[2].u1, windows[1].u1)
+    assert np.shares_memory(windows[2].u2, windows[1].u2)
 
 
 @pytest.mark.parametrize("record", ["u1", "u2"])
@@ -532,17 +485,20 @@ def test_window_files_format_each_record_from_its_own_values(
 
 
 def test_rerun_removes_stale_window_files(tmp_path, m1_family, coarse_probe):
-    win_dir = Path(csv_write_trace(run_experiment(config(m1_family, coarse_probe, K=6, seed=3)),
-                                   tmp_path))
-    (win_dir / "window_2.csv").write_bytes((win_dir / "window_0002.csv").read_bytes())
+    # a rerun owns only meta.json and windows.npy: a window CSV file of an
+    # older trace is never read again, so it stays like any other file
+    write_outputs(run_experiment(config(m1_family, coarse_probe, K=6, seed=3)), tmp_path)
+    win_dir = tmp_path / "windows"
+    (win_dir / "window_2.csv").write_text("t,y0\r\n0.1,0.0\r\n")
     (win_dir / "notes.txt").write_text("kept")
     result = run_experiment(config(m1_family, coarse_probe, K=3, seed=3))
     write_outputs(result, tmp_path)
-    assert sorted(f.name for f in win_dir.iterdir()) == ["meta.json", "notes.txt", "windows.npy"]
+    assert sorted(f.name for f in win_dir.iterdir()) == [
+        "meta.json", "notes.txt", "window_2.csv", "windows.npy"]
     assert len(read_windows(win_dir)) == 3
 
     write_outputs(result, tmp_path, windows_mode="none")
-    assert sorted(f.name for f in win_dir.iterdir()) == ["notes.txt"]
+    assert sorted(f.name for f in win_dir.iterdir()) == ["notes.txt", "window_2.csv"]
 
 
 def test_sequence_csv_contents(tmp_path, m1_family, coarse_probe):
