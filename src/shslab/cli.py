@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__, data_path
-from .detection import detect_sequence, forced_responses
+from .detection import detect_sequence, forced_responses, require_equations
 from .errors import ConfigError, NumericalError
 from .experiment import (ExperimentConfig, eigen_report, generate_sequence,
                          read_windows, run_experiment, write_outputs)
@@ -319,13 +319,8 @@ def cmd_detect(args) -> int:
         raise ConfigError(
             f"{meta} records {widths[0]} outputs and {widths[1]} aux inputs; "
             f"the family in {args.family} has {fam[0].p} and {fam[0].B2.shape[1]}")
-    # the fit needs more equations than states, or every residual is 0
-    equations = windows[0].samples.size
-    if equations <= fam[0].n:
-        raise ConfigError(
-            f"{meta}: each window holds {equations} estimator equations for "
-            f"{fam[0].n} states; it must hold more")
     # windows are stored on the estimator grid; use every recorded sample
+    require_equations(windows[0].steps, fam[0].p, fam[0].n, 1, meta)
     dmodels = discretized(fam, windows[0].ts)
     report = detect_sequence(dmodels, windows, forced_responses(dmodels, windows),
                              truth=truth, subsample=1)

@@ -2,9 +2,10 @@
 
 For each candidate scenario the unknown window-start state is estimated by
 stacked least squares against the recorded outputs (with the forced
-response to the recorded probe and aux voltages removed), and the scenario
-with the smallest fit residual wins. Ties break toward the lowest scenario
-index.
+response to the recorded probe and aux voltages removed). Detection's
+product is the (K, m) table of the attained fit residuals, window by
+scenario; in each window the scenario with the smallest residual wins, ties
+toward the lowest scenario index.
 
 The forced response each fit discounts is the scenario's output from rest
 under the window's input records. detect_sequence never simulates it: the
@@ -23,6 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,65 +77,62 @@ class MeasurementWindow:
         return self.samples.shape[0] - 1
 
 
-@dataclass(frozen=True, eq=False)
-class ScenarioVerdict:
+class Verdict(NamedTuple):
+    """One window's row of a DetectionReport."""
+
     detected: int
     residuals: np.ndarray     # (m,)
-    x0_hat: np.ndarray        # (m, n)
-
-    def __post_init__(self):
-        res = np.asarray(self.residuals, dtype=float)
-        if not np.all(np.isfinite(res)):
-            raise NumericalError("verdict residuals must be finite")
-        if self.detected != int(np.argmin(res)):
-            raise NumericalError("detected scenario must be the residual argmin")
 
 
 @dataclass(frozen=True, eq=False)
 class DetectionReport:
-    """Per-window verdicts, optionally scored against a truth sequence."""
+    """The fit residual of every scenario in every window, one read-only
+    (K, m) table, optionally scored against a truth sequence. Window k's
+    verdict is the argmin of row k, the lowest scenario index on ties."""
 
-    verdicts: tuple[ScenarioVerdict, ...]
+    residuals: np.ndarray     # (K, m)
     truth: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "verdicts", tuple(self.verdicts))
+        res = _frozen(self.residuals)
+        if res.ndim != 2 or (len(res) and not res.shape[1]):
+            raise ConfigError(f"residuals must be a (K, m) table with m >= 1, "
+                              f"got shape {res.shape}")
+        if not np.all(np.isfinite(res)):
+            raise NumericalError("fit residuals must be finite")
+        object.__setattr__(self, "residuals", res)
         if self.truth is not None:
             truth = tuple(int(a) for a in self.truth)
-            if len(truth) != len(self.verdicts):
-                raise ConfigError("truth length differs from verdict count")
+            if len(truth) != len(res):
+                raise ConfigError("truth length differs from window count")
             object.__setattr__(self, "truth", truth)
 
     @property
     def detected(self) -> list[int]:
-        return [v.detected for v in self.verdicts]
+        return np.argmin(self.residuals, axis=1).tolist() if len(self.residuals) else []
+
+    @property
+    def verdicts(self) -> tuple[Verdict, ...]:
+        """(detected, residuals) per window, row k a view of the table's row
+        k; kept for perfbench, which reads the report through it."""
+        return tuple(map(Verdict, self.detected, self.residuals))
 
     @property
     def matches(self) -> int | None:
         if self.truth is None:
             return None
-        return sum(1 for v, t in zip(self.verdicts, self.truth) if v.detected == t)
+        return sum(d == t for d, t in zip(self.detected, self.truth))
 
     @property
     def accuracy(self) -> float | None:
-        if self.truth is None or not self.verdicts:
-            return None
-        return self.matches / len(self.verdicts)
+        return self.matches / len(self.truth) if self.truth else None
 
     def to_json(self) -> dict:
-        out: dict = {
-            "windows": [
-                {
-                    "k": k,
-                    "detected": v.detected,
-                    "residuals": [float(r) for r in v.residuals],
-                }
-                for k, v in enumerate(self.verdicts)
-            ],
-        }
+        out: dict = {"windows": [{"k": k, "detected": d, "residuals": row.tolist()}
+                                 for k, (d, row) in enumerate(self.verdicts)]}
         if self.truth is not None:
-            for k, entry in enumerate(out["windows"]):
-                entry["true"] = self.truth[k]
+            for entry, t in zip(out["windows"], self.truth):
+                entry["true"] = t
             out["matches"] = self.matches
             out["accuracy"] = self.accuracy
         return out
@@ -144,6 +143,17 @@ def sample_indices(steps: int, subsample: int) -> np.ndarray:
     if subsample < 1:
         raise ConfigError(f"subsample must be >= 1, got {subsample}")
     return np.arange(0, steps + 1, subsample)
+
+
+def require_equations(steps: int, p: int, n: int, subsample: int,
+                      location: str | None = None) -> None:
+    """Refuse a window of `steps` steps and p outputs whose estimator grid
+    holds no more equations than the models have states (n): every scenario
+    would fit it exactly, and round-off would pick the verdict."""
+    equations = sample_indices(steps, subsample).size * p
+    if equations <= n:
+        raise ConfigError(f"{equations} estimator equations at subsample={subsample} "
+                          f"for {n} states; a window must hold more", location)
 
 
 def observability_stack(dmodel: DiscreteStateSpace, steps: int,
@@ -277,8 +287,8 @@ def detect_sequence(models: list[DiscreteStateSpace],
                     forced: list[np.ndarray],
                     truth: list[int] | None = None,
                     subsample: int = 10) -> DetectionReport:
-    """Fit every scenario to every window of an ordered list and pick the
-    minimum-residual scenario per window.
+    """Fit every scenario to every window of an ordered list: the report's
+    (K, m) table holds window k's residuals in row k, its argmin the verdict.
 
     forced[k] is the (m, N+1, p) forced outputs of the m models under the
     input records of windows[k]. Consecutive windows that hold the same
@@ -286,9 +296,7 @@ def detect_sequence(models: list[DiscreteStateSpace],
     scenario's stack and QR from the memo of _factor. Runs are never merged
     across records of one length: a fit's last bits depend on which windows
     share its batch, so that would move residuals by round-off. A window
-    whose estimator grid holds no more equations (samples times outputs)
-    than the models have states is a ConfigError: every scenario would fit
-    it exactly, and round-off would pick the verdict.
+    require_equations refuses is a ConfigError naming it.
     """
     if truth is not None and len(truth) != len(windows):
         raise ConfigError("truth sequence length differs from window count")
@@ -300,13 +308,10 @@ def detect_sequence(models: list[DiscreteStateSpace],
         if f.shape != (len(models), *window.samples.shape):
             raise ConfigError(f"window {k}: forced responses are {f.shape}, "
                               f"expected {(len(models), *window.samples.shape)}")
-        # the fit needs more equations than states, or it is exact for every scenario
-        equations = sample_indices(window.steps, subsample).size * window.samples.shape[1]
-        if equations <= models[0].n:
-            raise ConfigError(f"window {k}: {equations} estimator equations at subsample="
-                              f"{subsample} for {models[0].n} states; it must hold more")
+        require_equations(window.steps, window.samples.shape[1], models[0].n, subsample,
+                          f"window {k}")
 
-    verdicts = []
+    residuals, k = np.empty((len(windows), len(models))), 0
     for _, group in groupby(zip(forced, windows), key=lambda pair: id(pair[0])):
         responses, run = zip(*group)
         factors = []
@@ -318,7 +323,7 @@ def detect_sequence(models: list[DiscreteStateSpace],
                                     partial(_factor, model, run[0].steps, subsample)))
             except ShslabError as exc:
                 raise type(exc)(f"scenario {i}: {exc}") from exc
-        x0_hat, residuals = _fit(factors, run, responses[0], subsample)
-        verdicts += [ScenarioVerdict(detected=int(np.argmin(r)), residuals=r, x0_hat=x)
-                     for r, x in zip(residuals.T, x0_hat.transpose(2, 0, 1))]
-    return DetectionReport(verdicts=verdicts, truth=truth)
+        residuals[k:k + len(run)] = _fit(factors, run, responses[0], subsample)[1].T
+        k += len(run)
+    residuals.setflags(write=False)
+    return DetectionReport(residuals=residuals, truth=truth)

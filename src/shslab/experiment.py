@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectionReport, MeasurementWindow, detect_sequence
+from .detection import DetectionReport, MeasurementWindow, detect_sequence, require_equations
 from .errors import ConfigError, NumericalError
 from .linsys import eig_sorted, expm, free_outputs, simulate
 from .probing import ProbingDesign, discretized, whole_steps
@@ -86,14 +86,8 @@ class ExperimentConfig:
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         if self.x0_mode not in ("zero", "random"):
             raise ConfigError(f"x0_mode must be 'zero' or 'random', got '{self.x0_mode}'")
-        if self.subsample < 1:
-            raise ConfigError(f"subsample must be >= 1, got {self.subsample}")
-        # the fit needs more equations than states, or every residual is 0
-        rows = (self.window_steps // self.subsample + 1) * self.family[0].p
-        if rows <= self.family[0].n:
-            raise ConfigError(
-                f"subsample={self.subsample} leaves {rows} estimator equations per "
-                f"window for {self.family[0].n} states; it must leave more")
+        require_equations(self.window_steps, self.family[0].p, self.family[0].n,
+                          self.subsample)
 
     @property
     def window_steps(self) -> int:
@@ -353,13 +347,15 @@ def _clear_windows(win_dir, keep: set) -> None:
             os.remove(path)
 
 
-def _record(cols: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
-    """`cols` as a frozen record, or `prev` itself when the two are bitwise equal."""
-    if prev is not None and np.array_equal(prev.view(np.int64), cols.view(np.int64)):
-        return prev
-    rec = np.array(cols)
-    rec.setflags(write=False)
-    return rec
+def _records(cols: np.ndarray, changed: np.ndarray) -> list[np.ndarray]:
+    """Each window's (rows, c) block of the (K, rows, c) `cols` as a frozen
+    record, one per run of consecutive windows whose blocks are bitwise
+    equal; changed[k] marks the entries where block k + 1 differs from k."""
+    out = []
+    for block, starts_run in zip(cols, [True, *changed.any(axis=(1, 2))]):
+        out.append(np.array(block) if starts_run else out[-1])
+        out[-1].setflags(write=False)
+    return out
 
 
 def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[MeasurementWindow]:
@@ -414,26 +410,27 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
             f"probe.json does not fit the windows {meta} describes: meta.json records "
             f"tau0={tau0}, the probe design has tau0={probe.tau0}; window has "
             f"{rows} samples, probe design implies {window_rows(probe.tau0, ts)}")
-    tables = _npy_tables(os.path.join(win_dir, _NPY), (len(starts), rows, 1 + p + 3 + q))
-    windows = []
-    u1 = u2 = None
-    for k, (name, arr) in enumerate(tables):
-        if arr[0, 0] != starts[k]:
-            raise ConfigError(f"{name}: starts at t={float(arr[0, 0])!r}; meta.json's "
-                              f"window_starts[{k}] is {starts[k]!r}")
-        u1 = _record(arr[:, 1 + p:4 + p], u1)
-        u2 = _record(arr[:, 4 + p:], u2)
-        windows.append(MeasurementWindow(
-            t_start=arr[0, 0], ts=ts, samples=arr[:, 1:1 + p], u1=u1, u2=u2))
-    return windows
+    path = os.path.join(win_dir, _NPY)
+    table = _npy_table(path, (len(starts), rows, 1 + p + 3 + q))
+    off = np.flatnonzero(table[:, 0, 0] != np.array(starts, dtype=float))
+    if off.size:
+        k = int(off[0])
+        raise ConfigError(f"{path} window {k}: starts at t={float(table[k, 0, 0])!r}; "
+                          f"meta.json's window_starts[{k}] is {starts[k]!r}")
+    # one pass over the int64 view, so -0.0 differs from 0.0 and NaN payloads count
+    changed = table[1:].view(np.int64) != table[:-1].view(np.int64)
+    u1, u2 = slice(1 + p, 4 + p), slice(4 + p, None)
+    return [MeasurementWindow(t_start=arr[0, 0], ts=ts, samples=arr[:, 1:1 + p], u1=a, u2=b)
+            for arr, a, b in zip(table, _records(table[:, :, u1], changed[:, :, u1]),
+                                 _records(table[:, :, u2], changed[:, :, u2]))]
 
 
-def _npy_tables(path, shape: tuple):
-    """(name, table) of each window in windows.npy at `path`, after checking
-    that the file holds a float64 array of `shape`. Nothing is unpickled, and
-    the file is mapped, not read, so a header that declares more data than
-    the file holds is an error before anything is allocated; the windows
-    copy what they keep."""
+def _npy_table(path, shape: tuple) -> np.ndarray:
+    """The float64 table of `shape` in windows.npy at `path`, as a plain
+    ndarray view of the mapped file. Nothing is unpickled, and the file is
+    mapped, not read, so a header that declares more data than the file
+    holds is an error before anything is allocated; the windows copy what
+    they keep."""
     if not os.path.exists(path):
         raise ConfigError(f"missing {path}")
     try:
@@ -445,4 +442,4 @@ def _npy_tables(path, shape: tuple):
                  if isinstance(table, np.ndarray) else "an archive")
         raise ConfigError(f"{path}: holds {found}; meta.json implies a float64 table "
                           f"of shape {shape}")
-    return ((f"{path} window {k}", arr) for k, arr in enumerate(table))
+    return table.view(np.ndarray)

@@ -367,8 +367,19 @@ def test_detect_too_few_equations_exits_2(recorded, tmp_path, capsys):
 
     assert _replay(recorded, tmp_path, edit=edit) == 2
     err = capsys.readouterr().err
-    assert "meta.json: each window holds 15 estimator equations for 18 states" in err
+    assert "meta.json: 15 estimator equations at subsample=1 for 18 states" in err
     assert not (tmp_path / "replay.json").exists()
+
+
+def test_detect_without_truth_prints_plain_ints(recorded, tmp_path, capsys):
+    # a list of numpy integers would print as [np.int64(3), ...] under numpy 2
+    assert main(["detect", "--family", str(recorded / "matrices.json"), "--segment", "1",
+                 "--trace", str(recorded / "run" / "windows"),
+                 "--out", str(tmp_path / "replay.json")]) == 0
+    windows = json.loads((tmp_path / "replay.json").read_text())["windows"]
+    detected = [w["detected"] for w in windows]
+    assert capsys.readouterr().out == f"detected = {detected}\n"
+    assert "true" not in windows[0] and len(detected) == 3
 
 
 @pytest.mark.parametrize("key, value", [
@@ -614,8 +625,7 @@ def _put(key, value):
     (_put("noise_sigma", float("nan")),
      "experiment.json: noise_sigma must be finite and >= 0, got nan"),
     (_put("subsample", 1e9),
-     "experiment.json: subsample=1000000000 leaves 5 estimator equations per window "
-     "for 18 states"),
+     "experiment.json: 5 estimator equations at subsample=1000000000 for 18 states"),
     (_put("contingencies", [{"kind": "normal"}, {"kind": "short_circuit", "line": [1, 2]}]),
      "experiment.json: $.contingencies[1]: scenario 1 (short_circuit_1_2): contingency "
      "references line (1, 2) which is not internal to segment 1"),

@@ -6,7 +6,7 @@ import pytest
 import shslab.detection as detection
 from conftest import PAPER_TS, bits, make_model
 from oracles import loop_detect, loop_fit, loop_free_outputs, loop_observability_stack
-from shslab.detection import (MeasurementWindow, ScenarioVerdict, detect_sequence,
+from shslab.detection import (DetectionReport, MeasurementWindow, detect_sequence,
                               estimate_initial_state, forced_outputs, forced_responses,
                               observability_stack, sample_indices)
 from shslab.errors import ConfigError, NumericalError
@@ -94,7 +94,6 @@ def test_detect_picks_generating_scenario(dmodels, m1_probe):
     window = probe_window(dmodels[2], np.zeros(18), m1_probe.R)
     verdict = detect(dmodels, [window], subsample=SUB).verdicts[0]
     assert verdict.detected == 2
-    assert verdict.x0_hat.shape == (4, 18)
     assert verdict.residuals[2] < min(r for j, r in enumerate(verdict.residuals) if j != 2)
 
 
@@ -128,17 +127,6 @@ def test_tie_break_lowest_index(dmodels):
     assert verdict.residuals[0] == verdict.residuals[1]
 
 
-def test_verdict_requires_argmin_consistency():
-    with pytest.raises(NumericalError, match="argmin"):
-        ScenarioVerdict(detected=1, residuals=np.array([0.1, 0.2]),
-                        x0_hat=np.zeros((2, 3)))
-    v = ScenarioVerdict(detected=0, residuals=np.array([0.1, 0.2]),
-                        x0_hat=np.zeros((2, 3)))
-    scaled = ScenarioVerdict(detected=0, residuals=3.7 * v.residuals,
-                             x0_hat=v.x0_hat)
-    assert scaled.detected == v.detected
-
-
 def test_detection_deterministic(dmodels, m1_probe):
     rng = np.random.default_rng(5)
     x0 = rng.standard_normal(18)
@@ -147,7 +135,6 @@ def test_detection_deterministic(dmodels, m1_probe):
     v1 = detect(dmodels, [w1], subsample=SUB).verdicts[0]
     v2 = detect(dmodels, [w2], subsample=SUB).verdicts[0]
     assert np.array_equal(v1.residuals, v2.residuals)
-    assert np.array_equal(v1.x0_hat, v2.x0_hat)
     assert v1.detected == v2.detected
 
 
@@ -170,6 +157,54 @@ def test_detect_sequence_scores(dmodels, m1_probe):
     assert doc["accuracy"] == 1.0
     assert [w["true"] for w in doc["windows"]] == truth
     assert all(len(w["residuals"]) == 4 for w in doc["windows"])
+
+
+def test_report_detected_is_row_argmin_with_ties_to_index_0():
+    report = DetectionReport(residuals=[[0.5, 0.5, 0.7], [0.3, 0.1, 0.1], [2.0, 1.0, 0.0]])
+    assert report.detected == [0, 1, 2]
+    assert all(type(d) is int for d in report.detected)
+
+
+def test_report_to_json_from_the_table():
+    rows = [[0.25, 0.5], [1.5, 0.125]]
+    windows = [{"k": 0, "detected": 0, "residuals": [0.25, 0.5]},
+               {"k": 1, "detected": 1, "residuals": [1.5, 0.125]}]
+    assert DetectionReport(residuals=rows).to_json() == {"windows": windows}
+    scored = DetectionReport(residuals=rows, truth=[0, 0]).to_json()
+    assert scored == {"windows": [dict(w, true=0) for w in windows],
+                      "matches": 1, "accuracy": 0.5}
+    assert list(scored) == ["windows", "matches", "accuracy"]
+    assert list(scored["windows"][0]) == ["k", "detected", "residuals", "true"]
+    assert all(type(r) is float for w in scored["windows"] for r in w["residuals"])
+    empty = np.empty((0, 4))
+    assert DetectionReport(residuals=empty).to_json() == {"windows": []}
+    assert DetectionReport(residuals=empty, truth=[]).to_json() == {
+        "windows": [], "matches": 0, "accuracy": None}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_report_rejects_non_finite_residual(bad):
+    with pytest.raises(NumericalError, match="finite"):
+        DetectionReport(residuals=[[0.1, 0.2], [bad, 0.3]])
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 0), (1, 2, 2)], ids=["1d", "no-scenario", "3d"])
+def test_report_rejects_a_table_of_wrong_shape(shape):
+    with pytest.raises(ConfigError, match=r"\(K, m\) table"):
+        DetectionReport(residuals=np.ones(shape))
+
+
+def test_report_verdicts_are_read_only_rows_of_the_table():
+    table = np.array([[0.3, 0.1], [0.2, 0.4]])
+    report = DetectionReport(residuals=table)
+    table[0, 0] = 9.0  # the report keeps its own copy
+    assert report.residuals[0, 0] == 0.3 and not report.residuals.flags.writeable
+    for k, verdict in enumerate(report.verdicts):
+        assert verdict.detected == report.detected[k]
+        assert np.shares_memory(verdict.residuals, report.residuals[k])
+        assert np.array_equal(verdict.residuals, report.residuals[k])
+        with pytest.raises(ValueError, match="read-only"):
+            verdict.residuals[0] = 1.0
 
 
 def test_grouped_detection_matches_per_window_fits(dmodels, m1_probe, monkeypatch):
@@ -206,7 +241,6 @@ def test_grouped_detection_matches_per_window_fits(dmodels, m1_probe, monkeypatc
             + 1e-14 * np.linalg.norm(window.samples)
         assert np.all(np.abs(got - ref) <= tol)
         assert verdict.detected == int(np.argmin(ref))
-        assert verdict.x0_hat.shape == (len(dmodels), 18)
         if on:
             assert verdict.detected == a
 
@@ -419,9 +453,7 @@ def test_warm_detection_matches_cold_and_full_stack_lstsq(m1_family, m1_probe, m
     warm = detect(models, windows, subsample=sub)
     monkeypatch.undo()
     assert calls == []
-    for a, b in zip(cold.verdicts, warm.verdicts):
-        assert np.array_equal(a.residuals.view(np.int64), b.residuals.view(np.int64))
-        assert np.array_equal(a.x0_hat.view(np.int64), b.x0_hat.view(np.int64))
+    assert np.array_equal(bits(cold.residuals), bits(warm.residuals))
 
     idx = sample_indices(steps, sub)
     assert [np.linalg.matrix_rank(s) for s in stacks[2:]] == [9, 11]
@@ -433,8 +465,6 @@ def test_warm_detection_matches_cold_and_full_stack_lstsq(m1_family, m1_probe, m
         for k, verdict in enumerate(warm.verdicts):
             tol = 1e-14 * np.linalg.norm(Y[:, k])
             assert abs(verdict.residuals[i] - ref[k]) <= 1e-9 * ref[k] + tol
-            assert np.linalg.norm(verdict.x0_hat[i] - X_ref[:, k]) \
-                <= 1e-9 * np.linalg.norm(X_ref[:, k])
 
 
 @pytest.fixture(scope="module")
@@ -475,10 +505,7 @@ def test_detect_sequence_bitwise_per_scenario_loop(m1_family, paper_grid_windows
     for _ in ("cold", "warm"):
         report = detect_sequence(models, windows, forced_responses(models, windows),
                                  subsample=subsample)
-        assert len(report.verdicts) == len(ref)
-        for verdict, (residuals, x0_hat) in zip(report.verdicts, ref):
-            assert np.array_equal(bits(verdict.residuals), bits(residuals))
-            assert np.array_equal(bits(verdict.x0_hat), bits(x0_hat))
+        assert np.array_equal(bits(report.residuals), bits(np.array([r for r, _ in ref])))
 
 
 @pytest.mark.parametrize("subsample", [1, 10])
