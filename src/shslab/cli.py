@@ -322,7 +322,7 @@ def cmd_detect(args) -> int:
     # windows are stored on the estimator grid; use every recorded sample
     require_equations(windows[0].steps, fam[0].p, fam[0].n, 1, meta)
     dmodels = discretized(fam, windows[0].ts)
-    report = detect_sequence(dmodels, windows, forced_responses(dmodels, windows),
+    report = detect_sequence(dmodels, windows, forced_responses(dmodels, windows[0]),
                              truth=truth, subsample=1)
     dump_json(report.to_json(), args.out)
     write_manifest(os.path.dirname(os.path.abspath(args.out)), "detect",

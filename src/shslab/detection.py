@@ -8,8 +8,9 @@ scenario; in each window the scenario with the smallest residual wins, ties
 toward the lowest scenario index.
 
 The forced response each fit discounts is the scenario's output from rest
-under the window's input records. detect_sequence never simulates it: the
-caller hands in one (m, N+1, p) array per window, the switched truth the
+under the windows' input record. One detect_sequence call covers windows
+of one length that share one input record, and never simulates: the caller
+hands in one (m, N+1, p) array for them all, the switched truth the
 responses it already holds, anything else those of forced_responses. The
 observability stack is built in floor(sqrt(rows)) blocks of rows. It and its
 streamed QR depend only on the discretized model and the estimator grid, so
@@ -23,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +64,9 @@ class MeasurementWindow:
             object.__setattr__(self, fname, _frozen(getattr(self, fname)))
         if not self.ts > 0:
             raise ConfigError(f"sample period must be > 0, got {self.ts}")
+        if self.samples.ndim != 2 or not self.samples.shape[1]:
+            raise ConfigError(f"samples must be an (N+1, p) table with p >= 1, "
+                              f"got shape {self.samples.shape}")
         rows = self.samples.shape[0]
         if rows < 2:
             raise ConfigError("window needs at least two samples")
@@ -227,7 +230,7 @@ def _fit(factors, windows, forced, subsample: int) -> tuple[np.ndarray, np.ndarr
     against the full stacks.
     """
     samples = np.stack([w.samples[::subsample] for w in windows], axis=-1).reshape(-1, len(windows))
-    forced = np.reshape([f[::subsample] for f in forced], (len(factors), -1))
+    forced = forced[:, ::subsample].reshape(len(factors), -1)
     stacks, qs, tris = zip(*factors)
     rows, n = stacks[0].shape
     chunks = range(0, rows, _QR_ROWS)
@@ -261,69 +264,58 @@ def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow
     """
     _check_window(dmodel, window)
     x0_hat, residual = _fit([_factor(dmodel, window.steps, subsample)], [window],
-                            [forced_outputs(dmodel, window)], subsample)
+                            forced_responses([dmodel], window), subsample)
     return x0_hat[0, :, 0], float(residual[0, 0])
 
 
 def forced_responses(models: list[DiscreteStateSpace],
-                     windows: list[MeasurementWindow]) -> list[np.ndarray]:
-    """Per window, the read-only (m, N+1, p) forced outputs of the m models
-    under its input records, as detect_sequence takes them. Consecutive
-    windows whose u1 and u2 are the same arrays or equal ones share one
-    array, simulated once per model."""
-    out, head = [], None
-    for window in windows:
-        if head is None or not all(a is b or np.array_equal(a, b) for a, b in (
-                (window.u1, head.u1), (window.u2, head.u2))):
-            head = window
-            f = np.array([forced_outputs(model, window) for model in models])
-            f.setflags(write=False)
-        out.append(f)
-    return out
+                     window: MeasurementWindow) -> np.ndarray:
+    """The read-only (m, N+1, p) forced outputs of the m models under the
+    input records of `window`, as detect_sequence takes them for every
+    window that shares those records."""
+    forced = np.array([forced_outputs(model, window) for model in models])
+    forced.setflags(write=False)
+    return forced
 
 
 def detect_sequence(models: list[DiscreteStateSpace],
                     windows: list[MeasurementWindow],
-                    forced: list[np.ndarray],
+                    forced: np.ndarray,
                     truth: list[int] | None = None,
                     subsample: int = 10) -> DetectionReport:
     """Fit every scenario to every window of an ordered list: the report's
     (K, m) table holds window k's residuals in row k, its argmin the verdict.
 
-    forced[k] is the (m, N+1, p) forced outputs of the m models under the
-    input records of windows[k]. Consecutive windows that hold the same
-    array, by identity, are fitted in one pass for all scenarios, with each
-    scenario's stack and QR from the memo of _factor. Runs are never merged
-    across records of one length: a fit's last bits depend on which windows
-    share its batch, so that would move residuals by round-off. A window
-    require_equations refuses is a ConfigError naming it.
+    The windows must be of one length and share one input record, and
+    forced is the read-only (m, N+1, p) forced outputs of the m models under
+    that record. All windows are fitted in one pass for all scenarios, with
+    each scenario's stack and QR from the memo of _factor. A window length
+    require_equations refuses is a ConfigError.
     """
     if truth is not None and len(truth) != len(windows):
         raise ConfigError("truth sequence length differs from window count")
-    if len(forced) != len(windows):
-        raise ConfigError(f"{len(forced)} forced responses for {len(windows)} windows")
-    if windows and not models:
+    if not windows:
+        return DetectionReport(residuals=np.empty((0, len(models))), truth=truth)
+    if not models:
         raise ConfigError("scenario list is empty")
-    for k, (f, window) in enumerate(zip(forced, windows)):
-        if f.shape != (len(models), *window.samples.shape):
-            raise ConfigError(f"window {k}: forced responses are {f.shape}, "
-                              f"expected {(len(models), *window.samples.shape)}")
-        require_equations(window.steps, window.samples.shape[1], models[0].n, subsample,
-                          f"window {k}")
+    head = windows[0]
+    for k, window in enumerate(windows):
+        if window.steps != head.steps:
+            raise ConfigError(f"window {k} has {window.steps} steps, window 0 has "
+                              f"{head.steps}; one call fits windows of one length")
+    if np.shape(forced) != (len(models), *head.samples.shape):
+        raise ConfigError(f"forced responses are {np.shape(forced)}, "
+                          f"expected {(len(models), *head.samples.shape)}")
+    require_equations(head.steps, head.samples.shape[1], models[0].n, subsample)
 
-    residuals, k = np.empty((len(windows), len(models))), 0
-    for _, group in groupby(zip(forced, windows), key=lambda pair: id(pair[0])):
-        responses, run = zip(*group)
-        factors = []
-        for i, model in enumerate(models):
-            try:
-                for window in run:
-                    _check_window(model, window)
-                factors.append(memo(model, ("factor", run[0].steps, subsample),
-                                    partial(_factor, model, run[0].steps, subsample)))
-            except ShslabError as exc:
-                raise type(exc)(f"scenario {i}: {exc}") from exc
-        residuals[k:k + len(run)] = _fit(factors, run, responses[0], subsample)[1].T
-        k += len(run)
-    residuals.setflags(write=False)
-    return DetectionReport(residuals=residuals, truth=truth)
+    factors = []
+    for i, model in enumerate(models):
+        try:
+            for window in windows:
+                _check_window(model, window)
+            factors.append(memo(model, ("factor", head.steps, subsample),
+                                partial(_factor, model, head.steps, subsample)))
+        except ShslabError as exc:
+            raise type(exc)(f"scenario {i}: {exc}") from exc
+    return DetectionReport(residuals=_fit(factors, windows, forced, subsample)[1].T,
+                           truth=truth)

@@ -14,8 +14,8 @@ the final state of the forced response from rest and
 hold_a = exp(A_a (tau - tau0)). The truth is evaluated that way, exactly up
 to round-off: one forced response per scenario, the chain of boundary
 states, and one blocked free response over all windows of each scenario.
-Every window hands detection those same forced responses, one array of all
-scenarios of the family, visited or not, so detection simulates nothing.
+Detection takes those same forced responses for every window, one array of
+all scenarios of the family, visited or not, so it simulates nothing.
 
 None of that depends on the window data. The discretized models are
 probing.discretized's, built once per family and ts, and the input records,
@@ -84,6 +84,8 @@ class ExperimentConfig:
                 f"experiment's detection window is tau0={self.tau0}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.probe_override_R is not None and not math.isfinite(self.probe_override_R):
+            raise ConfigError(f"probe_override_R must be finite, got {self.probe_override_R}")
         if self.x0_mode not in ("zero", "random"):
             raise ConfigError(f"x0_mode must be 'zero' or 'random', got '{self.x0_mode}'")
         require_equations(self.window_steps, self.family[0].p, self.family[0].n,
@@ -210,7 +212,7 @@ def run_experiment(config: ExperimentConfig,
             t_start=k * config.tau, ts=config.ts, samples=y,
             u1=u1_win, u2=u2_win))
 
-    report = detect_sequence(dmodels, windows, [forced] * config.K,
+    report = detect_sequence(dmodels, windows, forced,
                              truth=list(sequence.alphas), subsample=config.subsample)
     return ExperimentResult(config=config, sequence=sequence, report=report,
                             windows=tuple(windows), boundary_states=boundaries)
@@ -347,28 +349,18 @@ def _clear_windows(win_dir, keep: set) -> None:
             os.remove(path)
 
 
-def _records(cols: np.ndarray, changed: np.ndarray) -> list[np.ndarray]:
-    """Each window's (rows, c) block of the (K, rows, c) `cols` as a frozen
-    record, one per run of consecutive windows whose blocks are bitwise
-    equal; changed[k] marks the entries where block k + 1 differs from k."""
-    out = []
-    for block, starts_run in zip(cols, [True, *changed.any(axis=(1, 2))]):
-        out.append(np.array(block) if starts_run else out[-1])
-        out[-1].setflags(write=False)
-    return out
-
-
 def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[MeasurementWindow]:
     """Rebuild MeasurementWindows from a windows/ directory written above.
 
     The returned windows live on the recorded grid; detect them with
-    subsample=1 against a family discretized at the recorded ts. Consecutive
-    windows with bitwise-equal input columns share one frozen record.
-    meta.json's ts must be ts_simulated * stride_applied, and every window
-    must hold window_rows(tau0, ts) rows for meta.json's tau0 and start at
-    its entry of window_starts exactly (both are round-trips of one float,
-    and the first t is t_start + ts * 0). With a probe, meta.json's tau0
-    must be the probe design's, within 1e-12 relative.
+    subsample=1 against a family discretized at the recorded ts. A trace
+    holds one input record: every window's u1 and u2 columns must equal
+    window 0's bit for bit, and all windows share one frozen u1 and one
+    frozen u2. meta.json's ts must be ts_simulated * stride_applied, and
+    every window must hold window_rows(tau0, ts) rows for meta.json's tau0
+    and start at its entry of window_starts exactly (both are round-trips
+    of one float, and the first t is t_start + ts * 0). With a probe,
+    meta.json's tau0 must be the probe design's, within 1e-12 relative.
 
     meta.json must carry "format": "npy" and describes windows.npy, whose
     dtype and shape (len(window_starts), rows, 1 + p + 3 + q) must match it.
@@ -390,6 +382,9 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
         raise ConfigError(f"{meta}: malformed: {exc!r}") from exc
     p, q, stride = (doc_value(info, key, integer, meta)
                     for key in ("n_outputs", "n_u2", "stride_applied"))
+    for key, value, least in (("n_outputs", p, 1), ("n_u2", q, 0)):
+        if value < least:
+            raise ConfigError(f"{meta}: key '{key}' has bad value {value}: must be >= {least}")
     fmt = info.get("format")
     if fmt is None:
         raise ConfigError(f"{meta}: no window format; this is a trace of window CSV "
@@ -417,12 +412,21 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
         k = int(off[0])
         raise ConfigError(f"{path} window {k}: starts at t={float(table[k, 0, 0])!r}; "
                           f"meta.json's window_starts[{k}] is {starts[k]!r}")
-    # one pass over the int64 view, so -0.0 differs from 0.0 and NaN payloads count
-    changed = table[1:].view(np.int64) != table[:-1].view(np.int64)
-    u1, u2 = slice(1 + p, 4 + p), slice(4 + p, None)
-    return [MeasurementWindow(t_start=arr[0, 0], ts=ts, samples=arr[:, 1:1 + p], u1=a, u2=b)
-            for arr, a, b in zip(table, _records(table[:, :, u1], changed[:, :, u1]),
-                                 _records(table[:, :, u2], changed[:, :, u2]))]
+    if not len(table):
+        return []
+    # compared on the int64 view, so -0.0 differs from 0.0 and NaN payloads count
+    inputs = table.view(np.int64)[:, :, 1 + p:]
+    differs = inputs != inputs[:1]
+    off = np.flatnonzero(differs.any(axis=(1, 2)))
+    if off.size:
+        k = int(off[0])
+        raise ConfigError(f"{path} window {k}: its {'u1' if differs[k, :, :3].any() else 'u2'} "
+                          f"columns differ from window 0's; a trace holds one input record")
+    u1, u2 = np.array(table[0, :, 1 + p:4 + p]), np.array(table[0, :, 4 + p:])
+    u1.setflags(write=False)
+    u2.setflags(write=False)
+    return [MeasurementWindow(t_start=arr[0, 0], ts=ts, samples=arr[:, 1:1 + p], u1=u1, u2=u2)
+            for arr in table]
 
 
 def _npy_table(path, shape: tuple) -> np.ndarray:

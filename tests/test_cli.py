@@ -371,6 +371,22 @@ def test_detect_too_few_equations_exits_2(recorded, tmp_path, capsys):
     assert not (tmp_path / "replay.json").exists()
 
 
+def _signed_zero_inputs(table):
+    # window 2's u1 and u2 (columns after t and the 5 outputs) get -0.0 for 0.0
+    inputs = table[2, :, 6:]
+    inputs[inputs == 0.0] = -0.0
+    return table
+
+
+@pytest.mark.parametrize("probe", [False, True], ids=["no-probe", "probe"])
+def test_detect_second_input_record_exits_2(recorded, tmp_path, capsys, probe):
+    assert _replay(recorded, tmp_path, edit=_npy_edit(_signed_zero_inputs), probe=probe) == 2
+    err = capsys.readouterr().err
+    assert (f"{tmp_path / 'run' / 'windows' / 'windows.npy'} window 2: its u1 columns "
+            f"differ from window 0's; a trace holds one input record") in err
+    assert not (tmp_path / "replay.json").exists()
+
+
 def test_detect_without_truth_prints_plain_ints(recorded, tmp_path, capsys):
     # a list of numpy integers would print as [np.int64(3), ...] under numpy 2
     assert main(["detect", "--family", str(recorded / "matrices.json"), "--segment", "1",

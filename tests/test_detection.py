@@ -32,8 +32,13 @@ def probe_window(dmodel, x0, magnitude, channel=1, steps=STEPS, noise=None):
 
 
 def detect(models, windows, **kwargs):
-    """detect_sequence on the forced responses forced_responses simulates."""
-    return detect_sequence(models, windows, forced_responses(models, windows), **kwargs)
+    """detect_sequence on the forced responses forced_responses simulates for
+    window 0's input record, which every window must share."""
+    for window in windows:
+        assert np.array_equal(bits(window.u1), bits(windows[0].u1))
+        assert np.array_equal(bits(window.u2), bits(windows[0].u2))
+    forced = forced_responses(models, windows[0]) if windows else None
+    return detect_sequence(models, windows, forced, **kwargs)
 
 
 def observable_projector(G, rtol=1e-6):
@@ -208,8 +213,8 @@ def test_report_verdicts_are_read_only_rows_of_the_table():
 
 
 def test_grouped_detection_matches_per_window_fits(dmodels, m1_probe, monkeypatch):
-    # two input records (probe on, probe off) and two lengths, in runs that
-    # split and rejoin; scenario 2 (line outage) has a rank-deficient stack
+    # two input records (probe on, probe off) and two lengths, one call per
+    # record and length; scenario 2 (line outage) has a rank-deficient stack
     rng = np.random.default_rng(31)
     plan = [  # (scenario, probe on, steps, x0 scale)
         (2, True, STEPS, 1.0), (0, True, STEPS, 1.0), (3, True, STEPS, 0.0),
@@ -219,16 +224,22 @@ def test_grouped_detection_matches_per_window_fits(dmodels, m1_probe, monkeypatc
     windows = [probe_window(dmodels[a], scale * rng.standard_normal(18) * m1_probe.mu0,
                             m1_probe.R if on else 0.0, steps=steps)
                for a, on, steps, scale in plan]
-    runs = 5
+    records = {}
+    for entry, window in zip(plan, windows):
+        records.setdefault(entry[1:3], []).append((entry, window))
     calls = []
     original = detection.forced_outputs
     monkeypatch.setattr(detection, "forced_outputs",
                         lambda d, w: calls.append(w) or original(d, w))
-    report = detect(dmodels, windows, subsample=SUB)
+    reports = [detect(dmodels, [w for _, w in group], subsample=SUB)
+               for group in records.values()]
     monkeypatch.undo()
-    assert len(calls) == runs * len(dmodels)
+    assert len(records) == 4 and len(calls) == len(records) * len(dmodels)
 
-    for (a, on, steps, scale), window, verdict in zip(plan, windows, report.verdicts):
+    fitted = [(entry, window, verdict) for group, report in zip(records.values(), reports)
+              for (entry, window), verdict in zip(group, report.verdicts)]
+    assert len(fitted) == len(plan)
+    for (a, on, steps, scale), window, verdict in fitted:
         fits = [estimate_initial_state(d, window, subsample=SUB) for d in dmodels]
         ref = np.array([r for _, r in fits])
         got = verdict.residuals
@@ -336,6 +347,15 @@ def test_window_validation():
                           u1=np.zeros((5, 3)), u2=np.zeros((5, 0)))
 
 
+@pytest.mark.parametrize("samples", [np.zeros(5), np.zeros((5, 0)), np.zeros((5, 2, 1))],
+                         ids=["1d", "no-output", "3d"])
+def test_window_samples_must_be_a_table(samples):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"samples must be an (N+1, p) table with p >= 1, got shape {samples.shape}")):
+        MeasurementWindow(t_start=0, ts=TS, samples=samples,
+                          u1=np.zeros((5, 3)), u2=np.zeros((5, 0)))
+
+
 def test_forced_outputs_take_u2_through_the_state(dmodels):
     d = dmodels[0]
     steps = 20
@@ -374,55 +394,36 @@ def test_observability_stack_matches_loop_oracle(m1_family, ts, steps, subsample
             assert np.linalg.matrix_rank(got) == rank
 
 
-def test_forced_entries_serve_only_their_record(dmodels, m1_probe, monkeypatch):
-    # records A, an equal copy of A, B (u1 differs), B, C (u2 differs), A again:
-    # consecutive equal records share one array, any change starts a new one
-    rng = np.random.default_rng(5)
-    windows = [probe_window(dmodels[a], rng.standard_normal(18) * m1_probe.mu0,
-                            m1_probe.R if on else 0.0)
-               for a, on in ((1, True), (3, True), (2, False), (0, False), (1, True),
-                             (2, True))]
-    assert windows[0].u1 is not windows[1].u1
-    u2 = np.full_like(windows[4].u2, 0.1)
-    windows[4] = MeasurementWindow(t_start=0.0, ts=TS, samples=windows[4].samples,
-                                   u1=windows[4].u1, u2=u2)
-    calls = []
-    original = detection.forced_outputs
-    monkeypatch.setattr(detection, "forced_outputs",
-                        lambda d, w: calls.append((d, w)) or original(d, w))
-    forced = forced_responses(dmodels, windows)
-    monkeypatch.undo()
-    heads = [windows[k] for k in (0, 2, 4, 5)]
-    assert calls == [(d, w) for w in heads for d in dmodels]
-    assert forced[1] is forced[0] and forced[3] is forced[2]
-    assert len({id(f) for f in forced}) == 4
-    for f, window in zip(forced, windows):
-        assert not f.flags.writeable
-        assert f.shape == (len(dmodels), *window.samples.shape)
-        for d, response in zip(dmodels, f):
-            assert np.array_equal(bits(response), bits(forced_outputs(d, window)))
-
-
 def test_forced_entry_of_wrong_shape_rejected(dmodels, m1_probe):
     windows = [probe_window(dmodels[0], np.zeros(18), m1_probe.R) for _ in range(2)]
-    forced = forced_responses(dmodels, windows)
-    with pytest.raises(ConfigError, match="1 forced responses for 2 windows"):
-        detect_sequence(dmodels, windows, forced[:1], subsample=SUB)
-    for wrong in (forced[1][:, :-1], forced[1][:-1]):
-        with pytest.raises(ConfigError, match=r"window 1: forced responses are \("):
-            detect_sequence(dmodels, windows, [forced[0], wrong], subsample=SUB)
+    forced = forced_responses(dmodels, windows[0])
+    assert not forced.flags.writeable
+    for d, response in zip(dmodels, forced):
+        assert np.array_equal(bits(response), bits(forced_outputs(d, windows[0])))
+    # one entry per window, as detect_sequence once took them, is refused too
+    for wrong in (forced[:, :-1], forced[:-1], [forced, forced]):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"forced responses are {np.shape(wrong)}, expected (4, 501, 5)")):
+            detect_sequence(dmodels, windows, wrong, subsample=SUB)
+
+
+def test_detect_sequence_rejects_two_window_lengths(dmodels, m1_probe):
+    long = probe_window(dmodels[0], np.zeros(18), m1_probe.R)
+    short = probe_window(dmodels[1], np.zeros(18), m1_probe.R, steps=300)
+    with pytest.raises(ConfigError, match=re.escape(
+            "window 1 has 300 steps, window 0 has 500; one call fits windows of one length")):
+        detect_sequence(dmodels, [long, short], forced_responses(dmodels, long), subsample=SUB)
 
 
 def test_detect_sequence_needs_more_equations_than_states(dmodels, m1_probe):
     # 11 samples at stride 10 leave 2 estimator rows of 5 outputs: 10
     # equations for 18 states, which every scenario fits exactly
-    long = probe_window(dmodels[0], np.zeros(18), m1_probe.R)
-    short = probe_window(dmodels[1], np.zeros(18), m1_probe.R, steps=10)
+    short = [probe_window(dmodels[a], np.zeros(18), m1_probe.R, steps=10) for a in (1, 2)]
     with pytest.raises(ConfigError, match=re.escape(
-            "window 1: 10 estimator equations at subsample=10 for 18 states")):
-        detect(dmodels, [long, short], subsample=10)
-    # every sample of the same window is 55 equations
-    assert len(detect(dmodels, [long, short], subsample=1).verdicts) == 2
+            "10 estimator equations at subsample=10 for 18 states")):
+        detect(dmodels, short, subsample=10)
+    # every sample of the same windows is 55 equations
+    assert len(detect(dmodels, short, subsample=1).verdicts) == 2
 
 
 def test_report_truth_length_guard(dmodels, m1_probe):
@@ -469,9 +470,8 @@ def test_warm_detection_matches_cold_and_full_stack_lstsq(m1_family, m1_probe, m
 
 @pytest.fixture(scope="module")
 def paper_grid_windows(m1_family, m1_probe):
-    """Noisy 10,000-step windows at the paper grid in runs of two input
-    records, probe on and probe off: two runs of several windows and two of
-    one window each."""
+    """Noisy 10,000-step windows at the paper grid under two input records,
+    probe on and probe off: for each record, the list of its windows."""
     steps = 10000
     models = [discretize_zoh(sc, PAPER_TS) for sc in m1_family]
     records = {}
@@ -480,12 +480,12 @@ def paper_grid_windows(m1_family, m1_probe):
         u1[:steps, m1_probe.channel] = m1_probe.R if on else 0.0
         records[on] = (u1, np.zeros((steps + 1, 2)))
     rng = np.random.default_rng(43)
-    windows = []
+    windows = {True: [], False: []}
     for a, on in ((2, True), (0, True), (3, True), (1, False), (2, False), (3, False),
                   (0, True), (1, False)):
         u1, u2 = records[on]
         trace = simulate(models[a], rng.standard_normal(18) * m1_probe.mu0, u1, u2, steps)
-        windows.append(MeasurementWindow(
+        windows[on].append(MeasurementWindow(
             t_start=0.0, ts=PAPER_TS, samples=trace.outputs + 1e-3 * rng.standard_normal(
                 trace.outputs.shape), u1=u1, u2=u2))
     return models, windows
@@ -496,22 +496,22 @@ def test_detect_sequence_bitwise_per_scenario_loop(m1_family, paper_grid_windows
     # the streamed all-scenario fit against one fit per scenario, bit for
     # bit, cold (models built here) and warm, on the rank-9 and rank-11 stacks
     # of line_outage and line_disconnect
-    _, windows = paper_grid_windows
+    _, records = paper_grid_windows
     models = [discretize_zoh(sc, PAPER_TS) for sc in m1_family]
     if subsample == 10:
         ranks = [np.linalg.matrix_rank(observability_stack(d, 10000, 10)) for d in models]
         assert ranks == [17, 17, 9, 11]
-    ref = loop_detect(models, windows, subsample)
+    refs = [loop_detect(models, windows, subsample) for windows in records.values()]
     for _ in ("cold", "warm"):
-        report = detect_sequence(models, windows, forced_responses(models, windows),
-                                 subsample=subsample)
-        assert np.array_equal(bits(report.residuals), bits(np.array([r for r, _ in ref])))
+        for windows, ref in zip(records.values(), refs):
+            report = detect(models, windows, subsample=subsample)
+            assert np.array_equal(bits(report.residuals), bits(np.array([r for r, _ in ref])))
 
 
 @pytest.mark.parametrize("subsample", [1, 10])
 def test_estimate_initial_state_bitwise_per_scenario_fit(paper_grid_windows, subsample):
-    models, windows = paper_grid_windows
-    for window in windows[:4]:
+    models, records = paper_grid_windows
+    for window in records[True][:2] + records[False][:2]:
         for d in models:
             x0_hat, residual = estimate_initial_state(d, window, subsample=subsample)
             factor = detection._factor(d, window.steps, subsample)

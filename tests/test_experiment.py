@@ -165,10 +165,10 @@ def test_truth_matches_per_window_oracle(m1_family, coarse_probe, probe_on, x0_m
                       for w, y in zip(result.windows, samples)]
     dmodels = [discretize_zoh(sc, TS) for sc in m1_family]
     oracle = detect_sequence(dmodels, oracle_windows,
-                             forced_responses(dmodels, oracle_windows), subsample=SUB)
+                             forced_responses(dmodels, oracle_windows[0]), subsample=SUB)
     assert result.report.detected == oracle.detected
     simulated = detect_sequence(dmodels, list(result.windows),
-                                forced_responses(dmodels, result.windows), subsample=SUB)
+                                forced_responses(dmodels, result.windows[0]), subsample=SUB)
     for got, ref in zip(result.report.verdicts, simulated.verdicts):
         assert np.array_equal(got.residuals, ref.residuals)
     if not probe_on and x0_mode == "zero" and sigma == 0.0:
@@ -239,6 +239,13 @@ def test_config_validation(m1_family, coarse_probe):
         config(m1_family, coarse_probe, x0_mode="warm")
     with pytest.raises(ConfigError, match="noise"):
         config(m1_family, coarse_probe, noise_sigma=-1.0)
+
+
+@pytest.mark.parametrize("level", [float("inf"), float("-inf"), float("nan")])
+def test_config_rejects_a_non_finite_probe_override(m1_family, coarse_probe, level):
+    # refused before any simulation, not blamed on a diverging model
+    with pytest.raises(ConfigError, match=f"probe_override_R must be finite, got {level}"):
+        config(m1_family, coarse_probe, probe_override_R=level)
 
 
 def test_config_rejects_probe_designed_over_another_window(m1_family):
@@ -323,6 +330,41 @@ def test_read_windows_share_input_records(tmp_path, m1_family, coarse_probe):
         assert np.shares_memory(window.u1, first.u1)
         assert np.shares_memory(window.u2, first.u2)
         assert not np.shares_memory(window.samples, first.samples)
+
+
+@pytest.mark.parametrize("change", ["signed-zero", "value"])
+@pytest.mark.parametrize("record", ["u1", "u2"])
+def test_read_windows_rejects_a_second_input_record(tmp_path, m1_family, coarse_probe,
+                                                    record, change):
+    # window 2 of 4 holds another record: -0.0 where the others hold 0.0,
+    # or one entry changed
+    result = run_experiment(config(m1_family, coarse_probe, K=4, seed=3))
+    other = np.array(getattr(result.windows[0], record))
+    if change == "signed-zero":
+        other[other == 0.0] = -0.0
+    else:
+        other[0, -1] += 1.0  # row 0 is on every recorded grid
+    windows = list(result.windows)
+    windows[2] = dataclasses.replace(windows[2], **{record: other})
+    write_outputs(dataclasses.replace(result, windows=tuple(windows)), tmp_path)
+    path = tmp_path / "windows" / "windows.npy"
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path} window 2: its {record} columns differ from window 0's")):
+        read_windows(tmp_path / "windows")
+
+
+@pytest.mark.parametrize("key, value", [("n_outputs", 0), ("n_outputs", -1), ("n_u2", -1)])
+def test_read_windows_rejects_negative_widths(tmp_path, m1_family, coarse_probe, key, value):
+    # n_outputs=-1 with n_u2=8 keeps the table's width, so only the check
+    # on the keys themselves can refuse it
+    write_outputs(run_experiment(config(m1_family, coarse_probe, K=3, seed=3)), tmp_path)
+    meta = tmp_path / "windows" / "meta.json"
+    doc = json.loads(meta.read_text())
+    doc.update({key: value, "n_u2" if key == "n_outputs" else "n_outputs":
+                doc["n_outputs"] + doc["n_u2"] - value})
+    meta.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(f"{meta}: key '{key}' has bad value {value}: must be >=")):
+        read_windows(tmp_path / "windows")
 
 
 def test_read_windows_checks_each_npy_start_against_meta(tmp_path, m1_family, coarse_probe):
@@ -442,21 +484,26 @@ def test_windows_npy_matches_table_oracle(tmp_path, special_result, mode, stride
     npy = tmp_path / "windows" / "windows.npy"
     assert npy.read_bytes() == _saved(tables)
 
+    # read back a run where every window holds the last window's -0.0 record
+    signed = special_result.windows[2].u1
+    result = dataclasses.replace(special_result, windows=tuple(
+        dataclasses.replace(w, u1=signed) for w in special_result.windows))
+    write_outputs(result, tmp_path / "signed", windows_mode=mode)
+    tables = [window_table(w, stride) for w in result.windows]
     p = special_result.windows[0].samples.shape[1]
-    windows = read_windows(npy.parent)
+    windows = read_windows(tmp_path / "signed" / "windows")
     assert len(windows) == 3
     for w, table in zip(windows, tables):
         assert np.array_equal(_bits(w.t_start), _bits(table[0, 0]))
         assert np.array_equal(_bits(w.samples), _bits(table[:, 1:1 + p]))
         assert np.array_equal(_bits(w.u1), _bits(table[:, 1 + p:4 + p]))
         assert np.array_equal(_bits(w.u2), _bits(table[:, 4 + p:]))
-    # the special values made it through, and only bitwise-equal records are shared
+    # the special values made it through, and every window shares one record
     assert np.isnan(windows[1].samples).any() and np.isinf(windows[1].samples).any()
     assert (windows[1].samples == 5e-324).any()
-    assert np.signbit(windows[2].u1[windows[2].u1 == 0.0]).all()
-    assert np.shares_memory(windows[1].u1, windows[0].u1)
-    assert not np.shares_memory(windows[2].u1, windows[1].u1)
-    assert np.shares_memory(windows[2].u2, windows[1].u2)
+    assert np.signbit(windows[0].u1[windows[0].u1 == 0.0]).all()
+    for w in windows[1:]:
+        assert w.u1 is windows[0].u1 and w.u2 is windows[0].u2
 
 
 @pytest.mark.parametrize("record", ["u1", "u2"])
