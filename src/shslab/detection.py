@@ -9,14 +9,14 @@ toward the lowest scenario index.
 
 The forced response each fit discounts is the scenario's output from rest
 under the windows' input record. One detect_sequence call covers windows
-of one length that share one input record, and never simulates: the caller
-hands in one (m, N+1, p) array for them all, the switched truth the
-responses it already holds, anything else those of forced_responses. The
-observability stack is built in floor(sqrt(rows)) blocks of rows. It and its
-streamed QR depend only on the discretized model and the estimator grid, so
-detect_sequence builds them once per model and grid and keeps them as long
-as the model lives; every later fit on that grid only applies the stored
-rotations to its window data.
+of one length that share one input record bit for bit, and never
+simulates: the caller hands in one (m, N+1, p) array for them all, the
+switched truth the responses it already holds, anything else those of
+forced_responses. The observability stack is built in floor(sqrt(rows))
+blocks of rows. It and its streamed QR depend only on the discretized model
+and the estimator grid, so detect_sequence builds them once per model and
+grid and keeps them as long as the model lives; every later fit on that
+grid only applies the stored rotations to its window data.
 """
 
 from __future__ import annotations
@@ -48,6 +48,14 @@ def _frozen(a) -> np.ndarray:
     return arr
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 records are one array or hold the same bits, so
+    -0.0 differs from 0.0; windows that share one frozen record cost no
+    comparison."""
+    return a is b or (a.shape == b.shape
+                      and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementWindow:
     """Uniformly sampled output record over one detection window, together
@@ -62,8 +70,8 @@ class MeasurementWindow:
     def __post_init__(self):
         for fname in ("samples", "u1", "u2"):
             object.__setattr__(self, fname, _frozen(getattr(self, fname)))
-        if not self.ts > 0:
-            raise ConfigError(f"sample period must be > 0, got {self.ts}")
+        if not (math.isfinite(self.ts) and self.ts > 0):
+            raise ConfigError(f"sample period must be finite and > 0, got {self.ts}")
         if self.samples.ndim != 2 or not self.samples.shape[1]:
             raise ConfigError(f"samples must be an (N+1, p) table with p >= 1, "
                               f"got shape {self.samples.shape}")
@@ -286,11 +294,12 @@ def detect_sequence(models: list[DiscreteStateSpace],
     """Fit every scenario to every window of an ordered list: the report's
     (K, m) table holds window k's residuals in row k, its argmin the verdict.
 
-    The windows must be of one length and share one input record, and
-    forced is the read-only (m, N+1, p) forced outputs of the m models under
-    that record. All windows are fitted in one pass for all scenarios, with
-    each scenario's stack and QR from the memo of _factor. A window length
-    require_equations refuses is a ConfigError.
+    The windows must be of one length and share one input record, bit for
+    bit, and forced is the read-only (m, N+1, p) forced outputs of the m
+    models under that record. All windows are fitted in one pass for all
+    scenarios, with each scenario's stack and QR from the memo of _factor.
+    A window of another length or input record, and a window length
+    require_equations refuses, is a ConfigError.
     """
     if truth is not None and len(truth) != len(windows):
         raise ConfigError("truth sequence length differs from window count")
@@ -303,6 +312,10 @@ def detect_sequence(models: list[DiscreteStateSpace],
         if window.steps != head.steps:
             raise ConfigError(f"window {k} has {window.steps} steps, window 0 has "
                               f"{head.steps}; one call fits windows of one length")
+        for name in ("u1", "u2"):
+            if not _same_bits(getattr(window, name), getattr(head, name)):
+                raise ConfigError(f"window {k}: its {name} record differs from window 0's; "
+                                  f"one call fits windows that share one input record")
     if np.shape(forced) != (len(models), *head.samples.shape):
         raise ConfigError(f"forced responses are {np.shape(forced)}, "
                           f"expected {(len(models), *head.samples.shape)}")

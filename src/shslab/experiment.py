@@ -24,6 +24,12 @@ channel, applied probe level); both are kept as long as the family lives.
 A later run on the same family draws its initial state, chains the boundary
 states, takes the free responses and the noise, and fits against
 detection's stored factors.
+
+Measurement noise, noise_sigma times one standard normal per output, is
+drawn only for the estimator grid: every subsample-th sample of a window,
+the rows detection fits and a strided window record keeps. The draws come
+from one stream per seed, window by window, a (rows on the grid, p) block
+each; the samples between grid rows are the noise-free outputs.
 """
 
 from __future__ import annotations
@@ -202,11 +208,12 @@ def run_experiment(config: ExperimentConfig,
         ks = np.flatnonzero(alphas == a)
         free_outputs(dmodels[a], boundaries[ks], [samples[k] for k in ks])
 
+    grid_shape = forced[0, ::config.subsample].shape
     windows: list[MeasurementWindow] = []
     for k, (a, y) in enumerate(zip(sequence.alphas, samples)):
         y += forced[a]
         if config.noise_sigma > 0:
-            y += config.noise_sigma * rng_noise.standard_normal(y.shape)
+            y[::config.subsample] += config.noise_sigma * rng_noise.standard_normal(grid_shape)
         y.setflags(write=False)
         windows.append(MeasurementWindow(
             t_start=k * config.tau, ts=config.ts, samples=y,

@@ -264,19 +264,21 @@ def window_table(window, stride):
 
 
 def loop_truth(dmodels, hold, x, alphas, u1_win, u2_win, steps,
-               noise_sigma=0.0, rng_noise=None):
+               noise_sigma=0.0, rng_noise=None, subsample=1):
     """The switched truth one window at a time: a full `simulate` from the
     carried-over state in every interval, then `hold` across the probe-off
-    remainder. Returns (list of (steps+1, p) window samples, (K+1, n)
-    boundary states)."""
+    remainder. Noise goes on the samples at indices 0, subsample,
+    2 subsample, ..., one block of draws per window. Returns (list of
+    (steps+1, p) window samples, (K+1, n) boundary states)."""
     samples = []
     boundaries = np.empty((len(alphas) + 1, len(x)))
+    grid = np.arange(0, steps + 1, subsample)
     for k, a in enumerate(alphas):
         boundaries[k] = x
         trace = simulate(dmodels[a], x, u1_win, u2_win, steps, record_states=True)
         y = trace.outputs
         if noise_sigma > 0:
-            y = y + noise_sigma * rng_noise.standard_normal(y.shape)
+            y[grid] += noise_sigma * rng_noise.standard_normal((grid.size, y.shape[1]))
         samples.append(y)
         x = hold[a] @ trace.final_state
     boundaries[len(alphas)] = x

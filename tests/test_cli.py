@@ -168,6 +168,26 @@ def test_full_stage_pipeline(workspace, capsys):
         assert np.allclose(wa["residuals"], wb["residuals"], rtol=1e-6, atol=1e-9)
 
 
+def test_noisy_random_x0_run_replays_its_verdicts(recorded, tmp_path, capsys):
+    # noise only on the estimator grid, which the strided trace records whole
+    config = dict(EXPERIMENT_CONFIG, x0_mode="random", noise_sigma=1e-3, K=6)
+    (tmp_path / "paper6bus.json").write_bytes((recorded / "paper6bus.json").read_bytes())
+    (tmp_path / "experiment.json").write_text(json.dumps(config))
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(tmp_path / "experiment.json"),
+                 "--out-dir", str(run)]) == 0
+    assert main(["detect", "--family", str(recorded / "matrices.json"), "--segment", "1",
+                 "--probe", str(run / "probe.json"), "--trace", str(run / "windows"),
+                 "--truth", str(run / "truth.csv"), "--out", str(tmp_path / "replay.json")]) == 0
+    run_report = json.loads((run / "report.json").read_text())
+    replay_report = json.loads((tmp_path / "replay.json").read_text())
+    assert ([w["detected"] for w in replay_report["windows"]]
+            == [w["detected"] for w in run_report["windows"]])
+    assert replay_report["accuracy"] == run_report["accuracy"]
+    for wa, wb in zip(run_report["windows"], replay_report["windows"]):
+        assert np.allclose(wa["residuals"], wb["residuals"], rtol=1e-6, atol=1e-9)
+
+
 def test_manifest_digests_match_inputs(workspace):
     run_dir = workspace / "out"
     assert main(["run", "--config", str(workspace / "experiment.json"),

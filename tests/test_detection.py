@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -347,6 +348,13 @@ def test_window_validation():
                           u1=np.zeros((5, 3)), u2=np.zeros((5, 0)))
 
 
+@pytest.mark.parametrize("ts", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_window_period_must_be_finite(ts):
+    with pytest.raises(ConfigError, match=f"sample period must be finite and > 0, got {ts}"):
+        MeasurementWindow(t_start=0, ts=ts, samples=np.zeros((5, 2)),
+                          u1=np.zeros((5, 3)), u2=np.zeros((5, 0)))
+
+
 @pytest.mark.parametrize("samples", [np.zeros(5), np.zeros((5, 0)), np.zeros((5, 2, 1))],
                          ids=["1d", "no-output", "3d"])
 def test_window_samples_must_be_a_table(samples):
@@ -413,6 +421,29 @@ def test_detect_sequence_rejects_two_window_lengths(dmodels, m1_probe):
     with pytest.raises(ConfigError, match=re.escape(
             "window 1 has 300 steps, window 0 has 500; one call fits windows of one length")):
         detect_sequence(dmodels, [long, short], forced_responses(dmodels, long), subsample=SUB)
+
+
+def _signed_zero(record):
+    return np.where(record == 0.0, -0.0, record)
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("u1", lambda w: {"u1": np.zeros_like(w.u1)}),       # probe off against probe on
+    ("u1", lambda w: {"u1": _signed_zero(w.u1)}),
+    ("u2", lambda w: {"u2": _signed_zero(w.u2)}),
+    ("u2", lambda w: {"u2": np.zeros((w.u2.shape[0], 3))}),
+], ids=["u1-probe-off", "u1-signed-zero", "u2-signed-zero", "u2-width"])
+def test_detect_sequence_rejects_a_second_input_record(dmodels, m1_probe, name, edit):
+    on = probe_window(dmodels[2], np.zeros(18), m1_probe.R)
+    # an equal copy of window 0's records is compared, not refused
+    copy = dataclasses.replace(on, u1=np.array(on.u1), u2=np.array(on.u2))
+    other = dataclasses.replace(on, **edit(on))
+    forced = forced_responses(dmodels, on)
+    assert len(detect_sequence(dmodels, [on, copy], forced, subsample=SUB).detected) == 2
+    with pytest.raises(ConfigError, match=re.escape(
+            f"window 2: its {name} record differs from window 0's; "
+            f"one call fits windows that share one input record")):
+        detect_sequence(dmodels, [on, copy, other], forced, subsample=SUB)
 
 
 def test_detect_sequence_needs_more_equations_than_states(dmodels, m1_probe):

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import make_family, make_model
+from conftest import bits, make_family, make_model
 from oracles import loop_truth, window_table
 import shslab.detection as detection
 import shslab.experiment as experiment
@@ -97,18 +97,22 @@ def test_windows_share_input_records(m1_family, coarse_probe):
     assert copies[0].u1[0, 1] == first.u1[0, 1]
 
 
+def noise_stream(seed):
+    """The generator a run at `seed` draws its measurement noise from."""
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[1])
+
+
 def oracle_truth(result):
     """Window samples and boundary states of `result`'s run, rebuilt by the
     per-window simulate-and-hold loop from the same initial state and noise
-    stream."""
+    stream, on the same estimator grid."""
     cfg = result.config
     dmodels = [discretize_zoh(sc, cfg.ts) for sc in cfg.family]
     hold = [expm(sc.A * (cfg.tau - cfg.tau0)) for sc in cfg.family]
-    rng_noise = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[1])
     first = result.windows[0]
     return loop_truth(dmodels, hold, result.boundary_states[0], result.sequence.alphas,
                       first.u1, first.u2, cfg.window_steps,
-                      cfg.noise_sigma, rng_noise)
+                      cfg.noise_sigma, noise_stream(cfg.seed), cfg.subsample)
 
 
 def assert_truth_matches_oracle(result):
@@ -217,6 +221,25 @@ def test_noise_touches_windows_not_state(m1_family, coarse_probe):
                                   noise_sigma=1e-3))
     assert np.array_equal(clean.boundary_states, noisy.boundary_states)
     assert not np.array_equal(clean.windows[0].samples, noisy.windows[0].samples)
+
+
+@pytest.mark.parametrize("subsample", [SUB, 1])
+def test_noise_only_on_the_estimator_grid(m1_family, coarse_probe, subsample):
+    # the same seed and initial state with and without noise: the samples
+    # between grid rows are the noise-free ones bit for bit, and the grid rows
+    # add sigma times the seed's noise stream, one (grid rows, p) block per
+    # window in window order. At subsample 1 the grid is every sample, and
+    # the draw is one (N+1, p) block per window
+    kw = dict(K=4, seed=9, x0_mode="random", subsample=subsample)
+    clean = run_experiment(config(m1_family, coarse_probe, **kw))
+    noisy = run_experiment(config(m1_family, coarse_probe, noise_sigma=1e-3, **kw))
+    rows = np.arange(clean.config.window_steps + 1)
+    grid, off = rows[::subsample], rows[rows % subsample != 0]
+    stream = noise_stream(9)
+    for c, w in zip(clean.windows, noisy.windows):
+        assert np.array_equal(bits(w.samples[off]), bits(c.samples[off]))
+        draw = stream.standard_normal((grid.size, w.samples.shape[1]))
+        assert np.array_equal(bits(w.samples[grid]), bits(c.samples[grid] + 1e-3 * draw))
 
 
 def test_x0_random_mode_scaled_to_mu0(m1_family, coarse_probe):
