@@ -19,7 +19,7 @@ import sys
 from . import __version__, data_path
 from .detection import detect_sequence, forced_responses, require_equations
 from .errors import ConfigError, NumericalError
-from .experiment import (ExperimentConfig, eigen_report, generate_sequence,
+from .experiment import (ExperimentConfig, check_experiment, eigen_report, generate_sequence,
                          read_windows, run_experiment, write_outputs)
 from .grid import NetworkModel, parse_network
 from .manifest import write_manifest
@@ -208,7 +208,8 @@ def _experiment_from_config(cfg_path, probe_off: bool = False,
     files it read, and every segment of its network. A missing key or a value
     of the wrong type is a ConfigError naming the file and the key. The probe
     is designed from the config's probe channel and margin on the
-    experiment's tau0 and ts."""
+    experiment's tau0 and ts, once every check of the run that needs no
+    probe has passed."""
     cfg = load_json(cfg_path)
 
     def get(key, kind, *default):
@@ -234,6 +235,10 @@ def _experiment_from_config(cfg_path, probe_off: bool = False,
     margin = probe_get("margin", probe_margin, 1.01)
     get("reference", dict, {})  # printed after the run, so checked before it
 
+    run = dict(tau=tau, tau0=tau0, ts=ts, K=K, seed=seed,
+               noise_sigma=get("noise_sigma", float, 0.0), subsample=get("subsample", integer, 10),
+               x0_mode=cfg.get("x0_mode", "zero"), probe_override_R=0.0 if probe_off else None)
+
     net = _load_network(net_path)
     segments = segment_network(net, _assignment_from_config(cfg, cfg_path))
     seg = _segment_by_id(segments, seg_id)
@@ -241,24 +246,21 @@ def _experiment_from_config(cfg_path, probe_off: bool = False,
     if len(fam) < 2:
         raise ConfigError("a run needs at least two scenarios to tell apart, got 1",
                           f"{cfg_path}: $.contingencies")
-
-    probe = design_mami(fam, fam[0].x_op, channel, tau0, ts, margin=margin)
-
-    noise_sigma, subsample = get("noise_sigma", float, 0.0), get("subsample", integer, 10)
+    # refused before the probe is designed, which the run's checks do not need
     try:
-        exp = ExperimentConfig(
-            family=fam, probe=probe, tau=tau, tau0=tau0, ts=ts, K=K, seed=seed,
-            noise_sigma=noise_sigma, subsample=subsample, x0_mode=cfg.get("x0_mode", "zero"),
-            probe_override_R=0.0 if probe_off else None)
+        check_experiment(fam, **run)
     except ConfigError as exc:
         raise ConfigError(f"{cfg_path}: {exc}") from exc
+
+    probe = design_mami(fam, fam[0].x_op, channel, tau0, ts, margin=margin)
+    exp = ExperimentConfig(family=fam, probe=probe, **run)
     return exp, cfg, [cfg_path, net_path], segments
 
 
 def _run_and_record(args, command: str, exp: ExperimentConfig, cfg: dict, inputs) -> None:
     """Run the experiment, write its artifacts, probe.json and the manifest
     under args.out_dir, and print the summary."""
-    result = run_experiment(exp, generate_sequence(exp))
+    result = run_experiment(exp, generate_sequence(exp), full=args.windows == "full")
     write_outputs(result, args.out_dir, windows_mode=args.windows)
     dump_json(probe_to_json(exp.probe), os.path.join(args.out_dir, "probe.json"))
     write_manifest(args.out_dir, command, inputs, cfg)

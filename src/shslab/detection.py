@@ -16,7 +16,9 @@ forced_responses. The observability stack is built in floor(sqrt(rows))
 blocks of rows. It and its streamed QR depend only on the discretized model
 and the estimator grid, so detect_sequence builds them once per model and
 grid and keeps them as long as the model lives; every later fit on that
-grid only applies the stored rotations to its window data.
+grid only applies the stored rotations to its window data. A window may
+keep only every stride-th sample of its record, the switched truth's the
+estimator grid alone; a fit reads every subsample // stride-th of them.
 """
 
 from __future__ import annotations
@@ -59,33 +61,44 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @dataclass(frozen=True, eq=False)
 class MeasurementWindow:
     """Uniformly sampled output record over one detection window, together
-    with the input records the estimator must discount."""
+    with the input records the estimator must discount. The samples may keep
+    only every stride-th sample of the N+1-row record, rows 0, stride,
+    2 stride, ...; the input records are always whole."""
 
     t_start: float
     ts: float
-    samples: np.ndarray       # (N+1, p)
+    samples: np.ndarray       # (N // stride + 1, p)
     u1: np.ndarray            # (N+1, 3); row N only pads the record
     u2: np.ndarray            # (N+1, q)
+    stride: int = 1
 
     def __post_init__(self):
         for fname in ("samples", "u1", "u2"):
             object.__setattr__(self, fname, _frozen(getattr(self, fname)))
         if not (math.isfinite(self.ts) and self.ts > 0):
             raise ConfigError(f"sample period must be finite and > 0, got {self.ts}")
+        if type(self.stride) is bool or not isinstance(self.stride, (int, np.integer)) \
+                or self.stride < 1:
+            raise ConfigError(f"stride must be an integer >= 1, got {self.stride!r}")
+        object.__setattr__(self, "stride", int(self.stride))
         if self.samples.ndim != 2 or not self.samples.shape[1]:
             raise ConfigError(f"samples must be an (N+1, p) table with p >= 1, "
                               f"got shape {self.samples.shape}")
-        rows = self.samples.shape[0]
+        if self.u1.ndim != 2 or self.u1.shape[1] != 3:
+            raise ConfigError(f"u1 record must be (N+1, 3), got {self.u1.shape}")
+        rows = self.u1.shape[0]
         if rows < 2:
             raise ConfigError("window needs at least two samples")
-        if self.u1.shape != (rows, 3):
-            raise ConfigError(f"u1 record must be ({rows}, 3), got {self.u1.shape}")
+        kept = (rows - 1) // self.stride + 1
+        if self.samples.shape[0] != kept:
+            raise ConfigError(f"samples hold {self.samples.shape[0]} rows; a {rows}-row u1 "
+                              f"record kept at stride {self.stride} holds {kept}")
         if self.u2.ndim != 2 or self.u2.shape[0] != rows:
             raise ConfigError(f"u2 record must have {rows} rows, got {self.u2.shape}")
 
     @property
     def steps(self) -> int:
-        return self.samples.shape[0] - 1
+        return self.u1.shape[0] - 1
 
 
 class Verdict(NamedTuple):
@@ -167,6 +180,22 @@ def require_equations(steps: int, p: int, n: int, subsample: int,
                           f"for {n} states; a window must hold more", location)
 
 
+def grid_step(windows, stride: int) -> int:
+    """The step through the samples of `windows` that reads every stride-th
+    sample of their records: stride // s for windows that all keep every
+    s-th sample, s dividing `stride`. Windows kept at mixed strides, or at
+    one that does not divide `stride`, are a ConfigError naming the window."""
+    kept = windows[0].stride if windows else 1
+    for k, window in enumerate(windows):
+        if window.stride != kept:
+            raise ConfigError(f"window {k} is kept at stride {window.stride}, window 0 "
+                              f"at stride {kept}; windows must keep one grid")
+        if stride % window.stride:
+            raise ConfigError(f"window {k} is kept at stride {window.stride}, which does "
+                              f"not divide the stride {stride} read from it")
+    return stride // kept
+
+
 def observability_stack(dmodel: DiscreteStateSpace, steps: int,
                         subsample: int = 1) -> np.ndarray:
     """Stacked map x0 -> [y_k]_{k in grid} for the free response.
@@ -228,16 +257,17 @@ def _fit(factors, windows, forced, subsample: int) -> tuple[np.ndarray, np.ndarr
     against m factors from _factor of one state dimension, and the attained
     residual norms (m, W), discounting the m scenarios' forced responses.
 
-    The windows' estimator rows are copied once into one (rows, W) matrix,
-    detection's peak memory. One streamed pass forms, chunk by chunk, the
-    free part of every scenario and applies the m stored rotations of the
-    chunk in one batched product, small enough for the calling thread. Each
-    triangle goes to numpy's lstsq at the rank cut numpy applies to the full
-    stack, eps * max(rows, n) times the largest singular value, so
-    rank-deficient stacks get the minimum-norm estimate. Residuals are taken
-    against the full stacks.
+    The windows' estimator rows, read at grid_step, are copied once into
+    one (rows, W) matrix, detection's peak memory. One streamed pass forms,
+    chunk by chunk, the free part of every scenario and applies the m stored
+    rotations of the chunk in one batched product, small enough for the
+    calling thread. Each triangle goes to numpy's lstsq at the rank cut numpy
+    applies to the full stack, eps * max(rows, n) times the largest singular
+    value, so rank-deficient stacks get the minimum-norm estimate. Residuals
+    are taken against the full stacks.
     """
-    samples = np.stack([w.samples[::subsample] for w in windows], axis=-1).reshape(-1, len(windows))
+    step = grid_step(windows, subsample)
+    samples = np.stack([w.samples[::step] for w in windows], axis=-1).reshape(-1, len(windows))
     forced = forced[:, ::subsample].reshape(len(factors), -1)
     stacks, qs, tris = zip(*factors)
     rows, n = stacks[0].shape
@@ -269,6 +299,8 @@ def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow
     for one window and one scenario, but it builds the stack and its QR
     afresh on every call and stores nothing: it is the cold path the stored
     factors are checked against, and a model it is called on pins no factor.
+    A window that keeps every stride-th sample needs a stride dividing
+    subsample.
     """
     _check_window(dmodel, window)
     x0_hat, residual = _fit([_factor(dmodel, window.steps, subsample)], [window],
@@ -294,12 +326,13 @@ def detect_sequence(models: list[DiscreteStateSpace],
     """Fit every scenario to every window of an ordered list: the report's
     (K, m) table holds window k's residuals in row k, its argmin the verdict.
 
-    The windows must be of one length and share one input record, bit for
-    bit, and forced is the read-only (m, N+1, p) forced outputs of the m
-    models under that record. All windows are fitted in one pass for all
-    scenarios, with each scenario's stack and QR from the memo of _factor.
-    A window of another length or input record, and a window length
-    require_equations refuses, is a ConfigError.
+    The windows must be of one length, keep one grid whose stride divides
+    subsample, and share one input record, bit for bit, and forced is the
+    read-only (m, N+1, p) forced outputs of the m models under that record.
+    All windows are fitted in one pass for all scenarios, with each
+    scenario's stack and QR from the memo of _factor. A window of another
+    length, grid or input record, and a window length require_equations
+    refuses, is a ConfigError.
     """
     if truth is not None and len(truth) != len(windows):
         raise ConfigError("truth sequence length differs from window count")
@@ -316,9 +349,9 @@ def detect_sequence(models: list[DiscreteStateSpace],
             if not _same_bits(getattr(window, name), getattr(head, name)):
                 raise ConfigError(f"window {k}: its {name} record differs from window 0's; "
                                   f"one call fits windows that share one input record")
-    if np.shape(forced) != (len(models), *head.samples.shape):
-        raise ConfigError(f"forced responses are {np.shape(forced)}, "
-                          f"expected {(len(models), *head.samples.shape)}")
+    expected = (len(models), head.steps + 1, head.samples.shape[1])
+    if np.shape(forced) != expected:
+        raise ConfigError(f"forced responses are {np.shape(forced)}, expected {expected}")
     require_equations(head.steps, head.samples.shape[1], models[0].n, subsample)
 
     factors = []

@@ -30,6 +30,11 @@ drawn only for the estimator grid: every subsample-th sample of a window,
 the rows detection fits and a strided window record keeps. The draws come
 from one stream per seed, window by window, a (rows on the grid, p) block
 each; the samples between grid rows are the noise-free outputs.
+
+A window keeps only its estimator grid unless the run is asked for every
+sample (`full`, which a full window record needs). The free responses are
+still formed block by block over the whole record and only the kept rows
+are copied out, so the grid rows hold the same bits either way.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectionReport, MeasurementWindow, detect_sequence, require_equations
+from .detection import (DetectionReport, MeasurementWindow, detect_sequence, grid_step,
+                        require_equations)
 from .errors import ConfigError, NumericalError
 from .linsys import eig_sorted, expm, free_outputs, simulate
 from .probing import ProbingDesign, discretized, whole_steps
@@ -56,6 +62,31 @@ class SwitchingSequence:
 
     def __len__(self) -> int:
         return len(self.alphas)
+
+
+def check_experiment(family: ScenarioFamily, *, tau: float, tau0: float, ts: float, K: int,
+                     seed: int, noise_sigma: float, subsample: int, x0_mode: str,
+                     probe_override_R: float | None) -> None:
+    """Every check of an ExperimentConfig that needs no probe design, so a
+    caller can refuse a run before designing its probe; the config runs
+    them itself and then checks the probe's tau0 against its own."""
+    if K < 1:
+        raise ConfigError(f"K must be >= 1, got {K}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if not (tau > 0 and tau0 > 0 and ts > 0):
+        raise ConfigError("tau, tau0 and ts must all be > 0")
+    if tau0 > tau / 10.0 + 1e-15:
+        raise ConfigError(f"detection window tau0={tau0} must be <= tau/10={tau / 10}")
+    whole_steps("tau", tau, ts)
+    steps = whole_steps("tau0", tau0, ts)
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if probe_override_R is not None and not math.isfinite(probe_override_R):
+        raise ConfigError(f"probe_override_R must be finite, got {probe_override_R}")
+    if x0_mode not in ("zero", "random"):
+        raise ConfigError(f"x0_mode must be 'zero' or 'random', got '{x0_mode}'")
+    require_equations(steps, family[0].p, family[0].n, subsample)
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,29 +104,14 @@ class ExperimentConfig:
     probe_override_R: float | None = None   # e.g. 0.0 for the passive ablation
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ConfigError(f"K must be >= 1, got {self.K}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not (self.tau > 0 and self.tau0 > 0 and self.ts > 0):
-            raise ConfigError("tau, tau0 and ts must all be > 0")
-        if self.tau0 > self.tau / 10.0 + 1e-15:
-            raise ConfigError(
-                f"detection window tau0={self.tau0} must be <= tau/10={self.tau / 10}")
-        whole_steps("tau", self.tau, self.ts)
-        whole_steps("tau0", self.tau0, self.ts)
+        check_experiment(self.family, tau=self.tau, tau0=self.tau0, ts=self.ts, K=self.K,
+                         seed=self.seed, noise_sigma=self.noise_sigma,
+                         subsample=self.subsample, x0_mode=self.x0_mode,
+                         probe_override_R=self.probe_override_R)
         if not abs(self.probe.tau0 - self.tau0) <= 1e-12 * self.tau0:
             raise ConfigError(
                 f"the probe is designed over tau0={self.probe.tau0}, but the "
                 f"experiment's detection window is tau0={self.tau0}")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        if self.probe_override_R is not None and not math.isfinite(self.probe_override_R):
-            raise ConfigError(f"probe_override_R must be finite, got {self.probe_override_R}")
-        if self.x0_mode not in ("zero", "random"):
-            raise ConfigError(f"x0_mode must be 'zero' or 'random', got '{self.x0_mode}'")
-        require_equations(self.window_steps, self.family[0].p, self.family[0].n,
-                          self.subsample)
 
     @property
     def window_steps(self) -> int:
@@ -163,9 +179,13 @@ def _window_response(config: ExperimentConfig, dmodels: tuple):
     return memo(family, key, build)
 
 
-def run_experiment(config: ExperimentConfig,
-                   sequence: SwitchingSequence | None = None) -> ExperimentResult:
-    """Simulate the switched truth with probing, detect per window, score."""
+def run_experiment(config: ExperimentConfig, sequence: SwitchingSequence | None = None,
+                   full: bool = False) -> ExperimentResult:
+    """Simulate the switched truth with probing, detect per window, score.
+
+    Each window keeps the estimator grid, every subsample-th sample of its
+    record, or with `full` every sample; the grid rows are the same bits
+    either way."""
     if sequence is None:
         sequence = generate_sequence(config)
     family = config.family
@@ -202,22 +222,25 @@ def run_experiment(config: ExperimentConfig,
 
     # the free part, one blocked pass over all windows of a scenario, written
     # into arrays the windows then own without a copy
-    samples = [np.empty_like(forced[0]) for _ in range(config.K)]
+    steps, stride = config.window_steps, 1 if full else config.subsample
+    kept = forced[0, ::stride].shape
+    samples = [np.empty(kept) for _ in range(config.K)]
     alphas = np.asarray(sequence.alphas)
     for a in range(m):
         ks = np.flatnonzero(alphas == a)
-        free_outputs(dmodels[a], boundaries[ks], [samples[k] for k in ks])
+        free_outputs(dmodels[a], boundaries[ks], [samples[k] for k in ks], stride, steps)
 
     grid_shape = forced[0, ::config.subsample].shape
     windows: list[MeasurementWindow] = []
     for k, (a, y) in enumerate(zip(sequence.alphas, samples)):
-        y += forced[a]
+        y += forced[a, ::stride]
         if config.noise_sigma > 0:
-            y[::config.subsample] += config.noise_sigma * rng_noise.standard_normal(grid_shape)
+            y[::config.subsample // stride] += (
+                config.noise_sigma * rng_noise.standard_normal(grid_shape))
         y.setflags(write=False)
         windows.append(MeasurementWindow(
             t_start=k * config.tau, ts=config.ts, samples=y,
-            u1=u1_win, u2=u2_win))
+            u1=u1_win, u2=u2_win, stride=stride))
 
     report = detect_sequence(dmodels, windows, forced,
                              truth=list(sequence.alphas), subsample=config.subsample)
@@ -291,8 +314,9 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
     """Emit truth.csv, detected.csv, sequence.csv, report.json and windows/.
 
     windows_mode: 'strided' records every subsample-th sample (the estimator
-    grid), 'full' records every sample, 'none' skips the window record. The
-    record is windows/windows.npy, one float64 table of shape (K, rows,
+    grid), 'full' records every sample, which only a result of
+    run_experiment(..., full=True) holds, 'none' skips the window record.
+    The record is windows/windows.npy, one float64 table of shape (K, rows,
     1 + p + 3 + q) whose columns are t, the outputs, u1 and u2; the stride
     and periods land in windows/meta.json so a replay can rebuild the exact
     estimation problem. The table is streamed one window at a time, and its
@@ -302,8 +326,13 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
     """
     if windows_mode not in ("strided", "full", "none"):
         raise ConfigError(f"unknown windows mode '{windows_mode}'")
-    os.makedirs(out_dir, exist_ok=True)
     cfg = result.config
+    stride = 1 if windows_mode == "full" else cfg.subsample
+    try:
+        step = grid_step(result.windows, stride)
+    except ConfigError as exc:
+        raise ConfigError(f"windows mode '{windows_mode}': {exc}") from exc
+    os.makedirs(out_dir, exist_ok=True)
     truth = list(result.sequence.alphas)
     detected = result.report.detected
 
@@ -320,7 +349,6 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
     if windows_mode == "none":
         _clear_windows(win_dir, set())
         return
-    stride = 1 if windows_mode == "full" else cfg.subsample
     os.makedirs(win_dir, exist_ok=True)
     _clear_windows(win_dir, {"meta.json", _NPY})
     p = result.windows[0].samples.shape[1] if result.windows else 0
@@ -343,7 +371,7 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
         for w in result.windows:
             idx = np.arange(0, w.steps + 1, stride)
             fh.write(np.column_stack(
-                [w.t_start + w.ts * idx, w.samples[idx], w.u1[idx], w.u2[idx]]).tobytes())
+                [w.t_start + w.ts * idx, w.samples[::step], w.u1[idx], w.u2[idx]]).tobytes())
 
 
 def _clear_windows(win_dir, keep: set) -> None:

@@ -11,6 +11,9 @@ import numpy as np
 from .errors import NumericalError
 from .ssbuild import StateSpaceModel
 
+# fewest blocks per batched product in free_outputs
+_MIN_BATCH = 8
+
 
 @dataclass(frozen=True, eq=False)
 class DiscreteStateSpace:
@@ -261,17 +264,23 @@ def simulate(dmodel: DiscreteStateSpace, x0: np.ndarray,
     return ResponseTrace(outputs=ys, states=X)
 
 
-def free_outputs(dmodel: DiscreteStateSpace, X0: np.ndarray, out) -> None:
-    """Write the unforced outputs y_j = C Ad^j x0, j = 0..rows-1, of every row
-    x0 of X0 into the matching C-contiguous (rows, p) array of `out`.
+def free_outputs(dmodel: DiscreteStateSpace, X0: np.ndarray, out, stride: int = 1,
+                 steps: int | None = None) -> None:
+    """Write the unforced outputs y_j = C Ad^j x0 at j = 0, stride,
+    2 stride, ... up to `steps` of every row x0 of X0 into the matching
+    C-contiguous (steps // stride + 1, p) array of `out`. `steps` defaults to
+    that of the record whose last sample is each array's last row.
 
-    The samples are taken in blocks of b = floor(sqrt(rows)): with
-    G = [(C Ad^0)^T ... (C Ad^(b-1))^T] (n, b*p), the outputs of block i for
-    all rows at once are S_i G, where S_{i+1} = S_i (Ad^b)^T. All S_i are
-    advanced first; batched products then form the full blocks about one
-    array's worth at a time, each array taking its share in one copy. Every
-    block stays one product over all rows of X0, small enough for the calling
-    thread, so no sample's bits depend on the batch size.
+    The samples of the whole record, j = 0..steps, are taken in blocks of
+    b = floor(sqrt(steps + 1)): with G = [(C Ad^0)^T ... (C Ad^(b-1))^T]
+    (n, b*p), the outputs of block i for all rows at once are S_i G, where
+    S_{i+1} = S_i (Ad^b)^T. All S_i are advanced first; batched products of
+    at least _MIN_BATCH blocks, and otherwise about one array's worth, then
+    form the full blocks, each array taking the samples of its share it
+    keeps in one copy. Every block stays one product over all rows of X0 and
+    all b samples (one over the kept samples alone would round differently),
+    small enough for the calling thread, so no sample's bits depend on the
+    batch size or the stride.
     """
     if not out:
         return
@@ -279,9 +288,17 @@ def free_outputs(dmodel: DiscreteStateSpace, X0: np.ndarray, out) -> None:
     n, p = dmodel.n, dmodel.p
     if S.shape != (len(out), n):
         raise NumericalError(f"X0 must be ({len(out)}, {n}), got {S.shape}")
-    rows = out[0].shape[0]
-    if any(y.shape != (rows, p) or not y.flags.c_contiguous for y in out):
-        raise NumericalError(f"every output array must be C-contiguous ({rows}, {p})")
+    if stride < 1:
+        raise NumericalError(f"stride must be >= 1, got {stride}")
+    kept = out[0].shape[0]
+    if steps is None:
+        steps = (kept - 1) * stride
+    if kept != steps // stride + 1:
+        raise NumericalError(f"samples 0, {stride}, ... of {steps} steps need output "
+                             f"arrays of {steps // stride + 1} rows, got {kept}")
+    if any(y.shape != (kept, p) or not y.flags.c_contiguous for y in out):
+        raise NumericalError(f"every output array must be C-contiguous ({kept}, {p})")
+    rows = steps + 1
     b = max(1, math.isqrt(rows))
     full = rows // b
     AdT = dmodel.Ad.T
@@ -295,13 +312,30 @@ def free_outputs(dmodel: DiscreteStateSpace, X0: np.ndarray, out) -> None:
     H[0] = S
     for i in range(1, len(H)):
         np.matmul(H[i - 1], AdT_b, out=H[i])
-    batch = max(1, full // len(out))
+    batch = max(_MIN_BATCH, full // len(out))
     for lo in range(0, full, batch):
-        blocks = np.matmul(H[lo:min(lo + batch, full)], G).transpose(1, 0, 2)
-        for y, yb in zip(out, blocks):
-            y[:full * b].reshape(full, b * p)[lo:lo + batch] = yb
-    for y, tail in zip(out, H[-1] @ G[:, :(rows - full * b) * p]):
-        y[full * b:] = tail.reshape(-1, p)
+        blocks = np.matmul(H[lo:min(lo + batch, full)], G)
+        _keep_grid(out, blocks.reshape(len(blocks), len(out), b, p), lo * b, stride)
+    tail = rows - full * b
+    _keep_grid(out, (H[-1] @ G[:, :tail * p]).reshape(1, len(out), tail, p), full * b, stride)
+
+
+def _keep_grid(out, blocks: np.ndarray, start: int, stride: int) -> None:
+    """Copy the samples of `blocks` (blocks, arrays, width, p), sample
+    `start` + i*width + j in block i, row j, whose index is a multiple of
+    `stride` into rows start / stride, ... of the arrays of `out`: one slice
+    when every block keeps the same rows, otherwise a gather."""
+    nb, _, width, _ = blocks.shape
+    first = -start % stride
+    if nb == 1 or width % stride == 0:
+        kept = blocks[:, :, first::stride]
+    else:
+        idx = np.arange(first, nb * width, stride)
+        kept = blocks[idx // width, :, idx % width][:, :, None]
+    lo = (start + first) // stride
+    size = kept.shape[0] * kept.shape[2]
+    for y, yb in zip(out, kept.transpose(1, 0, 2, 3)):
+        y[lo:lo + size].reshape(yb.shape)[...] = yb
 
 
 def step_response(dmodel: DiscreteStateSpace, channel: int, steps: int) -> ResponseTrace:

@@ -255,11 +255,13 @@ def segment_rhs(segment, contingency, x, u1, u2):
 def window_table(window, stride):
     """The (rows, columns) record of one window at `stride`, column by
     column: t = t_start + ts * index, the outputs, u1 and u2: one slice of
-    windows.npy."""
+    windows.npy. A window that keeps every window.stride-th sample holds
+    sample index in its row index / window.stride."""
     idx = np.arange(0, window.steps + 1, stride)
     table = np.empty((idx.size, 1 + window.samples.shape[1] + 3 + window.u2.shape[1]))
     table[:, 0] = window.t_start + window.ts * idx
-    table[:, 1:] = np.hstack([window.samples[idx], window.u1[idx], window.u2[idx]])
+    table[:, 1:] = np.hstack([window.samples[idx // window.stride], window.u1[idx],
+                              window.u2[idx]])
     return table
 
 

@@ -699,6 +699,22 @@ def test_run_malformed_config_exits_2(workspace, capsys, edit, message):
     assert not (workspace / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, rc, designs", [
+    ("subsample", 1e9, 2, 0), ("K", 0, 2, 0), ("K", 1, 0, 1),
+], ids=["subsample-past-window", "K-zero", "K-one"])
+def test_run_refuses_its_config_before_designing_the_probe(workspace, monkeypatch,
+                                                           key, value, rc, designs):
+    # the run's own checks need no probe, so a config they refuse designs none
+    calls = []
+    design = shslab.cli.design_mami
+    monkeypatch.setattr(shslab.cli, "design_mami",
+                        lambda *args, **kwargs: calls.append(args) or design(*args, **kwargs))
+    (workspace / "experiment.json").write_text(json.dumps(dict(EXPERIMENT_CONFIG, **{key: value})))
+    assert main(["run", "--config", str(workspace / "experiment.json"), "--windows", "none",
+                 "--out-dir", str(workspace / "out")]) == rc
+    assert len(calls) == designs
+
+
 @pytest.mark.parametrize("edit, message", [
     (_put("monitored_bus", {"1": 1}), "stage.json: key 'monitored_bus' is not supported"),
     (_put("contingencies", STAGE_CONFIG["contingencies"]["1"]),

@@ -364,6 +364,39 @@ def test_window_samples_must_be_a_table(samples):
                           u1=np.zeros((5, 3)), u2=np.zeros((5, 0)))
 
 
+def test_window_keeps_every_stride_th_sample():
+    u1, u2 = np.zeros((11, 3)), np.zeros((11, 0))
+    # 10 steps at stride 3 keep samples 0, 3, 6 and 9
+    window = MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((4, 2)), u1=u1, u2=u2,
+                               stride=3)
+    assert window.steps == 10
+    with pytest.raises(ConfigError, match=re.escape(
+            "samples hold 5 rows; a 11-row u1 record kept at stride 3 holds 4")):
+        MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((5, 2)), u1=u1, u2=u2, stride=3)
+    for stride in (0, 2.0, True):
+        with pytest.raises(ConfigError, match="stride must be an integer >= 1"):
+            MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((11, 2)), u1=u1, u2=u2,
+                              stride=stride)
+
+
+def test_fits_read_the_estimator_grid_of_a_strided_window(dmodels, m1_probe):
+    d = dmodels[0]
+    window = probe_window(d, None, m1_probe.R)
+    grid = dataclasses.replace(window, samples=window.samples[::SUB], stride=SUB)
+    assert np.array_equal(bits(estimate_initial_state(d, grid, subsample=SUB)[1]),
+                          bits(estimate_initial_state(d, window, subsample=SUB)[1]))
+    assert np.array_equal(bits(detect(dmodels, [grid], subsample=2 * SUB).residuals),
+                          bits(detect(dmodels, [window], subsample=2 * SUB).residuals))
+    # a window kept at stride 3 lacks samples 5, 10, ...; one call reads one grid
+    thirds = dataclasses.replace(window, samples=window.samples[::3], stride=3)
+    with pytest.raises(ConfigError, match=re.escape(
+            "window 0 is kept at stride 3, which does not divide the stride 5 read from it")):
+        estimate_initial_state(d, thirds, subsample=SUB)
+    with pytest.raises(ConfigError, match=re.escape(
+            "window 1 is kept at stride 3, window 0 at stride 1; windows must keep one grid")):
+        detect(dmodels, [window, thirds], subsample=3 * SUB)
+
+
 def test_forced_outputs_take_u2_through_the_state(dmodels):
     d = dmodels[0]
     steps = 20

@@ -89,7 +89,7 @@ def test_windows_share_input_records(m1_family, coarse_probe):
     # a caller's writable record, or a read-only view of one, is copied
     records = (np.array(first.u1), first.u1[:])
     copies = [MeasurementWindow(t_start=0.0, ts=TS, samples=first.samples,
-                                u1=u1, u2=first.u2) for u1 in records]
+                                u1=u1, u2=first.u2, stride=first.stride) for u1 in records]
     for window, u1 in zip(copies, records):
         assert not np.shares_memory(window.u1, u1)
         assert not window.u1.flags.writeable
@@ -132,7 +132,7 @@ def assert_truth_matches_oracle(result):
 def test_state_continuity_across_switches(m1_family, coarse_probe):
     cfg = config(m1_family, coarse_probe, K=4, seed=1)
     seq = SwitchingSequence(alphas=(0, 2, 1, 3))  # switch every interval
-    result = run_experiment(cfg, seq)
+    result = run_experiment(cfg, seq, full=True)
     assert np.array_equal(result.boundary_states[0], np.zeros(18))
     # each window starts at the state carried over from the previous interval
     dmodels = [discretize_zoh(sc, TS) for sc in m1_family]
@@ -161,7 +161,8 @@ def test_truth_matches_per_window_oracle(m1_family, coarse_probe, probe_on, x0_m
     calls = []
     monkeypatch.setattr(detection, "forced_outputs",
                         lambda d, w: calls.append(w) or forced_outputs(d, w))
-    result = run_experiment(cfg, None if alphas is None else SwitchingSequence(alphas))
+    result = run_experiment(cfg, None if alphas is None else SwitchingSequence(alphas),
+                            full=True)
     monkeypatch.undo()
     assert calls == []
     samples = assert_truth_matches_oracle(result)
@@ -231,8 +232,8 @@ def test_noise_only_on_the_estimator_grid(m1_family, coarse_probe, subsample):
     # window in window order. At subsample 1 the grid is every sample, and
     # the draw is one (N+1, p) block per window
     kw = dict(K=4, seed=9, x0_mode="random", subsample=subsample)
-    clean = run_experiment(config(m1_family, coarse_probe, **kw))
-    noisy = run_experiment(config(m1_family, coarse_probe, noise_sigma=1e-3, **kw))
+    clean = run_experiment(config(m1_family, coarse_probe, **kw), full=True)
+    noisy = run_experiment(config(m1_family, coarse_probe, noise_sigma=1e-3, **kw), full=True)
     rows = np.arange(clean.config.window_steps + 1)
     grid, off = rows[::subsample], rows[rows % subsample != 0]
     stream = noise_stream(9)
@@ -325,7 +326,7 @@ def test_eigen_report_csv(tmp_path, m1_family):
 
 def test_write_and_read_windows_roundtrip(tmp_path, m1_family, coarse_probe):
     cfg = config(m1_family, coarse_probe, K=3, seed=13)
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, full=True)
     out = tmp_path / "run"
     write_outputs(result, out, windows_mode="strided")
     assert (out / "truth.csv").exists()
@@ -475,7 +476,7 @@ def special_result(m1_family, coarse_probe):
     """A three-window run whose middle window's outputs hold SPECIAL on every
     estimator-grid row it spans, and whose last window's u1 has -0.0 where the
     others have 0.0."""
-    result = run_experiment(config(m1_family, coarse_probe, K=3, seed=13))
+    result = run_experiment(config(m1_family, coarse_probe, K=3, seed=13), full=True)
     first, middle, last = result.windows
     samples = np.array(middle.samples)
     samples[::SUB][:len(SPECIAL)] = np.array(SPECIAL)[:, None]
@@ -535,7 +536,7 @@ def test_window_files_format_each_record_from_its_own_values(
         tmp_path, m1_family, coarse_probe, mode, stride, record):
     # the input records run A, A, B, A, where B has -0.0 wherever A has 0.0:
     # the last window must be written from A's values, not from B's
-    result = run_experiment(config(m1_family, coarse_probe, K=4, seed=13))
+    result = run_experiment(config(m1_family, coarse_probe, K=4, seed=13), full=mode == "full")
     a = getattr(result.windows[0], record)
     b = np.array(a)
     b[b == 0.0] = -0.0
@@ -582,6 +583,38 @@ def test_sequence_csv_contents(tmp_path, m1_family, coarse_probe):
         assert int(fields[0]) == k + 1
         assert int(fields[1]) == result.sequence.alphas[k]
         assert int(fields[2]) == result.report.detected[k]
+
+
+@pytest.mark.parametrize("subsample", [1, SUB, 10])
+@pytest.mark.parametrize("x0_mode, sigma", [("zero", 0.0), ("zero", 1e-3),
+                                            ("random", 0.0), ("random", 1e-3)])
+def test_grid_run_keeps_the_full_runs_grid_rows(tmp_path, m1_family, coarse_probe,
+                                                subsample, x0_mode, sigma):
+    # a run keeps each window's estimator grid unless asked for every sample;
+    # the grid rows, boundary states and residual table are the same bits
+    # either way, and so are the artifacts of a strided record
+    kw = dict(K=6, seed=4, x0_mode=x0_mode, noise_sigma=sigma, subsample=subsample)
+    grid = run_experiment(config(m1_family, coarse_probe, **kw))
+    full = run_experiment(config(m1_family, coarse_probe, **kw), full=True)
+    assert np.array_equal(_bits(grid.boundary_states), _bits(full.boundary_states))
+    assert np.array_equal(_bits(grid.report.residuals), _bits(full.report.residuals))
+    for g, f in zip(grid.windows, full.windows, strict=True):
+        assert (g.stride, f.stride) == (subsample, 1)
+        assert g.u1 is f.u1 and g.u2 is f.u2
+        assert np.array_equal(_bits(g.samples), _bits(f.samples[::subsample]))
+    write_outputs(grid, tmp_path / "grid")
+    write_outputs(full, tmp_path / "full")
+    for name in ("report.json", "windows/meta.json", "windows/windows.npy"):
+        assert (tmp_path / "grid" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+def test_full_window_record_needs_a_full_run(tmp_path, m1_family, coarse_probe):
+    result = run_experiment(config(m1_family, coarse_probe, K=2, seed=3))
+    with pytest.raises(ConfigError, match=re.escape(
+            "windows mode 'full': window 0 is kept at stride 5, which does not divide "
+            "the stride 1 read from it")):
+        write_outputs(result, tmp_path / "out", windows_mode="full")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +693,7 @@ def test_memo_entries_are_frozen_and_die_with_the_family(seg1, m1_contingencies,
     before = len(_MEMO)
     family = build_family(seg1, m1_contingencies)
     cfg = config(family, coarse_probe)
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, full=True)
     dmodels = probing.discretized(family, TS)
     assert len(_MEMO) == before + 1 + len(dmodels)
     u1, u2, forced, M, h = experiment._window_response(cfg, dmodels)

@@ -244,6 +244,23 @@ def test_free_outputs_bitwise_block_loop(paper_dmodels, steps, batch):
             assert np.array_equal(bits(y), bits(r)), k
 
 
+# every stride-th sample of the full record, bit for bit: strides that divide
+# the block width b = floor(sqrt(steps + 1)) and strides that do not
+@pytest.mark.parametrize("stride", [1, 3, 10])
+@pytest.mark.parametrize("steps", [0, 1, 2, 99, 100, 101, 10000])
+@pytest.mark.parametrize("batch", [1, 3, 40])
+def test_free_outputs_stride_bitwise_block_loop(paper_dmodels, steps, batch, stride):
+    rng = np.random.default_rng(11 * steps + batch)
+    for d in paper_dmodels:
+        X0 = rng.standard_normal((batch, d.n))
+        got = [np.empty((steps // stride + 1, d.p)) for _ in range(batch)]
+        ref = [np.empty((steps + 1, d.p)) for _ in range(batch)]
+        free_outputs(d, X0, got, stride, steps)
+        block_free_outputs(d, X0, ref)
+        for k, (y, r) in enumerate(zip(got, ref)):
+            assert np.array_equal(bits(y), bits(r[::stride])), k
+
+
 def test_free_outputs_shape_errors(m1_family):
     d = discretize_zoh(m1_family[0], 1e-5)
     with pytest.raises(NumericalError, match="X0"):
@@ -252,6 +269,9 @@ def test_free_outputs_shape_errors(m1_family):
         free_outputs(d, np.zeros((2, 18)), [np.empty((11, 5)), np.empty((10, 5))])
     with pytest.raises(NumericalError, match="C-contiguous"):
         free_outputs(d, np.zeros((1, 18)), [np.empty((11, 10))[:, ::2]])
+    # 10 steps at stride 3 keep samples 0, 3, 6 and 9
+    with pytest.raises(NumericalError, match="of 10 steps need output arrays of 4 rows, got 5"):
+        free_outputs(d, np.zeros((1, 18)), [np.empty((5, 5))], 3, 10)
 
 
 def test_simulate_shape_errors(m1_family):
