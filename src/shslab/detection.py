@@ -16,16 +16,17 @@ forced_responses. The observability stack is built in floor(sqrt(rows))
 blocks of rows. It and its streamed QR depend only on the discretized model
 and the estimator grid, so detect_sequence builds them once per model and
 grid and keeps them as long as the model lives; every later fit on that
-grid only applies the stored rotations to its window data. A window may
-keep only every stride-th sample of its record, the switched truth's the
-estimator grid alone; a fit reads every subsample // stride-th of them.
+grid only applies the stored rotations to its window data. The stored stack
+is grid_stack's, the one copy the switched truth also forms its free
+response from. A window may keep only every stride-th sample of its
+record, the switched truth's the estimator grid alone; a fit reads every
+subsample // stride-th of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -198,12 +199,15 @@ def grid_step(windows, stride: int) -> int:
 
 def observability_stack(dmodel: DiscreteStateSpace, steps: int,
                         subsample: int = 1) -> np.ndarray:
-    """Stacked map x0 -> [y_k]_{k in grid} for the free response.
+    """Stacked map x0 -> [y_k]_{k in grid} for the free response, a read-only
+    (rows * p, n) array.
 
     Row block k is C P^k with P = Ad^subsample. With b = floor(sqrt(rows)),
     block i*b + j is (C P^j) (P^b)^i: b - 1 products give the heads C P^j,
     about rows/b more give the hops (P^b)^i, and one batched product forms
-    every block, the same blocking linsys.simulate and free_outputs use.
+    every block, the same blocking linsys.simulate uses. grid_stack keeps one
+    read-only copy per model and grid for detection's fits and the switched
+    truth's free response.
     """
     rows = sample_indices(steps, subsample).size
     n, p = dmodel.n, dmodel.p
@@ -219,7 +223,9 @@ def observability_stack(dmodel: DiscreteStateSpace, steps: int,
     hops[0] = np.eye(n)
     for i in range(1, nb):
         np.matmul(hops[i - 1], P_b, out=hops[i])
-    return np.matmul(heads, hops[:, None]).reshape(nb * b * p, n)[:rows * p]
+    stack = np.matmul(heads, hops[:, None]).reshape(nb * b * p, n)[:rows * p]
+    stack.setflags(write=False)
+    return stack
 
 
 def forced_outputs(dmodel: DiscreteStateSpace, window: MeasurementWindow) -> np.ndarray:
@@ -236,11 +242,19 @@ def _check_window(dmodel: DiscreteStateSpace, window: MeasurementWindow) -> None
         raise ConfigError(f"window sampled at {window.ts}, model discretized at {dmodel.ts}")
 
 
-def _factor(dmodel: DiscreteStateSpace, steps: int, subsample: int):
-    """The observability stack of `dmodel` on the estimator grid of a window
-    of `steps` steps, with its QR streamed over chunks of _QR_ROWS rows: the
-    q of every chunk and the final n-by-n triangle, all read-only."""
-    stack = observability_stack(dmodel, steps, subsample)
+def grid_stack(dmodel: DiscreteStateSpace, steps: int, subsample: int) -> np.ndarray:
+    """The read-only observability_stack of `dmodel` on the estimator grid of
+    a window of `steps` steps, built once per (model, steps, subsample) and
+    kept while the model lives: the one copy that detection's stored QR and
+    the switched truth's free response both read."""
+    return memo(dmodel, ("stack", steps, subsample),
+                lambda: observability_stack(dmodel, steps, subsample))
+
+
+def _factor(stack: np.ndarray):
+    """An observability stack with its QR streamed over chunks of _QR_ROWS
+    rows: the stack, the q of every chunk and the final n-by-n triangle, all
+    read-only."""
     if not np.any(stack):
         raise NumericalError("all-zero observability map; model is unobservable")
     qs, tri = [], np.empty((0, stack.shape[1]))
@@ -303,8 +317,8 @@ def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow
     subsample.
     """
     _check_window(dmodel, window)
-    x0_hat, residual = _fit([_factor(dmodel, window.steps, subsample)], [window],
-                            forced_responses([dmodel], window), subsample)
+    factor = _factor(observability_stack(dmodel, window.steps, subsample))
+    x0_hat, residual = _fit([factor], [window], forced_responses([dmodel], window), subsample)
     return x0_hat[0, :, 0], float(residual[0, 0])
 
 
@@ -360,7 +374,7 @@ def detect_sequence(models: list[DiscreteStateSpace],
             for window in windows:
                 _check_window(model, window)
             factors.append(memo(model, ("factor", head.steps, subsample),
-                                partial(_factor, model, head.steps, subsample)))
+                                lambda: _factor(grid_stack(model, head.steps, subsample))))
         except ShslabError as exc:
             raise type(exc)(f"scenario {i}: {exc}") from exc
     return DetectionReport(residuals=_fit(factors, windows, forced, subsample)[1].T,

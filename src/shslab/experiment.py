@@ -13,9 +13,12 @@ x_{k+1} = hold_a (Ad_a^N x_k + g_a), where f_a and g_a are the outputs and
 the final state of the forced response from rest and
 hold_a = exp(A_a (tau - tau0)). The truth is evaluated that way, exactly up
 to round-off: one forced response per scenario, the chain of boundary
-states, and one blocked free response over all windows of each scenario.
-Detection takes those same forced responses for every window, one array of
-all scenarios of the family, visited or not, so it simulates nothing.
+states, and the free responses of all windows of a scenario as one batched
+product of their start states with the scenario's observability stack on
+the estimator grid, detection.grid_stack's, the one copy detection's fits
+also read. Detection takes those same forced responses for every window,
+one array of all scenarios of the family, visited or not, so it simulates
+nothing.
 
 None of that depends on the window data. The discretized models are
 probing.discretized's, built once per family and ts, and the input records,
@@ -32,9 +35,9 @@ from one stream per seed, window by window, a (rows on the grid, p) block
 each; the samples between grid rows are the noise-free outputs.
 
 A window keeps only its estimator grid unless the run is asked for every
-sample (`full`, which a full window record needs). The free responses are
-still formed block by block over the whole record and only the kept rows
-are copied out, so the grid rows hold the same bits either way.
+sample (`full`, which a full window record needs). Rows r, r + subsample,
+... of a full record are the grid products from Ad_a^r x_k, so the grid
+rows hold the same bits either way.
 """
 
 from __future__ import annotations
@@ -47,13 +50,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import (DetectionReport, MeasurementWindow, detect_sequence, grid_step,
-                        require_equations)
+from .detection import (DetectionReport, MeasurementWindow, detect_sequence, grid_stack,
+                        grid_step, require_equations)
 from .errors import ConfigError, NumericalError
-from .linsys import eig_sorted, expm, free_outputs, simulate
+from .linsys import DiscreteStateSpace, eig_sorted, expm, simulate
 from .probing import ProbingDesign, discretized, whole_steps
 from .ssbuild import ScenarioFamily
 from .util import doc_value, dump_json, integer, memo
+
+# the most multiply-adds one product of free_outputs may take: a
+# (40 x 18)(18 x 500) gemm, which OpenBLAS runs on the calling thread
+_GEMM_MAX = 40 * 18 * 500
 
 
 @dataclass(frozen=True)
@@ -179,6 +186,50 @@ def _window_response(config: ExperimentConfig, dmodels: tuple):
     return memo(family, key, build)
 
 
+def free_outputs(dmodel: DiscreteStateSpace, X0: np.ndarray, out, steps: int,
+                 subsample: int, full: bool = False) -> None:
+    """Write the unforced outputs y_j = C Ad^j x0 of a window of `steps` steps
+    from every row x0 of X0 into the matching C-contiguous array of `out`:
+    (rows, p) arrays of the estimator grid j = 0, subsample, 2 subsample,
+    ..., or with `full` (steps + 1, p) arrays of every j = 0..steps.
+
+    The grid rows are X0 times grid_stack's stack, the array detection
+    fits against, taken in its b = floor(sqrt(rows)) row blocks: one batched
+    product of (W, n)(n, b p) blocks and one more for the rows past the last
+    whole block. A batch whose products would exceed _GEMM_MAX multiply-adds
+    is taken in shares of fewer windows. Rows r, r + subsample, ... of a full
+    record are the same products from X0 (Ad^r)^T, so its every subsample-th
+    row is the grid record bit for bit.
+    """
+    X = np.array(X0, dtype=float, ndmin=2)
+    n, p = dmodel.n, dmodel.p
+    if X.shape != (len(out), n):
+        raise NumericalError(f"X0 must be ({len(out)}, {n}), got {X.shape}")
+    stack = grid_stack(dmodel, steps, subsample)
+    rows = len(stack) // p
+    kept = steps + 1 if full else rows
+    if any(y.shape != (kept, p) or not y.flags.c_contiguous for y in out):
+        raise NumericalError(f"every output array must be C-contiguous ({kept}, {p})")
+    b = math.isqrt(rows)
+    whole = rows // b * b * p
+    blocks = stack[:whole].reshape(-1, b * p, n).transpose(0, 2, 1)
+    tail = stack[whole:].T
+    share = max(1, _GEMM_MAX // (n * b * p))
+    stride = subsample if full else 1
+    for r in range(stride):
+        if r:
+            X = X @ dmodel.Ad.T
+        for lo in range(0, len(X), share):
+            S = X[lo:lo + share]
+            for y, head, end in zip(out[lo:lo + share], np.matmul(S, blocks).transpose(1, 0, 2),
+                                    S @ tail):
+                grid = np.empty(rows * p) if full else y.reshape(-1)
+                grid[:whole].reshape(head.shape)[...] = head
+                grid[whole:] = end
+                if full:
+                    y[r::stride] = grid.reshape(rows, p)[:(steps - r) // stride + 1]
+
+
 def run_experiment(config: ExperimentConfig, sequence: SwitchingSequence | None = None,
                    full: bool = False) -> ExperimentResult:
     """Simulate the switched truth with probing, detect per window, score.
@@ -209,6 +260,10 @@ def run_experiment(config: ExperimentConfig, sequence: SwitchingSequence | None 
         x *= scale / np.max(np.abs(x))
 
     u1_win, u2_win, forced, M, h = _window_response(config, dmodels)
+    # the grid stacks outlive this run's arrays: built before them, they do
+    # not sit between them on the heap and hold its top up
+    for d in dmodels:
+        grid_stack(d, config.window_steps, config.subsample)
 
     boundaries = np.empty((config.K + 1, n))
     boundaries[0] = x
@@ -220,15 +275,16 @@ def run_experiment(config: ExperimentConfig, sequence: SwitchingSequence | None 
                 f"the scenario model is unstable")
         boundaries[k + 1] = x
 
-    # the free part, one blocked pass over all windows of a scenario, written
-    # into arrays the windows then own without a copy
-    steps, stride = config.window_steps, 1 if full else config.subsample
-    kept = forced[0, ::stride].shape
-    samples = [np.empty(kept) for _ in range(config.K)]
+    # the free part, one batched product per scenario over its windows, into
+    # arrays the windows then own without a copy; all of them allocated
+    # first, so the products' transients do not sit between them
+    stride = 1 if full else config.subsample
+    samples = [np.empty(forced[0, ::stride].shape) for _ in range(config.K)]
     alphas = np.asarray(sequence.alphas)
     for a in range(m):
         ks = np.flatnonzero(alphas == a)
-        free_outputs(dmodels[a], boundaries[ks], [samples[k] for k in ks], stride, steps)
+        free_outputs(dmodels[a], boundaries[ks], [samples[k] for k in ks],
+                     config.window_steps, config.subsample, full)
 
     grid_shape = forced[0, ::config.subsample].shape
     windows: list[MeasurementWindow] = []
@@ -395,7 +451,8 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
     every window must hold window_rows(tau0, ts) rows for meta.json's tau0
     and start at its entry of window_starts exactly (both are round-trips
     of one float, and the first t is t_start + ts * 0). With a probe,
-    meta.json's tau0 must be the probe design's, within 1e-12 relative.
+    meta.json's tau0 must be the probe design's, and its ts_simulated the
+    probe's ts if the design records one, each within 1e-12 relative.
 
     meta.json must carry "format": "npy" and describes windows.npy, whose
     dtype and shape (len(window_starts), rows, 1 + p + 3 + q) must match it.
@@ -435,11 +492,15 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
     if not (np.isfinite(tau0) and tau0 > 0):
         raise ConfigError(f"{meta}: tau0={tau0} must be positive and finite")
     rows = window_rows(tau0, ts)
+    misfit = f"probe.json does not fit the windows {meta} describes: meta.json records"
     if probe is not None and not abs(probe.tau0 - tau0) <= 1e-12 * probe.tau0:
         raise ConfigError(
-            f"probe.json does not fit the windows {meta} describes: meta.json records "
-            f"tau0={tau0}, the probe design has tau0={probe.tau0}; window has "
+            f"{misfit} tau0={tau0}, the probe design has tau0={probe.tau0}; window has "
             f"{rows} samples, probe design implies {window_rows(probe.tau0, ts)}")
+    if probe is not None and probe.ts is not None \
+            and not abs(probe.ts - ts_simulated) <= 1e-12 * probe.ts:
+        raise ConfigError(f"{misfit} ts_simulated={ts_simulated}, the probe design has "
+                          f"ts={probe.ts}")
     path = os.path.join(win_dir, _NPY)
     table = _npy_table(path, (len(starts), rows, 1 + p + 3 + q))
     off = np.flatnonzero(table[:, 0, 0] != np.array(starts, dtype=float))

@@ -11,10 +11,6 @@ import numpy as np
 from .errors import NumericalError
 from .ssbuild import StateSpaceModel
 
-# fewest blocks per batched product in free_outputs
-_MIN_BATCH = 8
-
-
 @dataclass(frozen=True, eq=False)
 class DiscreteStateSpace:
     """Exact ZOH discretization of a StateSpaceModel at sample period ts."""
@@ -262,80 +258,6 @@ def simulate(dmodel: DiscreteStateSpace, x0: np.ndarray,
     ys = Y.transpose(1, 0, 2).reshape(-1, dmodel.p)[:rows]
     X = by_block[:, :, :n].reshape(-1, n)[:rows] if record_states else None
     return ResponseTrace(outputs=ys, states=X)
-
-
-def free_outputs(dmodel: DiscreteStateSpace, X0: np.ndarray, out, stride: int = 1,
-                 steps: int | None = None) -> None:
-    """Write the unforced outputs y_j = C Ad^j x0 at j = 0, stride,
-    2 stride, ... up to `steps` of every row x0 of X0 into the matching
-    C-contiguous (steps // stride + 1, p) array of `out`. `steps` defaults to
-    that of the record whose last sample is each array's last row.
-
-    The samples of the whole record, j = 0..steps, are taken in blocks of
-    b = floor(sqrt(steps + 1)): with G = [(C Ad^0)^T ... (C Ad^(b-1))^T]
-    (n, b*p), the outputs of block i for all rows at once are S_i G, where
-    S_{i+1} = S_i (Ad^b)^T. All S_i are advanced first; batched products of
-    at least _MIN_BATCH blocks, and otherwise about one array's worth, then
-    form the full blocks, each array taking the samples of its share it
-    keeps in one copy. Every block stays one product over all rows of X0 and
-    all b samples (one over the kept samples alone would round differently),
-    small enough for the calling thread, so no sample's bits depend on the
-    batch size or the stride.
-    """
-    if not out:
-        return
-    S = np.array(X0, dtype=float, ndmin=2)
-    n, p = dmodel.n, dmodel.p
-    if S.shape != (len(out), n):
-        raise NumericalError(f"X0 must be ({len(out)}, {n}), got {S.shape}")
-    if stride < 1:
-        raise NumericalError(f"stride must be >= 1, got {stride}")
-    kept = out[0].shape[0]
-    if steps is None:
-        steps = (kept - 1) * stride
-    if kept != steps // stride + 1:
-        raise NumericalError(f"samples 0, {stride}, ... of {steps} steps need output "
-                             f"arrays of {steps // stride + 1} rows, got {kept}")
-    if any(y.shape != (kept, p) or not y.flags.c_contiguous for y in out):
-        raise NumericalError(f"every output array must be C-contiguous ({kept}, {p})")
-    rows = steps + 1
-    b = max(1, math.isqrt(rows))
-    full = rows // b
-    AdT = dmodel.Ad.T
-    G = np.empty((n, b, p))
-    G[:, 0] = dmodel.C.T
-    for j in range(1, b):
-        np.matmul(AdT, G[:, j - 1], out=G[:, j])
-    G = G.reshape(n, b * p)
-    AdT_b = np.linalg.matrix_power(AdT, b)
-    H = np.empty((-(-rows // b), len(out), n))
-    H[0] = S
-    for i in range(1, len(H)):
-        np.matmul(H[i - 1], AdT_b, out=H[i])
-    batch = max(_MIN_BATCH, full // len(out))
-    for lo in range(0, full, batch):
-        blocks = np.matmul(H[lo:min(lo + batch, full)], G)
-        _keep_grid(out, blocks.reshape(len(blocks), len(out), b, p), lo * b, stride)
-    tail = rows - full * b
-    _keep_grid(out, (H[-1] @ G[:, :tail * p]).reshape(1, len(out), tail, p), full * b, stride)
-
-
-def _keep_grid(out, blocks: np.ndarray, start: int, stride: int) -> None:
-    """Copy the samples of `blocks` (blocks, arrays, width, p), sample
-    `start` + i*width + j in block i, row j, whose index is a multiple of
-    `stride` into rows start / stride, ... of the arrays of `out`: one slice
-    when every block keeps the same rows, otherwise a gather."""
-    nb, _, width, _ = blocks.shape
-    first = -start % stride
-    if nb == 1 or width % stride == 0:
-        kept = blocks[:, :, first::stride]
-    else:
-        idx = np.arange(first, nb * width, stride)
-        kept = blocks[idx // width, :, idx % width][:, :, None]
-    lo = (start + first) // stride
-    size = kept.shape[0] * kept.shape[2]
-    for y, yb in zip(out, kept.transpose(1, 0, 2, 3)):
-        y[lo:lo + size].reshape(yb.shape)[...] = yb
 
 
 def step_response(dmodel: DiscreteStateSpace, channel: int, steps: int) -> ResponseTrace:

@@ -87,6 +87,8 @@ class ProbingDesign:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.tau0 > 0:
             raise ConfigError(f"tau0 must be > 0, got {self.tau0}")
+        if self.ts is not None and not (math.isfinite(self.ts) and self.ts > 0):
+            raise ConfigError(f"ts must be finite and > 0, got {self.ts}")
         if not self.delta_min > 0:
             raise ConfigError(f"delta_min must be > 0, got {self.delta_min}")
         expected_R0 = 2.0 * self.mu0 * self.mu1 / self.delta_min

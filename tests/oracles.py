@@ -5,26 +5,27 @@ fixed-step RK4 integrator, an implicit-trapezoid integrator, a per-sample
 discrete-time recursion, a central finite-difference Jacobian, an
 incidence-matrix builder, the segment element equations written out
 directly, the column-by-column window table that windows.npy must hold,
-the per-row observability stack, the per-window switched-truth loop, the
-per-scenario window fits, and the block-by-block free response. Apart from
-the last three they never call into shslab's discretization, simulation or
-stamping code paths; the element equations share only the state layout.
-The truth loop runs shslab's `simulate` once per window, which
-`loop_simulate` checks in its own test. The per-scenario fits take their
-factors from shslab's `_factor` and differ from the package only in how
-the window data meet them: one (rows, windows) free matrix and one pass of
-rotations per scenario, the arithmetic detection is held to bit for bit.
-They simulate the forced responses of window 0's input records
-themselves, so they do not go through `detection.forced_responses`.
-The block-by-block free response is the same arithmetic as `free_outputs`
-with a copy of every block into every window's array.
+the per-row observability stack, the per-window switched-truth loop and
+the per-scenario window fits. Apart from the last two they never call into
+shslab's discretization, simulation or stamping code paths; the element
+equations share only the state layout. The truth loop runs shslab's
+`simulate` once per window, which `loop_simulate` checks in its own test,
+so it shares nothing with the truth's free response, which
+`experiment.free_outputs` takes from detection's stored grid stack. The
+per-scenario fits take their factors from shslab's `observability_stack`
+and `_factor` and differ from the package only in how the window data meet
+them: one (rows, windows) free matrix and one pass of rotations per
+scenario, the arithmetic detection is held to bit for bit. They simulate
+the forced responses of window 0's input records themselves, so they do
+not go through `detection.forced_responses`.
 """
 
 import math
 
 import numpy as np
 
-from shslab.detection import _QR_ROWS, _check_window, _factor, forced_outputs
+from shslab.detection import (_QR_ROWS, _check_window, _factor, forced_outputs,
+                              observability_stack)
 from shslab.errors import ConfigError
 from shslab.linsys import simulate
 from shslab.ssbuild import _Index  # state layout only, no coefficients
@@ -342,35 +343,9 @@ def loop_detect(models, windows, subsample):
     for model in models:
         for window in windows:
             _check_window(model, window)
-        per_model.append(loop_fit(_factor(model, windows[0].steps, subsample),
-                                  loop_free_outputs(windows, forced_outputs(model, windows[0]),
-                                                    subsample)))
+        factor = _factor(observability_stack(model, windows[0].steps, subsample))
+        per_model.append(loop_fit(factor, loop_free_outputs(
+            windows, forced_outputs(model, windows[0]), subsample)))
     x0_hat = np.stack([x for x, _ in per_model])
     residuals = np.stack([r for _, r in per_model])
     return [(residuals[:, col], x0_hat[:, :, col]) for col in range(len(windows))]
-
-
-def block_free_outputs(dmodel, X0, out):
-    """Write the unforced outputs y_j = C Ad^j x0 of every row x0 of X0 into
-    the matching array of `out`, one (len(X0) x n)(n x b*p) product per
-    block of b = floor(sqrt(rows)) samples and one copy of that block into
-    every array."""
-    if not out:
-        return
-    S = np.array(X0, dtype=float, ndmin=2)
-    n, p = dmodel.n, dmodel.p
-    rows = out[0].shape[0]
-    b = max(1, math.isqrt(rows))
-    AdT = dmodel.Ad.T
-    G = np.empty((n, b, p))
-    G[:, 0] = dmodel.C.T
-    for j in range(1, b):
-        np.matmul(AdT, G[:, j - 1], out=G[:, j])
-    G = G.reshape(n, b * p)
-    AdT_b = np.linalg.matrix_power(AdT, b)
-    for start in range(0, rows, b):
-        width = min(b, rows - start)
-        Y = (S @ G[:, :width * p]).reshape(len(out), width, p)
-        for y, block in zip(out, Y):
-            y[start:start + width] = block
-        S = S @ AdT_b

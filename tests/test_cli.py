@@ -611,6 +611,38 @@ def test_detect_probe_tau0_mismatch_exits_2(recorded, tmp_path, capsys):
     assert "window has 101 samples, probe design implies 221" in err
 
 
+def _edit_probe(**changes):
+    """An edit of windows/ that sets `changes` in the run's probe.json."""
+    def edit(win_dir):
+        path = win_dir.parent / "probe.json"
+        probe = json.loads(path.read_text())
+        probe.update(changes)
+        path.write_text(json.dumps(probe))
+    return edit
+
+
+@pytest.mark.parametrize("ts", [float("nan"), -5.0, float("inf")], ids=["nan", "negative", "inf"])
+def test_detect_probe_with_a_bad_sample_period_exits_2(recorded, tmp_path, capsys, ts):
+    assert _replay(recorded, tmp_path, edit=_edit_probe(ts=ts), probe=True) == 2
+    err = capsys.readouterr().err
+    assert f"probe.json: ts must be finite and > 0, got {ts}" in err
+    assert not (tmp_path / "replay.json").exists()
+
+
+def test_detect_probe_ts_mismatch_exits_2(recorded, tmp_path, capsys):
+    # recorded at ts_simulated 1e-5 and kept at stride 5; a probe designed
+    # at 2e-5, or at 1e-5 off by more than 1e-12 relative, does not fit
+    for ts in (1e-5 * (1 + 1e-13), 1e-5 * (1 - 1e-13)):
+        assert _replay(recorded, tmp_path / repr(ts), edit=_edit_probe(ts=ts), probe=True) == 0
+    capsys.readouterr()
+    for ts in (2e-5, 1e-5 * (1 + 1e-11)):
+        assert _replay(recorded, tmp_path / repr(ts), edit=_edit_probe(ts=ts), probe=True) == 2
+        err = capsys.readouterr().err
+        assert "probe.json does not fit the windows" in err
+        assert f"meta.json records ts_simulated=1e-05, the probe design has ts={ts}" in err
+        assert not (tmp_path / repr(ts) / "replay.json").exists()
+
+
 def test_design_probe_partial_sample_window_exits_2(recorded, tmp_path, capsys):
     rc = main(["design-probe", "--family", str(recorded / "matrices.json"), "--segment", "1",
                "--tau0", "0.01", "--ts", "7e-3", "--out", str(tmp_path / "p.json")])

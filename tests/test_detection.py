@@ -578,7 +578,7 @@ def test_estimate_initial_state_bitwise_per_scenario_fit(paper_grid_windows, sub
     for window in records[True][:2] + records[False][:2]:
         for d in models:
             x0_hat, residual = estimate_initial_state(d, window, subsample=subsample)
-            factor = detection._factor(d, window.steps, subsample)
+            factor = detection._factor(observability_stack(d, window.steps, subsample))
             x_ref, r_ref = loop_fit(factor, loop_free_outputs(
                 [window], forced_outputs(d, window), subsample))
             assert np.array_equal(bits(x0_hat), bits(x_ref[:, 0]))

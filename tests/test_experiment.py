@@ -675,6 +675,48 @@ def test_warm_run_does_no_cold_work(fresh_family, coarse_probe, monkeypatch):
     assert calls == {"simulate": 4, "discretize_zoh": 0, "observability_stack": 0}
 
 
+def test_truth_and_fit_share_one_stack(fresh_family, seg1, m1_contingencies, coarse_probe,
+                                       monkeypatch):
+    calls = []
+    original = detection.observability_stack
+
+    def counted(dmodel, steps, subsample=1):
+        calls.append((dmodel, steps, subsample))
+        return original(dmodel, steps, subsample)
+    monkeypatch.setattr(detection, "observability_stack", counted)
+    # cold: one stack per scenario on the estimator grid, which the truth
+    # and detection's stored QR both read
+    cfg = config(fresh_family, coarse_probe, seed=1)
+    run_experiment(cfg)
+    dmodels = probing.discretized(fresh_family, TS)
+    assert calls == [(d, cfg.window_steps, SUB) for d in dmodels]
+    for d in dmodels:
+        stack = _MEMO[d][("stack", cfg.window_steps, SUB)]
+        assert _MEMO[d][("factor", cfg.window_steps, SUB)][0] is stack
+    # warm: none
+    calls.clear()
+    run_experiment(config(fresh_family, coarse_probe, seed=2, x0_mode="random"))
+    assert calls == []
+    # a cold full record is formed from the grid stacks too: no stride-1 stack
+    family = build_family(seg1, m1_contingencies)
+    run_experiment(config(family, coarse_probe, seed=1), full=True)
+    assert calls == [(d, cfg.window_steps, SUB) for d in probing.discretized(family, TS)]
+
+
+def test_a_window_batch_past_one_product_is_split(m1_family, coarse_probe):
+    # 200 windows of one scenario on a 501-row grid: one (200 x 18)(18 x 22*5)
+    # product per block would pass _GEMM_MAX, so the batch is taken in shares
+    kw = dict(K=200, seed=5, ts=5e-6, subsample=2, x0_mode="random")
+    assert experiment._GEMM_MAX < 200 * 18 * 22 * 5
+    seq = SwitchingSequence((2,) * 200)
+    full = run_experiment(config(m1_family, coarse_probe, **kw), seq, full=True)
+    assert full.windows[0].samples.shape == (1001, 5)
+    assert_truth_matches_oracle(full)
+    grid = run_experiment(config(m1_family, coarse_probe, **kw), seq)
+    for g, f in zip(grid.windows, full.windows, strict=True):
+        assert np.array_equal(_bits(g.samples), _bits(f.samples[::2]))
+
+
 def test_design_and_run_share_one_discretization(fresh_family, monkeypatch):
     probe = probing.design_mami(fresh_family, fresh_family[0].x_op, "delta", TAU0, TS)
     dmodels = probing.discretized(fresh_family, TS)

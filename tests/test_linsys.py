@@ -1,14 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import PAPER_TS, bare_line_segment, bits, make_model
-from oracles import block_free_outputs, loop_simulate, rk4_lti
-from shslab.errors import NumericalError
-from shslab.linsys import (discretize_zoh, eig_sorted, eigenvalues, expm, free_outputs,
-                           simulate, step_response)
+from oracles import loop_simulate, rk4_lti
+from shslab.detection import grid_stack
+from shslab.errors import ConfigError, NumericalError
+from shslab.experiment import free_outputs
+from shslab.linsys import discretize_zoh, eig_sorted, eigenvalues, expm, simulate, step_response
 from shslab.probing import compute_mu1
 from shslab.ssbuild import ContingencySpec, build_state_space
 
@@ -213,65 +215,93 @@ def test_simulate_matches_loop_oracle(paper_dmodels, steps, extra_rows):
         assert np.array_equal(trace.final_state, trace.states[-1])
 
 
-# the same step counts; one, a few and a full sequence's worth of windows
+# the switched truth's free response, experiment.free_outputs: the products
+# of the window-start states with detection's stored grid stack
+
+@pytest.fixture
+def fresh_dmodels(m1_family):
+    """The paper-grid models discretized afresh, so the grid stacks that
+    free_outputs stores on them go with each test."""
+    return [discretize_zoh(sc, PAPER_TS) for sc in m1_family]
+
+
+# the same step counts; one, a few and a full sequence's worth of windows;
+# grid strides that divide the steps and strides that do not, each as the
+# grid record and as the full record
 @pytest.mark.parametrize("steps", [0, 1, 2, 99, 100, 101, 10000])
 @pytest.mark.parametrize("batch", [1, 3, 40])
-def test_free_outputs_matches_loop_oracle(paper_dmodels, steps, batch):
+def test_free_outputs_matches_loop_oracle(fresh_dmodels, steps, batch):
     rng = np.random.default_rng(100 * steps + batch)
-    for d in paper_dmodels:
+    for d in fresh_dmodels:
         X0 = rng.standard_normal((batch, d.n))
-        out = [np.empty((steps + 1, d.p)) for _ in range(batch)]
-        free_outputs(d, X0, out)
         _, ys = loop_simulate(d.Ad, d.Bd1, d.Bd2, d.C, X0, None, None, steps)
-        for k, y in enumerate(out):
-            ref = ys[:, k]
-            assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref)), k
+        for stride in (1, 3, 10):
+            for full in (False, True):
+                out = [np.empty((steps + 1 if full else steps // stride + 1, d.p))
+                       for _ in range(batch)]
+                free_outputs(d, X0, out, steps, stride, full)
+                for k, y in enumerate(out):
+                    ref = ys[::1 if full else stride, k]
+                    assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref)), \
+                        (stride, full, k)
 
 
-# the batched free response against the block-by-block copy loop, bit for
-# bit: a window alone (vector products), a few, and a full sequence's worth
+# the batched product against a loop of one (W x n)(n x b*p) product per
+# block of the stored grid stack, bit for bit, at every stride: a window
+# alone (vector products), a few, and a full sequence's worth
 @pytest.mark.parametrize("steps", [0, 1, 99, 100, 101, 10000])
 @pytest.mark.parametrize("batch", [1, 3, 40])
-def test_free_outputs_bitwise_block_loop(paper_dmodels, steps, batch):
+def test_free_outputs_bitwise_block_loop(fresh_dmodels, steps, batch):
     rng = np.random.default_rng(7 * steps + batch)
-    for d in paper_dmodels:
+    for d in fresh_dmodels:
         X0 = rng.standard_normal((batch, d.n))
-        got = [np.empty((steps + 1, d.p)) for _ in range(batch)]
-        ref = [np.empty((steps + 1, d.p)) for _ in range(batch)]
-        free_outputs(d, X0, got)
-        block_free_outputs(d, X0, ref)
-        for k, (y, r) in enumerate(zip(got, ref)):
-            assert np.array_equal(bits(y), bits(r)), k
+        for stride in (1, 3, 10):
+            got = [np.empty((steps // stride + 1, d.p)) for _ in range(batch)]
+            free_outputs(d, X0, got, steps, stride)
+            stack = grid_stack(d, steps, stride)
+            width = math.isqrt(len(stack) // d.p) * d.p
+            ref = np.hstack([X0 @ stack[lo:lo + width].T for lo in range(0, len(stack), width)])
+            for k, y in enumerate(got):
+                assert np.array_equal(bits(y.reshape(-1)), bits(ref[k])), (stride, k)
 
 
-# every stride-th sample of the full record, bit for bit: strides that divide
-# the block width b = floor(sqrt(steps + 1)) and strides that do not
+# a full record repeats the grid products from each row offset, so its every
+# stride-th row is the grid record bit for bit: strides that divide the
+# block width b = floor(sqrt(rows)) and strides that do not
 @pytest.mark.parametrize("stride", [1, 3, 10])
 @pytest.mark.parametrize("steps", [0, 1, 2, 99, 100, 101, 10000])
 @pytest.mark.parametrize("batch", [1, 3, 40])
-def test_free_outputs_stride_bitwise_block_loop(paper_dmodels, steps, batch, stride):
+def test_free_outputs_stride_bitwise_block_loop(fresh_dmodels, steps, batch, stride):
     rng = np.random.default_rng(11 * steps + batch)
-    for d in paper_dmodels:
+    for d in fresh_dmodels:
         X0 = rng.standard_normal((batch, d.n))
-        got = [np.empty((steps // stride + 1, d.p)) for _ in range(batch)]
-        ref = [np.empty((steps + 1, d.p)) for _ in range(batch)]
-        free_outputs(d, X0, got, stride, steps)
-        block_free_outputs(d, X0, ref)
-        for k, (y, r) in enumerate(zip(got, ref)):
-            assert np.array_equal(bits(y), bits(r[::stride])), k
+        grid = [np.empty((steps // stride + 1, d.p)) for _ in range(batch)]
+        full = [np.empty((steps + 1, d.p)) for _ in range(batch)]
+        free_outputs(d, X0, grid, steps, stride)
+        free_outputs(d, X0, full, steps, stride, full=True)
+        for k, (g, f) in enumerate(zip(grid, full)):
+            assert np.array_equal(bits(f[::stride]), bits(g)), k
 
 
 def test_free_outputs_shape_errors(m1_family):
     d = discretize_zoh(m1_family[0], 1e-5)
-    with pytest.raises(NumericalError, match="X0"):
-        free_outputs(d, np.zeros((2, 18)), [np.empty((11, 5))])
+    with pytest.raises(NumericalError, match=re.escape("X0 must be (1, 18), got (2, 18)")):
+        free_outputs(d, np.zeros((2, 18)), [np.empty((11, 5))], 10, 1)
+    with pytest.raises(NumericalError, match=re.escape("X0 must be (2, 18), got (2, 5)")):
+        free_outputs(d, np.zeros((2, 5)), [np.empty((11, 5))] * 2, 10, 1)
     with pytest.raises(NumericalError, match="output array"):
-        free_outputs(d, np.zeros((2, 18)), [np.empty((11, 5)), np.empty((10, 5))])
+        free_outputs(d, np.zeros((2, 18)), [np.empty((11, 5)), np.empty((10, 5))], 10, 1)
     with pytest.raises(NumericalError, match="C-contiguous"):
-        free_outputs(d, np.zeros((1, 18)), [np.empty((11, 10))[:, ::2]])
-    # 10 steps at stride 3 keep samples 0, 3, 6 and 9
-    with pytest.raises(NumericalError, match="of 10 steps need output arrays of 4 rows, got 5"):
-        free_outputs(d, np.zeros((1, 18)), [np.empty((5, 5))], 3, 10)
+        free_outputs(d, np.zeros((1, 18)), [np.empty((11, 10))[:, ::2]], 10, 1)
+    # 10 steps at subsample 3 keep samples 0, 3, 6 and 9; a full record all 11
+    with pytest.raises(NumericalError, match=re.escape("C-contiguous (4, 5)")):
+        free_outputs(d, np.zeros((1, 18)), [np.empty((5, 5))], 10, 3)
+    with pytest.raises(NumericalError, match=re.escape("C-contiguous (11, 5)")):
+        free_outputs(d, np.zeros((1, 18)), [np.empty((4, 5))], 10, 3, full=True)
+    with pytest.raises(ConfigError, match="subsample must be >= 1, got 0"):
+        free_outputs(d, np.zeros((1, 18)), [np.empty((11, 5))], 10, 0)
+    # one start state is a batch of one window
+    free_outputs(d, np.zeros(18), [np.empty((4, 5))], 10, 3)
 
 
 def test_simulate_shape_errors(m1_family):

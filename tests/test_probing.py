@@ -200,6 +200,18 @@ def test_probe_document_shape_is_step(m1_probe):
         probe_from_json(dict(doc, shape="chirp"), "p.json")
 
 
+@pytest.mark.parametrize("ts", [float("nan"), -5.0, float("inf"), 0.0],
+                         ids=["nan", "negative", "inf", "zero"])
+def test_probe_refuses_a_sample_period_not_finite_and_positive(m1_probe, ts):
+    fields = dict(mu0=1.0, mu1=1.0, delta_min=2.0, R0=1.0, R=1.01, channel=1, tau0=0.005)
+    assert ProbingDesign(**fields, ts=None).ts is None
+    with pytest.raises(ConfigError, match=f"ts must be finite and > 0, got {ts}"):
+        ProbingDesign(**fields, ts=ts)
+    doc = dict(probe_to_json(m1_probe), ts=ts)
+    with pytest.raises(ConfigError, match=f"^p.json: ts must be finite and > 0, got {ts}$"):
+        probe_from_json(doc, "p.json")
+
+
 def test_enlarging_family_cannot_increase_delta_min(m1_family):
     tau0, ts = 0.002, 1e-5
     sub = ScenarioFamily(segment_id=1, scenarios=m1_family.scenarios[:2])
