@@ -1,8 +1,9 @@
-"""Print how far a run's windows.npy and report.json moved from another
-run's: the largest windows.npy difference relative to its column's largest
-magnitude, the largest relative drift of the residuals that lost and of
-those that won, the winners' drift also relative to their window's output
-norm, and whether every verdict is the same.
+"""Print how far a run's windows.npy, report.json and probe.json moved from
+another run's: the largest windows.npy difference relative to its column's
+largest magnitude, the largest relative drift of the residuals that lost and
+of those that won, the winners' drift also relative to their window's output
+norm, whether every verdict is the same, the relative drift of each float in
+probe.json, and whether its other keys match.
 
     python .github/scripts/artifact_drift.py BASE_RUN_DIR HEAD_RUN_DIR
 
@@ -17,7 +18,26 @@ import sys
 import numpy as np
 
 
+def probe_drift(base_dir: str, head_dir: str) -> None:
+    docs = []
+    for d in (base_dir, head_dir):
+        with open(os.path.join(d, "probe.json"), encoding="utf-8") as fh:
+            docs.append(json.load(fh))
+    base, head = docs
+    floats = sorted(k for k in base.keys() & head.keys()
+                    if type(base[k]) is float and type(head[k]) is float)
+    for key in floats:
+        drift = abs(head[key] - base[key])
+        rel = drift / abs(base[key]) if drift else 0.0
+        print(f"probe.json: {key} {base[key]!r} -> {head[key]!r}, relative drift {rel:.3g}")
+    others = {k: base.get(k) for k in base.keys() | head.keys() if k not in floats}
+    same = all(others[k] == head.get(k) for k in others) and base.keys() == head.keys()
+    print(f"probe.json: every other key {'matches' if same else 'differs'} "
+          f"({', '.join(sorted(others))})")
+
+
 def main(base_dir: str, head_dir: str) -> None:
+    probe_drift(base_dir, head_dir)
     base, head = (np.load(os.path.join(d, "windows", "windows.npy")) for d in (base_dir, head_dir))
     if base.shape != head.shape:
         print(f"windows.npy: shapes differ, {base.shape} against {head.shape}")

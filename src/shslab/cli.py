@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import __version__, data_path
-from .detection import detect_sequence, forced_responses, require_equations
+from .detection import detect_sequence, require_equations
 from .errors import ConfigError, NumericalError
 from .experiment import (ExperimentConfig, check_experiment, eigen_report, generate_sequence,
                          read_windows, run_experiment, write_outputs)
@@ -324,8 +324,7 @@ def cmd_detect(args) -> int:
     # windows are stored on the estimator grid; use every recorded sample
     require_equations(windows[0].steps, fam[0].p, fam[0].n, 1, meta)
     dmodels = discretized(fam, windows[0].ts)
-    report = detect_sequence(dmodels, windows, forced_responses(dmodels, windows[0]),
-                             truth=truth, subsample=1)
+    report = detect_sequence(dmodels, windows, truth=truth, subsample=1)
     dump_json(report.to_json(), args.out)
     write_manifest(os.path.dirname(os.path.abspath(args.out)), "detect",
                    [args.family] + ([args.probe] if args.probe else [])

@@ -6,26 +6,23 @@ Each interval [k tau, (k+1) tau) runs one scenario. The probe occupies
 then relaxes unforced to the next boundary. The state vector carries over
 interval boundaries unchanged.
 
-Every window sees the same inputs, so within an interval of scenario a the
-truth is affine in the window-start state x_k: the window's samples are
-y_j = f_a,j + C Ad_a^j x_k and the next boundary state is
-x_{k+1} = hold_a (Ad_a^N x_k + g_a), where f_a and g_a are the outputs and
-the final state of the forced response from rest and
-hold_a = exp(A_a (tau - tau0)). The truth is evaluated that way, exactly up
-to round-off: one forced response per scenario, the chain of boundary
-states, and the free responses of all windows of a scenario as one batched
-product of their start states with the scenario's observability stack on
-the estimator grid, detection.grid_stack's, the one copy detection's fits
-also read. Detection takes those same forced responses for every window,
-one array of all scenarios of the family, visited or not, so it simulates
-nothing.
+Every window sees the same held inputs u = [u1; u2], so the truth is linear
+in the held-input state z = [x; u] of linsys.hold_inputs: window k of
+scenario a holds the samples y_j = C_z Ad_z^j z_k, and the next boundary
+state follows from z_(k+1) = diag(hold_a, I) Ad_z^N z_k, with
+hold_a = exp(A_a (tau - tau0)) and the input part of z carried unchanged.
+The truth is evaluated that way, exactly up to round-off: the chain of
+boundary states through one matrix per scenario, and all windows of a
+scenario as one batched product of their start states z_k with the
+scenario's stack [O | S] on the estimator grid, detection.grid_stack's, the
+one copy detection's fits also read.
 
 None of that depends on the window data. The discretized models are
-probing.discretized's, built once per family and ts, and the input records,
-forced responses and boundary maps once per family and (ts, tau, tau0, probe
-channel, applied probe level); both are kept as long as the family lives.
-A later run on the same family draws its initial state, chains the boundary
-states, takes the free responses and the noise, and fits against
+probing.discretized's, built once per family and ts, and the input records
+and boundary matrices once per family and (ts, tau, tau0, probe channel,
+applied probe level); both are kept as long as the family lives. A later
+run on the same family draws its initial state, chains the boundary
+states, takes the window products and the noise, and fits against
 detection's stored factors.
 
 Measurement noise, noise_sigma times one standard normal per output, is
@@ -36,7 +33,7 @@ each; the samples between grid rows are the noise-free outputs.
 
 A window keeps only its estimator grid unless the run is asked for every
 sample (`full`, which a full window record needs). Rows r, r + subsample,
-... of a full record are the grid products from Ad_a^r x_k, so the grid
+... of a full record are the grid products from Ad_z^r z_k, so the grid
 rows hold the same bits either way.
 """
 
@@ -50,17 +47,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import (DetectionReport, MeasurementWindow, detect_sequence, grid_stack,
-                        grid_step, require_equations)
+from .detection import (DetectionReport, MeasurementWindow, detect_sequence, free_outputs,
+                        grid_stack, grid_step, held_input, require_equations)
 from .errors import ConfigError, NumericalError
-from .linsys import DiscreteStateSpace, eig_sorted, expm, simulate
+from .linsys import eig_sorted, expm, hold_inputs
 from .probing import ProbingDesign, discretized, whole_steps
 from .ssbuild import ScenarioFamily
 from .util import doc_value, dump_json, integer, memo
-
-# the most multiply-adds one product of free_outputs may take: a
-# (40 x 18)(18 x 500) gemm, which OpenBLAS runs on the calling thread
-_GEMM_MAX = 40 * 18 * 500
 
 
 @dataclass(frozen=True)
@@ -157,77 +150,28 @@ def generate_sequence(config: ExperimentConfig) -> SwitchingSequence:
 def _window_response(config: ExperimentConfig, dmodels: tuple):
     """What every window of a run shares, built once per family and
     (ts, tau, tau0, probe channel, applied probe level): the frozen input
-    records u1_win and u2_win, the read-only (m, N+1, p) forced outputs
-    whose row a is f_a, and per scenario a the affine boundary map
-    x_{k+1} = M_a x_k + h_a of the module docstring, with M_a = hold_a Ad_a^N
-    and h_a = hold_a g_a."""
+    records u1_win and u2_win, and per scenario a the boundary matrix
+    diag(hold_a, I) Ad_z^N of the module docstring, stacked into one
+    read-only (m, n_z, n_z) array."""
     family = config.family
     steps = config.window_steps
+    n = family[0].n
 
     def build():
         u1_win = np.zeros((steps + 1, 3))
         u1_win[:steps, config.probe.channel] = config.applied_R
         u2_win = np.zeros((steps + 1, dmodels[0].Bd2.shape[1]))
-        forced, M, h = np.empty((len(family), steps + 1, dmodels[0].p)), {}, {}
-        for a in range(len(family)):
-            trace = simulate(dmodels[a], None, u1_win, u2_win, steps, record_states=True)
-            hold = expm(family[a].A * (config.tau - config.tau0))
-            forced[a] = trace.outputs
-            M[a] = hold @ np.linalg.matrix_power(dmodels[a].Ad, steps)
-            h[a] = hold @ trace.final_state
-            del trace
+        M = np.array([np.linalg.matrix_power(hold_inputs(d).Ad, steps) for d in dmodels])
+        for a, sc in enumerate(family):
+            M[a, :n] = expm(sc.A * (config.tau - config.tau0)) @ M[a, :n]
         # frozen, so every window of every run shares these arrays
-        for arr in (u1_win, u2_win, forced, *M.values(), *h.values()):
+        for arr in (u1_win, u2_win, M):
             arr.setflags(write=False)
-        return u1_win, u2_win, forced, M, h
+        return u1_win, u2_win, M
 
     key = ("window response", config.ts, config.tau, config.tau0,
            config.probe.channel, config.applied_R)
     return memo(family, key, build)
-
-
-def free_outputs(dmodel: DiscreteStateSpace, X0: np.ndarray, out, steps: int,
-                 subsample: int, full: bool = False) -> None:
-    """Write the unforced outputs y_j = C Ad^j x0 of a window of `steps` steps
-    from every row x0 of X0 into the matching C-contiguous array of `out`:
-    (rows, p) arrays of the estimator grid j = 0, subsample, 2 subsample,
-    ..., or with `full` (steps + 1, p) arrays of every j = 0..steps.
-
-    The grid rows are X0 times grid_stack's stack, the array detection
-    fits against, taken in its b = floor(sqrt(rows)) row blocks: one batched
-    product of (W, n)(n, b p) blocks and one more for the rows past the last
-    whole block. A batch whose products would exceed _GEMM_MAX multiply-adds
-    is taken in shares of fewer windows. Rows r, r + subsample, ... of a full
-    record are the same products from X0 (Ad^r)^T, so its every subsample-th
-    row is the grid record bit for bit.
-    """
-    X = np.array(X0, dtype=float, ndmin=2)
-    n, p = dmodel.n, dmodel.p
-    if X.shape != (len(out), n):
-        raise NumericalError(f"X0 must be ({len(out)}, {n}), got {X.shape}")
-    stack = grid_stack(dmodel, steps, subsample)
-    rows = len(stack) // p
-    kept = steps + 1 if full else rows
-    if any(y.shape != (kept, p) or not y.flags.c_contiguous for y in out):
-        raise NumericalError(f"every output array must be C-contiguous ({kept}, {p})")
-    b = math.isqrt(rows)
-    whole = rows // b * b * p
-    blocks = stack[:whole].reshape(-1, b * p, n).transpose(0, 2, 1)
-    tail = stack[whole:].T
-    share = max(1, _GEMM_MAX // (n * b * p))
-    stride = subsample if full else 1
-    for r in range(stride):
-        if r:
-            X = X @ dmodel.Ad.T
-        for lo in range(0, len(X), share):
-            S = X[lo:lo + share]
-            for y, head, end in zip(out[lo:lo + share], np.matmul(S, blocks).transpose(1, 0, 2),
-                                    S @ tail):
-                grid = np.empty(rows * p) if full else y.reshape(-1)
-                grid[:whole].reshape(head.shape)[...] = head
-                grid[whole:] = end
-                if full:
-                    y[r::stride] = grid.reshape(rows, p)[:(steps - r) // stride + 1]
 
 
 def run_experiment(config: ExperimentConfig, sequence: SwitchingSequence | None = None,
@@ -259,37 +203,37 @@ def run_experiment(config: ExperimentConfig, sequence: SwitchingSequence | None 
         scale = config.probe.mu0 if config.probe.mu0 > 0 else 1.0
         x *= scale / np.max(np.abs(x))
 
-    u1_win, u2_win, forced, M, h = _window_response(config, dmodels)
+    u1_win, u2_win, M = _window_response(config, dmodels)
     # the grid stacks outlive this run's arrays: built before them, they do
     # not sit between them on the heap and hold its top up
     for d in dmodels:
         grid_stack(d, config.window_steps, config.subsample)
 
-    boundaries = np.empty((config.K + 1, n))
-    boundaries[0] = x
+    # the held-input state at every boundary; its input part stays the same
+    Z = np.empty((config.K + 1, M.shape[1]))
+    Z[0] = np.concatenate([x, u1_win[0], u2_win[0]])
     for k, a in enumerate(sequence.alphas):
-        x = M[a] @ x + h[a]
-        if not np.all(np.isfinite(x)):
+        Z[k + 1] = M[a] @ Z[k]
+        if not np.all(np.isfinite(Z[k + 1])):
             raise NumericalError(
                 f"simulation diverged in interval {k} (scenario {a}); "
                 f"the scenario model is unstable")
-        boundaries[k + 1] = x
 
-    # the free part, one batched product per scenario over its windows, into
+    # every window one batched product per scenario over its windows, into
     # arrays the windows then own without a copy; all of them allocated
     # first, so the products' transients do not sit between them
+    grid_shape = (config.window_steps // config.subsample + 1, dmodels[0].p)
+    shape = (config.window_steps + 1, dmodels[0].p) if full else grid_shape
     stride = 1 if full else config.subsample
-    samples = [np.empty(forced[0, ::stride].shape) for _ in range(config.K)]
+    samples = [np.empty(shape) for _ in range(config.K)]
     alphas = np.asarray(sequence.alphas)
     for a in range(m):
         ks = np.flatnonzero(alphas == a)
-        free_outputs(dmodels[a], boundaries[ks], [samples[k] for k in ks],
+        free_outputs(dmodels[a], Z[ks], [samples[k] for k in ks],
                      config.window_steps, config.subsample, full)
 
-    grid_shape = forced[0, ::config.subsample].shape
     windows: list[MeasurementWindow] = []
-    for k, (a, y) in enumerate(zip(sequence.alphas, samples)):
-        y += forced[a, ::stride]
+    for k, y in enumerate(samples):
         if config.noise_sigma > 0:
             y[::config.subsample // stride] += (
                 config.noise_sigma * rng_noise.standard_normal(grid_shape))
@@ -298,10 +242,10 @@ def run_experiment(config: ExperimentConfig, sequence: SwitchingSequence | None 
             t_start=k * config.tau, ts=config.ts, samples=y,
             u1=u1_win, u2=u2_win, stride=stride))
 
-    report = detect_sequence(dmodels, windows, forced,
-                             truth=list(sequence.alphas), subsample=config.subsample)
+    report = detect_sequence(dmodels, windows, truth=list(sequence.alphas),
+                             subsample=config.subsample)
     return ExperimentResult(config=config, sequence=sequence, report=report,
-                            windows=tuple(windows), boundary_states=boundaries)
+                            windows=tuple(windows), boundary_states=Z[:, :n])
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +390,9 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
     The returned windows live on the recorded grid; detect them with
     subsample=1 against a family discretized at the recorded ts. A trace
     holds one input record: every window's u1 and u2 columns must equal
-    window 0's bit for bit, and all windows share one frozen u1 and one
-    frozen u2. meta.json's ts must be ts_simulated * stride_applied, and
+    window 0's bit for bit, all windows share one frozen u1 and one frozen
+    u2, and that record must hold its inputs as detection.held_input
+    requires. meta.json's ts must be ts_simulated * stride_applied, and
     every window must hold window_rows(tau0, ts) rows for meta.json's tau0
     and start at its entry of window_starts exactly (both are round-trips
     of one float, and the first t is t_start + ts * 0). With a probe,
@@ -521,8 +466,13 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
     u1, u2 = np.array(table[0, :, 1 + p:4 + p]), np.array(table[0, :, 4 + p:])
     u1.setflags(write=False)
     u2.setflags(write=False)
-    return [MeasurementWindow(t_start=arr[0, 0], ts=ts, samples=arr[:, 1:1 + p], u1=u1, u2=u2)
-            for arr in table]
+    windows = [MeasurementWindow(t_start=arr[0, 0], ts=ts, samples=arr[:, 1:1 + p], u1=u1, u2=u2)
+               for arr in table]
+    try:
+        held_input(windows[0])
+    except ConfigError as exc:
+        raise ConfigError(f"{path} {exc}") from exc
+    return windows
 
 
 def _npy_table(path, shape: tuple) -> np.ndarray:

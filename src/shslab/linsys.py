@@ -1,5 +1,12 @@
 """Numerical services on the assembled models: spectra, exact zero-order-hold
-discretization, and discrete-time response simulation."""
+discretization, and the held-input model every response is taken from.
+
+Every input shslab applies is held over a window, so a window's response is
+the free response of the model with its inputs held as extra states
+(hold_inputs): the response from x0 to inputs held at u1 and u2 is that of
+z = [x0; u1; u2]. detection.grid_stack keeps that model's observability
+stack per estimator grid, and detection.free_outputs forms responses as
+products with it; nothing steps through a window sample by sample."""
 
 from __future__ import annotations
 
@@ -34,20 +41,6 @@ class DiscreteStateSpace:
     @property
     def p(self) -> int:
         return self.C.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class ResponseTrace:
-    """Uniformly sampled outputs, and the states when they were recorded."""
-
-    outputs: np.ndarray            # (steps+1, p)
-    states: np.ndarray | None = None
-
-    @property
-    def final_state(self) -> np.ndarray:
-        if self.states is None:
-            raise NumericalError("trace was simulated without state recording")
-        return self.states[-1]
 
 
 def eig_sorted(A: np.ndarray) -> np.ndarray:
@@ -172,97 +165,20 @@ def discretize_zoh(model: StateSpaceModel, ts: float) -> DiscreteStateSpace:
                               C=model.C, ts=ts)
 
 
-def simulate(dmodel: DiscreteStateSpace, x0: np.ndarray,
-             u1: np.ndarray | None, u2: np.ndarray | None, steps: int,
-             record_states: bool = False) -> ResponseTrace:
-    """Propagate x_{k+1} = Ad x_k + Bd1 u1_k + Bd2 u2_k for k = 0..steps-1 and
-    record y_k = C x_k at k = 0..steps.
+def hold_inputs(dmodel: DiscreteStateSpace) -> DiscreteStateSpace:
+    """The model with its inputs held as states, z = [x; u1; u2]: Ad_z =
+    [[Ad, Bd1, Bd2], [0, I]] and C_z = [C, 0], with no inputs of its own.
 
-    Input arrays need at least `steps` rows; a row `steps` is never used, so
-    a missing one is treated as zero, and rows past `steps` are ignored.
-
-    The recursion is evaluated exactly (up to round-off) in blocks of
-    b = floor(sqrt(steps+1)) samples rather than one sample at a time. The
-    samples sit position-major in one zero-padded array: slab j holds
-    [x_k, u1_k, u2_k] for sample k = i*b + j of every block i, so
-    x_{k+1} = [Ad Bd1 Bd2] [x_k; u1_k; u2_k] advances all blocks at once with
-    one product of a contiguous slab. Pass 1 runs that recursion inside
-    every block from a zero carry-in (b-1 slab products). The true last state
-    of each block then follows from the previous one through Ad^b (one
-    n-vector product per block), and pass 2 adds each block's carry-in,
-    propagated by Ad^1..Ad^b, and forms the outputs (2b slab products). That
-    is about 3 sqrt(steps) Python iterations.
-
-    Each product has about sqrt(steps) rows. At the window lengths used here
-    (10^4 steps) that is small enough for OpenBLAS to run it on the calling
-    thread; a few large products per call instead wake its worker threads,
-    and on a loaded host waiting for them made call times spread widely.
-    """
+    Its free response from z0 = [x0; u1; u2] is the model's response from x0
+    to inputs held at u1 and u2, so the last 3 + q columns of its
+    observability stack are the forced responses to unit held inputs. It is
+    the augmented matrix discretize_zoh exponentiates, one level up (Van
+    Loan, IEEE TAC 23(3), 1978)."""
     n = dmodel.n
-    q = dmodel.Bd2.shape[1]
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (n,):
-        raise NumericalError(f"x0 must have length {n}, got {x.shape}")
-
-    def prep(u, cols, name):
-        if u is None:
-            return np.zeros((steps + 1, cols))
-        u = np.asarray(u, dtype=float)
-        if u.ndim != 2 or u.shape[1] != cols:
-            raise NumericalError(f"{name} must be (steps, {cols}), got {u.shape}")
-        if u.shape[0] < steps:
-            raise NumericalError(f"{name} has {u.shape[0]} rows, need >= {steps}")
-        if u.shape[0] == steps:
-            u = np.vstack([u, np.zeros(cols)])
-        return u
-
-    U1 = prep(u1, 3, "u1")
-    U2 = prep(u2, q, "u2")
-
-    rows = steps + 1
-    b = math.isqrt(rows)
-    nb = -(-rows // b)
-    m = 3 + q
-
-    # Z[j, i] = [x_k, u1_k, u2_k] for sample k = i*b + j, zero-padded
-    Z = np.zeros((b, nb, n + m))
-    by_block = Z.transpose(1, 0, 2)
-    last = rows - (nb - 1) * b
-    for cols, U in ((slice(n, n + 3), U1), (slice(n + 3, n + m), U2)):
-        by_block[:-1, :, cols] = U[:(nb - 1) * b].reshape(nb - 1, b, U.shape[1])
-        by_block[-1, :last, cols] = U[(nb - 1) * b:rows]
-    step_map = np.vstack([dmodel.Ad.T, dmodel.Bd1.T, dmodel.Bd2.T])
-
-    # pass 1: the recursion inside every block at once, zero carry-in
-    Z[0, 0, :n] = x
-    np.matmul(Z[-1, :-1, n:], step_map[n:], out=Z[0, 1:, :n])
-    for j in range(1, b):
-        np.matmul(Z[j - 1], step_map, out=Z[j, :, :n])
-
-    # chain the blocks' true last states through Ad^b
-    AdT = dmodel.Ad.T
-    if nb > 1:
-        AdT_b = np.linalg.matrix_power(AdT, b)
-        carry = np.empty((nb - 1, n))
-        carry[0] = Z[-1, 0, :n]
-        for i in range(1, nb - 1):
-            carry[i] = Z[-1, i, :n] + carry[i - 1] @ AdT_b
-
-    # pass 2: add each block's carry-in, then take the outputs slab by slab
-    Y = np.empty((b, nb, dmodel.p))
-    for j in range(b):
-        if nb > 1:
-            carry = carry @ AdT
-            Z[j, 1:, :n] += carry
-        np.matmul(Z[j, :, :n], dmodel.C.T, out=Y[j])
-    ys = Y.transpose(1, 0, 2).reshape(-1, dmodel.p)[:rows]
-    X = by_block[:, :, :n].reshape(-1, n)[:rows] if record_states else None
-    return ResponseTrace(outputs=ys, states=X)
-
-
-def step_response(dmodel: DiscreteStateSpace, channel: int, steps: int) -> ResponseTrace:
-    """Zero-initial response to a unit step on one u1 channel, active over
-    [0, steps*ts)."""
-    u1 = np.zeros((steps + 1, 3))
-    u1[:steps, channel] = 1.0
-    return simulate(dmodel, None, u1, None, steps)
+    B = np.hstack([dmodel.Bd1, dmodel.Bd2])
+    Ad = np.eye(n + B.shape[1])
+    Ad[:n, :n] = dmodel.Ad
+    Ad[:n, n:] = B
+    C = np.hstack([dmodel.C, np.zeros((dmodel.p, B.shape[1]))])
+    none = np.zeros((len(Ad), 0))
+    return DiscreteStateSpace(Ad=Ad, Bd1=none, Bd2=none, C=C, ts=dmodel.ts)

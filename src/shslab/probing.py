@@ -16,12 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .detection import free_outputs
 from .errors import ConfigError, NumericalError
-from .linsys import discretize_zoh, eigenvalues, step_response
+from .linsys import discretize_zoh, eigenvalues
 from .ssbuild import ScenarioFamily, StateSpaceModel
 from .util import doc_value, integer, memo
 
 CHANNELS = ("d", "delta", "m_a")
+# the estimator grid whose stacks delta_min's responses are formed from:
+# detection's default, so a run at that grid reuses them
+_STACK_GRID = 10
 
 
 def channel_index(channel) -> int:
@@ -154,8 +158,13 @@ def compute_delta_min(family: ScenarioFamily, channel, tau0: float,
     ch = channel_index(channel)
     steps = whole_steps("tau0", tau0, ts)
 
-    aggregates = [step_response(dm, ch, steps).outputs.sum(axis=1)
-                  for dm in discretized(family, ts)]
+    aggregates = []
+    for dm in discretized(family, ts):
+        unit = np.zeros(dm.n + 3 + dm.Bd2.shape[1])
+        unit[dm.n + ch] = 1.0
+        y = np.empty((steps + 1, dm.p))
+        free_outputs(dm, unit, [y], steps, _STACK_GRID, full=True)
+        aggregates.append(y.sum(axis=1))
 
     gaps: dict[tuple[int, int], float] = {}
     for i in range(len(family)):

@@ -2,32 +2,33 @@
 
 These are deliberately separate implementations from the package: a classic
 fixed-step RK4 integrator, an implicit-trapezoid integrator, a per-sample
-discrete-time recursion, a central finite-difference Jacobian, an
-incidence-matrix builder, the segment element equations written out
-directly, the column-by-column window table that windows.npy must hold,
-the per-row observability stack, the per-window switched-truth loop and
-the per-scenario window fits. Apart from the last two they never call into
-shslab's discretization, simulation or stamping code paths; the element
-equations share only the state layout. The truth loop runs shslab's
-`simulate` once per window, which `loop_simulate` checks in its own test,
-so it shares nothing with the truth's free response, which
-`experiment.free_outputs` takes from detection's stored grid stack. The
-per-scenario fits take their factors from shslab's `observability_stack`
-and `_factor` and differ from the package only in how the window data meet
-them: one (rows, windows) free matrix and one pass of rotations per
-scenario, the arithmetic detection is held to bit for bit. They simulate
-the forced responses of window 0's input records themselves, so they do
-not go through `detection.forced_responses`.
+discrete-time recursion and the blocked one the package once ran
+(`simulate`), a central finite-difference Jacobian, an incidence-matrix
+builder, the segment element equations written out directly, the
+column-by-column window table that windows.npy must hold, the per-row
+observability stack, the per-window switched-truth loop and the
+per-scenario window fits. Apart from the last two they never call into
+shslab's discretization, response or stamping code paths; the element
+equations share only the state layout. The truth loop runs `simulate` once
+per window, which its own tests hold to `loop_simulate`, so it shares
+nothing with the truth, which `detection.free_outputs` forms from
+detection's stored held-input grid stack. The per-scenario fits take their
+factors from shslab's `observability_stack` of `hold_inputs` and `_factor`,
+and their forced responses from that stack's input columns, as the package
+does, and differ from it only in how the window data meet them: one
+(rows, windows) sample matrix and one pass of rotations per scenario, the
+arithmetic detection is held to bit for bit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from shslab.detection import (_QR_ROWS, _check_window, _factor, forced_outputs,
+from shslab.detection import (_QR_ROWS, _check_window, _factor, held_input,
                               observability_stack)
-from shslab.errors import ConfigError
-from shslab.linsys import simulate
+from shslab.errors import ConfigError, NumericalError
+from shslab.linsys import hold_inputs
 from shslab.ssbuild import _Index  # state layout only, no coefficients
 
 
@@ -136,6 +137,100 @@ def loop_simulate(Ad, Bd1, Bd2, C, x0, u1, u2, steps):
         if k < steps:
             x = (Ad @ x.T).T + Bd1 @ U1[k] + Bd2 @ U2[k]
     return xs, ys
+
+
+@dataclass(frozen=True, eq=False)
+class ResponseTrace:
+    """Uniformly sampled outputs, and the states when they were recorded."""
+
+    outputs: np.ndarray            # (steps+1, p)
+    states: np.ndarray | None = None
+
+    @property
+    def final_state(self) -> np.ndarray:
+        if self.states is None:
+            raise NumericalError("trace was simulated without state recording")
+        return self.states[-1]
+
+
+def simulate(dmodel, x0, u1, u2, steps, record_states=False) -> ResponseTrace:
+    """Propagate x_{k+1} = Ad x_k + Bd1 u1_k + Bd2 u2_k for k = 0..steps-1 and
+    record y_k = C x_k at k = 0..steps, for inputs of any shape in time.
+
+    Input arrays need at least `steps` rows; a row `steps` is never used, so
+    a missing one is treated as zero, and rows past `steps` are ignored.
+
+    The recursion is evaluated exactly (up to round-off) in blocks of
+    b = floor(sqrt(steps+1)) samples rather than one sample at a time. The
+    samples sit position-major in one zero-padded array: slab j holds
+    [x_k, u1_k, u2_k] for sample k = i*b + j of every block i, so
+    x_{k+1} = [Ad Bd1 Bd2] [x_k; u1_k; u2_k] advances all blocks at once with
+    one product of a contiguous slab. Pass 1 runs that recursion inside
+    every block from a zero carry-in (b-1 slab products). The true last state
+    of each block then follows from the previous one through Ad^b (one
+    n-vector product per block), and pass 2 adds each block's carry-in,
+    propagated by Ad^1..Ad^b, and forms the outputs (2b slab products).
+    """
+    n = dmodel.n
+    q = dmodel.Bd2.shape[1]
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    if x.shape != (n,):
+        raise NumericalError(f"x0 must have length {n}, got {x.shape}")
+
+    def prep(u, cols, name):
+        if u is None:
+            return np.zeros((steps + 1, cols))
+        u = np.asarray(u, dtype=float)
+        if u.ndim != 2 or u.shape[1] != cols:
+            raise NumericalError(f"{name} must be (steps, {cols}), got {u.shape}")
+        if u.shape[0] < steps:
+            raise NumericalError(f"{name} has {u.shape[0]} rows, need >= {steps}")
+        if u.shape[0] == steps:
+            u = np.vstack([u, np.zeros(cols)])
+        return u
+
+    U1 = prep(u1, 3, "u1")
+    U2 = prep(u2, q, "u2")
+
+    rows = steps + 1
+    b = math.isqrt(rows)
+    nb = -(-rows // b)
+    m = 3 + q
+
+    # Z[j, i] = [x_k, u1_k, u2_k] for sample k = i*b + j, zero-padded
+    Z = np.zeros((b, nb, n + m))
+    by_block = Z.transpose(1, 0, 2)
+    last = rows - (nb - 1) * b
+    for cols, U in ((slice(n, n + 3), U1), (slice(n + 3, n + m), U2)):
+        by_block[:-1, :, cols] = U[:(nb - 1) * b].reshape(nb - 1, b, U.shape[1])
+        by_block[-1, :last, cols] = U[(nb - 1) * b:rows]
+    step_map = np.vstack([dmodel.Ad.T, dmodel.Bd1.T, dmodel.Bd2.T])
+
+    # pass 1: the recursion inside every block at once, zero carry-in
+    Z[0, 0, :n] = x
+    np.matmul(Z[-1, :-1, n:], step_map[n:], out=Z[0, 1:, :n])
+    for j in range(1, b):
+        np.matmul(Z[j - 1], step_map, out=Z[j, :, :n])
+
+    # chain the blocks' true last states through Ad^b
+    AdT = dmodel.Ad.T
+    if nb > 1:
+        AdT_b = np.linalg.matrix_power(AdT, b)
+        carry = np.empty((nb - 1, n))
+        carry[0] = Z[-1, 0, :n]
+        for i in range(1, nb - 1):
+            carry[i] = Z[-1, i, :n] + carry[i - 1] @ AdT_b
+
+    # pass 2: add each block's carry-in, then take the outputs slab by slab
+    Y = np.empty((b, nb, dmodel.p))
+    for j in range(b):
+        if nb > 1:
+            carry = carry @ AdT
+            Z[j, 1:, :n] += carry
+        np.matmul(Z[j, :, :n], dmodel.C.T, out=Y[j])
+    ys = Y.transpose(1, 0, 2).reshape(-1, dmodel.p)[:rows]
+    X = by_block[:, :, :n].reshape(-1, n)[:rows] if record_states else None
+    return ResponseTrace(outputs=ys, states=X)
 
 
 def fault_drain(R, L, R_f, omega):
@@ -302,35 +397,42 @@ def loop_observability_stack(dmodel, steps, subsample=1):
     return blocks.reshape(idx.size * dmodel.p, dmodel.n)
 
 
-def loop_free_outputs(windows, forced, subsample):
-    """(rows, windows) matrix of the strided samples of windows that share
-    their input records, with those records' forced response removed."""
+def loop_samples(windows, subsample):
+    """(rows, windows) matrix of the strided samples of windows of one
+    length, filled one window at a time."""
     if subsample < 1:
         raise ConfigError(f"subsample must be >= 1, got {subsample}")
-    # filled in place from strided views
-    forced = forced[::subsample]
-    free = np.empty((len(windows),) + forced.shape)
+    out = np.empty((len(windows),) + windows[0].samples[::subsample].shape)
     for k, window in enumerate(windows):
-        np.subtract(window.samples[::subsample], forced, out=free[k])
-    return free.reshape(len(windows), -1).T
+        out[k] = window.samples[::subsample]
+    return out.reshape(len(windows), -1).T
 
 
-def loop_fit(factor, free):
-    """Least-squares window-start states for every column of `free` and the
-    attained residual norms against one factor from shslab's _factor: the
-    stored rotations applied chunk by chunk, lstsq on the triangle at the
-    full-stack rank cut, residuals against the full stack."""
+def held_factor(model, steps, subsample):
+    """_factor of a fresh held-input stack of `model`."""
+    return _factor(observability_stack(hold_inputs(model), steps, subsample), model.n)
+
+
+def loop_fit(factor, held, samples):
+    """Least-squares window-start states for every column of `samples`,
+    windows that hold the inputs `held`, and the attained residual norms
+    against one factor from shslab's _factor of a held-input stack [O | S]:
+    the forced response S held removed, the stored rotations applied chunk
+    by chunk, lstsq on the triangle at the full-stack rank cut, residuals of
+    the full stack's response [O | S] [x0; held]."""
     stack, qs, tri = factor
-    rows, n = stack.shape
+    rows, n = stack.shape[0], tri.shape[1]
+    free = samples - (stack[:, n:] @ held)[:, None]
     chunks = range(0, rows, _QR_ROWS)
     rhs = np.empty((0, free.shape[1]))
     for lo, q in zip(chunks, qs):
         rhs = q.T @ np.vstack([rhs, free[lo:lo + _QR_ROWS]])
     x0_hat, _, _, _ = np.linalg.lstsq(tri, rhs, rcond=np.finfo(float).eps * max(rows, n))
+    z_hat = np.vstack([x0_hat, np.tile(held[:, None], free.shape[1])])
     squares = np.zeros(free.shape[1])
     for lo in chunks:
-        misfit = stack[lo:lo + _QR_ROWS] @ x0_hat
-        misfit -= free[lo:lo + _QR_ROWS]
+        misfit = stack[lo:lo + _QR_ROWS] @ z_hat
+        misfit -= samples[lo:lo + _QR_ROWS]
         squares += np.einsum("ij,ij->j", misfit, misfit)
     return x0_hat, np.sqrt(squares)
 
@@ -338,14 +440,14 @@ def loop_fit(factor, free):
 def loop_detect(models, windows, subsample):
     """Per window, the (m,) residuals and (m, n) states of every scenario's
     fit, one scenario at a time, for windows that share window 0's input
-    records and its forced responses, simulated from it."""
+    records and the forced responses to the inputs it holds."""
+    held = held_input(windows[0])
     per_model = []
     for model in models:
         for window in windows:
             _check_window(model, window)
-        factor = _factor(observability_stack(model, windows[0].steps, subsample))
-        per_model.append(loop_fit(factor, loop_free_outputs(
-            windows, forced_outputs(model, windows[0]), subsample)))
+        per_model.append(loop_fit(held_factor(model, windows[0].steps, subsample), held,
+                                  loop_samples(windows, subsample)))
     x0_hat = np.stack([x for x, _ in per_model])
     residuals = np.stack([r for _, r in per_model])
     return [(residuals[:, col], x0_hat[:, :, col]) for col in range(len(windows))]

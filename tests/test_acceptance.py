@@ -8,11 +8,11 @@ production grid: tau = 0.6 s, tau0 = 10 ms, ts = 1 us, estimator stride 10.
 import numpy as np
 
 from conftest import PAPER_TAU0, PAPER_TS, bare_line_segment, two_load_bus_segment
-from oracles import fd_jacobian, rk4_lti, segment_rhs
-from shslab.detection import estimate_initial_state, observability_stack, sample_indices
-from shslab.detection import MeasurementWindow
+from oracles import fd_jacobian, rk4_lti, segment_rhs, simulate
+from shslab.detection import (MeasurementWindow, estimate_initial_state, free_outputs,
+                              observability_stack, sample_indices)
 from shslab.experiment import ExperimentConfig, run_experiment
-from shslab.linsys import discretize_zoh, eigenvalues, simulate
+from shslab.linsys import discretize_zoh, eigenvalues
 from shslab.probing import ProbingDesign, compute_delta_min
 from shslab.ssbuild import ContingencySpec, build_state_space
 
@@ -102,8 +102,17 @@ def test_criterion_6b_zoh_vs_rk4(m1_family, m1_probe):
                   PAPER_TS / 2, 2 * steps)[::2]
     rel = float(np.max(np.abs(trace.states - ref)) / np.abs(ref).max())
     assert rel <= 1e-6
+    # the response engine's full record, from the held-input state [0; R e_1; 0]
+    z0 = np.zeros(model.n + 3 + model.B2.shape[1])
+    z0[model.n + 1] = m1_probe.R
+    y = np.empty((steps + 1, model.p))
+    free_outputs(d, z0, [y], steps, SUBSAMPLE, full=True)
+    y_ref = ref @ model.C.T
+    rel_y = float(np.max(np.abs(y - y_ref)) / np.abs(y_ref).max())
+    assert rel_y <= 1e-6
     _ok(6, f"(b) exact-hold simulation vs fine-step RK4 over the 10 ms window: "
-           f"relative error {rel:.2e} <= 1e-6")
+           f"relative error {rel:.2e} <= 1e-6 in the states, {rel_y:.2e} <= 1e-6 in "
+           f"the response engine's outputs")
 
 
 def test_criterion_6c_semigroup(m1_family):

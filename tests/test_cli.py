@@ -407,6 +407,22 @@ def test_detect_second_input_record_exits_2(recorded, tmp_path, capsys, probe):
     assert not (tmp_path / "replay.json").exists()
 
 
+def _stepped_u1(table):
+    # every window's u1 probe column (after t and the 5 outputs) changes at
+    # row 40, so the windows still share one record, but its inputs are not held
+    table[:, 40:-1, 7] *= 2.0
+    return table
+
+
+@pytest.mark.parametrize("probe", [False, True], ids=["no-probe", "probe"])
+def test_detect_inputs_not_held_exits_2(recorded, tmp_path, capsys, probe):
+    assert _replay(recorded, tmp_path, edit=_npy_edit(_stepped_u1), probe=probe) == 2
+    err = capsys.readouterr().err
+    assert (f"{tmp_path / 'run' / 'windows' / 'windows.npy'} window 0: its u1 record "
+            f"changes at row 40; inputs must be held over rows 0..99") in err
+    assert not (tmp_path / "replay.json").exists()
+
+
 def test_detect_without_truth_prints_plain_ints(recorded, tmp_path, capsys):
     # a list of numpy integers would print as [np.int64(3), ...] under numpy 2
     assert main(["detect", "--family", str(recorded / "matrices.json"), "--segment", "1",

@@ -6,12 +6,14 @@ import pytest
 
 import shslab.detection as detection
 from conftest import PAPER_TS, bits, make_model
-from oracles import loop_detect, loop_fit, loop_free_outputs, loop_observability_stack
+from oracles import (held_factor, loop_detect, loop_fit, loop_observability_stack,
+                     loop_samples, simulate)
 from shslab.detection import (DetectionReport, MeasurementWindow, detect_sequence,
-                              estimate_initial_state, forced_outputs, forced_responses,
+                              estimate_initial_state, grid_stack, held_input,
                               observability_stack, sample_indices)
 from shslab.errors import ConfigError, NumericalError
-from shslab.linsys import discretize_zoh, simulate
+from shslab.linsys import discretize_zoh
+from shslab.util import _MEMO
 
 TS = 1e-5
 STEPS = 500  # 5 ms window on the coarse test grid
@@ -33,13 +35,16 @@ def probe_window(dmodel, x0, magnitude, channel=1, steps=STEPS, noise=None):
 
 
 def detect(models, windows, **kwargs):
-    """detect_sequence on the forced responses forced_responses simulates for
-    window 0's input record, which every window must share."""
+    """detect_sequence on windows that share window 0's input record."""
     for window in windows:
         assert np.array_equal(bits(window.u1), bits(windows[0].u1))
         assert np.array_equal(bits(window.u2), bits(windows[0].u2))
-    forced = forced_responses(models, windows[0]) if windows else None
-    return detect_sequence(models, windows, forced, **kwargs)
+    return detect_sequence(models, windows, **kwargs)
+
+
+def forced_outputs(dmodel, window):
+    """The oracle's forced response of `dmodel` to the window's input records."""
+    return simulate(dmodel, None, window.u1, window.u2, window.steps).outputs
 
 
 def observable_projector(G, rtol=1e-6):
@@ -213,7 +218,7 @@ def test_report_verdicts_are_read_only_rows_of_the_table():
             verdict.residuals[0] = 1.0
 
 
-def test_grouped_detection_matches_per_window_fits(dmodels, m1_probe, monkeypatch):
+def test_grouped_detection_matches_per_window_fits(dmodels, m1_probe):
     # two input records (probe on, probe off) and two lengths, one call per
     # record and length; scenario 2 (line outage) has a rank-deficient stack
     rng = np.random.default_rng(31)
@@ -228,14 +233,9 @@ def test_grouped_detection_matches_per_window_fits(dmodels, m1_probe, monkeypatc
     records = {}
     for entry, window in zip(plan, windows):
         records.setdefault(entry[1:3], []).append((entry, window))
-    calls = []
-    original = detection.forced_outputs
-    monkeypatch.setattr(detection, "forced_outputs",
-                        lambda d, w: calls.append(w) or original(d, w))
     reports = [detect(dmodels, [w for _, w in group], subsample=SUB)
                for group in records.values()]
-    monkeypatch.undo()
-    assert len(records) == 4 and len(calls) == len(records) * len(dmodels)
+    assert len(records) == 4
 
     fitted = [(entry, window, verdict) for group, report in zip(records.values(), reports)
               for (entry, window), verdict in zip(group, report.verdicts)]
@@ -398,12 +398,10 @@ def test_fits_read_the_estimator_grid_of_a_strided_window(dmodels, m1_probe):
 
 
 def test_forced_outputs_take_u2_through_the_state(dmodels):
+    # the stack's u2 columns, summed: the forced response to u2 held at ones
     d = dmodels[0]
     steps = 20
-    u2 = np.ones((steps + 1, 2))
-    window = MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((steps + 1, 5)),
-                               u1=np.zeros((steps + 1, 3)), u2=u2)
-    forced = forced_outputs(d, window)
+    forced = grid_stack(d, steps, 1)[:, d.n + 3:].sum(axis=1).reshape(steps + 1, d.p)
     # at k=0 the state is zero and outputs are states: no feedthrough
     assert np.array_equal(forced[0], np.zeros(5))
     assert np.all(forced[-1, :2] != 0.0)  # u2 reached v_dc and i_t_q by then
@@ -435,25 +433,12 @@ def test_observability_stack_matches_loop_oracle(m1_family, ts, steps, subsample
             assert np.linalg.matrix_rank(got) == rank
 
 
-def test_forced_entry_of_wrong_shape_rejected(dmodels, m1_probe):
-    windows = [probe_window(dmodels[0], np.zeros(18), m1_probe.R) for _ in range(2)]
-    forced = forced_responses(dmodels, windows[0])
-    assert not forced.flags.writeable
-    for d, response in zip(dmodels, forced):
-        assert np.array_equal(bits(response), bits(forced_outputs(d, windows[0])))
-    # one entry per window, as detect_sequence once took them, is refused too
-    for wrong in (forced[:, :-1], forced[:-1], [forced, forced]):
-        with pytest.raises(ConfigError, match=re.escape(
-                f"forced responses are {np.shape(wrong)}, expected (4, 501, 5)")):
-            detect_sequence(dmodels, windows, wrong, subsample=SUB)
-
-
 def test_detect_sequence_rejects_two_window_lengths(dmodels, m1_probe):
     long = probe_window(dmodels[0], np.zeros(18), m1_probe.R)
     short = probe_window(dmodels[1], np.zeros(18), m1_probe.R, steps=300)
     with pytest.raises(ConfigError, match=re.escape(
             "window 1 has 300 steps, window 0 has 500; one call fits windows of one length")):
-        detect_sequence(dmodels, [long, short], forced_responses(dmodels, long), subsample=SUB)
+        detect_sequence(dmodels, [long, short], subsample=SUB)
 
 
 def _signed_zero(record):
@@ -471,12 +456,11 @@ def test_detect_sequence_rejects_a_second_input_record(dmodels, m1_probe, name, 
     # an equal copy of window 0's records is compared, not refused
     copy = dataclasses.replace(on, u1=np.array(on.u1), u2=np.array(on.u2))
     other = dataclasses.replace(on, **edit(on))
-    forced = forced_responses(dmodels, on)
-    assert len(detect_sequence(dmodels, [on, copy], forced, subsample=SUB).detected) == 2
+    assert len(detect_sequence(dmodels, [on, copy], subsample=SUB).detected) == 2
     with pytest.raises(ConfigError, match=re.escape(
             f"window 2: its {name} record differs from window 0's; "
             f"one call fits windows that share one input record")):
-        detect_sequence(dmodels, [on, copy, other], forced, subsample=SUB)
+        detect_sequence(dmodels, [on, copy, other], subsample=SUB)
 
 
 def test_detect_sequence_needs_more_equations_than_states(dmodels, m1_probe):
@@ -578,8 +562,52 @@ def test_estimate_initial_state_bitwise_per_scenario_fit(paper_grid_windows, sub
     for window in records[True][:2] + records[False][:2]:
         for d in models:
             x0_hat, residual = estimate_initial_state(d, window, subsample=subsample)
-            factor = detection._factor(observability_stack(d, window.steps, subsample))
-            x_ref, r_ref = loop_fit(factor, loop_free_outputs(
-                [window], forced_outputs(d, window), subsample))
+            x_ref, r_ref = loop_fit(held_factor(d, window.steps, subsample),
+                                    held_input(window), loop_samples([window], subsample))
             assert np.array_equal(bits(x0_hat), bits(x_ref[:, 0]))
             assert np.array_equal(bits(residual), bits(r_ref[0]))
+
+
+@pytest.mark.parametrize("subsample", [1, 3])
+@pytest.mark.parametrize("steps", [-1, -5])
+def test_observability_stack_refuses_negative_steps(dmodels, steps, subsample):
+    with pytest.raises(ConfigError, match=re.escape(f"a window needs steps >= 0, got {steps}")):
+        observability_stack(dmodels[0], steps, subsample)
+
+
+@pytest.mark.parametrize("name", ["u1", "u2"])
+def test_inputs_not_held_over_the_window_are_refused(dmodels, m1_probe, name):
+    # the probe record with its level changed from row 7 on, and a u2 record
+    # that starts at row 7; row N only pads the record and may differ
+    on = probe_window(dmodels[0], np.zeros(18), m1_probe.R)
+    record = np.array(getattr(on, name))
+    record[7:STEPS, 0] += 0.5
+    stepped = dataclasses.replace(on, **{name: record})
+    message = re.escape(f"window 0: its {name} record changes at row 7; "
+                        f"inputs must be held over rows 0..{STEPS - 1}")
+    with pytest.raises(ConfigError, match=message):
+        detect_sequence(dmodels, [stepped], subsample=SUB)
+    with pytest.raises(ConfigError, match=message):
+        estimate_initial_state(dmodels[0], stepped, subsample=SUB)
+    padded = np.array(getattr(on, name))
+    padded[STEPS] = 9.0
+    assert np.array_equal(held_input(dataclasses.replace(on, **{name: padded})),
+                          held_input(on))
+
+
+def test_estimate_initial_state_stays_cold(m1_family, m1_probe, monkeypatch):
+    # every call builds one stack of the held-input model and stores nothing
+    calls = []
+    original = detection.observability_stack
+
+    def counted(dmodel, steps, subsample=1):
+        calls.append((dmodel.n, steps, subsample))
+        return original(dmodel, steps, subsample)
+    monkeypatch.setattr(detection, "observability_stack", counted)
+    d = discretize_zoh(m1_family[1], TS)
+    window = probe_window(d, np.ones(18), m1_probe.R)
+    first = estimate_initial_state(d, window, subsample=SUB)
+    second = estimate_initial_state(d, window, subsample=SUB)
+    assert calls == [(23, STEPS, SUB)] * 2
+    assert not _MEMO.get(d)
+    assert np.array_equal(bits(first[0]), bits(second[0])) and first[1] == second[1]

@@ -9,16 +9,16 @@ import numpy as np
 import pytest
 
 from conftest import bits, make_family, make_model
-from oracles import loop_truth, window_table
+from oracles import loop_truth, simulate, window_table
 import shslab.detection as detection
 import shslab.experiment as experiment
 import shslab.probing as probing
-from shslab.detection import MeasurementWindow, detect_sequence, forced_outputs, forced_responses
+from shslab.detection import MeasurementWindow, detect_sequence
 from shslab.errors import ConfigError, NumericalError
 from shslab.experiment import (ExperimentConfig, SwitchingSequence, eigen_report,
                                generate_sequence, read_windows, run_experiment,
                                write_outputs)
-from shslab.linsys import discretize_zoh, expm, simulate
+from shslab.linsys import discretize_zoh, expm
 from shslab.probing import ProbingDesign
 from shslab.ssbuild import build_family
 from shslab.util import _MEMO
@@ -152,29 +152,21 @@ TRUTH_CASES = [(probe, x0, sigma, None) for probe in (True, False)
 
 @pytest.mark.parametrize("probe_on, x0_mode, sigma, alphas", TRUTH_CASES)
 def test_truth_matches_per_window_oracle(m1_family, coarse_probe, probe_on, x0_mode,
-                                         sigma, alphas, monkeypatch):
+                                         sigma, alphas):
     K = 6 if alphas is None else len(alphas)
     cfg = config(m1_family, coarse_probe, K=K, seed=4, x0_mode=x0_mode,
                  noise_sigma=sigma, probe_override_R=None if probe_on else 0.0)
-    # detection discounts the truth's forced responses instead of simulating
-    # them again, also for a scenario the sequence never visits
-    calls = []
-    monkeypatch.setattr(detection, "forced_outputs",
-                        lambda d, w: calls.append(w) or forced_outputs(d, w))
     result = run_experiment(cfg, None if alphas is None else SwitchingSequence(alphas),
                             full=True)
-    monkeypatch.undo()
-    assert calls == []
     samples = assert_truth_matches_oracle(result)
     oracle_windows = [dataclasses.replace(w, samples=y)
                       for w, y in zip(result.windows, samples)]
     dmodels = [discretize_zoh(sc, TS) for sc in m1_family]
-    oracle = detect_sequence(dmodels, oracle_windows,
-                             forced_responses(dmodels, oracle_windows[0]), subsample=SUB)
+    oracle = detect_sequence(dmodels, oracle_windows, subsample=SUB)
     assert result.report.detected == oracle.detected
-    simulated = detect_sequence(dmodels, list(result.windows),
-                                forced_responses(dmodels, result.windows[0]), subsample=SUB)
-    for got, ref in zip(result.report.verdicts, simulated.verdicts):
+    # the run's own report is a fit on fresh models of the same windows
+    fresh = detect_sequence(dmodels, list(result.windows), subsample=SUB)
+    for got, ref in zip(result.report.verdicts, fresh.verdicts):
         assert np.array_equal(got.residuals, ref.residuals)
     if not probe_on and x0_mode == "zero" and sigma == 0.0:
         # the passive premise: nothing excites the system, every sample is zero
@@ -651,7 +643,7 @@ def test_interleaved_runs_on_one_family_match_fresh_families(
 
 
 def test_warm_run_does_no_cold_work(fresh_family, coarse_probe, monkeypatch):
-    calls = {"simulate": 0, "discretize_zoh": 0, "observability_stack": 0}
+    calls = {"matrix_power": 0, "discretize_zoh": 0, "observability_stack": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -661,18 +653,21 @@ def test_warm_run_does_no_cold_work(fresh_family, coarse_probe, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    for module, name in ((experiment, "simulate"), (detection, "simulate"),
+    # the boundary matrices' Ad_z^N, one matrix_power per scenario
+    for module, name in ((experiment.np.linalg, "matrix_power"),
                          (probing, "discretize_zoh"), (detection, "observability_stack")):
         counted(module, name)
     run_experiment(config(fresh_family, coarse_probe, seed=1))
-    assert calls == {"simulate": 4, "discretize_zoh": 4, "observability_stack": 4}
+    # each stack takes matrix_power twice, for P and for P^b
+    assert calls == {"matrix_power": 4 + 2 * 4, "discretize_zoh": 4, "observability_stack": 4}
     calls.update(dict.fromkeys(calls, 0))
     run_experiment(config(fresh_family, coarse_probe, seed=2, x0_mode="random",
                           noise_sigma=1e-3))
-    assert calls == {"simulate": 0, "discretize_zoh": 0, "observability_stack": 0}
-    # another probe record needs its own forced responses, nothing else
+    assert calls == {"matrix_power": 0, "discretize_zoh": 0, "observability_stack": 0}
+    # another probe record needs its own boundary matrices, nothing else:
+    # the stacks do not depend on the inputs' levels
     run_experiment(config(fresh_family, coarse_probe, seed=3, probe_override_R=0.0))
-    assert calls == {"simulate": 4, "discretize_zoh": 0, "observability_stack": 0}
+    assert calls == {"matrix_power": 4, "discretize_zoh": 0, "observability_stack": 0}
 
 
 def test_truth_and_fit_share_one_stack(fresh_family, seg1, m1_contingencies, coarse_probe,
@@ -681,15 +676,15 @@ def test_truth_and_fit_share_one_stack(fresh_family, seg1, m1_contingencies, coa
     original = detection.observability_stack
 
     def counted(dmodel, steps, subsample=1):
-        calls.append((dmodel, steps, subsample))
+        calls.append((dmodel.n, steps, subsample))
         return original(dmodel, steps, subsample)
     monkeypatch.setattr(detection, "observability_stack", counted)
-    # cold: one stack per scenario on the estimator grid, which the truth
-    # and detection's stored QR both read
+    # cold: one stack of the 23-state held-input model per scenario on the
+    # estimator grid, which the truth and detection's stored QR both read
     cfg = config(fresh_family, coarse_probe, seed=1)
     run_experiment(cfg)
     dmodels = probing.discretized(fresh_family, TS)
-    assert calls == [(d, cfg.window_steps, SUB) for d in dmodels]
+    assert calls == [(23, cfg.window_steps, SUB)] * len(dmodels)
     for d in dmodels:
         stack = _MEMO[d][("stack", cfg.window_steps, SUB)]
         assert _MEMO[d][("factor", cfg.window_steps, SUB)][0] is stack
@@ -700,14 +695,14 @@ def test_truth_and_fit_share_one_stack(fresh_family, seg1, m1_contingencies, coa
     # a cold full record is formed from the grid stacks too: no stride-1 stack
     family = build_family(seg1, m1_contingencies)
     run_experiment(config(family, coarse_probe, seed=1), full=True)
-    assert calls == [(d, cfg.window_steps, SUB) for d in probing.discretized(family, TS)]
+    assert calls == [(23, cfg.window_steps, SUB)] * len(dmodels)
 
 
 def test_a_window_batch_past_one_product_is_split(m1_family, coarse_probe):
-    # 200 windows of one scenario on a 501-row grid: one (200 x 18)(18 x 22*5)
+    # 200 windows of one scenario on a 501-row grid: one (200 x 23)(23 x 22*5)
     # product per block would pass _GEMM_MAX, so the batch is taken in shares
     kw = dict(K=200, seed=5, ts=5e-6, subsample=2, x0_mode="random")
-    assert experiment._GEMM_MAX < 200 * 18 * 22 * 5
+    assert detection._GEMM_MAX < 200 * 23 * 22 * 5
     seq = SwitchingSequence((2,) * 200)
     full = run_experiment(config(m1_family, coarse_probe, **kw), seq, full=True)
     assert full.windows[0].samples.shape == (1001, 5)
@@ -738,17 +733,17 @@ def test_memo_entries_are_frozen_and_die_with_the_family(seg1, m1_contingencies,
     result = run_experiment(cfg, full=True)
     dmodels = probing.discretized(family, TS)
     assert len(_MEMO) == before + 1 + len(dmodels)
-    u1, u2, forced, M, h = experiment._window_response(cfg, dmodels)
+    u1, u2, M = experiment._window_response(cfg, dmodels)
     assert result.windows[0].u1 is u1 and result.windows[0].u2 is u2
-    assert forced.shape == (len(dmodels), *result.windows[0].samples.shape)
-    arrays = [u1, u2, forced, *M.values(), *h.values()]
+    assert M.shape == (len(dmodels), 23, 23)
+    arrays = [u1, u2, M]
     for d in dmodels:
         stack, qs, tri = _MEMO[d][("factor", cfg.window_steps, SUB)]
         arrays += [stack, *qs, tri]
     assert not any(a.flags.writeable for a in arrays)
 
     owner = weakref.ref(family)
-    del family, cfg, result, dmodels, u1, u2, forced, M, h, arrays, d, stack, qs, tri
+    del family, cfg, result, dmodels, u1, u2, M, arrays, d, stack, qs, tri
     gc.collect()
     assert owner() is None
     assert len(_MEMO) == before

@@ -6,11 +6,10 @@ import pytest
 import scipy.linalg
 
 from conftest import PAPER_TS, bare_line_segment, bits, make_model
-from oracles import loop_simulate, rk4_lti
-from shslab.detection import grid_stack
+from oracles import loop_simulate, rk4_lti, simulate
+from shslab.detection import _GEMM_MAX, free_outputs, grid_stack
 from shslab.errors import ConfigError, NumericalError
-from shslab.experiment import free_outputs
-from shslab.linsys import discretize_zoh, eig_sorted, eigenvalues, expm, simulate, step_response
+from shslab.linsys import discretize_zoh, eig_sorted, eigenvalues, expm, hold_inputs
 from shslab.probing import compute_mu1
 from shslab.ssbuild import ContingencySpec, build_state_space
 
@@ -152,13 +151,16 @@ def test_simulate_zero_everything(m1_family):
 
 
 def test_simulate_matches_step_response(m1_family):
+    # the oracle's unit step against the engine's, the response of the
+    # held-input model from z = e_(n+1), every sample of the window
     d = discretize_zoh(m1_family[0], 1e-5)
     steps = 200
     u1 = np.zeros((steps + 1, 3))
     u1[:steps, 1] = 1.0
     a = simulate(d, None, u1, None, steps)
-    b = step_response(d, 1, steps)
-    assert np.array_equal(a.outputs, b.outputs)
+    b = np.empty((steps + 1, d.p))
+    free_outputs(d, np.eye(d.n + 5)[d.n + 1], [b], steps, 10, full=True)
+    assert np.max(np.abs(a.outputs - b)) <= 1e-12 * np.max(np.abs(a.outputs))
 
 
 def test_simulate_linearity(m1_family):
@@ -215,14 +217,34 @@ def test_simulate_matches_loop_oracle(paper_dmodels, steps, extra_rows):
         assert np.array_equal(trace.final_state, trace.states[-1])
 
 
-# the switched truth's free response, experiment.free_outputs: the products
-# of the window-start states with detection's stored grid stack
+# the engine, detection.free_outputs: the products of held-input states
+# z0 = [x0; u1; u2] with detection's stored grid stack of the model with its
+# inputs held as states
 
 @pytest.fixture
 def fresh_dmodels(m1_family):
     """The paper-grid models discretized afresh, so the grid stacks that
     free_outputs stores on them go with each test."""
     return [discretize_zoh(sc, PAPER_TS) for sc in m1_family]
+
+
+def test_hold_inputs_layout(paper_dmodels):
+    d = paper_dmodels[0]
+    z = hold_inputs(d)
+    n, nz = d.n, d.n + 5
+    assert z.Ad.shape == (nz, nz) and z.C.shape == (d.p, nz)
+    assert np.array_equal(z.Ad[:n, :n], d.Ad)
+    assert np.array_equal(z.Ad[:n, n:], np.hstack([d.Bd1, d.Bd2]))
+    assert np.array_equal(z.Ad[n:], np.eye(nz)[n:])
+    assert np.array_equal(z.C, np.hstack([d.C, np.zeros((d.p, 5))]))
+    assert z.Bd1.shape == z.Bd2.shape == (nz, 0) and z.ts == d.ts
+
+
+def held_states(rng, batch, d):
+    """`batch` random start states, all under one random held input u:
+    the (batch, n + 3 + q) held-input states and u."""
+    u = rng.standard_normal(3 + d.Bd2.shape[1])
+    return np.hstack([rng.standard_normal((batch, d.n)), np.tile(u, (batch, 1))]), u
 
 
 # the same step counts; one, a few and a full sequence's worth of windows;
@@ -233,34 +255,40 @@ def fresh_dmodels(m1_family):
 def test_free_outputs_matches_loop_oracle(fresh_dmodels, steps, batch):
     rng = np.random.default_rng(100 * steps + batch)
     for d in fresh_dmodels:
-        X0 = rng.standard_normal((batch, d.n))
-        _, ys = loop_simulate(d.Ad, d.Bd1, d.Bd2, d.C, X0, None, None, steps)
+        Z0, u = held_states(rng, batch, d)
+        held = np.tile(u, (steps + 1, 1))
+        _, ys = loop_simulate(d.Ad, d.Bd1, d.Bd2, d.C, Z0[:, :d.n], held[:, :3], held[:, 3:],
+                              steps)
         for stride in (1, 3, 10):
             for full in (False, True):
                 out = [np.empty((steps + 1 if full else steps // stride + 1, d.p))
                        for _ in range(batch)]
-                free_outputs(d, X0, out, steps, stride, full)
+                free_outputs(d, Z0, out, steps, stride, full)
                 for k, y in enumerate(out):
                     ref = ys[::1 if full else stride, k]
                     assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref)), \
                         (stride, full, k)
 
 
-# the batched product against a loop of one (W x n)(n x b*p) product per
-# block of the stored grid stack, bit for bit, at every stride: a window
-# alone (vector products), a few, and a full sequence's worth
+# the batched product against a loop of one (W x n_z)(n_z x b*p) product per
+# block of the stored grid stack and share of at most _GEMM_MAX // (n_z b p)
+# windows, bit for bit, at every stride: a window alone (vector products), a
+# few, and a full sequence's worth, which at stride 1 takes two shares
 @pytest.mark.parametrize("steps", [0, 1, 99, 100, 101, 10000])
 @pytest.mark.parametrize("batch", [1, 3, 40])
 def test_free_outputs_bitwise_block_loop(fresh_dmodels, steps, batch):
     rng = np.random.default_rng(7 * steps + batch)
     for d in fresh_dmodels:
-        X0 = rng.standard_normal((batch, d.n))
+        Z0, _ = held_states(rng, batch, d)
         for stride in (1, 3, 10):
             got = [np.empty((steps // stride + 1, d.p)) for _ in range(batch)]
-            free_outputs(d, X0, got, steps, stride)
+            free_outputs(d, Z0, got, steps, stride)
             stack = grid_stack(d, steps, stride)
             width = math.isqrt(len(stack) // d.p) * d.p
-            ref = np.hstack([X0 @ stack[lo:lo + width].T for lo in range(0, len(stack), width)])
+            share = max(1, _GEMM_MAX // (Z0.shape[1] * width))
+            ref = np.vstack([np.hstack([Z0[w:w + share] @ stack[lo:lo + width].T
+                                        for lo in range(0, len(stack), width)])
+                             for w in range(0, batch, share)])
             for k, y in enumerate(got):
                 assert np.array_equal(bits(y.reshape(-1)), bits(ref[k])), (stride, k)
 
@@ -274,34 +302,73 @@ def test_free_outputs_bitwise_block_loop(fresh_dmodels, steps, batch):
 def test_free_outputs_stride_bitwise_block_loop(fresh_dmodels, steps, batch, stride):
     rng = np.random.default_rng(11 * steps + batch)
     for d in fresh_dmodels:
-        X0 = rng.standard_normal((batch, d.n))
+        Z0, _ = held_states(rng, batch, d)
         grid = [np.empty((steps // stride + 1, d.p)) for _ in range(batch)]
         full = [np.empty((steps + 1, d.p)) for _ in range(batch)]
-        free_outputs(d, X0, grid, steps, stride)
-        free_outputs(d, X0, full, steps, stride, full=True)
+        free_outputs(d, Z0, grid, steps, stride)
+        free_outputs(d, Z0, full, steps, stride, full=True)
         for k, (g, f) in enumerate(zip(grid, full)):
             assert np.array_equal(bits(f[::stride]), bits(g)), k
 
 
+# the stack's input columns are the forced responses to unit held inputs:
+# each against the per-sample loop's, on every u1 and u2 channel, on the
+# grid and as a full record
+@pytest.mark.parametrize("steps", [1, 2, 99, 100, 101, 10000])
+def test_input_columns_match_loop_forced_response(fresh_dmodels, steps):
+    for d in fresh_dmodels:
+        n, q = d.n, d.Bd2.shape[1]
+        for ch in range(3 + q):
+            held = np.zeros((steps + 1, 3 + q))
+            held[:steps, ch] = 1.0
+            _, ys = loop_simulate(d.Ad, d.Bd1, d.Bd2, d.C, None, held[:, :3], held[:, 3:],
+                                  steps)
+            # u2 reaches no output of line_outage and line_disconnect: both
+            # responses are exact zeros there
+            scale = np.max(np.abs(ys))
+            assert scale > 0.0 or ch >= 3, ch
+            for stride in (1, 3, 10):
+                column = grid_stack(d, steps, stride)[:, n + ch].reshape(-1, d.p)
+                assert np.max(np.abs(column - ys[::stride])) <= 1e-12 * scale, (ch, stride)
+                full = np.empty((steps + 1, d.p))
+                free_outputs(d, np.eye(n + 3 + q)[n + ch], [full], steps, stride, full=True)
+                assert np.max(np.abs(full - ys)) <= 1e-12 * scale, (ch, stride)
+
+
+def test_forced_response_at_level_R_is_R_times_the_unit_response(fresh_dmodels, m1_probe):
+    # a product with z = [0; R e_ch; 0] adds only exact zeros to R times the
+    # unit column, so every level's forced response scales the unit one
+    steps = 10000
+    for d in fresh_dmodels:
+        for ch in range(3 + d.Bd2.shape[1]):
+            unit = np.eye(d.n + 5)[d.n + ch]
+            for R in (m1_probe.R, 0.101, 3.0):
+                at_R, at_1 = (np.empty((steps // 10 + 1, d.p)) for _ in range(2))
+                free_outputs(d, R * unit, [at_R], steps, 10)
+                free_outputs(d, unit, [at_1], steps, 10)
+                assert np.array_equal(bits(at_R), bits(R * at_1)), (ch, R)
+
+
 def test_free_outputs_shape_errors(m1_family):
     d = discretize_zoh(m1_family[0], 1e-5)
-    with pytest.raises(NumericalError, match=re.escape("X0 must be (1, 18), got (2, 18)")):
-        free_outputs(d, np.zeros((2, 18)), [np.empty((11, 5))], 10, 1)
-    with pytest.raises(NumericalError, match=re.escape("X0 must be (2, 18), got (2, 5)")):
-        free_outputs(d, np.zeros((2, 5)), [np.empty((11, 5))] * 2, 10, 1)
+    # 18 states and 3 + 2 held inputs
+    with pytest.raises(NumericalError, match=re.escape("Z0 must be (1, 23), got (2, 23)")):
+        free_outputs(d, np.zeros((2, 23)), [np.empty((11, 5))], 10, 1)
+    with pytest.raises(NumericalError, match=re.escape("Z0 must be (2, 23), got (2, 18)")):
+        free_outputs(d, np.zeros((2, 18)), [np.empty((11, 5))] * 2, 10, 1)
     with pytest.raises(NumericalError, match="output array"):
-        free_outputs(d, np.zeros((2, 18)), [np.empty((11, 5)), np.empty((10, 5))], 10, 1)
+        free_outputs(d, np.zeros((2, 23)), [np.empty((11, 5)), np.empty((10, 5))], 10, 1)
     with pytest.raises(NumericalError, match="C-contiguous"):
-        free_outputs(d, np.zeros((1, 18)), [np.empty((11, 10))[:, ::2]], 10, 1)
+        free_outputs(d, np.zeros((1, 23)), [np.empty((11, 10))[:, ::2]], 10, 1)
     # 10 steps at subsample 3 keep samples 0, 3, 6 and 9; a full record all 11
     with pytest.raises(NumericalError, match=re.escape("C-contiguous (4, 5)")):
-        free_outputs(d, np.zeros((1, 18)), [np.empty((5, 5))], 10, 3)
+        free_outputs(d, np.zeros((1, 23)), [np.empty((5, 5))], 10, 3)
     with pytest.raises(NumericalError, match=re.escape("C-contiguous (11, 5)")):
-        free_outputs(d, np.zeros((1, 18)), [np.empty((4, 5))], 10, 3, full=True)
+        free_outputs(d, np.zeros((1, 23)), [np.empty((4, 5))], 10, 3, full=True)
     with pytest.raises(ConfigError, match="subsample must be >= 1, got 0"):
-        free_outputs(d, np.zeros((1, 18)), [np.empty((11, 5))], 10, 0)
+        free_outputs(d, np.zeros((1, 23)), [np.empty((11, 5))], 10, 0)
     # one start state is a batch of one window
-    free_outputs(d, np.zeros(18), [np.empty((4, 5))], 10, 3)
+    free_outputs(d, np.zeros(23), [np.empty((4, 5))], 10, 3)
 
 
 def test_simulate_shape_errors(m1_family):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import make_family, make_model, small_pvb_segment
-from oracles import trapezoid_lti
+from conftest import PAPER_TAU0, PAPER_TS, make_family, make_model, small_pvb_segment
+from oracles import simulate, trapezoid_lti
+from shslab.linsys import discretize_zoh
 from shslab.errors import ConfigError, NumericalError
 from shslab.probing import (ProbingDesign, channel_index, compute_delta_min,
                             compute_mu0, compute_mu1, current_state_mask, design_mami,
@@ -128,6 +129,30 @@ def test_delta_min_cross_checked_with_trapezoid_oracle():
         aggs.append((sc.C @ states.T).sum(axis=0))
     oracle = np.max(np.abs(aggs[0] - aggs[1]))
     assert result.value == pytest.approx(oracle, rel=1e-2)
+
+
+def oracle_delta_min(family, ch, tau0, ts):
+    """delta_min from the oracle's blocked recursion: the (value, pair) of
+    the smallest largest gap between unit-step output aggregates."""
+    steps = int(round(tau0 / ts))
+    u1 = np.zeros((steps + 1, 3))
+    u1[:steps, ch] = 1.0
+    aggregates = [simulate(discretize_zoh(sc, ts), None, u1, None, steps).outputs.sum(axis=1)
+                  for sc in family]
+    gaps = {(i, j): np.max(np.abs(aggregates[i] - aggregates[j]))
+            for i in range(len(family)) for j in range(i + 1, len(family))}
+    pair = min(gaps, key=lambda k: (gaps[k], k))
+    return gaps[pair], pair
+
+
+@pytest.mark.parametrize("channel", [0, 1, 2])
+def test_delta_min_matches_the_oracle_recursion(m1_family, channel):
+    # the engine's unit-step responses, products with the held-input stacks,
+    # against the per-window recursion at the paper grid
+    result = compute_delta_min(m1_family, channel, PAPER_TAU0, PAPER_TS)
+    value, pair = oracle_delta_min(m1_family, channel, PAPER_TAU0, PAPER_TS)
+    assert result.value == pytest.approx(value, rel=1e-11, abs=0)
+    assert result.pair == pair
 
 
 def test_threshold_arithmetic_reference_values():
