@@ -316,7 +316,7 @@ def cmd_detect(args) -> int:
     truth = _read_truth(args.truth, len(fam)) if args.truth else None
     if truth is not None and len(truth) != len(windows):
         raise ConfigError(f"{args.truth}: {len(truth)} rows for {len(windows)} windows")
-    widths = windows[0].samples.shape[1], windows[0].u2.shape[1]
+    widths = windows[0].samples.shape[1], windows[0].held.size - 3
     if widths != (fam[0].p, fam[0].B2.shape[1]):
         raise ConfigError(
             f"{meta} records {widths[0]} outputs and {widths[1]} aux inputs; "

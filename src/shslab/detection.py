@@ -14,14 +14,14 @@ window-start state to the free response on the grid, its last 3 + q
 columns S map held inputs to the forced response. grid_stack builds it
 once per model and grid, in floor(sqrt(rows)) blocks of rows, and keeps it
 as long as the model lives. Fits solve against O, with its streamed QR
-kept beside it, and discount S [u1; u2]; the switched truth forms every
-window as [O | S] z_k (free_outputs), and probe design its unit-step
-responses as the response from z = e_(n+ch). So a window's inputs must be
-held: u1 and u2 constant over rows 0..N-1, row N only padding the record.
-Any other record is a ConfigError.
+kept beside it, and discount S held; the switched truth forms every window
+as [O | S] z_k (free_outputs), and probe design its unit-step responses as
+the response from z = e_(n+ch). So a window holds its inputs as one vector,
+held = [u1; u2], over rows 0..N-1; it has no way to express any other
+input.
 
-One detect_sequence call covers windows of one length that share one input
-record bit for bit. A window may keep only every stride-th sample of its
+One detect_sequence call covers windows of one length that hold the same
+inputs bit for bit. A window may keep only every stride-th sample of its
 record, the switched truth's the estimator grid alone; a fit reads every
 subsample // stride-th of them.
 """
@@ -48,7 +48,7 @@ _GEMM_MAX = 40 * 18 * 500
 def _frozen(a) -> np.ndarray:
     """A read-only float64 array with the contents of `a`. An array that is
     already read-only float64 and owns its memory is kept, so windows that
-    share one input record share its buffer; anything else is copied."""
+    hold one input vector share its buffer; anything else is copied."""
     if (isinstance(a, np.ndarray) and a.dtype == np.float64
             and not a.flags.writeable and a.flags.owndata):
         return a
@@ -58,8 +58,8 @@ def _frozen(a) -> np.ndarray:
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two float64 records are one array or hold the same bits, so
-    -0.0 differs from 0.0; windows that share one frozen record cost no
+    """Whether two float64 arrays are one array or hold the same bits, so
+    -0.0 differs from 0.0; windows that share one frozen vector cost no
     comparison."""
     return a is b or (a.shape == b.shape
                       and np.array_equal(a.view(np.int64), b.view(np.int64)))
@@ -67,45 +67,40 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementWindow:
-    """Uniformly sampled output record over one detection window, together
-    with the input records the estimator must discount. The samples may keep
-    only every stride-th sample of the N+1-row record, rows 0, stride,
-    2 stride, ...; the input records are always whole."""
+    """Uniformly sampled output record over one detection window of `steps`
+    steps, and the inputs held = [u1; u2] over its rows 0..N-1, which the
+    estimator must discount. The samples may keep only every stride-th
+    sample of the N+1-row record, rows 0, stride, 2 stride, ..."""
 
     t_start: float
     ts: float
     samples: np.ndarray       # (N // stride + 1, p)
-    u1: np.ndarray            # (N+1, 3); row N only pads the record
-    u2: np.ndarray            # (N+1, q)
+    steps: int                # N
+    held: np.ndarray          # (3 + q,)
     stride: int = 1
 
     def __post_init__(self):
-        for fname in ("samples", "u1", "u2"):
+        for fname in ("samples", "held"):
             object.__setattr__(self, fname, _frozen(getattr(self, fname)))
         if not (math.isfinite(self.ts) and self.ts > 0):
             raise ConfigError(f"sample period must be finite and > 0, got {self.ts}")
-        if type(self.stride) is bool or not isinstance(self.stride, (int, np.integer)) \
-                or self.stride < 1:
-            raise ConfigError(f"stride must be an integer >= 1, got {self.stride!r}")
-        object.__setattr__(self, "stride", int(self.stride))
+        for fname in ("steps", "stride"):
+            value = getattr(self, fname)
+            if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigError(f"{fname} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, fname, int(value))
         if self.samples.ndim != 2 or not self.samples.shape[1]:
             raise ConfigError(f"samples must be an (N+1, p) table with p >= 1, "
                               f"got shape {self.samples.shape}")
-        if self.u1.ndim != 2 or self.u1.shape[1] != 3:
-            raise ConfigError(f"u1 record must be (N+1, 3), got {self.u1.shape}")
-        rows = self.u1.shape[0]
-        if rows < 2:
-            raise ConfigError("window needs at least two samples")
-        kept = (rows - 1) // self.stride + 1
+        kept = self.steps // self.stride + 1
         if self.samples.shape[0] != kept:
-            raise ConfigError(f"samples hold {self.samples.shape[0]} rows; a {rows}-row u1 "
-                              f"record kept at stride {self.stride} holds {kept}")
-        if self.u2.ndim != 2 or self.u2.shape[0] != rows:
-            raise ConfigError(f"u2 record must have {rows} rows, got {self.u2.shape}")
-
-    @property
-    def steps(self) -> int:
-        return self.u1.shape[0] - 1
+            raise ConfigError(f"samples hold {self.samples.shape[0]} rows; a {self.steps}-step "
+                              f"window kept at stride {self.stride} holds {kept}")
+        if self.held.ndim != 1 or self.held.size < 3:
+            raise ConfigError(f"held inputs must be a (3 + q,) vector [u1; u2], "
+                              f"got shape {self.held.shape}")
+        if not np.all(np.isfinite(self.held)):
+            raise ConfigError(f"held inputs must be finite, got {self.held.tolist()}")
 
 
 class Verdict(NamedTuple):
@@ -136,6 +131,10 @@ class DetectionReport:
             truth = tuple(int(a) for a in self.truth)
             if len(truth) != len(res):
                 raise ConfigError("truth length differs from window count")
+            for k, a in enumerate(truth):
+                if not 0 <= a < res.shape[1]:
+                    raise ConfigError(f"truth entry {k} = {a} outside scenario set "
+                                      f"0..{res.shape[1] - 1}")
             object.__setattr__(self, "truth", truth)
 
     @property
@@ -241,8 +240,8 @@ def _check_window(dmodel: DiscreteStateSpace, window: MeasurementWindow) -> None
             f"window has {window.samples.shape[1]} outputs, model has {dmodel.p}")
     if abs(window.ts - dmodel.ts) > 1e-12 * max(window.ts, dmodel.ts):
         raise ConfigError(f"window sampled at {window.ts}, model discretized at {dmodel.ts}")
-    if window.u2.shape[1] != dmodel.Bd2.shape[1]:
-        raise ConfigError(f"window has {window.u2.shape[1]} aux inputs, "
+    if window.held.size - 3 != dmodel.Bd2.shape[1]:
+        raise ConfigError(f"window has {window.held.size - 3} aux inputs, "
                           f"model has {dmodel.Bd2.shape[1]}")
 
 
@@ -303,20 +302,6 @@ def free_outputs(dmodel: DiscreteStateSpace, Z0: np.ndarray, out, steps: int,
                     y[r::stride] = grid.reshape(rows, p)[:(steps - r) // stride + 1]
 
 
-def held_input(window: MeasurementWindow) -> np.ndarray:
-    """[u1; u2] as the window holds them over its rows 0..N-1, the last 3 + q
-    entries of its held-input state; row N only pads the records. A record
-    that changes within those rows is a ConfigError naming the window as
-    window 0, the first of those that share its records."""
-    for name in ("u1", "u2"):
-        record = getattr(window, name)[:-1]
-        if not (record == record[0]).all():
-            row = np.flatnonzero(np.any(record != record[0], axis=1))[0]
-            raise ConfigError(f"window 0: its {name} record changes at row {row}; "
-                              f"inputs must be held over rows 0..{window.steps - 1}")
-    return np.concatenate([window.u1[0], window.u2[0]])
-
-
 def _factor(stack: np.ndarray, n: int):
     """A held-input stack [O | S] with the QR of O, its first n columns,
     streamed over chunks of _QR_ROWS rows: the stack, the q of every chunk
@@ -332,10 +317,10 @@ def _factor(stack: np.ndarray, n: int):
     return stack, tuple(qs), tri
 
 
-def _fit(factors, windows, held, subsample: int) -> tuple[np.ndarray, np.ndarray]:
+def _fit(factors, windows, subsample: int) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares window-start states (m, n, W) of W windows of one length
     against m factors from _factor of one state dimension, and the attained
-    residual norms (m, W), for windows that hold the inputs `held`.
+    residual norms (m, W), for windows that hold window 0's inputs `held`.
 
     The windows' estimator rows, read at grid_step, are copied once into
     one (rows, W) matrix, detection's peak memory. One streamed pass forms,
@@ -348,6 +333,7 @@ def _fit(factors, windows, held, subsample: int) -> tuple[np.ndarray, np.ndarray
     of the full stacks' responses [O | S] [x0_hat; held] to the rows.
     """
     step = grid_step(windows, subsample)
+    held = windows[0].held
     samples = np.stack([w.samples[::step] for w in windows], axis=-1).reshape(-1, len(windows))
     stacks, qs, tris = zip(*factors)
     rows, n = stacks[0].shape[0], tris[0].shape[1]
@@ -380,13 +366,12 @@ def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow
     afresh on every call and stores nothing: it is the cold path the stored
     factors are checked against, and a model it is called on pins no factor.
     A window that keeps every stride-th sample needs a stride dividing
-    subsample, and its inputs held as held_input requires.
+    subsample.
     """
     _check_window(dmodel, window)
-    held = held_input(window)
     factor = _factor(observability_stack(hold_inputs(dmodel), window.steps, subsample),
                      dmodel.n)
-    x0_hat, residual = _fit([factor], [window], held, subsample)
+    x0_hat, residual = _fit([factor], [window], subsample)
     return x0_hat[0, :, 0], float(residual[0, 0])
 
 
@@ -398,11 +383,11 @@ def detect_sequence(models: list[DiscreteStateSpace],
     (K, m) table holds window k's residuals in row k, its argmin the verdict.
 
     The windows must be of one length, keep one grid whose stride divides
-    subsample, and share one input record, bit for bit, that held_input
-    accepts. All windows are fitted in one pass for all scenarios, with each
+    subsample, and hold the same inputs bit for bit, so -0.0 differs from
+    0.0. All windows are fitted in one pass for all scenarios, with each
     scenario's stack and QR from the memo of _factor. A window of another
-    length, grid or input record, a record whose inputs are not held, and a
-    window length require_equations refuses, are a ConfigError.
+    length, grid or held input, and a window length require_equations
+    refuses, are a ConfigError.
     """
     if truth is not None and len(truth) != len(windows):
         raise ConfigError("truth sequence length differs from window count")
@@ -415,11 +400,9 @@ def detect_sequence(models: list[DiscreteStateSpace],
         if window.steps != head.steps:
             raise ConfigError(f"window {k} has {window.steps} steps, window 0 has "
                               f"{head.steps}; one call fits windows of one length")
-        for name in ("u1", "u2"):
-            if not _same_bits(getattr(window, name), getattr(head, name)):
-                raise ConfigError(f"window {k}: its {name} record differs from window 0's; "
-                                  f"one call fits windows that share one input record")
-    held = held_input(head)
+        if not _same_bits(window.held, head.held):
+            raise ConfigError(f"window {k}: its held inputs differ from window 0's; "
+                              f"one call fits windows that hold the same inputs")
     require_equations(head.steps, head.samples.shape[1], models[0].n, subsample)
 
     factors = []
@@ -432,5 +415,5 @@ def detect_sequence(models: list[DiscreteStateSpace],
                                                 model.n)))
         except ShslabError as exc:
             raise type(exc)(f"scenario {i}: {exc}") from exc
-    return DetectionReport(residuals=_fit(factors, windows, held, subsample)[1].T,
+    return DetectionReport(residuals=_fit(factors, windows, subsample)[1].T,
                            truth=truth)

@@ -18,7 +18,7 @@ scenario's stack [O | S] on the estimator grid, detection.grid_stack's, the
 one copy detection's fits also read.
 
 None of that depends on the window data. The discretized models are
-probing.discretized's, built once per family and ts, and the input records
+probing.discretized's, built once per family and ts, and the held inputs
 and boundary matrices once per family and (ts, tau, tau0, probe channel,
 applied probe level); both are kept as long as the family lives. A later
 run on the same family draws its initial state, chains the boundary
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import (DetectionReport, MeasurementWindow, detect_sequence, free_outputs,
-                        grid_stack, grid_step, held_input, require_equations)
+                        grid_stack, grid_step, require_equations)
 from .errors import ConfigError, NumericalError
 from .linsys import eig_sorted, expm, hold_inputs
 from .probing import ProbingDesign, discretized, whole_steps
@@ -149,25 +149,25 @@ def generate_sequence(config: ExperimentConfig) -> SwitchingSequence:
 
 def _window_response(config: ExperimentConfig, dmodels: tuple):
     """What every window of a run shares, built once per family and
-    (ts, tau, tau0, probe channel, applied probe level): the frozen input
-    records u1_win and u2_win, and per scenario a the boundary matrix
-    diag(hold_a, I) Ad_z^N of the module docstring, stacked into one
-    read-only (m, n_z, n_z) array."""
+    (ts, tau, tau0, probe channel, applied probe level): the frozen held
+    inputs held = [u1; u2], the probe level on its channel and zero
+    elsewhere, and per scenario a the boundary matrix diag(hold_a, I) Ad_z^N
+    of the module docstring, stacked into one read-only (m, n_z, n_z)
+    array."""
     family = config.family
     steps = config.window_steps
     n = family[0].n
 
     def build():
-        u1_win = np.zeros((steps + 1, 3))
-        u1_win[:steps, config.probe.channel] = config.applied_R
-        u2_win = np.zeros((steps + 1, dmodels[0].Bd2.shape[1]))
+        held = np.zeros(3 + dmodels[0].Bd2.shape[1])
+        held[config.probe.channel] = config.applied_R
         M = np.array([np.linalg.matrix_power(hold_inputs(d).Ad, steps) for d in dmodels])
         for a, sc in enumerate(family):
             M[a, :n] = expm(sc.A * (config.tau - config.tau0)) @ M[a, :n]
         # frozen, so every window of every run shares these arrays
-        for arr in (u1_win, u2_win, M):
+        for arr in (held, M):
             arr.setflags(write=False)
-        return u1_win, u2_win, M
+        return held, M
 
     key = ("window response", config.ts, config.tau, config.tau0,
            config.probe.channel, config.applied_R)
@@ -203,7 +203,7 @@ def run_experiment(config: ExperimentConfig, sequence: SwitchingSequence | None 
         scale = config.probe.mu0 if config.probe.mu0 > 0 else 1.0
         x *= scale / np.max(np.abs(x))
 
-    u1_win, u2_win, M = _window_response(config, dmodels)
+    held, M = _window_response(config, dmodels)
     # the grid stacks outlive this run's arrays: built before them, they do
     # not sit between them on the heap and hold its top up
     for d in dmodels:
@@ -211,7 +211,7 @@ def run_experiment(config: ExperimentConfig, sequence: SwitchingSequence | None 
 
     # the held-input state at every boundary; its input part stays the same
     Z = np.empty((config.K + 1, M.shape[1]))
-    Z[0] = np.concatenate([x, u1_win[0], u2_win[0]])
+    Z[0] = np.concatenate([x, held])
     for k, a in enumerate(sequence.alphas):
         Z[k + 1] = M[a] @ Z[k]
         if not np.all(np.isfinite(Z[k + 1])):
@@ -240,7 +240,7 @@ def run_experiment(config: ExperimentConfig, sequence: SwitchingSequence | None 
         y.setflags(write=False)
         windows.append(MeasurementWindow(
             t_start=k * config.tau, ts=config.ts, samples=y,
-            u1=u1_win, u2=u2_win, stride=stride))
+            steps=config.window_steps, held=held, stride=stride))
 
     report = detect_sequence(dmodels, windows, truth=list(sequence.alphas),
                              subsample=config.subsample)
@@ -317,12 +317,13 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
     grid), 'full' records every sample, which only a result of
     run_experiment(..., full=True) holds, 'none' skips the window record.
     The record is windows/windows.npy, one float64 table of shape (K, rows,
-    1 + p + 3 + q) whose columns are t, the outputs, u1 and u2; the stride
-    and periods land in windows/meta.json so a replay can rebuild the exact
-    estimation problem. The table is streamed one window at a time, and its
-    bytes are those of np.save of the stacked table. A windows.npy and
-    meta.json an earlier run left in windows/ that this run does not write
-    are removed.
+    1 + p + 3 + q) whose columns are t, the outputs, u1 and u2, the last
+    two the window's held inputs on the rows before N and zeros on the row
+    at t = tau0, where the probe is off; the stride and periods land in
+    windows/meta.json so a replay can rebuild the exact estimation problem.
+    The table is streamed one window at a time, and its bytes are those of
+    np.save of the stacked table. A windows.npy and meta.json an earlier run
+    left in windows/ that this run does not write are removed.
     """
     if windows_mode not in ("strided", "full", "none"):
         raise ConfigError(f"unknown windows mode '{windows_mode}'")
@@ -352,7 +353,7 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
     os.makedirs(win_dir, exist_ok=True)
     _clear_windows(win_dir, {"meta.json", _NPY})
     p = result.windows[0].samples.shape[1] if result.windows else 0
-    q = result.windows[0].u2.shape[1] if result.windows else 0
+    q = result.windows[0].held.size - 3 if result.windows else 0
     dump_json({
         "format": "npy",
         "ts": cfg.ts * stride,
@@ -370,8 +371,10 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
             "fortran_order": False, "shape": shape})
         for w in result.windows:
             idx = np.arange(0, w.steps + 1, stride)
+            inputs = np.zeros((idx.size, 3 + q))
+            inputs[idx < w.steps] = w.held
             fh.write(np.column_stack(
-                [w.t_start + w.ts * idx, w.samples[::step], w.u1[idx], w.u2[idx]]).tobytes())
+                [w.t_start + w.ts * idx, w.samples[::step], inputs]).tobytes())
 
 
 def _clear_windows(win_dir, keep: set) -> None:
@@ -390,14 +393,15 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
     The returned windows live on the recorded grid; detect them with
     subsample=1 against a family discretized at the recorded ts. A trace
     holds one input record: every window's u1 and u2 columns must equal
-    window 0's bit for bit, all windows share one frozen u1 and one frozen
-    u2, and that record must hold its inputs as detection.held_input
-    requires. meta.json's ts must be ts_simulated * stride_applied, and
-    every window must hold window_rows(tau0, ts) rows for meta.json's tau0
-    and start at its entry of window_starts exactly (both are round-trips
-    of one float, and the first t is t_start + ts * 0). With a probe,
-    meta.json's tau0 must be the probe design's, and its ts_simulated the
-    probe's ts if the design records one, each within 1e-12 relative.
+    window 0's bit for bit, and that record must hold its inputs, finite and
+    unchanged over every row but the last, which only pads it; all windows
+    share its row 0 as one frozen held vector. meta.json's ts must be
+    ts_simulated * stride_applied, and every window must hold
+    window_rows(tau0, ts) rows for meta.json's tau0 and start at its entry
+    of window_starts exactly (both are round-trips of one float, and the
+    first t is t_start + ts * 0). With a probe, meta.json's tau0 must be
+    the probe design's, and its ts_simulated the probe's ts if the design
+    records one, each within 1e-12 relative.
 
     meta.json must carry "format": "npy" and describes windows.npy, whose
     dtype and shape (len(window_starts), rows, 1 + p + 3 + q) must match it.
@@ -463,15 +467,19 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
         k = int(off[0])
         raise ConfigError(f"{path} window {k}: its {'u1' if differs[k, :, :3].any() else 'u2'} "
                           f"columns differ from window 0's; a trace holds one input record")
-    u1, u2 = np.array(table[0, :, 1 + p:4 + p]), np.array(table[0, :, 4 + p:])
-    u1.setflags(write=False)
-    u2.setflags(write=False)
-    windows = [MeasurementWindow(t_start=arr[0, 0], ts=ts, samples=arr[:, 1:1 + p], u1=u1, u2=u2)
-               for arr in table]
+    held = np.array(table[0, 0, 1 + p:])
+    held.setflags(write=False)
     try:
-        held_input(windows[0])
+        windows = [MeasurementWindow(t_start=arr[0, 0], ts=ts, samples=arr[:, 1:1 + p],
+                                     steps=rows - 1, held=held) for arr in table]
     except ConfigError as exc:
-        raise ConfigError(f"{path} {exc}") from exc
+        raise ConfigError(f"{path} window 0: {exc}") from exc
+    record = table[0, :-1, 1 + p:]
+    for name, cols in (("u1", slice(0, 3)), ("u2", slice(3, None))):
+        off = np.flatnonzero(np.any(record[:, cols] != held[cols], axis=1))
+        if off.size:
+            raise ConfigError(f"{path} window 0: its {name} record changes at row {off[0]}; "
+                              f"inputs must be held over rows 0..{rows - 2}")
     return windows
 
 

@@ -4,9 +4,11 @@ discretization, and the held-input model every response is taken from.
 Every input shslab applies is held over a window, so a window's response is
 the free response of the model with its inputs held as extra states
 (hold_inputs): the response from x0 to inputs held at u1 and u2 is that of
-z = [x0; u1; u2]. detection.grid_stack keeps that model's observability
-stack per estimator grid, and detection.free_outputs forms responses as
-products with it; nothing steps through a window sample by sample."""
+z = [x0; u1; u2]. A detection.MeasurementWindow carries those inputs as
+one vector, held = [u1; u2], the input part of z. detection.grid_stack
+keeps that model's observability stack per estimator grid, and
+detection.free_outputs forms responses as products with it; nothing steps
+through a window sample by sample."""
 
 from __future__ import annotations
 

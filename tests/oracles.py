@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shslab.detection import (_QR_ROWS, _check_window, _factor, held_input,
-                              observability_stack)
+from shslab.detection import _QR_ROWS, _check_window, _factor, observability_stack
 from shslab.errors import ConfigError, NumericalError
 from shslab.linsys import hold_inputs
 from shslab.ssbuild import _Index  # state layout only, no coefficients
@@ -348,26 +347,39 @@ def segment_rhs(segment, contingency, x, u1, u2):
     return dx
 
 
+def step_records(held, steps):
+    """The (steps+1)-row u1 and u2 records of a step to `held` = [u1; u2]:
+    held on rows 0..steps-1, zero on row `steps`, where the probe is off."""
+    record = np.zeros((steps + 1, len(held)))
+    record[:steps] = held
+    return record[:, :3], record[:, 3:]
+
+
 def window_table(window, stride):
     """The (rows, columns) record of one window at `stride`, column by
-    column: t = t_start + ts * index, the outputs, u1 and u2: one slice of
-    windows.npy. A window that keeps every window.stride-th sample holds
-    sample index in its row index / window.stride."""
+    column: t = t_start + ts * index, the outputs, u1 and u2 of the window's
+    step_records: one slice of windows.npy. A window that keeps every
+    window.stride-th sample holds sample index in its row index /
+    window.stride."""
     idx = np.arange(0, window.steps + 1, stride)
-    table = np.empty((idx.size, 1 + window.samples.shape[1] + 3 + window.u2.shape[1]))
+    u1, u2 = step_records(window.held, window.steps)
+    table = np.empty((idx.size, 1 + window.samples.shape[1] + window.held.size))
     table[:, 0] = window.t_start + window.ts * idx
-    table[:, 1:] = np.hstack([window.samples[idx // window.stride], window.u1[idx],
-                              window.u2[idx]])
+    table[:, 1:] = np.hstack([window.samples[idx // window.stride], u1[idx], u2[idx]])
     return table
 
 
-def loop_truth(dmodels, hold, x, alphas, u1_win, u2_win, steps,
+def loop_truth(dmodels, hold, x, alphas, R, channel, steps,
                noise_sigma=0.0, rng_noise=None, subsample=1):
     """The switched truth one window at a time: a full `simulate` from the
-    carried-over state in every interval, then `hold` across the probe-off
-    remainder. Noise goes on the samples at indices 0, subsample,
-    2 subsample, ..., one block of draws per window. Returns (list of
-    (steps+1, p) window samples, (K+1, n) boundary states)."""
+    carried-over state in every interval under the probe step R e_channel
+    (zero aux inputs), then `hold` across the probe-off remainder. Noise
+    goes on the samples at indices 0, subsample, 2 subsample, ..., one block
+    of draws per window. Returns (list of (steps+1, p) window samples, (K+1,
+    n) boundary states)."""
+    step = np.zeros(3 + dmodels[0].Bd2.shape[1])
+    step[channel] = R
+    u1_win, u2_win = step_records(step, steps)
     samples = []
     boundaries = np.empty((len(alphas) + 1, len(x)))
     grid = np.arange(0, steps + 1, subsample)
@@ -439,9 +451,9 @@ def loop_fit(factor, held, samples):
 
 def loop_detect(models, windows, subsample):
     """Per window, the (m,) residuals and (m, n) states of every scenario's
-    fit, one scenario at a time, for windows that share window 0's input
-    records and the forced responses to the inputs it holds."""
-    held = held_input(windows[0])
+    fit, one scenario at a time, for windows that hold window 0's inputs and
+    the forced responses to them."""
+    held = windows[0].held
     per_model = []
     for model in models:
         for window in windows:

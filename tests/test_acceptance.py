@@ -8,7 +8,7 @@ production grid: tau = 0.6 s, tau0 = 10 ms, ts = 1 us, estimator stride 10.
 import numpy as np
 
 from conftest import PAPER_TAU0, PAPER_TS, bare_line_segment, two_load_bus_segment
-from oracles import fd_jacobian, rk4_lti, segment_rhs, simulate
+from oracles import fd_jacobian, rk4_lti, segment_rhs, simulate, step_records
 from shslab.detection import (MeasurementWindow, estimate_initial_state, free_outputs,
                               observability_stack, sample_indices)
 from shslab.experiment import ExperimentConfig, run_experiment
@@ -155,9 +155,9 @@ def test_criterion_8_initial_state_estimator(m1_family, m1_probe):
     steps = int(round(PAPER_TAU0 / PAPER_TS))
     dmodels = [discretize_zoh(sc, PAPER_TS) for sc in m1_family]
     stacks = [observability_stack(d, steps, SUBSAMPLE) for d in dmodels]
-    u1 = np.zeros((steps + 1, 3))
-    u1[:steps, m1_probe.channel] = m1_probe.R
-    u2 = np.zeros((steps + 1, 2))
+    held = np.zeros(5)
+    held[m1_probe.channel] = m1_probe.R
+    u1, u2 = step_records(held, steps)
     rng = np.random.default_rng(77)
 
     worst_rec = 0.0
@@ -169,7 +169,7 @@ def test_criterion_8_initial_state_estimator(m1_family, m1_probe):
         x0 = keep.T @ (keep @ (rng.standard_normal(18) * m1_probe.mu0))
         trace = simulate(d, x0, u1, u2, steps)
         window = MeasurementWindow(t_start=0.0, ts=PAPER_TS, samples=trace.outputs,
-                                   u1=u1, u2=u2)
+                                   steps=steps, held=held)
         x0_hat, residual = estimate_initial_state(d, window, subsample=SUBSAMPLE)
         rec = np.linalg.norm(x0_hat - x0) / np.linalg.norm(x0)
         worst_rec = max(worst_rec, float(rec))
@@ -182,7 +182,7 @@ def test_criterion_8_initial_state_estimator(m1_family, m1_probe):
         x0 = rng.standard_normal(18) * m1_probe.mu0
         trace = simulate(d_true, x0, u1, u2, steps)
         window = MeasurementWindow(t_start=0.0, ts=PAPER_TS, samples=trace.outputs,
-                                   u1=u1, u2=u2)
+                                   steps=steps, held=held)
         residuals = [estimate_initial_state(d, window, subsample=SUBSAMPLE)[1]
                      for d in dmodels]
         for j in range(4):

@@ -423,6 +423,25 @@ def test_detect_inputs_not_held_exits_2(recorded, tmp_path, capsys, probe):
     assert not (tmp_path / "replay.json").exists()
 
 
+def _non_finite_delta(value):
+    # every row of every window's u1 delta column (after t, the 5 outputs and
+    # d) holds `value`, so the windows share one record that is held
+    def change(table):
+        table[:, :, 7] = value
+        return table
+    return change
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+def test_detect_non_finite_held_input_exits_2(recorded, tmp_path, capsys, value):
+    assert _replay(recorded, tmp_path, edit=_npy_edit(_non_finite_delta(value))) == 2
+    err = capsys.readouterr().err
+    assert (f"{tmp_path / 'run' / 'windows' / 'windows.npy'} window 0: held inputs must "
+            f"be finite, got [0.0, {value}, 0.0, 0.0, 0.0]") in err
+    assert "numerical error" not in err
+    assert not (tmp_path / "replay.json").exists()
+
+
 def test_detect_without_truth_prints_plain_ints(recorded, tmp_path, capsys):
     # a list of numpy integers would print as [np.int64(3), ...] under numpy 2
     assert main(["detect", "--family", str(recorded / "matrices.json"), "--segment", "1",

@@ -7,10 +7,10 @@ import pytest
 import shslab.detection as detection
 from conftest import PAPER_TS, bits, make_model
 from oracles import (held_factor, loop_detect, loop_fit, loop_observability_stack,
-                     loop_samples, simulate)
+                     loop_samples, simulate, step_records)
 from shslab.detection import (DetectionReport, MeasurementWindow, detect_sequence,
-                              estimate_initial_state, grid_stack, held_input,
-                              observability_stack, sample_indices)
+                              estimate_initial_state, grid_stack, observability_stack,
+                              sample_indices)
 from shslab.errors import ConfigError, NumericalError
 from shslab.linsys import discretize_zoh
 from shslab.util import _MEMO
@@ -25,26 +25,31 @@ def dmodels(m1_family):
     return [discretize_zoh(sc, TS) for sc in m1_family]
 
 
+def probe_step(magnitude, channel=1, q=2):
+    """[u1; u2] of a probe of `magnitude` on u1 channel `channel`."""
+    held = np.zeros(3 + q)
+    held[channel] = magnitude
+    return held
+
+
 def probe_window(dmodel, x0, magnitude, channel=1, steps=STEPS, noise=None):
-    u1 = np.zeros((steps + 1, 3))
-    u1[:steps, channel] = magnitude
-    u2 = np.zeros((steps + 1, dmodel.Bd2.shape[1]))
-    trace = simulate(dmodel, x0, u1, u2, steps)
+    held = probe_step(magnitude, channel, dmodel.Bd2.shape[1])
+    trace = simulate(dmodel, x0, *step_records(held, steps), steps)
     y = trace.outputs if noise is None else trace.outputs + noise
-    return MeasurementWindow(t_start=0.0, ts=TS, samples=y, u1=u1, u2=u2)
+    return MeasurementWindow(t_start=0.0, ts=TS, samples=y, steps=steps, held=held)
 
 
 def detect(models, windows, **kwargs):
-    """detect_sequence on windows that share window 0's input record."""
+    """detect_sequence on windows that hold window 0's inputs."""
     for window in windows:
-        assert np.array_equal(bits(window.u1), bits(windows[0].u1))
-        assert np.array_equal(bits(window.u2), bits(windows[0].u2))
+        assert np.array_equal(bits(window.held), bits(windows[0].held))
     return detect_sequence(models, windows, **kwargs)
 
 
 def forced_outputs(dmodel, window):
-    """The oracle's forced response of `dmodel` to the window's input records."""
-    return simulate(dmodel, None, window.u1, window.u2, window.steps).outputs
+    """The oracle's forced response of `dmodel` to the window's held inputs."""
+    return simulate(dmodel, None, *step_records(window.held, window.steps),
+                    window.steps).outputs
 
 
 def observable_projector(G, rtol=1e-6):
@@ -205,6 +210,15 @@ def test_report_rejects_a_table_of_wrong_shape(shape):
         DetectionReport(residuals=np.ones(shape))
 
 
+@pytest.mark.parametrize("truth, k, a", [([9, 0], 0, 9), ([0, -1], 1, -1), ([0, 4], 1, 4)],
+                         ids=["9", "-1", "m"])
+def test_report_rejects_a_truth_entry_outside_the_scenarios(truth, k, a):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"truth entry {k} = {a} outside scenario set 0..3")):
+        DetectionReport(residuals=np.zeros((2, 4)), truth=truth)
+    assert DetectionReport(residuals=np.zeros((2, 4)), truth=[3, 0]).matches == 1
+
+
 def test_report_verdicts_are_read_only_rows_of_the_table():
     table = np.array([[0.3, 0.1], [0.2, 0.4]])
     report = DetectionReport(residuals=table)
@@ -294,8 +308,7 @@ def test_fit_rank_cut_is_full_stack_rule(m1_family):
         samples = np.zeros((steps + 1, d.p))
         samples[sample_indices(steps, sub)] = y_free.reshape(-1, d.p)
         window = MeasurementWindow(t_start=0.0, ts=PAPER_TS, samples=samples,
-                                   u1=np.zeros((steps + 1, 3)),
-                                   u2=np.zeros((steps + 1, d.Bd2.shape[1])))
+                                   steps=steps, held=np.zeros(3 + d.Bd2.shape[1]))
         x0_hat, _ = estimate_initial_state(d, window, subsample=sub)
         assert np.linalg.norm(x0_hat - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
 
@@ -315,10 +328,8 @@ def discretize_zoh_like(d):
 def test_estimator_rejects_unobservable():
     model = make_model(np.diag([-1.0, -2.0]), C=np.zeros((1, 2)))
     d = discretize_zoh(model, TS)
-    u1 = np.zeros((11, 3))
-    u2 = np.zeros((11, 0))
     window = MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((11, 1)),
-                               u1=u1, u2=u2)
+                               steps=10, held=np.zeros(3))
     with pytest.raises(NumericalError, match="unobservable"):
         estimate_initial_state(d, window, subsample=1)
 
@@ -331,8 +342,7 @@ def test_minimum_norm_on_rank_deficient():
     steps = 40
     trace = simulate(d, np.array([2.0, 5.0]), None, None, steps)
     window = MeasurementWindow(t_start=0, ts=TS, samples=trace.outputs,
-                               u1=np.zeros((steps + 1, 3)),
-                               u2=np.zeros((steps + 1, 0)))
+                               steps=steps, held=np.zeros(3))
     x0_hat, residual = estimate_initial_state(d, window, subsample=1)
     assert x0_hat[0] == pytest.approx(2.0, rel=1e-9)
     assert x0_hat[1] == pytest.approx(0.0, abs=1e-12)
@@ -340,19 +350,37 @@ def test_minimum_norm_on_rank_deficient():
 
 
 def test_window_validation():
-    with pytest.raises(ConfigError, match="u1"):
-        MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((5, 2)),
-                          u1=np.zeros((4, 3)), u2=np.zeros((5, 0)))
+    with pytest.raises(ConfigError, match=re.escape(
+            "samples hold 5 rows; a 3-step window kept at stride 1 holds 4")):
+        MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((5, 2)), steps=3,
+                          held=np.zeros(3))
     with pytest.raises(ConfigError, match="sample period"):
-        MeasurementWindow(t_start=0, ts=0.0, samples=np.zeros((5, 2)),
-                          u1=np.zeros((5, 3)), u2=np.zeros((5, 0)))
+        MeasurementWindow(t_start=0, ts=0.0, samples=np.zeros((5, 2)), steps=4,
+                          held=np.zeros(3))
+    for held in (np.zeros((5, 3)), np.zeros(2)):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"held inputs must be a (3 + q,) vector [u1; u2], got shape {held.shape}")):
+            MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((5, 2)), steps=4, held=held)
+    for steps in (0, 4.0, True):
+        with pytest.raises(ConfigError, match="steps must be an integer >= 1"):
+            MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((5, 2)), steps=steps,
+                              held=np.zeros(3))
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")],
+                         ids=["inf", "-inf", "nan"])
+def test_window_refuses_non_finite_held_inputs(value):
+    held = probe_step(value)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"held inputs must be finite, got {held.tolist()}")):
+        MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((5, 2)), steps=4, held=held)
 
 
 @pytest.mark.parametrize("ts", [float("inf"), float("nan")], ids=["inf", "nan"])
 def test_window_period_must_be_finite(ts):
     with pytest.raises(ConfigError, match=f"sample period must be finite and > 0, got {ts}"):
-        MeasurementWindow(t_start=0, ts=ts, samples=np.zeros((5, 2)),
-                          u1=np.zeros((5, 3)), u2=np.zeros((5, 0)))
+        MeasurementWindow(t_start=0, ts=ts, samples=np.zeros((5, 2)), steps=4,
+                          held=np.zeros(3))
 
 
 @pytest.mark.parametrize("samples", [np.zeros(5), np.zeros((5, 0)), np.zeros((5, 2, 1))],
@@ -360,23 +388,23 @@ def test_window_period_must_be_finite(ts):
 def test_window_samples_must_be_a_table(samples):
     with pytest.raises(ConfigError, match=re.escape(
             f"samples must be an (N+1, p) table with p >= 1, got shape {samples.shape}")):
-        MeasurementWindow(t_start=0, ts=TS, samples=samples,
-                          u1=np.zeros((5, 3)), u2=np.zeros((5, 0)))
+        MeasurementWindow(t_start=0, ts=TS, samples=samples, steps=4, held=np.zeros(3))
 
 
 def test_window_keeps_every_stride_th_sample():
-    u1, u2 = np.zeros((11, 3)), np.zeros((11, 0))
+    held = np.zeros(3)
     # 10 steps at stride 3 keep samples 0, 3, 6 and 9
-    window = MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((4, 2)), u1=u1, u2=u2,
-                               stride=3)
+    window = MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((4, 2)), steps=10,
+                               held=held, stride=3)
     assert window.steps == 10
     with pytest.raises(ConfigError, match=re.escape(
-            "samples hold 5 rows; a 11-row u1 record kept at stride 3 holds 4")):
-        MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((5, 2)), u1=u1, u2=u2, stride=3)
+            "samples hold 5 rows; a 10-step window kept at stride 3 holds 4")):
+        MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((5, 2)), steps=10, held=held,
+                          stride=3)
     for stride in (0, 2.0, True):
         with pytest.raises(ConfigError, match="stride must be an integer >= 1"):
-            MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((11, 2)), u1=u1, u2=u2,
-                              stride=stride)
+            MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((11, 2)), steps=10,
+                              held=held, stride=stride)
 
 
 def test_fits_read_the_estimator_grid_of_a_strided_window(dmodels, m1_probe):
@@ -441,25 +469,30 @@ def test_detect_sequence_rejects_two_window_lengths(dmodels, m1_probe):
         detect_sequence(dmodels, [long, short], subsample=SUB)
 
 
-def _signed_zero(record):
-    return np.where(record == 0.0, -0.0, record)
+def _signed_zero(held, cols):
+    out = np.array(held)
+    part = out[cols]
+    part[part == 0.0] = -0.0
+    out[cols] = part
+    return out
 
 
-@pytest.mark.parametrize("name, edit", [
-    ("u1", lambda w: {"u1": np.zeros_like(w.u1)}),       # probe off against probe on
-    ("u1", lambda w: {"u1": _signed_zero(w.u1)}),
-    ("u2", lambda w: {"u2": _signed_zero(w.u2)}),
-    ("u2", lambda w: {"u2": np.zeros((w.u2.shape[0], 3))}),
+@pytest.mark.parametrize("edit", [
+    lambda held: np.zeros_like(held),                    # probe off against probe on
+    lambda held: _signed_zero(held, slice(0, 3)),
+    lambda held: _signed_zero(held, slice(3, None)),
+    lambda held: np.concatenate([held[:3], np.zeros(3)]),
 ], ids=["u1-probe-off", "u1-signed-zero", "u2-signed-zero", "u2-width"])
-def test_detect_sequence_rejects_a_second_input_record(dmodels, m1_probe, name, edit):
+def test_detect_sequence_rejects_a_second_input_record(dmodels, m1_probe, edit):
     on = probe_window(dmodels[2], np.zeros(18), m1_probe.R)
-    # an equal copy of window 0's records is compared, not refused
-    copy = dataclasses.replace(on, u1=np.array(on.u1), u2=np.array(on.u2))
-    other = dataclasses.replace(on, **edit(on))
+    # an equal copy of window 0's held inputs is compared, not refused
+    copy = dataclasses.replace(on, held=np.array(on.held))
+    other = dataclasses.replace(on, held=edit(on.held))
+    assert copy.held is not on.held
     assert len(detect_sequence(dmodels, [on, copy], subsample=SUB).detected) == 2
     with pytest.raises(ConfigError, match=re.escape(
-            f"window 2: its {name} record differs from window 0's; "
-            f"one call fits windows that share one input record")):
+            "window 2: its held inputs differ from window 0's; "
+            "one call fits windows that hold the same inputs")):
         detect_sequence(dmodels, [on, copy, other], subsample=SUB)
 
 
@@ -485,16 +518,15 @@ def test_warm_detection_matches_cold_and_full_stack_lstsq(m1_family, m1_probe, m
     # line_disconnect's rank 11; models built here, so the first call is cold
     steps, sub = 10000, 10
     models = [discretize_zoh(sc, PAPER_TS) for sc in m1_family]
-    u1 = np.zeros((steps + 1, 3))
-    u1[:steps, m1_probe.channel] = m1_probe.R
-    u2 = np.zeros((steps + 1, 2))
+    held = probe_step(m1_probe.R, m1_probe.channel)
     rng = np.random.default_rng(41)
     windows = []
     for a in (2, 3, 0, 1, 3, 2):
-        trace = simulate(models[a], rng.standard_normal(18) * m1_probe.mu0, u1, u2, steps)
+        trace = simulate(models[a], rng.standard_normal(18) * m1_probe.mu0,
+                         *step_records(held, steps), steps)
         windows.append(MeasurementWindow(
             t_start=0.0, ts=PAPER_TS, samples=trace.outputs + 1e-3 * rng.standard_normal(
-                trace.outputs.shape), u1=u1, u2=u2))
+                trace.outputs.shape), steps=steps, held=held))
     cold = detect(models, windows, subsample=sub)
     stacks = [observability_stack(d, steps, sub) for d in models]
     calls = []
@@ -518,24 +550,20 @@ def test_warm_detection_matches_cold_and_full_stack_lstsq(m1_family, m1_probe, m
 
 @pytest.fixture(scope="module")
 def paper_grid_windows(m1_family, m1_probe):
-    """Noisy 10,000-step windows at the paper grid under two input records,
-    probe on and probe off: for each record, the list of its windows."""
+    """Noisy 10,000-step windows at the paper grid under two held inputs,
+    probe on and probe off: for each, the list of its windows."""
     steps = 10000
     models = [discretize_zoh(sc, PAPER_TS) for sc in m1_family]
-    records = {}
-    for on in (True, False):
-        u1 = np.zeros((steps + 1, 3))
-        u1[:steps, m1_probe.channel] = m1_probe.R if on else 0.0
-        records[on] = (u1, np.zeros((steps + 1, 2)))
+    helds = {on: probe_step(m1_probe.R if on else 0.0, m1_probe.channel) for on in (True, False)}
     rng = np.random.default_rng(43)
     windows = {True: [], False: []}
     for a, on in ((2, True), (0, True), (3, True), (1, False), (2, False), (3, False),
                   (0, True), (1, False)):
-        u1, u2 = records[on]
-        trace = simulate(models[a], rng.standard_normal(18) * m1_probe.mu0, u1, u2, steps)
+        trace = simulate(models[a], rng.standard_normal(18) * m1_probe.mu0,
+                         *step_records(helds[on], steps), steps)
         windows[on].append(MeasurementWindow(
             t_start=0.0, ts=PAPER_TS, samples=trace.outputs + 1e-3 * rng.standard_normal(
-                trace.outputs.shape), u1=u1, u2=u2))
+                trace.outputs.shape), steps=steps, held=helds[on]))
     return models, windows
 
 
@@ -563,7 +591,7 @@ def test_estimate_initial_state_bitwise_per_scenario_fit(paper_grid_windows, sub
         for d in models:
             x0_hat, residual = estimate_initial_state(d, window, subsample=subsample)
             x_ref, r_ref = loop_fit(held_factor(d, window.steps, subsample),
-                                    held_input(window), loop_samples([window], subsample))
+                                    window.held, loop_samples([window], subsample))
             assert np.array_equal(bits(x0_hat), bits(x_ref[:, 0]))
             assert np.array_equal(bits(residual), bits(r_ref[0]))
 
@@ -573,26 +601,6 @@ def test_estimate_initial_state_bitwise_per_scenario_fit(paper_grid_windows, sub
 def test_observability_stack_refuses_negative_steps(dmodels, steps, subsample):
     with pytest.raises(ConfigError, match=re.escape(f"a window needs steps >= 0, got {steps}")):
         observability_stack(dmodels[0], steps, subsample)
-
-
-@pytest.mark.parametrize("name", ["u1", "u2"])
-def test_inputs_not_held_over_the_window_are_refused(dmodels, m1_probe, name):
-    # the probe record with its level changed from row 7 on, and a u2 record
-    # that starts at row 7; row N only pads the record and may differ
-    on = probe_window(dmodels[0], np.zeros(18), m1_probe.R)
-    record = np.array(getattr(on, name))
-    record[7:STEPS, 0] += 0.5
-    stepped = dataclasses.replace(on, **{name: record})
-    message = re.escape(f"window 0: its {name} record changes at row 7; "
-                        f"inputs must be held over rows 0..{STEPS - 1}")
-    with pytest.raises(ConfigError, match=message):
-        detect_sequence(dmodels, [stepped], subsample=SUB)
-    with pytest.raises(ConfigError, match=message):
-        estimate_initial_state(dmodels[0], stepped, subsample=SUB)
-    padded = np.array(getattr(on, name))
-    padded[STEPS] = 9.0
-    assert np.array_equal(held_input(dataclasses.replace(on, **{name: padded})),
-                          held_input(on))
 
 
 def test_estimate_initial_state_stays_cold(m1_family, m1_probe, monkeypatch):

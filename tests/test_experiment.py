@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import bits, make_family, make_model
-from oracles import loop_truth, simulate, window_table
+from oracles import loop_truth, simulate, step_records, window_table
 import shslab.detection as detection
 import shslab.experiment as experiment
 import shslab.probing as probing
@@ -26,6 +26,8 @@ from shslab.util import _MEMO
 # coarse, fast experiment grid for unit tests; the acceptance suite runs the
 # paper-scale one
 TAU, TAU0, TS, SUB = 0.05, 0.005, 1e-5, 5
+# the u1 and u2 parts of a held-input vector [u1; u2]
+_COLUMNS = {"u1": slice(0, 3), "u2": slice(3, None)}
 
 
 @pytest.fixture(scope="module")
@@ -83,18 +85,18 @@ def test_probe_off_ablation_mean_accuracy_below_one(m1_family, coarse_probe):
 def test_windows_share_input_records(m1_family, coarse_probe):
     result = run_experiment(config(m1_family, coarse_probe, K=4, seed=3))
     first = result.windows[0]
+    assert first.held.shape == (5,) and not first.held.flags.writeable
     for window in result.windows[1:]:
-        assert np.shares_memory(window.u1, first.u1)
-        assert np.shares_memory(window.u2, first.u2)
-    # a caller's writable record, or a read-only view of one, is copied
-    records = (np.array(first.u1), first.u1[:])
-    copies = [MeasurementWindow(t_start=0.0, ts=TS, samples=first.samples,
-                                u1=u1, u2=first.u2, stride=first.stride) for u1 in records]
-    for window, u1 in zip(copies, records):
-        assert not np.shares_memory(window.u1, u1)
-        assert not window.u1.flags.writeable
-    records[0][0, 1] += 1.0
-    assert copies[0].u1[0, 1] == first.u1[0, 1]
+        assert window.held is first.held
+    # a caller's writable vector, or a read-only view of one, is copied
+    vectors = (np.array(first.held), first.held[:])
+    copies = [MeasurementWindow(t_start=0.0, ts=TS, samples=first.samples, steps=first.steps,
+                                held=held, stride=first.stride) for held in vectors]
+    for window, held in zip(copies, vectors):
+        assert not np.shares_memory(window.held, held)
+        assert not window.held.flags.writeable
+    vectors[0][1] += 1.0
+    assert copies[0].held[1] == first.held[1]
 
 
 def noise_stream(seed):
@@ -109,9 +111,8 @@ def oracle_truth(result):
     cfg = result.config
     dmodels = [discretize_zoh(sc, cfg.ts) for sc in cfg.family]
     hold = [expm(sc.A * (cfg.tau - cfg.tau0)) for sc in cfg.family]
-    first = result.windows[0]
     return loop_truth(dmodels, hold, result.boundary_states[0], result.sequence.alphas,
-                      first.u1, first.u2, cfg.window_steps,
+                      cfg.applied_R, cfg.probe.channel, cfg.window_steps,
                       cfg.noise_sigma, noise_stream(cfg.seed), cfg.subsample)
 
 
@@ -193,13 +194,12 @@ def test_probe_occupies_window_only(m1_family, coarse_probe):
     result = run_experiment(cfg)
     steps = int(round(TAU0 / TS))
     for w in result.windows:
-        assert np.all(w.u1[:steps, 1] == coarse_probe.R)
-        assert np.all(w.u1[:steps, [0, 2]] == 0.0)
-        assert np.all(w.u1[steps] == 0.0)
+        assert w.steps == steps
+        assert w.held.tolist() == [0.0, coarse_probe.R, 0.0, 0.0, 0.0]
     # unforced propagation across the probe-off remainder matches fine ZOH
     dmodel = discretize_zoh(m1_family[result.sequence.alphas[0]], TS)
     trace = simulate(dmodel, result.boundary_states[0],
-                     result.windows[0].u1, result.windows[0].u2, steps,
+                     *step_records(result.windows[0].held, steps), steps,
                      record_states=True)
     gap_steps = int(round((TAU - TAU0) / TS))
     relax = simulate(dmodel, trace.final_state, None, None, gap_steps,
@@ -333,8 +333,8 @@ def test_write_and_read_windows_roundtrip(tmp_path, m1_family, coarse_probe):
         idx = np.arange(0, src.steps + 1, stride)
         assert w.ts == TS * stride
         assert np.array_equal(w.samples, src.samples[idx])
-        assert np.array_equal(w.u1, src.u1[idx])
-        assert np.array_equal(w.u2, src.u2[idx])
+        assert w.steps == src.steps // stride
+        assert np.array_equal(_bits(w.held), _bits(src.held))
 
 
 def test_read_windows_share_input_records(tmp_path, m1_family, coarse_probe):
@@ -342,9 +342,9 @@ def test_read_windows_share_input_records(tmp_path, m1_family, coarse_probe):
     write_outputs(result, tmp_path, windows_mode="strided")
     windows = read_windows(tmp_path / "windows")
     first = windows[0]
+    assert not first.held.flags.writeable
     for window in windows[1:]:
-        assert np.shares_memory(window.u1, first.u1)
-        assert np.shares_memory(window.u2, first.u2)
+        assert window.held is first.held
         assert not np.shares_memory(window.samples, first.samples)
 
 
@@ -355,17 +355,39 @@ def test_read_windows_rejects_a_second_input_record(tmp_path, m1_family, coarse_
     # window 2 of 4 holds another record: -0.0 where the others hold 0.0,
     # or one entry changed
     result = run_experiment(config(m1_family, coarse_probe, K=4, seed=3))
-    other = np.array(getattr(result.windows[0], record))
+    other = np.array(result.windows[0].held)
+    part = other[_COLUMNS[record]]
     if change == "signed-zero":
-        other[other == 0.0] = -0.0
+        part[part == 0.0] = -0.0
     else:
-        other[0, -1] += 1.0  # row 0 is on every recorded grid
+        part[-1] += 1.0
     windows = list(result.windows)
-    windows[2] = dataclasses.replace(windows[2], **{record: other})
+    windows[2] = dataclasses.replace(windows[2], held=other)
     write_outputs(dataclasses.replace(result, windows=tuple(windows)), tmp_path)
     path = tmp_path / "windows" / "windows.npy"
     with pytest.raises(ConfigError, match=re.escape(
             f"{path} window 2: its {record} columns differ from window 0's")):
+        read_windows(tmp_path / "windows")
+
+
+@pytest.mark.parametrize("record", ["u1", "u2"])
+def test_read_windows_refuses_inputs_not_held(tmp_path, m1_family, coarse_probe, record):
+    # every window's record changes from recorded row 7 on, so the windows
+    # still share one record; its last row only pads it and may differ
+    write_outputs(run_experiment(config(m1_family, coarse_probe, K=3, seed=3)), tmp_path)
+    path = tmp_path / "windows" / "windows.npy"
+    table = np.load(path)
+    p = table.shape[2] - 6
+    col = 1 + p + _COLUMNS[record].start
+    table[:, -1, col] = 9.0
+    np.save(path, table)
+    held = read_windows(tmp_path / "windows")[0].held
+    assert held[_COLUMNS[record].start] == table[0, 0, col]
+    table[:, 7:-1, col] += 0.5
+    np.save(path, table)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{path} window 0: its {record} record changes at row 7; inputs must be held "
+            f"over rows 0..{table.shape[1] - 2}")):
         read_windows(tmp_path / "windows")
 
 
@@ -466,19 +488,19 @@ SPECIAL = (-0.0, 5e-324, 1e-5, 1e16, -1e300, float("nan"), float("inf"))
 @pytest.fixture(scope="module")
 def special_result(m1_family, coarse_probe):
     """A three-window run whose middle window's outputs hold SPECIAL on every
-    estimator-grid row it spans, and whose last window's u1 has -0.0 where the
-    others have 0.0."""
+    estimator-grid row it spans, and whose last window's held inputs have
+    -0.0 where the others have 0.0."""
     result = run_experiment(config(m1_family, coarse_probe, K=3, seed=13), full=True)
     first, middle, last = result.windows
     samples = np.array(middle.samples)
     samples[::SUB][:len(SPECIAL)] = np.array(SPECIAL)[:, None]
     samples[::SUB][:len(SPECIAL), 1] *= -1.0
-    u1 = np.array(last.u1)
-    u1[u1 == 0.0] = -0.0
+    held = np.array(last.held)
+    held[held == 0.0] = -0.0
     return dataclasses.replace(result, windows=(
         first,
         dataclasses.replace(middle, samples=samples),
-        dataclasses.replace(last, u1=u1)))
+        dataclasses.replace(last, held=held)))
 
 
 def _bits(a):
@@ -500,10 +522,10 @@ def test_windows_npy_matches_table_oracle(tmp_path, special_result, mode, stride
     npy = tmp_path / "windows" / "windows.npy"
     assert npy.read_bytes() == _saved(tables)
 
-    # read back a run where every window holds the last window's -0.0 record
-    signed = special_result.windows[2].u1
+    # read back a run where every window holds the last window's -0.0 inputs
+    signed = special_result.windows[2].held
     result = dataclasses.replace(special_result, windows=tuple(
-        dataclasses.replace(w, u1=signed) for w in special_result.windows))
+        dataclasses.replace(w, held=signed) for w in special_result.windows))
     write_outputs(result, tmp_path / "signed", windows_mode=mode)
     tables = [window_table(w, stride) for w in result.windows]
     p = special_result.windows[0].samples.shape[1]
@@ -512,37 +534,38 @@ def test_windows_npy_matches_table_oracle(tmp_path, special_result, mode, stride
     for w, table in zip(windows, tables):
         assert np.array_equal(_bits(w.t_start), _bits(table[0, 0]))
         assert np.array_equal(_bits(w.samples), _bits(table[:, 1:1 + p]))
-        assert np.array_equal(_bits(w.u1), _bits(table[:, 1 + p:4 + p]))
-        assert np.array_equal(_bits(w.u2), _bits(table[:, 4 + p:]))
-    # the special values made it through, and every window shares one record
+        assert np.array_equal(_bits(w.held), _bits(table[0, 1 + p:]))
+    # the special values made it through, and every window shares one vector
     assert np.isnan(windows[1].samples).any() and np.isinf(windows[1].samples).any()
     assert (windows[1].samples == 5e-324).any()
-    assert np.signbit(windows[0].u1[windows[0].u1 == 0.0]).all()
+    assert np.signbit(windows[0].held[windows[0].held == 0.0]).all()
     for w in windows[1:]:
-        assert w.u1 is windows[0].u1 and w.u2 is windows[0].u2
+        assert w.held is windows[0].held
 
 
 @pytest.mark.parametrize("record", ["u1", "u2"])
 @pytest.mark.parametrize("mode, stride", [("strided", SUB), ("full", 1)])
 def test_window_files_format_each_record_from_its_own_values(
         tmp_path, m1_family, coarse_probe, mode, stride, record):
-    # the input records run A, A, B, A, where B has -0.0 wherever A has 0.0:
-    # the last window must be written from A's values, not from B's
+    # the held inputs run A, A, B, A, where B's `record` part has -0.0
+    # wherever A's has 0.0: the last window must be written from A's values,
+    # not from B's
     result = run_experiment(config(m1_family, coarse_probe, K=4, seed=13), full=mode == "full")
-    a = getattr(result.windows[0], record)
+    a = result.windows[0].held
     b = np.array(a)
-    b[b == 0.0] = -0.0
+    part = b[_COLUMNS[record]]
+    part[part == 0.0] = -0.0
     windows = list(result.windows)
-    windows[2] = dataclasses.replace(windows[2], **{record: b})
+    windows[2] = dataclasses.replace(windows[2], held=b)
     result = dataclasses.replace(result, windows=tuple(windows))
-    assert all(getattr(w, record) is a for w in windows[:2] + windows[3:])
+    assert all(w.held is a for w in windows[:2] + windows[3:])
 
     write_outputs(result, tmp_path, windows_mode=mode)
     npy = tmp_path / "windows" / "windows.npy"
     assert npy.read_bytes() == _saved([window_table(w, stride) for w in result.windows])
     p = result.windows[0].samples.shape[1]
-    cols = slice(1 + p, 4 + p) if record == "u1" else slice(4 + p, None)
-    zeros = [table[table == 0.0] for table in np.load(npy)[:, :, cols]]
+    cols = _COLUMNS[record]
+    zeros = [table[table == 0.0] for table in np.load(npy)[:, :, 1 + p:][:, :, cols]]
     assert all(z.size for z in zeros)
     assert [np.signbit(z).any() for z in zeros] == [False, False, True, False]
 
@@ -592,7 +615,7 @@ def test_grid_run_keeps_the_full_runs_grid_rows(tmp_path, m1_family, coarse_prob
     assert np.array_equal(_bits(grid.report.residuals), _bits(full.report.residuals))
     for g, f in zip(grid.windows, full.windows, strict=True):
         assert (g.stride, f.stride) == (subsample, 1)
-        assert g.u1 is f.u1 and g.u2 is f.u2
+        assert g.held is f.held
         assert np.array_equal(_bits(g.samples), _bits(f.samples[::subsample]))
     write_outputs(grid, tmp_path / "grid")
     write_outputs(full, tmp_path / "full")
@@ -733,17 +756,18 @@ def test_memo_entries_are_frozen_and_die_with_the_family(seg1, m1_contingencies,
     result = run_experiment(cfg, full=True)
     dmodels = probing.discretized(family, TS)
     assert len(_MEMO) == before + 1 + len(dmodels)
-    u1, u2, M = experiment._window_response(cfg, dmodels)
-    assert result.windows[0].u1 is u1 and result.windows[0].u2 is u2
+    held, M = experiment._window_response(cfg, dmodels)
+    assert result.windows[0].held is held
+    assert held.shape == (5,)
     assert M.shape == (len(dmodels), 23, 23)
-    arrays = [u1, u2, M]
+    arrays = [held, M]
     for d in dmodels:
         stack, qs, tri = _MEMO[d][("factor", cfg.window_steps, SUB)]
         arrays += [stack, *qs, tri]
     assert not any(a.flags.writeable for a in arrays)
 
     owner = weakref.ref(family)
-    del family, cfg, result, dmodels, u1, u2, M, arrays, d, stack, qs, tri
+    del family, cfg, result, dmodels, held, M, arrays, d, stack, qs, tri
     gc.collect()
     assert owner() is None
     assert len(_MEMO) == before
