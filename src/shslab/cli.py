@@ -260,7 +260,7 @@ def _experiment_from_config(cfg_path, probe_off: bool = False,
 def _run_and_record(args, command: str, exp: ExperimentConfig, cfg: dict, inputs) -> None:
     """Run the experiment, write its artifacts, probe.json and the manifest
     under args.out_dir, and print the summary."""
-    result = run_experiment(exp, generate_sequence(exp), full=args.windows == "full")
+    result = run_experiment(exp, generate_sequence(exp))
     write_outputs(result, args.out_dir, windows_mode=args.windows)
     dump_json(probe_to_json(exp.probe), os.path.join(args.out_dir, "probe.json"))
     write_manifest(args.out_dir, command, inputs, cfg)
@@ -324,7 +324,7 @@ def cmd_detect(args) -> int:
     # windows are stored on the estimator grid; use every recorded sample
     require_equations(windows[0].steps, fam[0].p, fam[0].n, 1, meta)
     dmodels = discretized(fam, windows[0].ts)
-    report = detect_sequence(dmodels, windows, truth=truth, subsample=1)
+    report = detect_sequence(dmodels, windows, truth=truth)
     dump_json(report.to_json(), args.out)
     write_manifest(os.path.dirname(os.path.abspath(args.out)), "detect",
                    [args.family] + ([args.probe] if args.probe else [])

@@ -20,10 +20,10 @@ the response from z = e_(n+ch). So a window holds its inputs as one vector,
 held = [u1; u2], over rows 0..N-1; it has no way to express any other
 input.
 
-One detect_sequence call covers windows of one length that hold the same
-inputs bit for bit. A window may keep only every stride-th sample of its
-record, the switched truth's the estimator grid alone; a fit reads every
-subsample // stride-th of them.
+One detect_sequence call covers windows of one length and one grid that
+hold the same inputs bit for bit. A window keeps every stride-th sample of
+its record, the estimator grid its fit reads whole: the switched truth's
+windows keep every subsample-th, a replayed trace's every recorded sample.
 """
 
 from __future__ import annotations
@@ -69,8 +69,9 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 class MeasurementWindow:
     """Uniformly sampled output record over one detection window of `steps`
     steps, and the inputs held = [u1; u2] over its rows 0..N-1, which the
-    estimator must discount. The samples may keep only every stride-th
-    sample of the N+1-row record, rows 0, stride, 2 stride, ..."""
+    estimator must discount. The samples keep every stride-th sample of the
+    N+1-row record, rows 0, stride, 2 stride, ...: the estimator grid, every
+    row of which a fit reads."""
 
     t_start: float
     ts: float
@@ -188,22 +189,6 @@ def require_equations(steps: int, p: int, n: int, subsample: int,
                           f"for {n} states; a window must hold more", location)
 
 
-def grid_step(windows, stride: int) -> int:
-    """The step through the samples of `windows` that reads every stride-th
-    sample of their records: stride // s for windows that all keep every
-    s-th sample, s dividing `stride`. Windows kept at mixed strides, or at
-    one that does not divide `stride`, are a ConfigError naming the window."""
-    kept = windows[0].stride if windows else 1
-    for k, window in enumerate(windows):
-        if window.stride != kept:
-            raise ConfigError(f"window {k} is kept at stride {window.stride}, window 0 "
-                              f"at stride {kept}; windows must keep one grid")
-        if stride % window.stride:
-            raise ConfigError(f"window {k} is kept at stride {window.stride}, which does "
-                              f"not divide the stride {stride} read from it")
-    return stride // kept
-
-
 def observability_stack(dmodel: DiscreteStateSpace, steps: int,
                         subsample: int = 1) -> np.ndarray:
     """Stacked map x0 -> [y_k]_{k in grid} for the free response, a read-only
@@ -317,24 +302,23 @@ def _factor(stack: np.ndarray, n: int):
     return stack, tuple(qs), tri
 
 
-def _fit(factors, windows, subsample: int) -> tuple[np.ndarray, np.ndarray]:
+def _fit(factors, windows) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares window-start states (m, n, W) of W windows of one length
-    against m factors from _factor of one state dimension, and the attained
-    residual norms (m, W), for windows that hold window 0's inputs `held`.
+    and grid against m factors of one state dimension from _factor on that
+    grid, and the attained residual norms (m, W), for windows that all hold `held`.
 
-    The windows' estimator rows, read at grid_step, are copied once into
-    one (rows, W) matrix, detection's peak memory. One streamed pass forms,
-    chunk by chunk, the free part of every scenario, the rows less the
-    forced response S held, and applies the m stored rotations of the chunk
-    in one batched product, small enough for the calling thread. Each
+    Every row the windows hold is copied once into one (rows, W) matrix,
+    detection's peak memory. One streamed pass forms, chunk by chunk, the
+    free part of every scenario, the rows less the forced response S held,
+    and applies the m stored rotations of the chunk in one batched product,
+    small enough for the calling thread. Each
     triangle goes to numpy's lstsq at the rank cut numpy applies to the full
     stack, eps * max(rows, n) times the largest singular value, so
     rank-deficient stacks get the minimum-norm estimate. Residuals are those
     of the full stacks' responses [O | S] [x0_hat; held] to the rows.
     """
-    step = grid_step(windows, subsample)
     held = windows[0].held
-    samples = np.stack([w.samples[::step] for w in windows], axis=-1).reshape(-1, len(windows))
+    samples = np.stack([w.samples for w in windows], axis=-1).reshape(-1, len(windows))
     stacks, qs, tris = zip(*factors)
     rows, n = stacks[0].shape[0], tris[0].shape[1]
     forced = np.stack([stack[:, n:] @ held for stack in stacks])
@@ -357,7 +341,7 @@ def _fit(factors, windows, subsample: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow,
-                           subsample: int = 10) -> tuple[np.ndarray, float]:
+                           subsample: int | None = None) -> tuple[np.ndarray, float]:
     """Least-squares window-start state and the attained fit residual.
 
     Rank-deficient observability gives the minimum-norm estimate; an all-zero
@@ -365,32 +349,32 @@ def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow
     for one window and one scenario, but it builds the stack and its QR
     afresh on every call and stores nothing: it is the cold path the stored
     factors are checked against, and a model it is called on pins no factor.
-    A window that keeps every stride-th sample needs a stride dividing
-    subsample.
+    `subsample` may only name the window's own stride; it is kept because
+    perfbench passes it.
     """
+    if subsample is not None and subsample != window.stride:
+        raise ConfigError(f"subsample={subsample}: a window kept at stride {window.stride} "
+                          f"is fitted on that grid")
     _check_window(dmodel, window)
-    factor = _factor(observability_stack(hold_inputs(dmodel), window.steps, subsample),
+    factor = _factor(observability_stack(hold_inputs(dmodel), window.steps, window.stride),
                      dmodel.n)
-    x0_hat, residual = _fit([factor], [window], subsample)
+    x0_hat, residual = _fit([factor], [window])
     return x0_hat[0, :, 0], float(residual[0, 0])
 
 
 def detect_sequence(models: list[DiscreteStateSpace],
                     windows: list[MeasurementWindow],
-                    truth: list[int] | None = None,
-                    subsample: int = 10) -> DetectionReport:
+                    truth: list[int] | None = None) -> DetectionReport:
     """Fit every scenario to every window of an ordered list: the report's
     (K, m) table holds window k's residuals in row k, its argmin the verdict.
 
-    The windows must be of one length, keep one grid whose stride divides
-    subsample, and hold the same inputs bit for bit, so -0.0 differs from
-    0.0. All windows are fitted in one pass for all scenarios, with each
+    The windows must be of one length, keep one grid, which the fits read
+    whole, and hold the same inputs bit for bit, so -0.0 differs from 0.0.
+    All windows are fitted in one pass for all scenarios, with each
     scenario's stack and QR from the memo of _factor. A window of another
     length, grid or held input, and a window length require_equations
     refuses, are a ConfigError.
     """
-    if truth is not None and len(truth) != len(windows):
-        raise ConfigError("truth sequence length differs from window count")
     if not windows:
         return DetectionReport(residuals=np.empty((0, len(models))), truth=truth)
     if not models:
@@ -400,20 +384,22 @@ def detect_sequence(models: list[DiscreteStateSpace],
         if window.steps != head.steps:
             raise ConfigError(f"window {k} has {window.steps} steps, window 0 has "
                               f"{head.steps}; one call fits windows of one length")
+        if window.stride != head.stride:
+            raise ConfigError(f"window {k} is kept at stride {window.stride}, window 0 "
+                              f"at stride {head.stride}; windows must keep one grid")
         if not _same_bits(window.held, head.held):
             raise ConfigError(f"window {k}: its held inputs differ from window 0's; "
                               f"one call fits windows that hold the same inputs")
-    require_equations(head.steps, head.samples.shape[1], models[0].n, subsample)
+    require_equations(head.steps, head.samples.shape[1], models[0].n, head.stride)
 
     factors = []
     for i, model in enumerate(models):
         try:
             for window in windows:
                 _check_window(model, window)
-            factors.append(memo(model, ("factor", head.steps, subsample),
-                                lambda: _factor(grid_stack(model, head.steps, subsample),
+            factors.append(memo(model, ("factor", head.steps, head.stride),
+                                lambda: _factor(grid_stack(model, head.steps, head.stride),
                                                 model.n)))
         except ShslabError as exc:
             raise type(exc)(f"scenario {i}: {exc}") from exc
-    return DetectionReport(residuals=_fit(factors, windows, subsample)[1].T,
-                           truth=truth)
+    return DetectionReport(residuals=_fit(factors, windows)[1].T, truth=truth)

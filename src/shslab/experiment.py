@@ -25,16 +25,13 @@ run on the same family draws its initial state, chains the boundary
 states, takes the window products and the noise, and fits against
 detection's stored factors.
 
-Measurement noise, noise_sigma times one standard normal per output, is
-drawn only for the estimator grid: every subsample-th sample of a window,
-the rows detection fits and a strided window record keeps. The draws come
-from one stream per seed, window by window, a (rows on the grid, p) block
-each; the samples between grid rows are the noise-free outputs.
-
-A window keeps only its estimator grid unless the run is asked for every
-sample (`full`, which a full window record needs). Rows r, r + subsample,
-... of a full record are the grid products from Ad_z^r z_k, so the grid
-rows hold the same bits either way.
+A window keeps only its estimator grid, every subsample-th sample: the
+rows detection fits. Measurement noise, noise_sigma times one standard
+normal per output, goes on those rows, drawn from one stream per seed,
+window by window, a (grid rows, p) block each. A full window record is
+formed when it is written, as the products from Ad_z^r z_k on rows r,
+r + subsample, ..., with the window's own samples on its grid rows, so only
+they carry noise.
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import (DetectionReport, MeasurementWindow, detect_sequence, free_outputs,
-                        grid_stack, grid_step, require_equations)
+                        grid_stack, require_equations)
 from .errors import ConfigError, NumericalError
 from .linsys import eig_sorted, expm, hold_inputs
 from .probing import ProbingDesign, discretized, whole_steps
@@ -174,13 +171,28 @@ def _window_response(config: ExperimentConfig, dmodels: tuple):
     return memo(family, key, build)
 
 
-def run_experiment(config: ExperimentConfig, sequence: SwitchingSequence | None = None,
-                   full: bool = False) -> ExperimentResult:
+def _window_outputs(config: ExperimentConfig, alphas, Z: np.ndarray,
+                    full: bool = False) -> list[np.ndarray]:
+    """Each window's noise-free outputs from the held-input state Z[k] under
+    scenario alphas[k], on its estimator grid or with `full` on every row: one
+    free_outputs batch per scenario, into arrays all allocated first, so the
+    products' transients do not sit between them."""
+    dmodels = discretized(config.family, config.ts)
+    steps = config.window_steps
+    shape = (steps + 1 if full else steps // config.subsample + 1, dmodels[0].p)
+    samples = [np.empty(shape) for _ in alphas]
+    for a, dmodel in enumerate(dmodels):
+        ks = np.flatnonzero(np.equal(alphas, a))
+        free_outputs(dmodel, Z[ks], [samples[k] for k in ks], steps, config.subsample, full)
+    return samples
+
+
+def run_experiment(config: ExperimentConfig,
+                   sequence: SwitchingSequence | None = None) -> ExperimentResult:
     """Simulate the switched truth with probing, detect per window, score.
 
     Each window keeps the estimator grid, every subsample-th sample of its
-    record, or with `full` every sample; the grid rows are the same bits
-    either way."""
+    record."""
     if sequence is None:
         sequence = generate_sequence(config)
     family = config.family
@@ -219,31 +231,17 @@ def run_experiment(config: ExperimentConfig, sequence: SwitchingSequence | None 
                 f"simulation diverged in interval {k} (scenario {a}); "
                 f"the scenario model is unstable")
 
-    # every window one batched product per scenario over its windows, into
-    # arrays the windows then own without a copy; all of them allocated
-    # first, so the products' transients do not sit between them
-    grid_shape = (config.window_steps // config.subsample + 1, dmodels[0].p)
-    shape = (config.window_steps + 1, dmodels[0].p) if full else grid_shape
-    stride = 1 if full else config.subsample
-    samples = [np.empty(shape) for _ in range(config.K)]
-    alphas = np.asarray(sequence.alphas)
-    for a in range(m):
-        ks = np.flatnonzero(alphas == a)
-        free_outputs(dmodels[a], Z[ks], [samples[k] for k in ks],
-                     config.window_steps, config.subsample, full)
-
+    # arrays the windows then own without a copy
     windows: list[MeasurementWindow] = []
-    for k, y in enumerate(samples):
+    for k, y in enumerate(_window_outputs(config, sequence.alphas, Z)):
         if config.noise_sigma > 0:
-            y[::config.subsample // stride] += (
-                config.noise_sigma * rng_noise.standard_normal(grid_shape))
+            y += config.noise_sigma * rng_noise.standard_normal(y.shape)
         y.setflags(write=False)
         windows.append(MeasurementWindow(
             t_start=k * config.tau, ts=config.ts, samples=y,
-            steps=config.window_steps, held=held, stride=stride))
+            steps=config.window_steps, held=held, stride=config.subsample))
 
-    report = detect_sequence(dmodels, windows, truth=list(sequence.alphas),
-                             subsample=config.subsample)
+    report = detect_sequence(dmodels, windows, truth=list(sequence.alphas))
     return ExperimentResult(config=config, sequence=sequence, report=report,
                             windows=tuple(windows), boundary_states=Z[:, :n])
 
@@ -299,8 +297,12 @@ def window_rows(tau0: float, ts: float) -> int:
     """Samples a window of length tau0 holds at period ts: those at 0, ts,
     2 ts, ... up to tau0, to 1e-6 of a sample. A record that keeps every
     stride-th sample of a window has this many rows at ts = stride times the
-    simulated period, whether or not the stride divides the window's steps."""
-    return math.floor(tau0 / ts + 1e-6) + 1
+    simulated period, whether or not the stride divides the window's steps.
+    A window with no finite number of samples is a ConfigError."""
+    rows = tau0 / ts + 1e-6
+    if not math.isfinite(rows):
+        raise ConfigError(f"a window of tau0={tau0} at ts={ts} holds no finite number of samples")
+    return math.floor(rows) + 1
 
 
 def _write_sequence_csv(path, rows, header):
@@ -313,9 +315,10 @@ def _write_sequence_csv(path, rows, header):
 def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "strided") -> None:
     """Emit truth.csv, detected.csv, sequence.csv, report.json and windows/.
 
-    windows_mode: 'strided' records every subsample-th sample (the estimator
-    grid), 'full' records every sample, which only a result of
-    run_experiment(..., full=True) holds, 'none' skips the window record.
+    windows_mode: 'strided' records the windows' samples, every subsample-th
+    sample (the estimator grid); 'full' records every sample, formed here by
+    one free_outputs batch per scenario from z_k = [x_k; held] with each
+    window's samples, noise included, on its grid rows; 'none' skips it.
     The record is windows/windows.npy, one float64 table of shape (K, rows,
     1 + p + 3 + q) whose columns are t, the outputs, u1 and u2, the last
     two the window's held inputs on the rows before N and zeros on the row
@@ -329,10 +332,6 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
         raise ConfigError(f"unknown windows mode '{windows_mode}'")
     cfg = result.config
     stride = 1 if windows_mode == "full" else cfg.subsample
-    try:
-        step = grid_step(result.windows, stride)
-    except ConfigError as exc:
-        raise ConfigError(f"windows mode '{windows_mode}': {exc}") from exc
     os.makedirs(out_dir, exist_ok=True)
     truth = list(result.sequence.alphas)
     detected = result.report.detected
@@ -364,17 +363,22 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
         "n_u2": q,
         "window_starts": [w.t_start for w in result.windows],
     }, os.path.join(win_dir, "meta.json"))
+    records = [w.samples for w in result.windows]
+    if windows_mode == "full" and records:
+        Z = np.column_stack([result.boundary_states[:-1], [w.held for w in result.windows]])
+        records = _window_outputs(cfg, result.sequence.alphas, Z, full=True)
+        for y, w in zip(records, result.windows):
+            y[::cfg.subsample] = w.samples
     shape = (len(result.windows), window_rows(cfg.tau0, cfg.ts * stride), 1 + p + 3 + q)
     with open(os.path.join(win_dir, _NPY), "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, {
             "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
             "fortran_order": False, "shape": shape})
-        for w in result.windows:
+        for w, y in zip(result.windows, records):
             idx = np.arange(0, w.steps + 1, stride)
             inputs = np.zeros((idx.size, 3 + q))
             inputs[idx < w.steps] = w.held
-            fh.write(np.column_stack(
-                [w.t_start + w.ts * idx, w.samples[::step], inputs]).tobytes())
+            fh.write(np.column_stack([w.t_start + w.ts * idx, y, inputs]).tobytes())
 
 
 def _clear_windows(win_dir, keep: set) -> None:
@@ -390,13 +394,15 @@ def _clear_windows(win_dir, keep: set) -> None:
 def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[MeasurementWindow]:
     """Rebuild MeasurementWindows from a windows/ directory written above.
 
-    The returned windows live on the recorded grid; detect them with
-    subsample=1 against a family discretized at the recorded ts. A trace
+    The returned windows keep every recorded sample, stride 1, the grid
+    detect_sequence fits them on, against a family discretized at the
+    recorded ts. A trace
     holds one input record: every window's u1 and u2 columns must equal
     window 0's bit for bit, and that record must hold its inputs, finite and
     unchanged over every row but the last, which only pads it; all windows
     share its row 0 as one frozen held vector. meta.json's ts must be
-    ts_simulated * stride_applied, and every window must hold
+    ts_simulated * stride_applied, for a finite ts_simulated > 0 and a
+    stride_applied >= 1, and every window must hold
     window_rows(tau0, ts) rows for meta.json's tau0 and start at its entry
     of window_starts exactly (both are round-trips of one float, and the
     first t is t_start + ts * 0). With a probe, meta.json's tau0 must be
@@ -423,7 +429,8 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
         raise ConfigError(f"{meta}: malformed: {exc!r}") from exc
     p, q, stride = (doc_value(info, key, integer, meta)
                     for key in ("n_outputs", "n_u2", "stride_applied"))
-    for key, value, least in (("n_outputs", p, 1), ("n_u2", q, 0)):
+    for key, value, least in (("n_outputs", p, 1), ("n_u2", q, 0),
+                              ("stride_applied", stride, 1)):
         if value < least:
             raise ConfigError(f"{meta}: key '{key}' has bad value {value}: must be >= {least}")
     fmt = info.get("format")
@@ -434,18 +441,24 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
                           f"to record its windows as {_NPY}")
     if fmt != "npy":
         raise ConfigError(f"{meta}: unknown window format {fmt!r}; this version reads 'npy'")
+    if not (np.isfinite(ts_simulated) and ts_simulated > 0):
+        raise ConfigError(f"{meta}: ts_simulated={ts_simulated} must be positive and finite")
     ts_written = ts_simulated * stride
     if not (np.isfinite(ts) and ts > 0 and abs(ts - ts_written) <= 1e-12 * ts):
         raise ConfigError(f"{meta}: ts={ts} must be positive, finite and equal to "
                           f"ts_simulated * stride_applied = {ts_written}")
     if not (np.isfinite(tau0) and tau0 > 0):
         raise ConfigError(f"{meta}: tau0={tau0} must be positive and finite")
-    rows = window_rows(tau0, ts)
+    try:
+        rows = window_rows(tau0, ts)
+        implied = rows if probe is None else window_rows(probe.tau0, ts)
+    except ConfigError as exc:
+        raise ConfigError(f"{meta}: {exc}") from exc
     misfit = f"probe.json does not fit the windows {meta} describes: meta.json records"
     if probe is not None and not abs(probe.tau0 - tau0) <= 1e-12 * probe.tau0:
         raise ConfigError(
             f"{misfit} tau0={tau0}, the probe design has tau0={probe.tau0}; window has "
-            f"{rows} samples, probe design implies {window_rows(probe.tau0, ts)}")
+            f"{rows} samples, probe design implies {implied}")
     if probe is not None and probe.ts is not None \
             and not abs(probe.ts - ts_simulated) <= 1e-12 * probe.ts:
         raise ConfigError(f"{misfit} ts_simulated={ts_simulated}, the probe design has "

@@ -409,14 +409,12 @@ def loop_observability_stack(dmodel, steps, subsample=1):
     return blocks.reshape(idx.size * dmodel.p, dmodel.n)
 
 
-def loop_samples(windows, subsample):
-    """(rows, windows) matrix of the strided samples of windows of one
-    length, filled one window at a time."""
-    if subsample < 1:
-        raise ConfigError(f"subsample must be >= 1, got {subsample}")
-    out = np.empty((len(windows),) + windows[0].samples[::subsample].shape)
+def loop_samples(windows):
+    """(rows, windows) matrix of every sample of windows of one length and
+    grid, filled one window at a time."""
+    out = np.empty((len(windows),) + windows[0].samples.shape)
     for k, window in enumerate(windows):
-        out[k] = window.samples[::subsample]
+        out[k] = window.samples
     return out.reshape(len(windows), -1).T
 
 
@@ -449,17 +447,17 @@ def loop_fit(factor, held, samples):
     return x0_hat, np.sqrt(squares)
 
 
-def loop_detect(models, windows, subsample):
+def loop_detect(models, windows):
     """Per window, the (m,) residuals and (m, n) states of every scenario's
-    fit, one scenario at a time, for windows that hold window 0's inputs and
-    the forced responses to them."""
-    held = windows[0].held
+    fit on window 0's grid, one scenario at a time, for windows that hold
+    window 0's inputs and the forced responses to them."""
+    held, steps, stride = windows[0].held, windows[0].steps, windows[0].stride
     per_model = []
     for model in models:
         for window in windows:
             _check_window(model, window)
-        per_model.append(loop_fit(held_factor(model, windows[0].steps, subsample), held,
-                                  loop_samples(windows, subsample)))
+        per_model.append(loop_fit(held_factor(model, steps, stride), held,
+                                  loop_samples(windows)))
     x0_hat = np.stack([x for x, _ in per_model])
     residuals = np.stack([r for _, r in per_model])
     return [(residuals[:, col], x0_hat[:, :, col]) for col in range(len(windows))]

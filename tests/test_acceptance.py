@@ -168,9 +168,10 @@ def test_criterion_8_initial_state_estimator(m1_family, m1_probe):
         keep = Vt[s >= 1e-6 * s[0]]
         x0 = keep.T @ (keep @ (rng.standard_normal(18) * m1_probe.mu0))
         trace = simulate(d, x0, u1, u2, steps)
-        window = MeasurementWindow(t_start=0.0, ts=PAPER_TS, samples=trace.outputs,
-                                   steps=steps, held=held)
-        x0_hat, residual = estimate_initial_state(d, window, subsample=SUBSAMPLE)
+        window = MeasurementWindow(t_start=0.0, ts=PAPER_TS,
+                                   samples=trace.outputs[::SUBSAMPLE], steps=steps,
+                                   held=held, stride=SUBSAMPLE)
+        x0_hat, residual = estimate_initial_state(d, window)
         rec = np.linalg.norm(x0_hat - x0) / np.linalg.norm(x0)
         worst_rec = max(worst_rec, float(rec))
         assert rec <= 1e-6
@@ -181,10 +182,10 @@ def test_criterion_8_initial_state_estimator(m1_family, m1_probe):
     for i, d_true in enumerate(dmodels):
         x0 = rng.standard_normal(18) * m1_probe.mu0
         trace = simulate(d_true, x0, u1, u2, steps)
-        window = MeasurementWindow(t_start=0.0, ts=PAPER_TS, samples=trace.outputs,
-                                   steps=steps, held=held)
-        residuals = [estimate_initial_state(d, window, subsample=SUBSAMPLE)[1]
-                     for d in dmodels]
+        window = MeasurementWindow(t_start=0.0, ts=PAPER_TS,
+                                   samples=trace.outputs[::SUBSAMPLE], steps=steps,
+                                   held=held, stride=SUBSAMPLE)
+        residuals = [estimate_initial_state(d, window)[1] for d in dmodels]
         for j in range(4):
             if j != i:
                 assert residuals[i] <= residuals[j], f"pair ({i},{j}) misordered"

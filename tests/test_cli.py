@@ -188,6 +188,26 @@ def test_noisy_random_x0_run_replays_its_verdicts(recorded, tmp_path, capsys):
         assert np.allclose(wa["residuals"], wb["residuals"], rtol=1e-6, atol=1e-9)
 
 
+def test_full_trace_replays_its_verdicts(recorded, tmp_path, capsys):
+    # a noisy run that records every sample: detect fits all 501 rows of each
+    # window at stride 1, where the run fitted its estimator grid
+    config = dict(EXPERIMENT_CONFIG, x0_mode="random", noise_sigma=1e-3, K=6)
+    (tmp_path / "paper6bus.json").write_bytes((recorded / "paper6bus.json").read_bytes())
+    (tmp_path / "experiment.json").write_text(json.dumps(config))
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(tmp_path / "experiment.json"), "--windows", "full",
+                 "--out-dir", str(run)]) == 0
+    assert np.load(run / "windows" / "windows.npy").shape == (6, 501, 11)
+    assert main(["detect", "--family", str(recorded / "matrices.json"), "--segment", "1",
+                 "--probe", str(run / "probe.json"), "--trace", str(run / "windows"),
+                 "--truth", str(run / "truth.csv"), "--out", str(tmp_path / "replay.json")]) == 0
+    run_report = json.loads((run / "report.json").read_text())
+    replay_report = json.loads((tmp_path / "replay.json").read_text())
+    assert ([w["detected"] for w in replay_report["windows"]]
+            == [w["detected"] for w in run_report["windows"]])
+    assert replay_report["accuracy"] == run_report["accuracy"]
+
+
 def test_manifest_digests_match_inputs(workspace):
     run_dir = workspace / "out"
     assert main(["run", "--config", str(workspace / "experiment.json"),
@@ -533,6 +553,35 @@ def test_detect_meta_ts_inconsistent_exits_2(recorded, tmp_path, capsys, ts):
     assert _replay(recorded, tmp_path, edit=lambda d: _edit_meta(d, ts=ts)) == 2
     err = capsys.readouterr().err
     assert "meta.json: ts=" in err and "ts_simulated * stride_applied = 5e-05" in err
+
+
+@pytest.mark.parametrize("changes, probe, message", [
+    (dict(tau0=1e308), False, "tau0=1e+308 at ts=5e-05"),
+    # the probe's tau0 of 0.005 at this ts overflows while meta.json's does not
+    (dict(tau0=1e-316, ts=5e-320, ts_simulated=1e-320), True, "tau0=0.005 at ts=5e-320"),
+], ids=["meta-tau0", "probe-tau0"])
+def test_detect_window_length_past_float_range_exits_2(recorded, tmp_path, capsys, changes,
+                                                       probe, message):
+    # tau0 / ts overflows to inf: no window length, not a crash
+    assert _replay(recorded, tmp_path, edit=lambda d: _edit_meta(d, **changes), probe=probe) == 2
+    err = capsys.readouterr().err
+    assert f"meta.json: a window of {message} holds no finite number of samples" in err
+    assert not (tmp_path / "replay.json").exists()
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(stride_applied=-5, ts_simulated=-1e-5), "key 'stride_applied' has bad value -5"),
+    (dict(stride_applied=0), "key 'stride_applied' has bad value 0"),
+    (dict(ts_simulated=float("inf")), "ts_simulated=inf must be positive and finite"),
+    (dict(ts_simulated=-1e-5), "ts_simulated=-1e-05 must be positive and finite"),
+], ids=["negative-stride", "zero-stride", "inf-period", "negative-period"])
+def test_detect_meta_bad_stride_or_period_exits_2(recorded, tmp_path, capsys, changes,
+                                                   message):
+    # recorded at ts_simulated 1e-5 with stride 5; -1e-5 times -5 is still
+    # meta.json's ts of 5e-5
+    assert _replay(recorded, tmp_path, edit=lambda d: _edit_meta(d, **changes)) == 2
+    assert f"meta.json: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "replay.json").exists()
 
 
 # the family has 5 outputs and 2 aux inputs; drop column y4 or add a column u2_2

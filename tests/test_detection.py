@@ -32,11 +32,21 @@ def probe_step(magnitude, channel=1, q=2):
     return held
 
 
-def probe_window(dmodel, x0, magnitude, channel=1, steps=STEPS, noise=None):
+def on_grid(window, sub):
+    """The window of every sub-th sample of a window that keeps every sample."""
+    assert window.stride == 1
+    return dataclasses.replace(window, samples=window.samples[::sub], stride=sub)
+
+
+def probe_window(dmodel, x0, magnitude, channel=1, steps=STEPS, noise=None, sub=SUB):
+    """The estimator grid, every sub-th sample, of the oracle's record of
+    `dmodel` from x0 under a probe step of `magnitude`, with `noise` added to
+    every sample of the record."""
     held = probe_step(magnitude, channel, dmodel.Bd2.shape[1])
     trace = simulate(dmodel, x0, *step_records(held, steps), steps)
     y = trace.outputs if noise is None else trace.outputs + noise
-    return MeasurementWindow(t_start=0.0, ts=TS, samples=y, steps=steps, held=held)
+    return on_grid(MeasurementWindow(t_start=0.0, ts=TS, samples=y, steps=steps, held=held),
+                   sub)
 
 
 def detect(models, windows, **kwargs):
@@ -68,9 +78,9 @@ def test_self_recovery_noise_free(dmodels, m1_probe):
         G = observability_stack(d, STEPS, SUB)
         x0 = observable_projector(G) @ (rng.standard_normal(18) * m1_probe.mu0)
         window = probe_window(d, x0, m1_probe.R)
-        x0_hat, residual = estimate_initial_state(d, window, subsample=SUB)
+        x0_hat, residual = estimate_initial_state(d, window)
         assert np.linalg.norm(x0_hat - x0) <= 1e-6 * np.linalg.norm(x0)
-        ynorm = np.linalg.norm(window.samples[sample_indices(STEPS, SUB)])
+        ynorm = np.linalg.norm(window.samples)
         assert residual <= 1e-8 * ynorm
 
 
@@ -82,14 +92,14 @@ def test_output_equivalent_recovery_any_x0(dmodels, m1_probe):
     G = observability_stack(d, STEPS, SUB)
     x0 = rng.standard_normal(18) * m1_probe.mu0
     window = probe_window(d, x0, m1_probe.R)
-    x0_hat, _ = estimate_initial_state(d, window, subsample=SUB)
+    x0_hat, _ = estimate_initial_state(d, window)
     assert np.linalg.norm(G @ (x0_hat - x0)) <= 1e-8 * np.linalg.norm(G @ x0)
 
 
 def test_zero_window_minimum_norm(dmodels):
     d = dmodels[0]
     window = probe_window(d, np.zeros(18), 0.0)
-    x0_hat, residual = estimate_initial_state(d, window, subsample=SUB)
+    x0_hat, residual = estimate_initial_state(d, window)
     assert np.array_equal(x0_hat, np.zeros(18))
     assert residual == 0.0
 
@@ -99,7 +109,7 @@ def test_cross_fit_ordering_all_pairs(dmodels, m1_probe):
     for i, d_true in enumerate(dmodels):
         x0 = rng.standard_normal(18) * m1_probe.mu0
         window = probe_window(d_true, x0, m1_probe.R)
-        residuals = [estimate_initial_state(d, window, subsample=SUB)[1]
+        residuals = [estimate_initial_state(d, window)[1]
                      for d in dmodels]
         for j in range(len(dmodels)):
             if j != i:
@@ -108,14 +118,14 @@ def test_cross_fit_ordering_all_pairs(dmodels, m1_probe):
 
 def test_detect_picks_generating_scenario(dmodels, m1_probe):
     window = probe_window(dmodels[2], np.zeros(18), m1_probe.R)
-    verdict = detect(dmodels, [window], subsample=SUB).verdicts[0]
+    verdict = detect(dmodels, [window]).verdicts[0]
     assert verdict.detected == 2
     assert verdict.residuals[2] < min(r for j, r in enumerate(verdict.residuals) if j != 2)
 
 
 def test_detect_family_of_one(dmodels):
     window = probe_window(dmodels[1], np.ones(18), 0.0)
-    verdict = detect(dmodels[:1], [window], subsample=SUB).verdicts[0]
+    verdict = detect(dmodels[:1], [window]).verdicts[0]
     assert verdict.detected == 0
 
 
@@ -130,7 +140,7 @@ def test_probe_off_adversarial_x0_can_miss(dmodels):
         for scale in scales:
             x0 = scale * direction
             window = probe_window(dmodels[1], x0, 0.0)
-            verdict = detect(dmodels, [window], subsample=SUB).verdicts[0]
+            verdict = detect(dmodels, [window]).verdicts[0]
             misses += verdict.detected != 1
     assert misses >= 1
 
@@ -138,7 +148,7 @@ def test_probe_off_adversarial_x0_can_miss(dmodels):
 def test_tie_break_lowest_index(dmodels):
     twins = [dmodels[1], dmodels[1]]
     window = probe_window(dmodels[1], np.full(18, 3.0), 0.0)
-    verdict = detect(twins, [window], subsample=SUB).verdicts[0]
+    verdict = detect(twins, [window]).verdicts[0]
     assert verdict.detected == 0
     assert verdict.residuals[0] == verdict.residuals[1]
 
@@ -148,8 +158,8 @@ def test_detection_deterministic(dmodels, m1_probe):
     x0 = rng.standard_normal(18)
     w1 = probe_window(dmodels[3], x0, m1_probe.R)
     w2 = probe_window(dmodels[3], x0, m1_probe.R)
-    v1 = detect(dmodels, [w1], subsample=SUB).verdicts[0]
-    v2 = detect(dmodels, [w2], subsample=SUB).verdicts[0]
+    v1 = detect(dmodels, [w1]).verdicts[0]
+    v2 = detect(dmodels, [w2]).verdicts[0]
     assert np.array_equal(v1.residuals, v2.residuals)
     assert v1.detected == v2.detected
 
@@ -165,7 +175,7 @@ def test_detect_sequence_scores(dmodels, m1_probe):
     truth = [3, 0, 2, 1, 2, 0]
     windows = [probe_window(dmodels[a], rng.standard_normal(18), m1_probe.R)
                for a in truth]
-    report = detect(dmodels, windows, truth=truth, subsample=SUB)
+    report = detect(dmodels, windows, truth=truth)
     assert report.detected == truth
     assert report.accuracy == 1.0
     assert report.matches == 6
@@ -247,7 +257,7 @@ def test_grouped_detection_matches_per_window_fits(dmodels, m1_probe):
     records = {}
     for entry, window in zip(plan, windows):
         records.setdefault(entry[1:3], []).append((entry, window))
-    reports = [detect(dmodels, [w for _, w in group], subsample=SUB)
+    reports = [detect(dmodels, [w for _, w in group])
                for group in records.values()]
     assert len(records) == 4
 
@@ -255,7 +265,7 @@ def test_grouped_detection_matches_per_window_fits(dmodels, m1_probe):
               for (entry, window), verdict in zip(group, report.verdicts)]
     assert len(fitted) == len(plan)
     for (a, on, steps, scale), window, verdict in fitted:
-        fits = [estimate_initial_state(d, window, subsample=SUB) for d in dmodels]
+        fits = [estimate_initial_state(d, window) for d in dmodels]
         ref = np.array([r for _, r in fits])
         got = verdict.residuals
         if scale == 0.0 and not on:
@@ -280,14 +290,14 @@ def test_fit_matches_full_stack_lstsq(dmodels, m1_probe, subsample):
     for gen in dmodels:
         noise = 1e-3 * rng.standard_normal((STEPS + 1, gen.p))
         window = probe_window(gen, rng.standard_normal(18) * m1_probe.mu0,
-                              m1_probe.R, noise=noise)
+                              m1_probe.R, noise=noise, sub=subsample)
         for d in dmodels:
             stack = observability_stack(d, STEPS, subsample)
             assert stack.shape[0] > 2 * detection._QR_ROWS
-            y = (window.samples - forced_outputs(d, window))[idx].reshape(-1)
+            y = (window.samples - forced_outputs(d, window)[idx]).reshape(-1)
             x_ref = np.linalg.lstsq(stack, y, rcond=None)[0]
             ref = np.linalg.norm(stack @ x_ref - y)
-            x0_hat, residual = estimate_initial_state(d, window, subsample=subsample)
+            x0_hat, residual = estimate_initial_state(d, window)
             tol = 1e-14 * np.linalg.norm(y)
             assert abs(residual - ref) <= 1e-9 * ref + tol
             assert np.max(np.abs(stack @ x0_hat - stack @ x_ref)) <= 1e-9 * np.max(np.abs(y))
@@ -305,11 +315,9 @@ def test_fit_rank_cut_is_full_stack_rule(m1_family):
         stack = observability_stack(d, steps, sub)
         y_free = stack @ rng.standard_normal(18) + 1e-3 * rng.standard_normal(stack.shape[0])
         x_ref = np.linalg.lstsq(stack, y_free, rcond=None)[0]
-        samples = np.zeros((steps + 1, d.p))
-        samples[sample_indices(steps, sub)] = y_free.reshape(-1, d.p)
-        window = MeasurementWindow(t_start=0.0, ts=PAPER_TS, samples=samples,
-                                   steps=steps, held=np.zeros(3 + d.Bd2.shape[1]))
-        x0_hat, _ = estimate_initial_state(d, window, subsample=sub)
+        window = MeasurementWindow(t_start=0.0, ts=PAPER_TS, samples=y_free.reshape(-1, d.p),
+                                   steps=steps, held=np.zeros(3 + d.Bd2.shape[1]), stride=sub)
+        x0_hat, _ = estimate_initial_state(d, window)
         assert np.linalg.norm(x0_hat - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
 
 
@@ -317,7 +325,7 @@ def test_estimator_rejects_mismatched_ts(dmodels):
     window = probe_window(dmodels[0], np.zeros(18), 0.0)
     other = discretize_zoh_like(dmodels[0])
     with pytest.raises(ConfigError, match="discretized"):
-        estimate_initial_state(other, window, subsample=SUB)
+        estimate_initial_state(other, window)
 
 
 def discretize_zoh_like(d):
@@ -331,7 +339,7 @@ def test_estimator_rejects_unobservable():
     window = MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((11, 1)),
                                steps=10, held=np.zeros(3))
     with pytest.raises(NumericalError, match="unobservable"):
-        estimate_initial_state(d, window, subsample=1)
+        estimate_initial_state(d, window)
 
 
 def test_minimum_norm_on_rank_deficient():
@@ -343,7 +351,7 @@ def test_minimum_norm_on_rank_deficient():
     trace = simulate(d, np.array([2.0, 5.0]), None, None, steps)
     window = MeasurementWindow(t_start=0, ts=TS, samples=trace.outputs,
                                steps=steps, held=np.zeros(3))
-    x0_hat, residual = estimate_initial_state(d, window, subsample=1)
+    x0_hat, residual = estimate_initial_state(d, window)
     assert x0_hat[0] == pytest.approx(2.0, rel=1e-9)
     assert x0_hat[1] == pytest.approx(0.0, abs=1e-12)
     assert residual <= 1e-9
@@ -408,21 +416,39 @@ def test_window_keeps_every_stride_th_sample():
 
 
 def test_fits_read_the_estimator_grid_of_a_strided_window(dmodels, m1_probe):
+    # one record fitted at two grids is two windows; each fit reads every row
+    # its window holds, bit for bit the per-scenario oracle's on that grid
     d = dmodels[0]
-    window = probe_window(d, None, m1_probe.R)
-    grid = dataclasses.replace(window, samples=window.samples[::SUB], stride=SUB)
-    assert np.array_equal(bits(estimate_initial_state(d, grid, subsample=SUB)[1]),
-                          bits(estimate_initial_state(d, window, subsample=SUB)[1]))
-    assert np.array_equal(bits(detect(dmodels, [grid], subsample=2 * SUB).residuals),
-                          bits(detect(dmodels, [window], subsample=2 * SUB).residuals))
-    # a window kept at stride 3 lacks samples 5, 10, ...; one call reads one grid
-    thirds = dataclasses.replace(window, samples=window.samples[::3], stride=3)
+    record = probe_window(d, None, m1_probe.R, sub=1)
+    for sub in (SUB, 2 * SUB):
+        grid = on_grid(record, sub)
+        x0_hat, residual = estimate_initial_state(d, grid)
+        x_ref, r_ref = loop_fit(held_factor(d, STEPS, sub), grid.held, loop_samples([grid]))
+        assert np.array_equal(bits(x0_hat), bits(x_ref[:, 0]))
+        assert np.array_equal(bits(residual), bits(r_ref[0]))
+        ref = np.array([r for r, _ in loop_detect(dmodels, [grid])])
+        assert np.array_equal(bits(detect(dmodels, [grid]).residuals), bits(ref))
+
+
+def test_detect_sequence_rejects_two_grids(dmodels, m1_probe):
+    record = probe_window(dmodels[0], np.zeros(18), m1_probe.R, sub=1)
+    windows = [on_grid(record, SUB), on_grid(record, SUB), on_grid(record, 2 * SUB)]
     with pytest.raises(ConfigError, match=re.escape(
-            "window 0 is kept at stride 3, which does not divide the stride 5 read from it")):
-        estimate_initial_state(d, thirds, subsample=SUB)
-    with pytest.raises(ConfigError, match=re.escape(
-            "window 1 is kept at stride 3, window 0 at stride 1; windows must keep one grid")):
-        detect(dmodels, [window, thirds], subsample=3 * SUB)
+            "window 2 is kept at stride 10, window 0 at stride 5; windows must keep one grid")):
+        detect_sequence(dmodels, windows)
+
+
+def test_estimate_initial_state_refuses_another_grid(dmodels, m1_probe):
+    # a window is fitted on the grid it keeps; subsample may only name it
+    d = dmodels[0]
+    window = probe_window(d, np.ones(18), m1_probe.R)
+    fit = estimate_initial_state(d, window)
+    same = estimate_initial_state(d, window, subsample=SUB)
+    assert np.array_equal(bits(fit[0]), bits(same[0])) and fit[1] == same[1]
+    for sub in (1, 2 * SUB):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"subsample={sub}: a window kept at stride {SUB} is fitted on that grid")):
+            estimate_initial_state(d, window, subsample=sub)
 
 
 def test_forced_outputs_take_u2_through_the_state(dmodels):
@@ -466,7 +492,7 @@ def test_detect_sequence_rejects_two_window_lengths(dmodels, m1_probe):
     short = probe_window(dmodels[1], np.zeros(18), m1_probe.R, steps=300)
     with pytest.raises(ConfigError, match=re.escape(
             "window 1 has 300 steps, window 0 has 500; one call fits windows of one length")):
-        detect_sequence(dmodels, [long, short], subsample=SUB)
+        detect_sequence(dmodels, [long, short])
 
 
 def _signed_zero(held, cols):
@@ -489,22 +515,23 @@ def test_detect_sequence_rejects_a_second_input_record(dmodels, m1_probe, edit):
     copy = dataclasses.replace(on, held=np.array(on.held))
     other = dataclasses.replace(on, held=edit(on.held))
     assert copy.held is not on.held
-    assert len(detect_sequence(dmodels, [on, copy], subsample=SUB).detected) == 2
+    assert len(detect_sequence(dmodels, [on, copy]).detected) == 2
     with pytest.raises(ConfigError, match=re.escape(
             "window 2: its held inputs differ from window 0's; "
             "one call fits windows that hold the same inputs")):
-        detect_sequence(dmodels, [on, copy, other], subsample=SUB)
+        detect_sequence(dmodels, [on, copy, other])
 
 
 def test_detect_sequence_needs_more_equations_than_states(dmodels, m1_probe):
     # 11 samples at stride 10 leave 2 estimator rows of 5 outputs: 10
     # equations for 18 states, which every scenario fits exactly
-    short = [probe_window(dmodels[a], np.zeros(18), m1_probe.R, steps=10) for a in (1, 2)]
+    short = [probe_window(dmodels[a], np.zeros(18), m1_probe.R, steps=10, sub=1)
+             for a in (1, 2)]
     with pytest.raises(ConfigError, match=re.escape(
             "10 estimator equations at subsample=10 for 18 states")):
-        detect(dmodels, short, subsample=10)
-    # every sample of the same windows is 55 equations
-    assert len(detect(dmodels, short, subsample=1).verdicts) == 2
+        detect(dmodels, [on_grid(w, 10) for w in short])
+    # every sample of the same records is 55 equations
+    assert len(detect(dmodels, short).verdicts) == 2
 
 
 def test_report_truth_length_guard(dmodels, m1_probe):
@@ -524,14 +551,14 @@ def test_warm_detection_matches_cold_and_full_stack_lstsq(m1_family, m1_probe, m
     for a in (2, 3, 0, 1, 3, 2):
         trace = simulate(models[a], rng.standard_normal(18) * m1_probe.mu0,
                          *step_records(held, steps), steps)
-        windows.append(MeasurementWindow(
-            t_start=0.0, ts=PAPER_TS, samples=trace.outputs + 1e-3 * rng.standard_normal(
-                trace.outputs.shape), steps=steps, held=held))
-    cold = detect(models, windows, subsample=sub)
+        y = trace.outputs + 1e-3 * rng.standard_normal(trace.outputs.shape)
+        windows.append(MeasurementWindow(t_start=0.0, ts=PAPER_TS, samples=y[::sub],
+                                         steps=steps, held=held, stride=sub))
+    cold = detect(models, windows)
     stacks = [observability_stack(d, steps, sub) for d in models]
     calls = []
     monkeypatch.setattr(detection, "observability_stack", lambda *a: calls.append(a))
-    warm = detect(models, windows, subsample=sub)
+    warm = detect(models, windows)
     monkeypatch.undo()
     assert calls == []
     assert np.array_equal(bits(cold.residuals), bits(warm.residuals))
@@ -539,7 +566,7 @@ def test_warm_detection_matches_cold_and_full_stack_lstsq(m1_family, m1_probe, m
     idx = sample_indices(steps, sub)
     assert [np.linalg.matrix_rank(s) for s in stacks[2:]] == [9, 11]
     for i, (d, stack) in enumerate(zip(models, stacks)):
-        Y = np.stack([(w.samples - forced_outputs(d, w))[idx].reshape(-1) for w in windows],
+        Y = np.stack([(w.samples - forced_outputs(d, w)[idx]).reshape(-1) for w in windows],
                      axis=1)
         X_ref = np.linalg.lstsq(stack, Y, rcond=None)[0]
         ref = np.linalg.norm(stack @ X_ref - Y, axis=0)
@@ -572,26 +599,28 @@ def test_detect_sequence_bitwise_per_scenario_loop(m1_family, paper_grid_windows
     # the streamed all-scenario fit against one fit per scenario, bit for
     # bit, cold (models built here) and warm, on the rank-9 and rank-11 stacks
     # of line_outage and line_disconnect
-    _, records = paper_grid_windows
+    records = {on: [on_grid(w, subsample) for w in windows]
+               for on, windows in paper_grid_windows[1].items()}
     models = [discretize_zoh(sc, PAPER_TS) for sc in m1_family]
     if subsample == 10:
         ranks = [np.linalg.matrix_rank(observability_stack(d, 10000, 10)) for d in models]
         assert ranks == [17, 17, 9, 11]
-    refs = [loop_detect(models, windows, subsample) for windows in records.values()]
+    refs = [loop_detect(models, windows) for windows in records.values()]
     for _ in ("cold", "warm"):
         for windows, ref in zip(records.values(), refs):
-            report = detect(models, windows, subsample=subsample)
+            report = detect(models, windows)
             assert np.array_equal(bits(report.residuals), bits(np.array([r for r, _ in ref])))
 
 
 @pytest.mark.parametrize("subsample", [1, 10])
 def test_estimate_initial_state_bitwise_per_scenario_fit(paper_grid_windows, subsample):
     models, records = paper_grid_windows
-    for window in records[True][:2] + records[False][:2]:
+    for record in records[True][:2] + records[False][:2]:
+        window = on_grid(record, subsample)
         for d in models:
-            x0_hat, residual = estimate_initial_state(d, window, subsample=subsample)
+            x0_hat, residual = estimate_initial_state(d, window)
             x_ref, r_ref = loop_fit(held_factor(d, window.steps, subsample),
-                                    window.held, loop_samples([window], subsample))
+                                    window.held, loop_samples([window]))
             assert np.array_equal(bits(x0_hat), bits(x_ref[:, 0]))
             assert np.array_equal(bits(residual), bits(r_ref[0]))
 
@@ -614,8 +643,8 @@ def test_estimate_initial_state_stays_cold(m1_family, m1_probe, monkeypatch):
     monkeypatch.setattr(detection, "observability_stack", counted)
     d = discretize_zoh(m1_family[1], TS)
     window = probe_window(d, np.ones(18), m1_probe.R)
-    first = estimate_initial_state(d, window, subsample=SUB)
-    second = estimate_initial_state(d, window, subsample=SUB)
+    first = estimate_initial_state(d, window)
+    second = estimate_initial_state(d, window)
     assert calls == [(23, STEPS, SUB)] * 2
     assert not _MEMO.get(d)
     assert np.array_equal(bits(first[0]), bits(second[0])) and first[1] == second[1]

@@ -116,31 +116,56 @@ def oracle_truth(result):
                       cfg.noise_sigma, noise_stream(cfg.seed), cfg.subsample)
 
 
-def assert_truth_matches_oracle(result):
-    """Every window within 1e-12 of each output column's largest magnitude,
-    every boundary state within 1e-12 of the largest one; returns the oracle's
-    window samples."""
+def assert_truth_matches_oracle(result, windows=None):
+    """Every sample of every window, result's own or `windows` (say, those
+    written_windows reads from a full record), within 1e-12 of each output
+    column's largest magnitude, every boundary state within 1e-12 of the
+    largest one; returns the oracle's window samples, every sample of each
+    window."""
     samples, boundaries = oracle_truth(result)
     assert np.array_equal(result.boundary_states[0], boundaries[0])
     err = np.max(np.abs(result.boundary_states - boundaries))
     assert err <= 1e-12 * np.max(np.abs(boundaries))
-    for k, (w, y) in enumerate(zip(result.windows, samples)):
-        assert w.samples.shape == y.shape
-        assert np.all(np.abs(w.samples - y) <= 1e-12 * np.max(np.abs(y), axis=0)), k
+    for k, (w, y) in enumerate(zip(windows or result.windows, samples, strict=True)):
+        assert w.samples.shape == y[::w.stride].shape
+        assert np.all(np.abs(w.samples - y[::w.stride]) <= 1e-12 * np.max(np.abs(y), axis=0)), k
     return samples
 
 
-def test_state_continuity_across_switches(m1_family, coarse_probe):
+def written_windows(result, out_dir, mode):
+    """write_outputs(result, out_dir, mode), and the windows its windows.npy
+    records: result's own for a strided record; for a full one, each window
+    holding every sample of its record as written. A full record is checked
+    first: its every subsample-th row is the window's samples bit for bit,
+    and every other row lies within 1e-12 of each output column's largest
+    magnitude of the per-window oracle's."""
+    write_outputs(result, out_dir, windows_mode=mode)
+    if mode == "strided":
+        return result.windows
+    table = np.load(out_dir / "windows" / "windows.npy")
+    p = result.windows[0].samples.shape[1]
+    oracle, _ = oracle_truth(result)
+    windows = []
+    for k, (w, rows, y) in enumerate(zip(result.windows, table, oracle, strict=True)):
+        record = np.ascontiguousarray(rows[:, 1:1 + p])
+        grid = np.arange(len(record)) % w.stride == 0
+        assert np.array_equal(_bits(record[grid]), _bits(w.samples)), k
+        assert np.all(np.abs(record[~grid] - y[~grid]) <= 1e-12 * np.max(np.abs(y), axis=0)), k
+        windows.append(dataclasses.replace(w, samples=record, stride=1))
+    return windows
+
+
+def test_state_continuity_across_switches(tmp_path, m1_family, coarse_probe):
     cfg = config(m1_family, coarse_probe, K=4, seed=1)
     seq = SwitchingSequence(alphas=(0, 2, 1, 3))  # switch every interval
-    result = run_experiment(cfg, seq, full=True)
+    result = run_experiment(cfg, seq)
     assert np.array_equal(result.boundary_states[0], np.zeros(18))
     # each window starts at the state carried over from the previous interval
     dmodels = [discretize_zoh(sc, TS) for sc in m1_family]
     for k, a in enumerate(seq.alphas):
         y0 = dmodels[a].C @ result.boundary_states[k]
         assert np.allclose(result.windows[k].samples[0], y0, rtol=0, atol=1e-12)
-    assert_truth_matches_oracle(result)
+    assert_truth_matches_oracle(result, written_windows(result, tmp_path, "full"))
 
 
 # (probe on, x0 mode, noise sigma, sequence or None for a drawn one)
@@ -152,26 +177,26 @@ TRUTH_CASES = [(probe, x0, sigma, None) for probe in (True, False)
 
 
 @pytest.mark.parametrize("probe_on, x0_mode, sigma, alphas", TRUTH_CASES)
-def test_truth_matches_per_window_oracle(m1_family, coarse_probe, probe_on, x0_mode,
+def test_truth_matches_per_window_oracle(tmp_path, m1_family, coarse_probe, probe_on, x0_mode,
                                          sigma, alphas):
     K = 6 if alphas is None else len(alphas)
     cfg = config(m1_family, coarse_probe, K=K, seed=4, x0_mode=x0_mode,
                  noise_sigma=sigma, probe_override_R=None if probe_on else 0.0)
-    result = run_experiment(cfg, None if alphas is None else SwitchingSequence(alphas),
-                            full=True)
-    samples = assert_truth_matches_oracle(result)
-    oracle_windows = [dataclasses.replace(w, samples=y)
+    result = run_experiment(cfg, None if alphas is None else SwitchingSequence(alphas))
+    full = written_windows(result, tmp_path, "full")
+    samples = assert_truth_matches_oracle(result, full)
+    oracle_windows = [dataclasses.replace(w, samples=y[::SUB])
                       for w, y in zip(result.windows, samples)]
     dmodels = [discretize_zoh(sc, TS) for sc in m1_family]
-    oracle = detect_sequence(dmodels, oracle_windows, subsample=SUB)
+    oracle = detect_sequence(dmodels, oracle_windows)
     assert result.report.detected == oracle.detected
     # the run's own report is a fit on fresh models of the same windows
-    fresh = detect_sequence(dmodels, list(result.windows), subsample=SUB)
+    fresh = detect_sequence(dmodels, list(result.windows))
     for got, ref in zip(result.report.verdicts, fresh.verdicts):
         assert np.array_equal(got.residuals, ref.residuals)
     if not probe_on and x0_mode == "zero" and sigma == 0.0:
         # the passive premise: nothing excites the system, every sample is zero
-        assert all(np.all(w.samples == 0.0) for w in result.windows)
+        assert all(np.all(w.samples == 0.0) for w in full)
 
 
 # the unstable hold overflows on its way to the error
@@ -217,19 +242,21 @@ def test_noise_touches_windows_not_state(m1_family, coarse_probe):
 
 
 @pytest.mark.parametrize("subsample", [SUB, 1])
-def test_noise_only_on_the_estimator_grid(m1_family, coarse_probe, subsample):
-    # the same seed and initial state with and without noise: the samples
-    # between grid rows are the noise-free ones bit for bit, and the grid rows
-    # add sigma times the seed's noise stream, one (grid rows, p) block per
-    # window in window order. At subsample 1 the grid is every sample, and
-    # the draw is one (N+1, p) block per window
+def test_noise_only_on_the_estimator_grid(tmp_path, m1_family, coarse_probe, subsample):
+    # the same seed and initial state with and without noise, in full
+    # records: the samples between grid rows are the noise-free ones bit for
+    # bit, and the grid rows add sigma times the seed's noise stream, one
+    # (grid rows, p) block per window in window order. At subsample 1 the
+    # grid is every sample, and the draw is one (N+1, p) block per window
     kw = dict(K=4, seed=9, x0_mode="random", subsample=subsample)
-    clean = run_experiment(config(m1_family, coarse_probe, **kw), full=True)
-    noisy = run_experiment(config(m1_family, coarse_probe, noise_sigma=1e-3, **kw), full=True)
-    rows = np.arange(clean.config.window_steps + 1)
+    clean, noisy = (
+        written_windows(run_experiment(config(m1_family, coarse_probe, noise_sigma=sigma, **kw)),
+                        tmp_path / str(sigma), "full")
+        for sigma in (0.0, 1e-3))
+    rows = np.arange(clean[0].steps + 1)
     grid, off = rows[::subsample], rows[rows % subsample != 0]
     stream = noise_stream(9)
-    for c, w in zip(clean.windows, noisy.windows):
+    for c, w in zip(clean, noisy, strict=True):
         assert np.array_equal(bits(w.samples[off]), bits(c.samples[off]))
         draw = stream.standard_normal((grid.size, w.samples.shape[1]))
         assert np.array_equal(bits(w.samples[grid]), bits(c.samples[grid] + 1e-3 * draw))
@@ -318,7 +345,7 @@ def test_eigen_report_csv(tmp_path, m1_family):
 
 def test_write_and_read_windows_roundtrip(tmp_path, m1_family, coarse_probe):
     cfg = config(m1_family, coarse_probe, K=3, seed=13)
-    result = run_experiment(cfg, full=True)
+    result = run_experiment(cfg)
     out = tmp_path / "run"
     write_outputs(result, out, windows_mode="strided")
     assert (out / "truth.csv").exists()
@@ -330,9 +357,8 @@ def test_write_and_read_windows_roundtrip(tmp_path, m1_family, coarse_probe):
     stride = cfg.subsample
     for k, w in enumerate(windows):
         src = result.windows[k]
-        idx = np.arange(0, src.steps + 1, stride)
         assert w.ts == TS * stride
-        assert np.array_equal(w.samples, src.samples[idx])
+        assert np.array_equal(w.samples, src.samples)
         assert w.steps == src.steps // stride
         assert np.array_equal(_bits(w.held), _bits(src.held))
 
@@ -490,11 +516,11 @@ def special_result(m1_family, coarse_probe):
     """A three-window run whose middle window's outputs hold SPECIAL on every
     estimator-grid row it spans, and whose last window's held inputs have
     -0.0 where the others have 0.0."""
-    result = run_experiment(config(m1_family, coarse_probe, K=3, seed=13), full=True)
+    result = run_experiment(config(m1_family, coarse_probe, K=3, seed=13))
     first, middle, last = result.windows
     samples = np.array(middle.samples)
-    samples[::SUB][:len(SPECIAL)] = np.array(SPECIAL)[:, None]
-    samples[::SUB][:len(SPECIAL), 1] *= -1.0
+    samples[:len(SPECIAL)] = np.array(SPECIAL)[:, None]
+    samples[:len(SPECIAL), 1] *= -1.0
     held = np.array(last.held)
     held[held == 0.0] = -0.0
     return dataclasses.replace(result, windows=(
@@ -517,8 +543,7 @@ def _saved(tables) -> bytes:
 @pytest.mark.parametrize("mode, stride", [("strided", SUB), ("full", 1)])
 def test_windows_npy_matches_table_oracle(tmp_path, special_result, mode, stride):
     # windows.npy holds the oracle's tables bit for bit, and reads back as them
-    write_outputs(special_result, tmp_path, windows_mode=mode)
-    tables = [window_table(w, stride) for w in special_result.windows]
+    tables = [window_table(w, stride) for w in written_windows(special_result, tmp_path, mode)]
     npy = tmp_path / "windows" / "windows.npy"
     assert npy.read_bytes() == _saved(tables)
 
@@ -526,8 +551,8 @@ def test_windows_npy_matches_table_oracle(tmp_path, special_result, mode, stride
     signed = special_result.windows[2].held
     result = dataclasses.replace(special_result, windows=tuple(
         dataclasses.replace(w, held=signed) for w in special_result.windows))
-    write_outputs(result, tmp_path / "signed", windows_mode=mode)
-    tables = [window_table(w, stride) for w in result.windows]
+    tables = [window_table(w, stride)
+              for w in written_windows(result, tmp_path / "signed", mode)]
     p = special_result.windows[0].samples.shape[1]
     windows = read_windows(tmp_path / "signed" / "windows")
     assert len(windows) == 3
@@ -550,7 +575,7 @@ def test_window_files_format_each_record_from_its_own_values(
     # the held inputs run A, A, B, A, where B's `record` part has -0.0
     # wherever A's has 0.0: the last window must be written from A's values,
     # not from B's
-    result = run_experiment(config(m1_family, coarse_probe, K=4, seed=13), full=mode == "full")
+    result = run_experiment(config(m1_family, coarse_probe, K=4, seed=13))
     a = result.windows[0].held
     b = np.array(a)
     part = b[_COLUMNS[record]]
@@ -560,9 +585,9 @@ def test_window_files_format_each_record_from_its_own_values(
     result = dataclasses.replace(result, windows=tuple(windows))
     assert all(w.held is a for w in windows[:2] + windows[3:])
 
-    write_outputs(result, tmp_path, windows_mode=mode)
+    written = written_windows(result, tmp_path, mode)
     npy = tmp_path / "windows" / "windows.npy"
-    assert npy.read_bytes() == _saved([window_table(w, stride) for w in result.windows])
+    assert npy.read_bytes() == _saved([window_table(w, stride) for w in written])
     p = result.windows[0].samples.shape[1]
     cols = _COLUMNS[record]
     zeros = [table[table == 0.0] for table in np.load(npy)[:, :, 1 + p:][:, :, cols]]
@@ -605,31 +630,37 @@ def test_sequence_csv_contents(tmp_path, m1_family, coarse_probe):
                                             ("random", 0.0), ("random", 1e-3)])
 def test_grid_run_keeps_the_full_runs_grid_rows(tmp_path, m1_family, coarse_probe,
                                                 subsample, x0_mode, sigma):
-    # a run keeps each window's estimator grid unless asked for every sample;
-    # the grid rows, boundary states and residual table are the same bits
-    # either way, and so are the artifacts of a strided record
+    # a run keeps each window's estimator grid; the full record write_outputs
+    # forms holds every sample of the per-window oracle and the grid rows bit
+    # for bit, so a strided record is every subsample-th row of a full one
     kw = dict(K=6, seed=4, x0_mode=x0_mode, noise_sigma=sigma, subsample=subsample)
-    grid = run_experiment(config(m1_family, coarse_probe, **kw))
-    full = run_experiment(config(m1_family, coarse_probe, **kw), full=True)
-    assert np.array_equal(_bits(grid.boundary_states), _bits(full.boundary_states))
-    assert np.array_equal(_bits(grid.report.residuals), _bits(full.report.residuals))
-    for g, f in zip(grid.windows, full.windows, strict=True):
-        assert (g.stride, f.stride) == (subsample, 1)
-        assert g.held is f.held
-        assert np.array_equal(_bits(g.samples), _bits(f.samples[::subsample]))
-    write_outputs(grid, tmp_path / "grid")
-    write_outputs(full, tmp_path / "full")
-    for name in ("report.json", "windows/meta.json", "windows/windows.npy"):
-        assert (tmp_path / "grid" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+    result = run_experiment(config(m1_family, coarse_probe, **kw))
+    assert all(w.stride == subsample for w in result.windows)
+    assert_truth_matches_oracle(result, written_windows(result, tmp_path / "full", "full"))
+    write_outputs(result, tmp_path / "grid")
+    grid, full = (np.load(tmp_path / name / "windows" / "windows.npy") for name in ("grid", "full"))
+    assert np.array_equal(_bits(grid), _bits(full[:, ::subsample]))
+    assert (tmp_path / "grid" / "report.json").read_bytes() == \
+        (tmp_path / "full" / "report.json").read_bytes()
+    grid, full = (json.loads((tmp_path / name / "windows" / "meta.json").read_text())
+                  for name in ("grid", "full"))
+    assert (grid.pop("ts"), grid.pop("stride_applied")) == (TS * subsample, subsample)
+    assert (full.pop("ts"), full.pop("stride_applied")) == (TS, 1)
+    assert grid == full
 
 
-def test_full_window_record_needs_a_full_run(tmp_path, m1_family, coarse_probe):
-    result = run_experiment(config(m1_family, coarse_probe, K=2, seed=3))
-    with pytest.raises(ConfigError, match=re.escape(
-            "windows mode 'full': window 0 is kept at stride 5, which does not divide "
-            "the stride 1 read from it")):
-        write_outputs(result, tmp_path / "out", windows_mode="full")
-    assert not (tmp_path / "out").exists()
+def test_full_record_of_a_noisy_grid_run_holds_its_grid_rows(tmp_path, m1_family,
+                                                              coarse_probe):
+    # samples 0, 3, ..., 498 of the 501-row records, noise included, are the
+    # full record's rows 0, 3, ..., 498 bit for bit
+    result = run_experiment(config(m1_family, coarse_probe, K=3, seed=6, subsample=3,
+                                   x0_mode="random", noise_sigma=1e-3))
+    write_outputs(result, tmp_path, windows_mode="full")
+    table = np.load(tmp_path / "windows" / "windows.npy")
+    assert table.shape[:2] == (3, 501)
+    for w, rows in zip(result.windows, table, strict=True):
+        assert w.samples.shape == (167, 5)
+        assert np.array_equal(_bits(rows[::3, 1:6]), _bits(w.samples))
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +724,8 @@ def test_warm_run_does_no_cold_work(fresh_family, coarse_probe, monkeypatch):
     assert calls == {"matrix_power": 4, "discretize_zoh": 0, "observability_stack": 0}
 
 
-def test_truth_and_fit_share_one_stack(fresh_family, seg1, m1_contingencies, coarse_probe,
-                                       monkeypatch):
+def test_truth_and_fit_share_one_stack(tmp_path, fresh_family, seg1, m1_contingencies,
+                                       coarse_probe, monkeypatch):
     calls = []
     original = detection.observability_stack
 
@@ -717,22 +748,20 @@ def test_truth_and_fit_share_one_stack(fresh_family, seg1, m1_contingencies, coa
     assert calls == []
     # a cold full record is formed from the grid stacks too: no stride-1 stack
     family = build_family(seg1, m1_contingencies)
-    run_experiment(config(family, coarse_probe, seed=1), full=True)
+    write_outputs(run_experiment(config(family, coarse_probe, seed=1)), tmp_path, "full")
     assert calls == [(23, cfg.window_steps, SUB)] * len(dmodels)
 
 
-def test_a_window_batch_past_one_product_is_split(m1_family, coarse_probe):
+def test_a_window_batch_past_one_product_is_split(tmp_path, m1_family, coarse_probe):
     # 200 windows of one scenario on a 501-row grid: one (200 x 23)(23 x 22*5)
-    # product per block would pass _GEMM_MAX, so the batch is taken in shares
+    # product per block would pass _GEMM_MAX, so the batch is taken in shares,
+    # in the run and in its full record
     kw = dict(K=200, seed=5, ts=5e-6, subsample=2, x0_mode="random")
     assert detection._GEMM_MAX < 200 * 23 * 22 * 5
-    seq = SwitchingSequence((2,) * 200)
-    full = run_experiment(config(m1_family, coarse_probe, **kw), seq, full=True)
-    assert full.windows[0].samples.shape == (1001, 5)
-    assert_truth_matches_oracle(full)
-    grid = run_experiment(config(m1_family, coarse_probe, **kw), seq)
-    for g, f in zip(grid.windows, full.windows, strict=True):
-        assert np.array_equal(_bits(g.samples), _bits(f.samples[::2]))
+    result = run_experiment(config(m1_family, coarse_probe, **kw), SwitchingSequence((2,) * 200))
+    full = written_windows(result, tmp_path, "full")
+    assert full[0].samples.shape == (1001, 5)
+    assert_truth_matches_oracle(result, full)
 
 
 def test_design_and_run_share_one_discretization(fresh_family, monkeypatch):
@@ -753,7 +782,7 @@ def test_memo_entries_are_frozen_and_die_with_the_family(seg1, m1_contingencies,
     before = len(_MEMO)
     family = build_family(seg1, m1_contingencies)
     cfg = config(family, coarse_probe)
-    result = run_experiment(cfg, full=True)
+    result = run_experiment(cfg)
     dmodels = probing.discretized(family, TS)
     assert len(_MEMO) == before + 1 + len(dmodels)
     held, M = experiment._window_response(cfg, dmodels)
