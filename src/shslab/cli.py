@@ -311,19 +311,17 @@ def cmd_detect(args) -> int:
     probe = probe_from_json(load_json(args.probe), args.probe) if args.probe else None
     meta = os.path.join(args.trace, "meta.json")
     windows = read_windows(args.trace, probe=probe)
-    if not windows:
-        raise ConfigError(f"no windows in {args.trace}")
     truth = _read_truth(args.truth, len(fam)) if args.truth else None
     if truth is not None and len(truth) != len(windows):
         raise ConfigError(f"{args.truth}: {len(truth)} rows for {len(windows)} windows")
-    widths = windows[0].samples.shape[1], windows[0].held.size - 3
+    widths = windows.samples.shape[2], windows.held.size - 3
     if widths != (fam[0].p, fam[0].B2.shape[1]):
         raise ConfigError(
             f"{meta} records {widths[0]} outputs and {widths[1]} aux inputs; "
             f"the family in {args.family} has {fam[0].p} and {fam[0].B2.shape[1]}")
-    # windows are stored on the estimator grid; use every recorded sample
-    require_equations(windows[0].steps, fam[0].p, fam[0].n, 1, meta)
-    dmodels = discretized(fam, windows[0].ts)
+    # windows are stored on the estimator grid; every recorded sample is fitted
+    require_equations(windows.steps, fam[0].p, fam[0].n, windows.stride, meta)
+    dmodels = discretized(fam, windows.ts)
     report = detect_sequence(dmodels, windows, truth=truth)
     dump_json(report.to_json(), args.out)
     write_manifest(os.path.dirname(os.path.abspath(args.out)), "detect",

@@ -16,20 +16,21 @@ once per model and grid, in floor(sqrt(rows)) blocks of rows, and keeps it
 as long as the model lives. Fits solve against O, with its streamed QR
 kept beside it, and discount S held; the switched truth forms every window
 as [O | S] z_k (free_outputs), and probe design its unit-step responses as
-the response from z = e_(n+ch). So a window holds its inputs as one vector,
-held = [u1; u2], over rows 0..N-1; it has no way to express any other
-input.
+the response from z = e_(n+ch).
 
-One detect_sequence call covers windows of one length and one grid that
-hold the same inputs bit for bit. A window keeps every stride-th sample of
-its record, the estimator grid its fit reads whole: the switched truth's
-windows keep every subsample-th, a replayed trace's every recorded sample.
+A run's windows are one MeasurementWindows batch: one (K, rows, p) sample
+array of windows of one length and one grid, under one input vector
+held = [u1; u2] over rows 0..N-1; a batch has no way to express any other
+input. A detect_sequence call fits one batch. A window keeps every
+stride-th sample of its record, the estimator grid its fit reads whole: the
+switched truth's windows keep every subsample-th, a replayed trace's every
+recorded sample.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +48,7 @@ _GEMM_MAX = 40 * 18 * 500
 
 def _frozen(a) -> np.ndarray:
     """A read-only float64 array with the contents of `a`. An array that is
-    already read-only float64 and owns its memory is kept, so windows that
+    already read-only float64 and owns its memory is kept, so batches that
     hold one input vector share its buffer; anything else is copied."""
     if (isinstance(a, np.ndarray) and a.dtype == np.float64
             and not a.flags.writeable and a.flags.owndata):
@@ -57,31 +58,24 @@ def _frozen(a) -> np.ndarray:
     return arr
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two float64 arrays are one array or hold the same bits, so
-    -0.0 differs from 0.0; windows that share one frozen vector cost no
-    comparison."""
-    return a is b or (a.shape == b.shape
-                      and np.array_equal(a.view(np.int64), b.view(np.int64)))
-
-
 @dataclass(frozen=True, eq=False)
-class MeasurementWindow:
-    """Uniformly sampled output record over one detection window of `steps`
-    steps, and the inputs held = [u1; u2] over its rows 0..N-1, which the
-    estimator must discount. The samples keep every stride-th sample of the
-    N+1-row record, rows 0, stride, 2 stride, ...: the estimator grid, every
-    row of which a fit reads."""
+class MeasurementWindows:
+    """The K detection windows of one probe record, uniformly sampled over
+    `steps` steps each from t_start[k], under one input vector held =
+    [u1; u2] over rows 0..N-1 of every window, which the estimator must
+    discount. Each window keeps every stride-th sample of its N+1-row
+    record, rows 0, stride, 2 stride, ...: the estimator grid, every row of
+    which a fit reads. len() is K; windows[k] is window k, a one-window batch."""
 
-    t_start: float
+    t_start: np.ndarray       # (K,)
     ts: float
-    samples: np.ndarray       # (N // stride + 1, p)
+    samples: np.ndarray       # (K, N // stride + 1, p)
     steps: int                # N
     held: np.ndarray          # (3 + q,)
     stride: int = 1
 
     def __post_init__(self):
-        for fname in ("samples", "held"):
+        for fname in ("t_start", "samples", "held"):
             object.__setattr__(self, fname, _frozen(getattr(self, fname)))
         if not (math.isfinite(self.ts) and self.ts > 0):
             raise ConfigError(f"sample period must be finite and > 0, got {self.ts}")
@@ -90,18 +84,28 @@ class MeasurementWindow:
             if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ConfigError(f"{fname} must be an integer >= 1, got {value!r}")
             object.__setattr__(self, fname, int(value))
-        if self.samples.ndim != 2 or not self.samples.shape[1]:
-            raise ConfigError(f"samples must be an (N+1, p) table with p >= 1, "
+        if self.samples.ndim != 3 or not self.samples.shape[2]:
+            raise ConfigError(f"samples must be a (K, N+1, p) array with p >= 1, "
                               f"got shape {self.samples.shape}")
         kept = self.steps // self.stride + 1
-        if self.samples.shape[0] != kept:
-            raise ConfigError(f"samples hold {self.samples.shape[0]} rows; a {self.steps}-step "
+        if self.samples.shape[1] != kept:
+            raise ConfigError(f"samples hold {self.samples.shape[1]} rows; a {self.steps}-step "
                               f"window kept at stride {self.stride} holds {kept}")
+        if self.t_start.shape != self.samples.shape[:1]:
+            raise ConfigError(f"{len(self.samples)} windows need a ({len(self.samples)},) "
+                              f"vector of start times, got shape {self.t_start.shape}")
         if self.held.ndim != 1 or self.held.size < 3:
             raise ConfigError(f"held inputs must be a (3 + q,) vector [u1; u2], "
                               f"got shape {self.held.shape}")
         if not np.all(np.isfinite(self.held)):
             raise ConfigError(f"held inputs must be finite, got {self.held.tolist()}")
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __getitem__(self, k: int) -> MeasurementWindows:
+        k = range(len(self))[k]   # IndexError out of range, so iteration stops
+        return replace(self, t_start=self.t_start[k:k + 1], samples=self.samples[k:k + 1])
 
 
 class Verdict(NamedTuple):
@@ -219,14 +223,13 @@ def observability_stack(dmodel: DiscreteStateSpace, steps: int,
     return stack
 
 
-def _check_window(dmodel: DiscreteStateSpace, window: MeasurementWindow) -> None:
-    if window.samples.shape[1] != dmodel.p:
-        raise ConfigError(
-            f"window has {window.samples.shape[1]} outputs, model has {dmodel.p}")
-    if abs(window.ts - dmodel.ts) > 1e-12 * max(window.ts, dmodel.ts):
-        raise ConfigError(f"window sampled at {window.ts}, model discretized at {dmodel.ts}")
-    if window.held.size - 3 != dmodel.Bd2.shape[1]:
-        raise ConfigError(f"window has {window.held.size - 3} aux inputs, "
+def _check_window(dmodel: DiscreteStateSpace, windows: MeasurementWindows) -> None:
+    if windows.samples.shape[2] != dmodel.p:
+        raise ConfigError(f"window has {windows.samples.shape[2]} outputs, model has {dmodel.p}")
+    if abs(windows.ts - dmodel.ts) > 1e-12 * max(windows.ts, dmodel.ts):
+        raise ConfigError(f"window sampled at {windows.ts}, model discretized at {dmodel.ts}")
+    if windows.held.size - 3 != dmodel.Bd2.shape[1]:
+        raise ConfigError(f"window has {windows.held.size - 3} aux inputs, "
                           f"model has {dmodel.Bd2.shape[1]}")
 
 
@@ -302,12 +305,12 @@ def _factor(stack: np.ndarray, n: int):
     return stack, tuple(qs), tri
 
 
-def _fit(factors, windows) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares window-start states (m, n, W) of W windows of one length
-    and grid against m factors of one state dimension from _factor on that
-    grid, and the attained residual norms (m, W), for windows that all hold `held`.
+def _fit(factors, windows: MeasurementWindows) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares window-start states (m, n, K) of a batch of K windows
+    against m factors of one state dimension from _factor on its grid, and
+    the attained residual norms (m, K).
 
-    Every row the windows hold is copied once into one (rows, W) matrix,
+    Every row the windows hold is copied once into one (rows, K) matrix,
     detection's peak memory. One streamed pass forms, chunk by chunk, the
     free part of every scenario, the rows less the forced response S held,
     and applies the m stored rotations of the chunk in one batched product,
@@ -317,8 +320,8 @@ def _fit(factors, windows) -> tuple[np.ndarray, np.ndarray]:
     rank-deficient stacks get the minimum-norm estimate. Residuals are those
     of the full stacks' responses [O | S] [x0_hat; held] to the rows.
     """
-    held = windows[0].held
-    samples = np.stack([w.samples for w in windows], axis=-1).reshape(-1, len(windows))
+    held = windows.held
+    samples = windows.samples.transpose(1, 2, 0).reshape(-1, len(windows))
     stacks, qs, tris = zip(*factors)
     rows, n = stacks[0].shape[0], tris[0].shape[1]
     forced = np.stack([stack[:, n:] @ held for stack in stacks])
@@ -340,9 +343,10 @@ def _fit(factors, windows) -> tuple[np.ndarray, np.ndarray]:
     return x0_hat, np.sqrt(squares)
 
 
-def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow,
+def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindows,
                            subsample: int | None = None) -> tuple[np.ndarray, float]:
-    """Least-squares window-start state and the attained fit residual.
+    """Least-squares window-start state and the attained fit residual of a
+    one-window batch, such as windows[k].
 
     Rank-deficient observability gives the minimum-norm estimate; an all-zero
     observability map is reported as an error. This is detect_sequence's fit
@@ -352,54 +356,41 @@ def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow
     `subsample` may only name the window's own stride; it is kept because
     perfbench passes it.
     """
+    if len(window) != 1:
+        raise ConfigError(f"estimate_initial_state fits one window; got a batch of "
+                          f"{len(window)}")
     if subsample is not None and subsample != window.stride:
         raise ConfigError(f"subsample={subsample}: a window kept at stride {window.stride} "
                           f"is fitted on that grid")
     _check_window(dmodel, window)
     factor = _factor(observability_stack(hold_inputs(dmodel), window.steps, window.stride),
                      dmodel.n)
-    x0_hat, residual = _fit([factor], [window])
+    x0_hat, residual = _fit([factor], window)
     return x0_hat[0, :, 0], float(residual[0, 0])
 
 
-def detect_sequence(models: list[DiscreteStateSpace],
-                    windows: list[MeasurementWindow],
+def detect_sequence(models: list[DiscreteStateSpace], windows: MeasurementWindows,
                     truth: list[int] | None = None) -> DetectionReport:
-    """Fit every scenario to every window of an ordered list: the report's
-    (K, m) table holds window k's residuals in row k, its argmin the verdict.
+    """Fit every scenario to every window of a batch: the report's (K, m)
+    table holds window k's residuals in row k, its argmin the verdict.
 
-    The windows must be of one length, keep one grid, which the fits read
-    whole, and hold the same inputs bit for bit, so -0.0 differs from 0.0.
-    All windows are fitted in one pass for all scenarios, with each
-    scenario's stack and QR from the memo of _factor. A window of another
-    length, grid or held input, and a window length require_equations
-    refuses, are a ConfigError.
+    All windows are fitted in one pass for all scenarios, on the grid the
+    batch keeps, with each scenario's stack and QR from the memo of _factor.
+    A window length require_equations refuses is a ConfigError.
     """
     if not windows:
         return DetectionReport(residuals=np.empty((0, len(models))), truth=truth)
     if not models:
         raise ConfigError("scenario list is empty")
-    head = windows[0]
-    for k, window in enumerate(windows):
-        if window.steps != head.steps:
-            raise ConfigError(f"window {k} has {window.steps} steps, window 0 has "
-                              f"{head.steps}; one call fits windows of one length")
-        if window.stride != head.stride:
-            raise ConfigError(f"window {k} is kept at stride {window.stride}, window 0 "
-                              f"at stride {head.stride}; windows must keep one grid")
-        if not _same_bits(window.held, head.held):
-            raise ConfigError(f"window {k}: its held inputs differ from window 0's; "
-                              f"one call fits windows that hold the same inputs")
-    require_equations(head.steps, head.samples.shape[1], models[0].n, head.stride)
+    steps, stride = windows.steps, windows.stride
+    require_equations(steps, windows.samples.shape[2], models[0].n, stride)
 
     factors = []
     for i, model in enumerate(models):
         try:
-            for window in windows:
-                _check_window(model, window)
-            factors.append(memo(model, ("factor", head.steps, head.stride),
-                                lambda: _factor(grid_stack(model, head.steps, head.stride),
-                                                model.n)))
+            _check_window(model, windows)
+            factors.append(memo(model, ("factor", steps, stride),
+                                lambda: _factor(grid_stack(model, steps, stride), model.n)))
         except ShslabError as exc:
             raise type(exc)(f"scenario {i}: {exc}") from exc
     return DetectionReport(residuals=_fit(factors, windows)[1].T, truth=truth)

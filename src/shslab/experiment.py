@@ -25,11 +25,12 @@ run on the same family draws its initial state, chains the boundary
 states, takes the window products and the noise, and fits against
 detection's stored factors.
 
-A window keeps only its estimator grid, every subsample-th sample: the
-rows detection fits. Measurement noise, noise_sigma times one standard
-normal per output, goes on those rows, drawn from one stream per seed,
-window by window, a (grid rows, p) block each. A full window record is
-formed when it is written, as the products from Ad_z^r z_k on rows r,
+A run's windows are one detection.MeasurementWindows batch, one
+(K, grid rows, p) array: each window keeps only its estimator grid, every
+subsample-th sample, the rows detection fits. Measurement noise,
+noise_sigma times one standard normal per output, goes on those rows, drawn
+from one stream per seed, window by window. A full window record is formed
+when it is written, as the products from Ad_z^r z_k on rows r,
 r + subsample, ..., with the window's own samples on its grid rows, so only
 they carry noise.
 """
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import (DetectionReport, MeasurementWindow, detect_sequence, free_outputs,
+from .detection import (DetectionReport, MeasurementWindows, detect_sequence, free_outputs,
                         grid_stack, require_equations)
 from .errors import ConfigError, NumericalError
 from .linsys import eig_sorted, expm, hold_inputs
@@ -124,7 +125,7 @@ class ExperimentResult:
     config: ExperimentConfig
     sequence: SwitchingSequence
     report: DetectionReport
-    windows: tuple[MeasurementWindow, ...]
+    windows: MeasurementWindows
     boundary_states: np.ndarray    # (K+1, n), state at each interval boundary
 
     @property
@@ -172,15 +173,16 @@ def _window_response(config: ExperimentConfig, dmodels: tuple):
 
 
 def _window_outputs(config: ExperimentConfig, alphas, Z: np.ndarray,
-                    full: bool = False) -> list[np.ndarray]:
-    """Each window's noise-free outputs from the held-input state Z[k] under
-    scenario alphas[k], on its estimator grid or with `full` on every row: one
-    free_outputs batch per scenario, into arrays all allocated first, so the
-    products' transients do not sit between them."""
+                    full: bool = False) -> np.ndarray:
+    """Every window's noise-free outputs, window k's from the held-input state
+    Z[k] under scenario alphas[k], on its estimator grid or with `full` on
+    every row: one (K, rows, p) array, allocated first, so the products'
+    transients do not sit inside it, and filled by one free_outputs batch
+    per scenario through its C-contiguous windows."""
     dmodels = discretized(config.family, config.ts)
     steps = config.window_steps
-    shape = (steps + 1 if full else steps // config.subsample + 1, dmodels[0].p)
-    samples = [np.empty(shape) for _ in alphas]
+    rows = steps + 1 if full else steps // config.subsample + 1
+    samples = np.empty((len(alphas), rows, dmodels[0].p))
     for a, dmodel in enumerate(dmodels):
         ks = np.flatnonzero(np.equal(alphas, a))
         free_outputs(dmodel, Z[ks], [samples[k] for k in ks], steps, config.subsample, full)
@@ -231,19 +233,20 @@ def run_experiment(config: ExperimentConfig,
                 f"simulation diverged in interval {k} (scenario {a}); "
                 f"the scenario model is unstable")
 
-    # arrays the windows then own without a copy
-    windows: list[MeasurementWindow] = []
-    for k, y in enumerate(_window_outputs(config, sequence.alphas, Z)):
-        if config.noise_sigma > 0:
+    # an array the windows then own without a copy; noise is drawn one
+    # window at a time, in window order
+    samples = _window_outputs(config, sequence.alphas, Z)
+    if config.noise_sigma > 0:
+        for y in samples:
             y += config.noise_sigma * rng_noise.standard_normal(y.shape)
-        y.setflags(write=False)
-        windows.append(MeasurementWindow(
-            t_start=k * config.tau, ts=config.ts, samples=y,
-            steps=config.window_steps, held=held, stride=config.subsample))
+    samples.setflags(write=False)
+    windows = MeasurementWindows(
+        t_start=np.arange(config.K) * config.tau, ts=config.ts, samples=samples,
+        steps=config.window_steps, held=held, stride=config.subsample)
 
     report = detect_sequence(dmodels, windows, truth=list(sequence.alphas))
     return ExperimentResult(config=config, sequence=sequence, report=report,
-                            windows=tuple(windows), boundary_states=Z[:, :n])
+                            windows=windows, boundary_states=Z[:, :n])
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +329,18 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
     windows/meta.json so a replay can rebuild the exact estimation problem.
     The table is streamed one window at a time, and its bytes are those of
     np.save of the stacked table. A windows.npy and meta.json an earlier run
-    left in windows/ that this run does not write are removed.
+    left in windows/ that this run does not write are removed. Windows that
+    do not keep the config's estimator grid over its window are a
+    ConfigError before any file is written.
     """
     if windows_mode not in ("strided", "full", "none"):
         raise ConfigError(f"unknown windows mode '{windows_mode}'")
     cfg = result.config
+    windows = result.windows
+    if (windows.stride, windows.steps) != (cfg.subsample, cfg.window_steps):
+        raise ConfigError(f"the result's windows keep stride {windows.stride} over "
+                          f"{windows.steps} steps; its config's estimator grid keeps stride "
+                          f"{cfg.subsample} over {cfg.window_steps}")
     stride = 1 if windows_mode == "full" else cfg.subsample
     os.makedirs(out_dir, exist_ok=True)
     truth = list(result.sequence.alphas)
@@ -351,8 +361,7 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
         return
     os.makedirs(win_dir, exist_ok=True)
     _clear_windows(win_dir, {"meta.json", _NPY})
-    p = result.windows[0].samples.shape[1] if result.windows else 0
-    q = result.windows[0].held.size - 3 if result.windows else 0
+    p, q = windows.samples.shape[2], windows.held.size - 3
     dump_json({
         "format": "npy",
         "ts": cfg.ts * stride,
@@ -361,24 +370,24 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
         "tau0": cfg.tau0,
         "n_outputs": p,
         "n_u2": q,
-        "window_starts": [w.t_start for w in result.windows],
+        "window_starts": windows.t_start.tolist(),
     }, os.path.join(win_dir, "meta.json"))
-    records = [w.samples for w in result.windows]
-    if windows_mode == "full" and records:
-        Z = np.column_stack([result.boundary_states[:-1], [w.held for w in result.windows]])
+    records = windows.samples
+    if windows_mode == "full":
+        Z = np.column_stack([result.boundary_states[:-1],
+                             np.broadcast_to(windows.held, (len(windows), 3 + q))])
         records = _window_outputs(cfg, result.sequence.alphas, Z, full=True)
-        for y, w in zip(records, result.windows):
-            y[::cfg.subsample] = w.samples
-    shape = (len(result.windows), window_rows(cfg.tau0, cfg.ts * stride), 1 + p + 3 + q)
+        records[:, ::cfg.subsample] = windows.samples
+    idx = np.arange(0, windows.steps + 1, stride)
+    inputs = np.zeros((idx.size, 3 + q))
+    inputs[idx < windows.steps] = windows.held
+    shape = (len(windows), window_rows(cfg.tau0, cfg.ts * stride), 1 + p + 3 + q)
     with open(os.path.join(win_dir, _NPY), "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, {
             "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
             "fortran_order": False, "shape": shape})
-        for w, y in zip(result.windows, records):
-            idx = np.arange(0, w.steps + 1, stride)
-            inputs = np.zeros((idx.size, 3 + q))
-            inputs[idx < w.steps] = w.held
-            fh.write(np.column_stack([w.t_start + w.ts * idx, y, inputs]).tobytes())
+        for t_start, y in zip(windows.t_start, records):
+            fh.write(np.column_stack([t_start + windows.ts * idx, y, inputs]).tobytes())
 
 
 def _clear_windows(win_dir, keep: set) -> None:
@@ -391,16 +400,17 @@ def _clear_windows(win_dir, keep: set) -> None:
             os.remove(path)
 
 
-def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[MeasurementWindow]:
-    """Rebuild MeasurementWindows from a windows/ directory written above.
+def read_windows(win_dir, probe: ProbingDesign | None = None) -> MeasurementWindows:
+    """Rebuild the MeasurementWindows batch a windows/ directory written
+    above records, with one copy of the table's output columns.
 
-    The returned windows keep every recorded sample, stride 1, the grid
-    detect_sequence fits them on, against a family discretized at the
-    recorded ts. A trace
-    holds one input record: every window's u1 and u2 columns must equal
-    window 0's bit for bit, and that record must hold its inputs, finite and
-    unchanged over every row but the last, which only pads it; all windows
-    share its row 0 as one frozen held vector. meta.json's ts must be
+    The batch keeps every recorded sample, stride 1, the grid
+    detect_sequence fits it on, against a family discretized at the
+    recorded ts. A trace holds at least one window and one input record:
+    every window's u1 and u2 columns must equal window 0's bit for bit, and
+    that record must hold its inputs, finite and unchanged over every row
+    but the last, which only pads it; its row 0 is the batch's held vector.
+    meta.json's ts must be
     ts_simulated * stride_applied, for a finite ts_simulated > 0 and a
     stride_applied >= 1, and every window must hold
     window_rows(tau0, ts) rows for meta.json's tau0 and start at its entry
@@ -471,7 +481,7 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
         raise ConfigError(f"{path} window {k}: starts at t={float(table[k, 0, 0])!r}; "
                           f"meta.json's window_starts[{k}] is {starts[k]!r}")
     if not len(table):
-        return []
+        raise ConfigError(f"no windows in {win_dir}")
     # compared on the int64 view, so -0.0 differs from 0.0 and NaN payloads count
     inputs = table.view(np.int64)[:, :, 1 + p:]
     differs = inputs != inputs[:1]
@@ -480,16 +490,14 @@ def read_windows(win_dir, probe: ProbingDesign | None = None) -> list[Measuremen
         k = int(off[0])
         raise ConfigError(f"{path} window {k}: its {'u1' if differs[k, :, :3].any() else 'u2'} "
                           f"columns differ from window 0's; a trace holds one input record")
-    held = np.array(table[0, 0, 1 + p:])
-    held.setflags(write=False)
     try:
-        windows = [MeasurementWindow(t_start=arr[0, 0], ts=ts, samples=arr[:, 1:1 + p],
-                                     steps=rows - 1, held=held) for arr in table]
+        windows = MeasurementWindows(t_start=table[:, 0, 0], ts=ts, samples=table[:, :, 1:1 + p],
+                                     steps=rows - 1, held=table[0, 0, 1 + p:])
     except ConfigError as exc:
         raise ConfigError(f"{path} window 0: {exc}") from exc
     record = table[0, :-1, 1 + p:]
     for name, cols in (("u1", slice(0, 3)), ("u2", slice(3, None))):
-        off = np.flatnonzero(np.any(record[:, cols] != held[cols], axis=1))
+        off = np.flatnonzero(np.any(record[:, cols] != windows.held[cols], axis=1))
         if off.size:
             raise ConfigError(f"{path} window 0: its {name} record changes at row {off[0]}; "
                               f"inputs must be held over rows 0..{rows - 2}")
@@ -500,8 +508,8 @@ def _npy_table(path, shape: tuple) -> np.ndarray:
     """The float64 table of `shape` in windows.npy at `path`, as a plain
     ndarray view of the mapped file. Nothing is unpickled, and the file is
     mapped, not read, so a header that declares more data than the file
-    holds is an error before anything is allocated; the windows copy what
-    they keep."""
+    holds is an error before anything is allocated; the batch copies what
+    it keeps."""
     if not os.path.exists(path):
         raise ConfigError(f"missing {path}")
     try:

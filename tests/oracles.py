@@ -17,15 +17,18 @@ factors from shslab's `observability_stack` of `hold_inputs` and `_factor`,
 and their forced responses from that stack's input columns, as the package
 does, and differ from it only in how the window data meet them: one
 (rows, windows) sample matrix and one pass of rotations per scenario, the
-arithmetic detection is held to bit for bit.
+arithmetic detection is held to bit for bit. one_window and batch_of
+build the MeasurementWindows batches the tests fit.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from shslab.detection import _QR_ROWS, _check_window, _factor, observability_stack
+from shslab.detection import (_QR_ROWS, MeasurementWindows, _check_window, _factor,
+                              observability_stack)
 from shslab.errors import ConfigError, NumericalError
 from shslab.linsys import hold_inputs
 from shslab.ssbuild import _Index  # state layout only, no coefficients
@@ -355,17 +358,36 @@ def step_records(held, steps):
     return record[:, :3], record[:, 3:]
 
 
+def one_window(samples, steps, held, ts, stride=1, t_start=0.0):
+    """The one-window MeasurementWindows batch of one (rows, p) record."""
+    return MeasurementWindows(t_start=[t_start], ts=ts, samples=np.asarray(samples)[None],
+                              steps=steps, held=held, stride=stride)
+
+
+def batch_of(windows):
+    """One batch of the windows of a list of batches, in order. They must
+    share their length, grid and period, and hold the same inputs bit for
+    bit."""
+    head = windows[0]
+    for w in windows:
+        assert (w.steps, w.stride, w.ts) == (head.steps, head.stride, head.ts)
+        assert np.array_equal(w.held.view(np.int64), head.held.view(np.int64))
+    return dataclasses.replace(head, t_start=np.concatenate([w.t_start for w in windows]),
+                               samples=np.concatenate([w.samples for w in windows]))
+
+
 def window_table(window, stride):
-    """The (rows, columns) record of one window at `stride`, column by
-    column: t = t_start + ts * index, the outputs, u1 and u2 of the window's
-    step_records: one slice of windows.npy. A window that keeps every
-    window.stride-th sample holds sample index in its row index /
+    """The (rows, columns) record of a one-window batch at `stride`, column
+    by column: t = t_start + ts * index, the outputs, u1 and u2 of the
+    window's step_records: one slice of windows.npy. A window that keeps
+    every window.stride-th sample holds sample index in its row index /
     window.stride."""
+    assert len(window) == 1
     idx = np.arange(0, window.steps + 1, stride)
     u1, u2 = step_records(window.held, window.steps)
-    table = np.empty((idx.size, 1 + window.samples.shape[1] + window.held.size))
-    table[:, 0] = window.t_start + window.ts * idx
-    table[:, 1:] = np.hstack([window.samples[idx // window.stride], u1[idx], u2[idx]])
+    table = np.empty((idx.size, 1 + window.samples.shape[2] + window.held.size))
+    table[:, 0] = window.t_start[0] + window.ts * idx
+    table[:, 1:] = np.hstack([window.samples[0, idx // window.stride], u1[idx], u2[idx]])
     return table
 
 
@@ -410,11 +432,11 @@ def loop_observability_stack(dmodel, steps, subsample=1):
 
 
 def loop_samples(windows):
-    """(rows, windows) matrix of every sample of windows of one length and
-    grid, filled one window at a time."""
-    out = np.empty((len(windows),) + windows[0].samples.shape)
-    for k, window in enumerate(windows):
-        out[k] = window.samples
+    """(rows, windows) matrix of every sample of a batch, filled one window
+    at a time."""
+    out = np.empty(windows.samples.shape)
+    for k in range(len(windows)):
+        out[k] = windows.samples[k]
     return out.reshape(len(windows), -1).T
 
 
@@ -448,16 +470,14 @@ def loop_fit(factor, held, samples):
 
 
 def loop_detect(models, windows):
-    """Per window, the (m,) residuals and (m, n) states of every scenario's
-    fit on window 0's grid, one scenario at a time, for windows that hold
-    window 0's inputs and the forced responses to them."""
-    held, steps, stride = windows[0].held, windows[0].steps, windows[0].stride
+    """Per window of a batch, the (m,) residuals and (m, n) states of every
+    scenario's fit on its grid, one scenario at a time, with the forced
+    responses to its held inputs removed."""
     per_model = []
     for model in models:
-        for window in windows:
-            _check_window(model, window)
-        per_model.append(loop_fit(held_factor(model, steps, stride), held,
-                                  loop_samples(windows)))
+        _check_window(model, windows)
+        per_model.append(loop_fit(held_factor(model, windows.steps, windows.stride),
+                                  windows.held, loop_samples(windows)))
     x0_hat = np.stack([x for x, _ in per_model])
     residuals = np.stack([r for _, r in per_model])
     return [(residuals[:, col], x0_hat[:, :, col]) for col in range(len(windows))]

@@ -8,9 +8,9 @@ production grid: tau = 0.6 s, tau0 = 10 ms, ts = 1 us, estimator stride 10.
 import numpy as np
 
 from conftest import PAPER_TAU0, PAPER_TS, bare_line_segment, two_load_bus_segment
-from oracles import fd_jacobian, rk4_lti, segment_rhs, simulate, step_records
-from shslab.detection import (MeasurementWindow, estimate_initial_state, free_outputs,
-                              observability_stack, sample_indices)
+from oracles import fd_jacobian, one_window, rk4_lti, segment_rhs, simulate, step_records
+from shslab.detection import (estimate_initial_state, free_outputs, observability_stack,
+                              sample_indices)
 from shslab.experiment import ExperimentConfig, run_experiment
 from shslab.linsys import discretize_zoh, eigenvalues
 from shslab.probing import ProbingDesign, compute_delta_min
@@ -168,9 +168,8 @@ def test_criterion_8_initial_state_estimator(m1_family, m1_probe):
         keep = Vt[s >= 1e-6 * s[0]]
         x0 = keep.T @ (keep @ (rng.standard_normal(18) * m1_probe.mu0))
         trace = simulate(d, x0, u1, u2, steps)
-        window = MeasurementWindow(t_start=0.0, ts=PAPER_TS,
-                                   samples=trace.outputs[::SUBSAMPLE], steps=steps,
-                                   held=held, stride=SUBSAMPLE)
+        window = one_window(trace.outputs[::SUBSAMPLE], steps, held, PAPER_TS,
+                            stride=SUBSAMPLE)
         x0_hat, residual = estimate_initial_state(d, window)
         rec = np.linalg.norm(x0_hat - x0) / np.linalg.norm(x0)
         worst_rec = max(worst_rec, float(rec))
@@ -182,9 +181,8 @@ def test_criterion_8_initial_state_estimator(m1_family, m1_probe):
     for i, d_true in enumerate(dmodels):
         x0 = rng.standard_normal(18) * m1_probe.mu0
         trace = simulate(d_true, x0, u1, u2, steps)
-        window = MeasurementWindow(t_start=0.0, ts=PAPER_TS,
-                                   samples=trace.outputs[::SUBSAMPLE], steps=steps,
-                                   held=held, stride=SUBSAMPLE)
+        window = one_window(trace.outputs[::SUBSAMPLE], steps, held, PAPER_TS,
+                            stride=SUBSAMPLE)
         residuals = [estimate_initial_state(d, window)[1] for d in dmodels]
         for j in range(4):
             if j != i:

@@ -6,9 +6,9 @@ import pytest
 
 import shslab.detection as detection
 from conftest import PAPER_TS, bits, make_model
-from oracles import (held_factor, loop_detect, loop_fit, loop_observability_stack,
-                     loop_samples, simulate, step_records)
-from shslab.detection import (DetectionReport, MeasurementWindow, detect_sequence,
+from oracles import (batch_of, held_factor, loop_detect, loop_fit, loop_observability_stack,
+                     loop_samples, one_window, simulate, step_records)
+from shslab.detection import (DetectionReport, MeasurementWindows, detect_sequence,
                               estimate_initial_state, grid_stack, observability_stack,
                               sample_indices)
 from shslab.errors import ConfigError, NumericalError
@@ -32,28 +32,26 @@ def probe_step(magnitude, channel=1, q=2):
     return held
 
 
-def on_grid(window, sub):
-    """The window of every sub-th sample of a window that keeps every sample."""
-    assert window.stride == 1
-    return dataclasses.replace(window, samples=window.samples[::sub], stride=sub)
+def on_grid(windows, sub):
+    """The batch of every sub-th sample of a batch that keeps every sample."""
+    assert windows.stride == 1
+    return dataclasses.replace(windows, samples=windows.samples[:, ::sub], stride=sub)
 
 
 def probe_window(dmodel, x0, magnitude, channel=1, steps=STEPS, noise=None, sub=SUB):
-    """The estimator grid, every sub-th sample, of the oracle's record of
-    `dmodel` from x0 under a probe step of `magnitude`, with `noise` added to
-    every sample of the record."""
+    """The one-window batch of the estimator grid, every sub-th sample, of
+    the oracle's record of `dmodel` from x0 under a probe step of
+    `magnitude`, with `noise` added to every sample of the record."""
     held = probe_step(magnitude, channel, dmodel.Bd2.shape[1])
     trace = simulate(dmodel, x0, *step_records(held, steps), steps)
     y = trace.outputs if noise is None else trace.outputs + noise
-    return on_grid(MeasurementWindow(t_start=0.0, ts=TS, samples=y, steps=steps, held=held),
-                   sub)
+    return on_grid(one_window(y, steps, held, TS), sub)
 
 
 def detect(models, windows, **kwargs):
-    """detect_sequence on windows that hold window 0's inputs."""
-    for window in windows:
-        assert np.array_equal(bits(window.held), bits(windows[0].held))
-    return detect_sequence(models, windows, **kwargs)
+    """detect_sequence on the batch of a list of one-window batches that
+    hold window 0's inputs."""
+    return detect_sequence(models, batch_of(windows), **kwargs)
 
 
 def forced_outputs(dmodel, window):
@@ -165,7 +163,9 @@ def test_detection_deterministic(dmodels, m1_probe):
 
 
 def test_detect_sequence_empty(dmodels):
-    report = detect(dmodels, [], truth=[])
+    empty = MeasurementWindows(t_start=[], ts=TS, samples=np.empty((0, STEPS // SUB + 1, 5)),
+                               steps=STEPS, held=probe_step(0.0), stride=SUB)
+    report = detect_sequence(dmodels, empty, truth=[])
     assert report.verdicts == ()
     assert report.accuracy is None
 
@@ -315,8 +315,8 @@ def test_fit_rank_cut_is_full_stack_rule(m1_family):
         stack = observability_stack(d, steps, sub)
         y_free = stack @ rng.standard_normal(18) + 1e-3 * rng.standard_normal(stack.shape[0])
         x_ref = np.linalg.lstsq(stack, y_free, rcond=None)[0]
-        window = MeasurementWindow(t_start=0.0, ts=PAPER_TS, samples=y_free.reshape(-1, d.p),
-                                   steps=steps, held=np.zeros(3 + d.Bd2.shape[1]), stride=sub)
+        window = one_window(y_free.reshape(-1, d.p), steps, np.zeros(3 + d.Bd2.shape[1]),
+                            PAPER_TS, stride=sub)
         x0_hat, _ = estimate_initial_state(d, window)
         assert np.linalg.norm(x0_hat - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
 
@@ -336,8 +336,7 @@ def discretize_zoh_like(d):
 def test_estimator_rejects_unobservable():
     model = make_model(np.diag([-1.0, -2.0]), C=np.zeros((1, 2)))
     d = discretize_zoh(model, TS)
-    window = MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((11, 1)),
-                               steps=10, held=np.zeros(3))
+    window = one_window(np.zeros((11, 1)), 10, np.zeros(3), TS)
     with pytest.raises(NumericalError, match="unobservable"):
         estimate_initial_state(d, window)
 
@@ -349,8 +348,7 @@ def test_minimum_norm_on_rank_deficient():
     d = discretize_zoh(model, TS)
     steps = 40
     trace = simulate(d, np.array([2.0, 5.0]), None, None, steps)
-    window = MeasurementWindow(t_start=0, ts=TS, samples=trace.outputs,
-                               steps=steps, held=np.zeros(3))
+    window = one_window(trace.outputs, steps, np.zeros(3), TS)
     x0_hat, residual = estimate_initial_state(d, window)
     assert x0_hat[0] == pytest.approx(2.0, rel=1e-9)
     assert x0_hat[1] == pytest.approx(0.0, abs=1e-12)
@@ -360,19 +358,23 @@ def test_minimum_norm_on_rank_deficient():
 def test_window_validation():
     with pytest.raises(ConfigError, match=re.escape(
             "samples hold 5 rows; a 3-step window kept at stride 1 holds 4")):
-        MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((5, 2)), steps=3,
-                          held=np.zeros(3))
+        one_window(np.zeros((5, 2)), 3, np.zeros(3), TS)
     with pytest.raises(ConfigError, match="sample period"):
-        MeasurementWindow(t_start=0, ts=0.0, samples=np.zeros((5, 2)), steps=4,
-                          held=np.zeros(3))
+        one_window(np.zeros((5, 2)), 4, np.zeros(3), 0.0)
     for held in (np.zeros((5, 3)), np.zeros(2)):
         with pytest.raises(ConfigError, match=re.escape(
                 f"held inputs must be a (3 + q,) vector [u1; u2], got shape {held.shape}")):
-            MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((5, 2)), steps=4, held=held)
+            one_window(np.zeros((5, 2)), 4, held, TS)
     for steps in (0, 4.0, True):
         with pytest.raises(ConfigError, match="steps must be an integer >= 1"):
-            MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((5, 2)), steps=steps,
-                              held=np.zeros(3))
+            one_window(np.zeros((5, 2)), steps, np.zeros(3), TS)
+    # one start time per window
+    for t_start in ([0.0], [[0.0, 1.0]], 0.0):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"2 windows need a (2,) vector of start times, got shape "
+                f"{np.shape(t_start)}")):
+            MeasurementWindows(t_start=t_start, ts=TS, samples=np.zeros((2, 5, 2)), steps=4,
+                               held=np.zeros(3))
 
 
 @pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")],
@@ -381,38 +383,61 @@ def test_window_refuses_non_finite_held_inputs(value):
     held = probe_step(value)
     with pytest.raises(ConfigError, match=re.escape(
             f"held inputs must be finite, got {held.tolist()}")):
-        MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((5, 2)), steps=4, held=held)
+        one_window(np.zeros((5, 2)), 4, held, TS)
 
 
 @pytest.mark.parametrize("ts", [float("inf"), float("nan")], ids=["inf", "nan"])
 def test_window_period_must_be_finite(ts):
     with pytest.raises(ConfigError, match=f"sample period must be finite and > 0, got {ts}"):
-        MeasurementWindow(t_start=0, ts=ts, samples=np.zeros((5, 2)), steps=4,
-                          held=np.zeros(3))
+        one_window(np.zeros((5, 2)), 4, np.zeros(3), ts)
 
 
-@pytest.mark.parametrize("samples", [np.zeros(5), np.zeros((5, 0)), np.zeros((5, 2, 1))],
-                         ids=["1d", "no-output", "3d"])
+# batches of one window whose samples are 1-d, hold no output column, or
+# carry an axis too many; and a lone window's (N+1, p) table
+@pytest.mark.parametrize("samples", [np.zeros(5), np.zeros((1, 5, 0)), np.zeros((1, 5, 2, 1)),
+                                     np.zeros((5, 2))],
+                         ids=["1d", "no-output", "3d", "table"])
 def test_window_samples_must_be_a_table(samples):
     with pytest.raises(ConfigError, match=re.escape(
-            f"samples must be an (N+1, p) table with p >= 1, got shape {samples.shape}")):
-        MeasurementWindow(t_start=0, ts=TS, samples=samples, steps=4, held=np.zeros(3))
+            f"samples must be a (K, N+1, p) array with p >= 1, got shape {samples.shape}")):
+        MeasurementWindows(t_start=[0.0], ts=TS, samples=samples, steps=4, held=np.zeros(3))
 
 
 def test_window_keeps_every_stride_th_sample():
     held = np.zeros(3)
     # 10 steps at stride 3 keep samples 0, 3, 6 and 9
-    window = MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((4, 2)), steps=10,
-                               held=held, stride=3)
+    window = one_window(np.zeros((4, 2)), 10, held, TS, stride=3)
     assert window.steps == 10
     with pytest.raises(ConfigError, match=re.escape(
             "samples hold 5 rows; a 10-step window kept at stride 3 holds 4")):
-        MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((5, 2)), steps=10, held=held,
-                          stride=3)
+        one_window(np.zeros((5, 2)), 10, held, TS, stride=3)
     for stride in (0, 2.0, True):
         with pytest.raises(ConfigError, match="stride must be an integer >= 1"):
-            MeasurementWindow(t_start=0, ts=TS, samples=np.zeros((11, 2)), steps=10,
-                              held=held, stride=stride)
+            one_window(np.zeros((11, 2)), 10, held, TS, stride=stride)
+
+
+def test_a_batch_indexes_as_one_window_batches(dmodels, m1_probe):
+    # windows[k] is window k alone, sharing the batch's held vector; an index
+    # past either end is an IndexError, so iteration stops after window K-1
+    windows = batch_of([probe_window(dmodels[a], np.ones(18), m1_probe.R) for a in (2, 0, 3)])
+    windows = dataclasses.replace(windows, t_start=[0.0, 0.5, 1.0])
+    assert len(windows) == 3 and not windows.samples.flags.writeable
+    for k, window in enumerate(windows):
+        assert len(window) == 1 and window.held is windows.held
+        assert (window.ts, window.steps, window.stride) == (TS, STEPS, SUB)
+        assert window.t_start.tolist() == [0.5 * k]
+        assert np.array_equal(bits(window.samples[0]), bits(windows.samples[k]))
+    assert np.array_equal(bits(windows[-1].samples), bits(windows[2].samples))
+    assert k == 2
+    for k in (3, -4):
+        with pytest.raises(IndexError):
+            windows[k]
+    # estimate_initial_state fits one window
+    ref = detect_sequence(dmodels, windows).residuals[1, 0]
+    assert estimate_initial_state(dmodels[0], windows[1])[1] == pytest.approx(ref, rel=1e-9)
+    with pytest.raises(ConfigError, match=re.escape(
+            "estimate_initial_state fits one window; got a batch of 3")):
+        estimate_initial_state(dmodels[0], windows)
 
 
 def test_fits_read_the_estimator_grid_of_a_strided_window(dmodels, m1_probe):
@@ -423,19 +448,11 @@ def test_fits_read_the_estimator_grid_of_a_strided_window(dmodels, m1_probe):
     for sub in (SUB, 2 * SUB):
         grid = on_grid(record, sub)
         x0_hat, residual = estimate_initial_state(d, grid)
-        x_ref, r_ref = loop_fit(held_factor(d, STEPS, sub), grid.held, loop_samples([grid]))
+        x_ref, r_ref = loop_fit(held_factor(d, STEPS, sub), grid.held, loop_samples(grid))
         assert np.array_equal(bits(x0_hat), bits(x_ref[:, 0]))
         assert np.array_equal(bits(residual), bits(r_ref[0]))
-        ref = np.array([r for r, _ in loop_detect(dmodels, [grid])])
+        ref = np.array([r for r, _ in loop_detect(dmodels, grid)])
         assert np.array_equal(bits(detect(dmodels, [grid]).residuals), bits(ref))
-
-
-def test_detect_sequence_rejects_two_grids(dmodels, m1_probe):
-    record = probe_window(dmodels[0], np.zeros(18), m1_probe.R, sub=1)
-    windows = [on_grid(record, SUB), on_grid(record, SUB), on_grid(record, 2 * SUB)]
-    with pytest.raises(ConfigError, match=re.escape(
-            "window 2 is kept at stride 10, window 0 at stride 5; windows must keep one grid")):
-        detect_sequence(dmodels, windows)
 
 
 def test_estimate_initial_state_refuses_another_grid(dmodels, m1_probe):
@@ -487,41 +504,6 @@ def test_observability_stack_matches_loop_oracle(m1_family, ts, steps, subsample
             assert np.linalg.matrix_rank(got) == rank
 
 
-def test_detect_sequence_rejects_two_window_lengths(dmodels, m1_probe):
-    long = probe_window(dmodels[0], np.zeros(18), m1_probe.R)
-    short = probe_window(dmodels[1], np.zeros(18), m1_probe.R, steps=300)
-    with pytest.raises(ConfigError, match=re.escape(
-            "window 1 has 300 steps, window 0 has 500; one call fits windows of one length")):
-        detect_sequence(dmodels, [long, short])
-
-
-def _signed_zero(held, cols):
-    out = np.array(held)
-    part = out[cols]
-    part[part == 0.0] = -0.0
-    out[cols] = part
-    return out
-
-
-@pytest.mark.parametrize("edit", [
-    lambda held: np.zeros_like(held),                    # probe off against probe on
-    lambda held: _signed_zero(held, slice(0, 3)),
-    lambda held: _signed_zero(held, slice(3, None)),
-    lambda held: np.concatenate([held[:3], np.zeros(3)]),
-], ids=["u1-probe-off", "u1-signed-zero", "u2-signed-zero", "u2-width"])
-def test_detect_sequence_rejects_a_second_input_record(dmodels, m1_probe, edit):
-    on = probe_window(dmodels[2], np.zeros(18), m1_probe.R)
-    # an equal copy of window 0's held inputs is compared, not refused
-    copy = dataclasses.replace(on, held=np.array(on.held))
-    other = dataclasses.replace(on, held=edit(on.held))
-    assert copy.held is not on.held
-    assert len(detect_sequence(dmodels, [on, copy]).detected) == 2
-    with pytest.raises(ConfigError, match=re.escape(
-            "window 2: its held inputs differ from window 0's; "
-            "one call fits windows that hold the same inputs")):
-        detect_sequence(dmodels, [on, copy, other])
-
-
 def test_detect_sequence_needs_more_equations_than_states(dmodels, m1_probe):
     # 11 samples at stride 10 leave 2 estimator rows of 5 outputs: 10
     # equations for 18 states, which every scenario fits exactly
@@ -552,8 +534,7 @@ def test_warm_detection_matches_cold_and_full_stack_lstsq(m1_family, m1_probe, m
         trace = simulate(models[a], rng.standard_normal(18) * m1_probe.mu0,
                          *step_records(held, steps), steps)
         y = trace.outputs + 1e-3 * rng.standard_normal(trace.outputs.shape)
-        windows.append(MeasurementWindow(t_start=0.0, ts=PAPER_TS, samples=y[::sub],
-                                         steps=steps, held=held, stride=sub))
+        windows.append(one_window(y[::sub], steps, held, PAPER_TS, stride=sub))
     cold = detect(models, windows)
     stacks = [observability_stack(d, steps, sub) for d in models]
     calls = []
@@ -588,9 +569,9 @@ def paper_grid_windows(m1_family, m1_probe):
                   (0, True), (1, False)):
         trace = simulate(models[a], rng.standard_normal(18) * m1_probe.mu0,
                          *step_records(helds[on], steps), steps)
-        windows[on].append(MeasurementWindow(
-            t_start=0.0, ts=PAPER_TS, samples=trace.outputs + 1e-3 * rng.standard_normal(
-                trace.outputs.shape), steps=steps, held=helds[on]))
+        windows[on].append(one_window(
+            trace.outputs + 1e-3 * rng.standard_normal(trace.outputs.shape), steps, helds[on],
+            PAPER_TS))
     return models, windows
 
 
@@ -605,7 +586,7 @@ def test_detect_sequence_bitwise_per_scenario_loop(m1_family, paper_grid_windows
     if subsample == 10:
         ranks = [np.linalg.matrix_rank(observability_stack(d, 10000, 10)) for d in models]
         assert ranks == [17, 17, 9, 11]
-    refs = [loop_detect(models, windows) for windows in records.values()]
+    refs = [loop_detect(models, batch_of(windows)) for windows in records.values()]
     for _ in ("cold", "warm"):
         for windows, ref in zip(records.values(), refs):
             report = detect(models, windows)
@@ -620,7 +601,7 @@ def test_estimate_initial_state_bitwise_per_scenario_fit(paper_grid_windows, sub
         for d in models:
             x0_hat, residual = estimate_initial_state(d, window)
             x_ref, r_ref = loop_fit(held_factor(d, window.steps, subsample),
-                                    window.held, loop_samples([window]))
+                                    window.held, loop_samples(window))
             assert np.array_equal(bits(x0_hat), bits(x_ref[:, 0]))
             assert np.array_equal(bits(residual), bits(r_ref[0]))
 

@@ -13,7 +13,7 @@ from oracles import loop_truth, simulate, step_records, window_table
 import shslab.detection as detection
 import shslab.experiment as experiment
 import shslab.probing as probing
-from shslab.detection import MeasurementWindow, detect_sequence
+from shslab.detection import MeasurementWindows, detect_sequence
 from shslab.errors import ConfigError, NumericalError
 from shslab.experiment import (ExperimentConfig, SwitchingSequence, eigen_report,
                                generate_sequence, read_windows, run_experiment,
@@ -86,12 +86,13 @@ def test_windows_share_input_records(m1_family, coarse_probe):
     result = run_experiment(config(m1_family, coarse_probe, K=4, seed=3))
     first = result.windows[0]
     assert first.held.shape == (5,) and not first.held.flags.writeable
-    for window in result.windows[1:]:
+    for window in result.windows:
         assert window.held is first.held
     # a caller's writable vector, or a read-only view of one, is copied
     vectors = (np.array(first.held), first.held[:])
-    copies = [MeasurementWindow(t_start=0.0, ts=TS, samples=first.samples, steps=first.steps,
-                                held=held, stride=first.stride) for held in vectors]
+    copies = [MeasurementWindows(t_start=first.t_start, ts=TS, samples=first.samples,
+                                 steps=first.steps, held=held, stride=first.stride)
+              for held in vectors]
     for window, held in zip(copies, vectors):
         assert not np.shares_memory(window.held, held)
         assert not window.held.flags.writeable
@@ -117,42 +118,41 @@ def oracle_truth(result):
 
 
 def assert_truth_matches_oracle(result, windows=None):
-    """Every sample of every window, result's own or `windows` (say, those
-    written_windows reads from a full record), within 1e-12 of each output
-    column's largest magnitude, every boundary state within 1e-12 of the
-    largest one; returns the oracle's window samples, every sample of each
-    window."""
+    """Every sample of every window, result's own or those of the batch
+    `windows` (say, the one written_windows reads from a full record),
+    within 1e-12 of each output column's largest magnitude, every boundary
+    state within 1e-12 of the largest one; returns the oracle's window
+    samples, every sample of each window."""
     samples, boundaries = oracle_truth(result)
     assert np.array_equal(result.boundary_states[0], boundaries[0])
     err = np.max(np.abs(result.boundary_states - boundaries))
     assert err <= 1e-12 * np.max(np.abs(boundaries))
-    for k, (w, y) in enumerate(zip(windows or result.windows, samples, strict=True)):
-        assert w.samples.shape == y[::w.stride].shape
-        assert np.all(np.abs(w.samples - y[::w.stride]) <= 1e-12 * np.max(np.abs(y), axis=0)), k
+    windows = result.windows if windows is None else windows
+    for k, (got, y) in enumerate(zip(windows.samples, samples, strict=True)):
+        assert got.shape == y[::windows.stride].shape
+        assert np.all(np.abs(got - y[::windows.stride]) <= 1e-12 * np.max(np.abs(y), axis=0)), k
     return samples
 
 
 def written_windows(result, out_dir, mode):
-    """write_outputs(result, out_dir, mode), and the windows its windows.npy
-    records: result's own for a strided record; for a full one, each window
-    holding every sample of its record as written. A full record is checked
-    first: its every subsample-th row is the window's samples bit for bit,
-    and every other row lies within 1e-12 of each output column's largest
-    magnitude of the per-window oracle's."""
+    """write_outputs(result, out_dir, mode), and the batch its windows.npy
+    records: result's own for a strided record; for a full one, the batch
+    of every sample of each window's record as written. A full record is
+    checked first: its every subsample-th row is the window's samples bit
+    for bit, and every other row lies within 1e-12 of each output column's
+    largest magnitude of the per-window oracle's."""
     write_outputs(result, out_dir, windows_mode=mode)
+    windows = result.windows
     if mode == "strided":
-        return result.windows
+        return windows
     table = np.load(out_dir / "windows" / "windows.npy")
-    p = result.windows[0].samples.shape[1]
+    records = np.ascontiguousarray(table[:, :, 1:1 + windows.samples.shape[2]])
     oracle, _ = oracle_truth(result)
-    windows = []
-    for k, (w, rows, y) in enumerate(zip(result.windows, table, oracle, strict=True)):
-        record = np.ascontiguousarray(rows[:, 1:1 + p])
-        grid = np.arange(len(record)) % w.stride == 0
-        assert np.array_equal(_bits(record[grid]), _bits(w.samples)), k
+    grid = np.arange(records.shape[1]) % windows.stride == 0
+    for k, (record, y) in enumerate(zip(records, oracle, strict=True)):
+        assert np.array_equal(_bits(record[grid]), _bits(windows.samples[k])), k
         assert np.all(np.abs(record[~grid] - y[~grid]) <= 1e-12 * np.max(np.abs(y), axis=0)), k
-        windows.append(dataclasses.replace(w, samples=record, stride=1))
-    return windows
+    return dataclasses.replace(windows, samples=records, stride=1)
 
 
 def test_state_continuity_across_switches(tmp_path, m1_family, coarse_probe):
@@ -164,7 +164,7 @@ def test_state_continuity_across_switches(tmp_path, m1_family, coarse_probe):
     dmodels = [discretize_zoh(sc, TS) for sc in m1_family]
     for k, a in enumerate(seq.alphas):
         y0 = dmodels[a].C @ result.boundary_states[k]
-        assert np.allclose(result.windows[k].samples[0], y0, rtol=0, atol=1e-12)
+        assert np.allclose(result.windows.samples[k, 0], y0, rtol=0, atol=1e-12)
     assert_truth_matches_oracle(result, written_windows(result, tmp_path, "full"))
 
 
@@ -185,13 +185,13 @@ def test_truth_matches_per_window_oracle(tmp_path, m1_family, coarse_probe, prob
     result = run_experiment(cfg, None if alphas is None else SwitchingSequence(alphas))
     full = written_windows(result, tmp_path, "full")
     samples = assert_truth_matches_oracle(result, full)
-    oracle_windows = [dataclasses.replace(w, samples=y[::SUB])
-                      for w, y in zip(result.windows, samples)]
+    oracle_windows = dataclasses.replace(result.windows,
+                                         samples=np.stack([y[::SUB] for y in samples]))
     dmodels = [discretize_zoh(sc, TS) for sc in m1_family]
     oracle = detect_sequence(dmodels, oracle_windows)
     assert result.report.detected == oracle.detected
     # the run's own report is a fit on fresh models of the same windows
-    fresh = detect_sequence(dmodels, list(result.windows))
+    fresh = detect_sequence(dmodels, result.windows)
     for got, ref in zip(result.report.verdicts, fresh.verdicts):
         assert np.array_equal(got.residuals, ref.residuals)
     if not probe_on and x0_mode == "zero" and sigma == 0.0:
@@ -253,13 +253,13 @@ def test_noise_only_on_the_estimator_grid(tmp_path, m1_family, coarse_probe, sub
         written_windows(run_experiment(config(m1_family, coarse_probe, noise_sigma=sigma, **kw)),
                         tmp_path / str(sigma), "full")
         for sigma in (0.0, 1e-3))
-    rows = np.arange(clean[0].steps + 1)
+    rows = np.arange(clean.steps + 1)
     grid, off = rows[::subsample], rows[rows % subsample != 0]
     stream = noise_stream(9)
-    for c, w in zip(clean, noisy, strict=True):
-        assert np.array_equal(bits(w.samples[off]), bits(c.samples[off]))
-        draw = stream.standard_normal((grid.size, w.samples.shape[1]))
-        assert np.array_equal(bits(w.samples[grid]), bits(c.samples[grid] + 1e-3 * draw))
+    for c, w in zip(clean.samples, noisy.samples, strict=True):
+        assert np.array_equal(bits(w[off]), bits(c[off]))
+        draw = stream.standard_normal((grid.size, w.shape[1]))
+        assert np.array_equal(bits(w[grid]), bits(c[grid] + 1e-3 * draw))
 
 
 def test_x0_random_mode_scaled_to_mu0(m1_family, coarse_probe):
@@ -369,9 +369,11 @@ def test_read_windows_share_input_records(tmp_path, m1_family, coarse_probe):
     windows = read_windows(tmp_path / "windows")
     first = windows[0]
     assert not first.held.flags.writeable
-    for window in windows[1:]:
+    for k, window in enumerate(windows):
         assert window.held is first.held
-        assert not np.shares_memory(window.samples, first.samples)
+        assert k == 0 or not np.shares_memory(windows.samples[k], windows.samples[0])
+    # one read-only copy of the table's output columns, not a view of the file
+    assert windows.samples.flags.owndata and not windows.samples.flags.writeable
 
 
 @pytest.mark.parametrize("change", ["signed-zero", "value"])
@@ -387,10 +389,13 @@ def test_read_windows_rejects_a_second_input_record(tmp_path, m1_family, coarse_
         part[part == 0.0] = -0.0
     else:
         part[-1] += 1.0
-    windows = list(result.windows)
-    windows[2] = dataclasses.replace(windows[2], held=other)
-    write_outputs(dataclasses.replace(result, windows=tuple(windows)), tmp_path)
+    # a batch holds one input vector, so window 2's record is written into
+    # the table as a run of per-window inputs would have written it
+    write_outputs(result, tmp_path)
     path = tmp_path / "windows" / "windows.npy"
+    table = np.load(path)
+    table[2, :-1, table.shape[2] - other.size:] = other
+    np.save(path, table)
     with pytest.raises(ConfigError, match=re.escape(
             f"{path} window 2: its {record} columns differ from window 0's")):
         read_windows(tmp_path / "windows")
@@ -462,7 +467,7 @@ def test_read_windows_checks_probe_tau0_against_meta(tmp_path, m1_family, coarse
     result = run_experiment(config(m1_family, coarse_probe, K=2, seed=3, subsample=3))
     write_outputs(result, tmp_path, windows_mode="strided")
     windows = read_windows(tmp_path / "windows", probe=coarse_probe)
-    assert [w.samples.shape[0] for w in windows] == [167, 167]
+    assert windows.samples.shape[:2] == (2, 167)
     other = dataclasses.replace(coarse_probe, tau0=0.011)
     with pytest.raises(ConfigError, match="meta.json") as exc:
         read_windows(tmp_path / "windows", probe=other)
@@ -514,19 +519,13 @@ SPECIAL = (-0.0, 5e-324, 1e-5, 1e16, -1e300, float("nan"), float("inf"))
 @pytest.fixture(scope="module")
 def special_result(m1_family, coarse_probe):
     """A three-window run whose middle window's outputs hold SPECIAL on every
-    estimator-grid row it spans, and whose last window's held inputs have
-    -0.0 where the others have 0.0."""
+    estimator-grid row it spans."""
     result = run_experiment(config(m1_family, coarse_probe, K=3, seed=13))
-    first, middle, last = result.windows
-    samples = np.array(middle.samples)
-    samples[:len(SPECIAL)] = np.array(SPECIAL)[:, None]
-    samples[:len(SPECIAL), 1] *= -1.0
-    held = np.array(last.held)
-    held[held == 0.0] = -0.0
-    return dataclasses.replace(result, windows=(
-        first,
-        dataclasses.replace(middle, samples=samples),
-        dataclasses.replace(last, held=held)))
+    samples = np.array(result.windows.samples)
+    samples[1, :len(SPECIAL)] = np.array(SPECIAL)[:, None]
+    samples[1, :len(SPECIAL), 1] *= -1.0
+    return dataclasses.replace(result, windows=dataclasses.replace(result.windows,
+                                                                   samples=samples))
 
 
 def _bits(a):
@@ -547,52 +546,52 @@ def test_windows_npy_matches_table_oracle(tmp_path, special_result, mode, stride
     npy = tmp_path / "windows" / "windows.npy"
     assert npy.read_bytes() == _saved(tables)
 
-    # read back a run where every window holds the last window's -0.0 inputs
-    signed = special_result.windows[2].held
-    result = dataclasses.replace(special_result, windows=tuple(
-        dataclasses.replace(w, held=signed) for w in special_result.windows))
+    # read back a run whose held inputs have -0.0 wherever they have 0.0
+    signed = np.array(special_result.windows.held)
+    signed[signed == 0.0] = -0.0
+    result = dataclasses.replace(special_result, windows=dataclasses.replace(
+        special_result.windows, held=signed))
     tables = [window_table(w, stride)
               for w in written_windows(result, tmp_path / "signed", mode)]
-    p = special_result.windows[0].samples.shape[1]
+    p = special_result.windows.samples.shape[2]
     windows = read_windows(tmp_path / "signed" / "windows")
     assert len(windows) == 3
-    for w, table in zip(windows, tables):
-        assert np.array_equal(_bits(w.t_start), _bits(table[0, 0]))
-        assert np.array_equal(_bits(w.samples), _bits(table[:, 1:1 + p]))
+    for w, table in zip(windows, tables, strict=True):
+        assert np.array_equal(_bits(w.t_start[0]), _bits(table[0, 0]))
+        assert np.array_equal(_bits(w.samples[0]), _bits(table[:, 1:1 + p]))
         assert np.array_equal(_bits(w.held), _bits(table[0, 1 + p:]))
     # the special values made it through, and every window shares one vector
     assert np.isnan(windows[1].samples).any() and np.isinf(windows[1].samples).any()
     assert (windows[1].samples == 5e-324).any()
     assert np.signbit(windows[0].held[windows[0].held == 0.0]).all()
-    for w in windows[1:]:
-        assert w.held is windows[0].held
+    for w in windows:
+        assert w.held is windows.held
 
 
 @pytest.mark.parametrize("record", ["u1", "u2"])
 @pytest.mark.parametrize("mode, stride", [("strided", SUB), ("full", 1)])
 def test_window_files_format_each_record_from_its_own_values(
         tmp_path, m1_family, coarse_probe, mode, stride, record):
-    # the held inputs run A, A, B, A, where B's `record` part has -0.0
-    # wherever A's has 0.0: the last window must be written from A's values,
-    # not from B's
+    # held inputs whose `record` part has -0.0 wherever the run's has 0.0:
+    # every window's `record` columns are written from those values, -0.0
+    # included, and the other part's zeros stay 0.0
     result = run_experiment(config(m1_family, coarse_probe, K=4, seed=13))
-    a = result.windows[0].held
-    b = np.array(a)
+    b = np.array(result.windows.held)
     part = b[_COLUMNS[record]]
     part[part == 0.0] = -0.0
-    windows = list(result.windows)
-    windows[2] = dataclasses.replace(windows[2], held=b)
-    result = dataclasses.replace(result, windows=tuple(windows))
-    assert all(w.held is a for w in windows[:2] + windows[3:])
+    result = dataclasses.replace(result, windows=dataclasses.replace(result.windows, held=b))
+    assert all(w.held is result.windows.held for w in result.windows)
 
     written = written_windows(result, tmp_path, mode)
     npy = tmp_path / "windows" / "windows.npy"
     assert npy.read_bytes() == _saved([window_table(w, stride) for w in written])
-    p = result.windows[0].samples.shape[1]
-    cols = _COLUMNS[record]
-    zeros = [table[table == 0.0] for table in np.load(npy)[:, :, 1 + p:][:, :, cols]]
-    assert all(z.size for z in zeros)
-    assert [np.signbit(z).any() for z in zeros] == [False, False, True, False]
+    p = result.windows.samples.shape[2]
+    inputs = np.load(npy)[:, :, 1 + p:]
+    for cols, signed in ((_COLUMNS[record], True), (_COLUMNS[{"u1": "u2", "u2": "u1"}[record]],
+                                                    False)):
+        zeros = [table[table == 0.0] for table in inputs[:, :, cols]]
+        assert all(z.size for z in zeros)
+        assert [np.signbit(z).any() for z in zeros] == [signed] * 4
 
 
 def test_rerun_removes_stale_window_files(tmp_path, m1_family, coarse_probe):
@@ -658,9 +657,25 @@ def test_full_record_of_a_noisy_grid_run_holds_its_grid_rows(tmp_path, m1_family
     write_outputs(result, tmp_path, windows_mode="full")
     table = np.load(tmp_path / "windows" / "windows.npy")
     assert table.shape[:2] == (3, 501)
-    for w, rows in zip(result.windows, table, strict=True):
-        assert w.samples.shape == (167, 5)
-        assert np.array_equal(_bits(rows[::3, 1:6]), _bits(w.samples))
+    for samples, rows in zip(result.windows.samples, table, strict=True):
+        assert samples.shape == (167, 5)
+        assert np.array_equal(_bits(rows[::3, 1:6]), _bits(samples))
+
+
+@pytest.mark.parametrize("mode", ["strided", "full"])
+@pytest.mark.parametrize("grid", ["stride", "steps"])
+def test_write_outputs_refuses_windows_off_the_configs_grid(tmp_path, m1_family, coarse_probe,
+                                                            mode, grid):
+    # windows kept at twice the config's stride, or over half its window,
+    # are refused before any file is written
+    result = run_experiment(config(m1_family, coarse_probe, K=3, seed=6))
+    w = result.windows
+    off = (dataclasses.replace(w, samples=w.samples[:, ::2], stride=2 * SUB) if grid == "stride"
+           else dataclasses.replace(w, samples=w.samples[:, :51], steps=250))
+    with pytest.raises(ConfigError, match=f"stride {off.stride} over {off.steps} steps.*"
+                                          f"stride {SUB} over 500"):
+        write_outputs(dataclasses.replace(result, windows=off), tmp_path / "out", mode)
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +775,7 @@ def test_a_window_batch_past_one_product_is_split(tmp_path, m1_family, coarse_pr
     assert detection._GEMM_MAX < 200 * 23 * 22 * 5
     result = run_experiment(config(m1_family, coarse_probe, **kw), SwitchingSequence((2,) * 200))
     full = written_windows(result, tmp_path, "full")
-    assert full[0].samples.shape == (1001, 5)
+    assert full.samples.shape == (200, 1001, 5)
     assert_truth_matches_oracle(result, full)
 
 
