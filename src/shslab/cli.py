@@ -126,9 +126,8 @@ def cmd_segment(args) -> int:
     doc = segments_to_json(segments)
     if args.out:
         dump_json(doc, args.out)
-        write_manifest(os.path.dirname(os.path.abspath(args.out)), "segment",
-                       [args.network, args.config], cfg,
-                       name=os.path.basename(args.out) + ".manifest.json")
+        write_manifest(args.out + ".manifest.json", "segment",
+                       [args.network, args.config], cfg)
         _say(f"wrote {args.out}")
     if args.dump or not args.out:
         json.dump(doc, sys.stdout, indent=2)
@@ -151,9 +150,8 @@ def cmd_build(args) -> int:
         families.append(family_to_json(fam))
         _say(f"segment {seg.id}: n={fam[0].n}, scenarios={fam.names}")
     dump_json({"families": families}, args.out)
-    write_manifest(os.path.dirname(os.path.abspath(args.out)), "build",
-                   [args.network, args.config], cfg,
-                   name=os.path.basename(args.out) + ".manifest.json")
+    write_manifest(args.out + ".manifest.json", "build",
+                   [args.network, args.config], cfg)
     _say(f"wrote {args.out}")
     return 0
 
@@ -162,9 +160,8 @@ def cmd_analyze(args) -> int:
     fam = _pick_family(args.family, args.segment)
     rep = eigen_report(fam)
     rep.write_csv(args.out)
-    write_manifest(os.path.dirname(os.path.abspath(args.out)), "analyze",
-                   [args.family], {"segment": fam.segment_id},
-                   name=os.path.basename(args.out) + ".manifest.json")
+    write_manifest(args.out + ".manifest.json", "analyze",
+                   [args.family], {"segment": fam.segment_id})
     for a, name, mx in zip(rep.alphas, rep.names, rep.max_real):
         print(f"alpha{a} ({name}): max Re(lambda) = {mx:.6g} "
               f"[{'stable' if mx < 0 else 'UNSTABLE'}]")
@@ -188,11 +185,10 @@ def cmd_design_probe(args) -> int:
     channel, margin = _flag(args, "channel", channel_index), _flag(args, "margin", probe_margin)
     probe = design_mami(fam, fam[0].x_op, channel, args.tau0, args.ts, margin=margin)
     dump_json(probe_to_json(probe), args.out)
-    write_manifest(os.path.dirname(os.path.abspath(args.out)), "design-probe",
+    write_manifest(args.out + ".manifest.json", "design-probe",
                    [args.family],
                    {"tau0": args.tau0, "ts": args.ts, "channel": args.channel,
-                    "margin": args.margin},
-                   name=os.path.basename(args.out) + ".manifest.json")
+                    "margin": args.margin})
     print(f"mu0 = {probe.mu0:.6g}")
     print(f"mu1 = {probe.mu1:.6g}")
     print(f"delta_min = {probe.delta_min:.6g} (closest pair {probe.argmin_pair})")
@@ -263,7 +259,7 @@ def _run_and_record(args, command: str, exp: ExperimentConfig, cfg: dict, inputs
     result = run_experiment(exp, generate_sequence(exp))
     write_outputs(result, args.out_dir, windows_mode=args.windows)
     dump_json(probe_to_json(exp.probe), os.path.join(args.out_dir, "probe.json"))
-    write_manifest(args.out_dir, command, inputs, cfg)
+    write_manifest(os.path.join(args.out_dir, "manifest.json"), command, inputs, cfg)
     probe = exp.probe
     print(f"mu0 = {probe.mu0:.6g}")
     print(f"mu1 = {probe.mu1:.6g}")
@@ -324,11 +320,10 @@ def cmd_detect(args) -> int:
     dmodels = discretized(fam, windows.ts)
     report = detect_sequence(dmodels, windows, truth=truth)
     dump_json(report.to_json(), args.out)
-    write_manifest(os.path.dirname(os.path.abspath(args.out)), "detect",
+    write_manifest(args.out + ".manifest.json", "detect",
                    [args.family] + ([args.probe] if args.probe else [])
                    + ([args.truth] if args.truth else []),
-                   {"trace": str(args.trace)},
-                   name=os.path.basename(args.out) + ".manifest.json")
+                   {"trace": str(args.trace)})
     if report.accuracy is not None:
         print(f"accuracy = {report.accuracy:.4f} ({report.matches}/{len(windows)})")
     else:

@@ -8,10 +8,10 @@ each window the scenario with the smallest residual wins, ties toward the
 lowest scenario index.
 
 Every response is a product with one array per model and estimator grid:
-the observability stack [O | S] of the model with its inputs held as states
-(linsys.hold_inputs), z = [x; u1; u2]. Its first n columns O map a
-window-start state to the free response on the grid, its last 3 + q
-columns S map held inputs to the forced response. grid_stack builds it
+the observability stack [O | S] of the discretized model, whose inputs are
+held as states, z = [x; u1; u2] (linsys.discretize_zoh). Its first n
+columns O map a window-start state to the free response on the grid, its
+last 3 + q columns S map held inputs to the forced response. grid_stack builds it
 once per model and grid, in floor(sqrt(rows)) blocks of rows, and keeps it
 as long as the model lives. Fits solve against O, with its streamed QR
 kept beside it, and discount S held; the switched truth forms every window
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NumericalError, ShslabError
-from .linsys import DiscreteStateSpace, hold_inputs
+from .linsys import DiscreteStateSpace
 from .util import memo
 
 # rows per QR step in _factor
@@ -47,12 +47,16 @@ _GEMM_MAX = 40 * 18 * 500
 
 
 def _frozen(a) -> np.ndarray:
-    """A read-only float64 array with the contents of `a`. An array that is
-    already read-only float64 and owns its memory is kept, so batches that
-    hold one input vector share its buffer; anything else is copied."""
-    if (isinstance(a, np.ndarray) and a.dtype == np.float64
-            and not a.flags.writeable and a.flags.owndata):
-        return a
+    """A read-only float64 array with the contents of `a`. A read-only
+    float64 array that owns its memory, or is a read-only view of a plain
+    read-only array that does, is kept, so batches that hold one input
+    vector share its buffer and windows[k] shares the batch's samples;
+    anything else, a view of a writable array or of a mapped file, is
+    copied."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable:
+        base = a if a.flags.owndata else a.base
+        if type(base) is np.ndarray and base.flags.owndata and not base.flags.writeable:
+            return a
     arr = np.array(a, dtype=float)
     arr.setflags(write=False)
     return arr
@@ -195,17 +199,16 @@ def require_equations(steps: int, p: int, n: int, subsample: int,
 
 def observability_stack(dmodel: DiscreteStateSpace, steps: int,
                         subsample: int = 1) -> np.ndarray:
-    """Stacked map x0 -> [y_k]_{k in grid} for the free response, a read-only
-    (rows * p, n) array.
+    """Stacked map z0 -> [y_k]_{k in grid} for the free response, a read-only
+    (rows * p, n_z) array.
 
     Row block k is C P^k with P = Ad^subsample. With b = floor(sqrt(rows)),
     block i*b + j is (C P^j) (P^b)^i: b - 1 products give the heads C P^j,
     about rows/b more give the hops (P^b)^i, and one batched product forms
-    every block. grid_stack keeps one read-only copy per model and grid, of
-    the model with its inputs held as states.
+    every block. grid_stack keeps one read-only copy per model and grid.
     """
     rows = sample_indices(steps, subsample).size
-    n, p = dmodel.n, dmodel.p
+    n, p = len(dmodel.Ad), dmodel.p
     b = math.isqrt(rows)
     nb = -(-rows // b)
     P = np.linalg.matrix_power(dmodel.Ad, subsample)
@@ -228,19 +231,19 @@ def _check_window(dmodel: DiscreteStateSpace, windows: MeasurementWindows) -> No
         raise ConfigError(f"window has {windows.samples.shape[2]} outputs, model has {dmodel.p}")
     if abs(windows.ts - dmodel.ts) > 1e-12 * max(windows.ts, dmodel.ts):
         raise ConfigError(f"window sampled at {windows.ts}, model discretized at {dmodel.ts}")
-    if windows.held.size - 3 != dmodel.Bd2.shape[1]:
+    if windows.held.size != dmodel.inputs:
         raise ConfigError(f"window has {windows.held.size - 3} aux inputs, "
-                          f"model has {dmodel.Bd2.shape[1]}")
+                          f"model has {dmodel.inputs - 3}")
 
 
 def grid_stack(dmodel: DiscreteStateSpace, steps: int, subsample: int) -> np.ndarray:
-    """The read-only stack [O | S], observability_stack of
-    hold_inputs(dmodel), on the estimator grid of a window of `steps` steps,
-    built once per (model, steps, subsample) and kept while the model lives:
-    the one copy that detection's fits, the switched truth and probe design
-    read. It does not depend on the inputs' levels."""
+    """The read-only stack [O | S], observability_stack of dmodel, on the
+    estimator grid of a window of `steps` steps, built once per (model,
+    steps, subsample) and kept while the model lives: the one copy that
+    detection's fits, the switched truth and probe design read. It does not
+    depend on the inputs' levels."""
     return memo(dmodel, ("stack", steps, subsample),
-                lambda: observability_stack(hold_inputs(dmodel), steps, subsample))
+                lambda: observability_stack(dmodel, steps, subsample))
 
 
 def free_outputs(dmodel: DiscreteStateSpace, Z0: np.ndarray, out, steps: int,
@@ -250,14 +253,14 @@ def free_outputs(dmodel: DiscreteStateSpace, Z0: np.ndarray, out, steps: int,
     u1 and u2, into the matching C-contiguous array of `out`: (rows, p)
     arrays of the estimator grid j = 0, subsample, 2 subsample, ..., or with
     `full` (steps + 1, p) arrays of every j = 0..steps. They are the free
-    response of hold_inputs(dmodel) from z0.
+    response of dmodel from z0.
 
     The grid rows are Z0 times grid_stack's stack, taken in its
     b = floor(sqrt(rows)) row blocks: one batched product of (W, n_z)(n_z, b p)
     blocks and one more for the rows past the last whole block. A batch
     whose products would exceed _GEMM_MAX multiply-adds is taken in shares
     of fewer windows. Rows r, r + subsample, ... of a full record are the
-    same products from Z0 (Ad_z^r)^T, so its every subsample-th row is the
+    same products from Z0 (Ad^r)^T, so its every subsample-th row is the
     grid record bit for bit.
     """
     stack = grid_stack(dmodel, steps, subsample)
@@ -275,10 +278,9 @@ def free_outputs(dmodel: DiscreteStateSpace, Z0: np.ndarray, out, steps: int,
     tail = stack[whole:].T
     share = max(1, _GEMM_MAX // (nz * b * p))
     stride = subsample if full else 1
-    step = hold_inputs(dmodel).Ad.T if full else None
     for r in range(stride):
         if r:
-            Z = Z @ step
+            Z = Z @ dmodel.Ad.T
         for lo in range(0, len(Z), share):
             S = Z[lo:lo + share]
             for y, head, end in zip(out[lo:lo + share], np.matmul(S, blocks).transpose(1, 0, 2),
@@ -363,8 +365,7 @@ def estimate_initial_state(dmodel: DiscreteStateSpace, window: MeasurementWindow
         raise ConfigError(f"subsample={subsample}: a window kept at stride {window.stride} "
                           f"is fitted on that grid")
     _check_window(dmodel, window)
-    factor = _factor(observability_stack(hold_inputs(dmodel), window.steps, window.stride),
-                     dmodel.n)
+    factor = _factor(observability_stack(dmodel, window.steps, window.stride), dmodel.n)
     x0_hat, residual = _fit([factor], window)
     return x0_hat[0, :, 0], float(residual[0, 0])
 

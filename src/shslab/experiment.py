@@ -7,9 +7,9 @@ then relaxes unforced to the next boundary. The state vector carries over
 interval boundaries unchanged.
 
 Every window sees the same held inputs u = [u1; u2], so the truth is linear
-in the held-input state z = [x; u] of linsys.hold_inputs: window k of
-scenario a holds the samples y_j = C_z Ad_z^j z_k, and the next boundary
-state follows from z_(k+1) = diag(hold_a, I) Ad_z^N z_k, with
+in the held-input state z = [x; u] of linsys.discretize_zoh's model: window
+k of scenario a holds the samples y_j = C Ad^j z_k, and the next boundary
+state follows from z_(k+1) = diag(hold_a, I) Ad^N z_k, with
 hold_a = exp(A_a (tau - tau0)) and the input part of z carried unchanged.
 The truth is evaluated that way, exactly up to round-off: the chain of
 boundary states through one matrix per scenario, and all windows of a
@@ -18,19 +18,19 @@ scenario's stack [O | S] on the estimator grid, detection.grid_stack's, the
 one copy detection's fits also read.
 
 None of that depends on the window data. The discretized models are
-probing.discretized's, built once per family and ts, and the held inputs
-and boundary matrices once per family and (ts, tau, tau0, probe channel,
-applied probe level); both are kept as long as the family lives. A later
-run on the same family draws its initial state, chains the boundary
-states, takes the window products and the noise, and fits against
-detection's stored factors.
+probing.discretized's, built once per family and ts, and the boundary
+matrices once per family and (ts, tau, tau0), whatever the probe; both are
+kept as long as the family lives. A later run on the same family sets its
+held inputs, draws its initial state, chains the boundary states, takes the
+window products and the noise, and fits against detection's stored
+factors.
 
 A run's windows are one detection.MeasurementWindows batch, one
 (K, grid rows, p) array: each window keeps only its estimator grid, every
 subsample-th sample, the rows detection fits. Measurement noise,
 noise_sigma times one standard normal per output, goes on those rows, drawn
 from one stream per seed, window by window. A full window record is formed
-when it is written, as the products from Ad_z^r z_k on rows r,
+when it is written, as the products from Ad^r z_k on rows r,
 r + subsample, ..., with the window's own samples on its grid rows, so only
 they carry noise.
 """
@@ -48,7 +48,7 @@ import numpy as np
 from .detection import (DetectionReport, MeasurementWindows, detect_sequence, free_outputs,
                         grid_stack, require_equations)
 from .errors import ConfigError, NumericalError
-from .linsys import eig_sorted, expm, hold_inputs
+from .linsys import eig_sorted, expm
 from .probing import ProbingDesign, discretized, whole_steps
 from .ssbuild import ScenarioFamily
 from .util import doc_value, dump_json, integer, memo
@@ -145,31 +145,23 @@ def generate_sequence(config: ExperimentConfig) -> SwitchingSequence:
     return SwitchingSequence(alphas=tuple(int(a) for a in draws))
 
 
-def _window_response(config: ExperimentConfig, dmodels: tuple):
-    """What every window of a run shares, built once per family and
-    (ts, tau, tau0, probe channel, applied probe level): the frozen held
-    inputs held = [u1; u2], the probe level on its channel and zero
-    elsewhere, and per scenario a the boundary matrix diag(hold_a, I) Ad_z^N
-    of the module docstring, stacked into one read-only (m, n_z, n_z)
-    array."""
+def _window_response(config: ExperimentConfig, dmodels: tuple) -> np.ndarray:
+    """The boundary maps every window of a run shares, built once per family
+    and (ts, tau, tau0): per scenario a the matrix diag(hold_a, I) Ad^N of
+    the module docstring, stacked into one read-only (m, n_z, n_z) array. It
+    does not depend on the probe, so runs at every probe level share it."""
     family = config.family
-    steps = config.window_steps
     n = family[0].n
 
     def build():
-        held = np.zeros(3 + dmodels[0].Bd2.shape[1])
-        held[config.probe.channel] = config.applied_R
-        M = np.array([np.linalg.matrix_power(hold_inputs(d).Ad, steps) for d in dmodels])
+        M = np.array([np.linalg.matrix_power(d.Ad, config.window_steps) for d in dmodels])
         for a, sc in enumerate(family):
             M[a, :n] = expm(sc.A * (config.tau - config.tau0)) @ M[a, :n]
-        # frozen, so every window of every run shares these arrays
-        for arr in (held, M):
-            arr.setflags(write=False)
-        return held, M
+        # frozen, so every window of every run shares it
+        M.setflags(write=False)
+        return M
 
-    key = ("window response", config.ts, config.tau, config.tau0,
-           config.probe.channel, config.applied_R)
-    return memo(family, key, build)
+    return memo(family, ("window response", config.ts, config.tau, config.tau0), build)
 
 
 def _window_outputs(config: ExperimentConfig, alphas, Z: np.ndarray,
@@ -217,7 +209,9 @@ def run_experiment(config: ExperimentConfig,
         scale = config.probe.mu0 if config.probe.mu0 > 0 else 1.0
         x *= scale / np.max(np.abs(x))
 
-    held, M = _window_response(config, dmodels)
+    held = np.zeros(dmodels[0].inputs)
+    held[config.probe.channel] = config.applied_R
+    M = _window_response(config, dmodels)
     # the grid stacks outlive this run's arrays: built before them, they do
     # not sit between them on the heap and hold its top up
     for d in dmodels:
@@ -361,7 +355,7 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
         return
     os.makedirs(win_dir, exist_ok=True)
     _clear_windows(win_dir, {"meta.json", _NPY})
-    p, q = windows.samples.shape[2], windows.held.size - 3
+    p, held = windows.samples.shape[2], windows.held
     dump_json({
         "format": "npy",
         "ts": cfg.ts * stride,
@@ -369,19 +363,19 @@ def write_outputs(result: ExperimentResult, out_dir, windows_mode: str = "stride
         "stride_applied": stride,
         "tau0": cfg.tau0,
         "n_outputs": p,
-        "n_u2": q,
+        "n_u2": held.size - 3,
         "window_starts": windows.t_start.tolist(),
     }, os.path.join(win_dir, "meta.json"))
     records = windows.samples
     if windows_mode == "full":
         Z = np.column_stack([result.boundary_states[:-1],
-                             np.broadcast_to(windows.held, (len(windows), 3 + q))])
+                             np.broadcast_to(held, (len(windows), held.size))])
         records = _window_outputs(cfg, result.sequence.alphas, Z, full=True)
         records[:, ::cfg.subsample] = windows.samples
     idx = np.arange(0, windows.steps + 1, stride)
-    inputs = np.zeros((idx.size, 3 + q))
-    inputs[idx < windows.steps] = windows.held
-    shape = (len(windows), window_rows(cfg.tau0, cfg.ts * stride), 1 + p + 3 + q)
+    inputs = np.zeros((idx.size, held.size))
+    inputs[idx < windows.steps] = held
+    shape = (len(windows), idx.size, 1 + p + held.size)
     with open(os.path.join(win_dir, _NPY), "wb") as fh:
         np.lib.format.write_array_header_1_0(fh, {
             "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),

@@ -1,14 +1,14 @@
-"""Numerical services on the assembled models: spectra, exact zero-order-hold
-discretization, and the held-input model every response is taken from.
+"""Numerical services on the assembled models: spectra and the exact
+zero-order-hold discretization every response is taken from.
 
-Every input shslab applies is held over a window, so a window's response is
-the free response of the model with its inputs held as extra states
-(hold_inputs): the response from x0 to inputs held at u1 and u2 is that of
-z = [x0; u1; u2]. A detection.MeasurementWindows batch carries those
-inputs as one vector, held = [u1; u2], the input part of z.
-detection.grid_stack keeps that model's observability stack per estimator
-grid, and detection.free_outputs forms responses as products with it;
-nothing steps through a window sample by sample."""
+Every input shslab applies is held over a window, so discretize_zoh returns
+the model with its inputs held as extra states, z = [x; u1; u2]: the
+response from x0 to inputs held at u1 and u2 is its free response from z0 =
+[x0; u1; u2]. A detection.MeasurementWindows batch carries those inputs as
+one vector, held = [u1; u2], the input part of z. detection.grid_stack keeps
+that model's observability stack per estimator grid, and
+detection.free_outputs forms responses as products with it; nothing steps
+through a window sample by sample."""
 
 from __future__ import annotations
 
@@ -22,27 +22,29 @@ from .ssbuild import StateSpaceModel
 
 @dataclass(frozen=True, eq=False)
 class DiscreteStateSpace:
-    """Exact ZOH discretization of a StateSpaceModel at sample period ts."""
+    """Exact ZOH discretization of a StateSpaceModel at sample period ts, with
+    its inputs held as states: z = [x; u1; u2] steps as z' = Ad z and is
+    seen as y = C z, with Ad = [[exp(A ts), B_ts], [0, I]] and C = [C_x, 0].
+    n is the model's own state count; the last `inputs` states are held."""
 
     Ad: np.ndarray
-    Bd1: np.ndarray
-    Bd2: np.ndarray
     C: np.ndarray
+    n: int
     ts: float
 
     def __post_init__(self):
-        for fname in ("Ad", "Bd1", "Bd2", "C"):
+        for fname in ("Ad", "C"):
             arr = np.array(getattr(self, fname), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, fname, arr)
 
     @property
-    def n(self) -> int:
-        return self.Ad.shape[0]
-
-    @property
     def p(self) -> int:
         return self.C.shape[0]
+
+    @property
+    def inputs(self) -> int:
+        return len(self.Ad) - self.n
 
 
 def eig_sorted(A: np.ndarray) -> np.ndarray:
@@ -151,36 +153,20 @@ def expm(M: np.ndarray) -> np.ndarray:
 
 def discretize_zoh(model: StateSpaceModel, ts: float) -> DiscreteStateSpace:
     """Exact discretization via the augmented matrix exponential
-    exp([[A, B], [0, 0]] ts) -> [[Ad, Bd], [0, I]]."""
+    exp([[A, B], [0, 0]] ts) = [[Ad, Bd], [0, I]], kept whole as the
+    held-input model, its bottom rows set to [0, I] exactly (Van Loan, IEEE
+    TAC 23(3), 1978). Its free response from z0 = [x0; u1; u2] is the
+    model's response from x0 to inputs held at u1 and u2, so the last 3 + q
+    columns of its observability stack are the forced responses to unit
+    held inputs."""
     if not (np.isfinite(ts) and ts > 0):
         raise NumericalError(f"sample period must be positive and finite, got {ts}")
     n = model.n
     B = np.hstack([model.B1, model.B2])
-    m = B.shape[1]
-    aug = np.zeros((n + m, n + m))
+    aug = np.zeros((n + B.shape[1],) * 2)
     aug[:n, :n] = model.A
     aug[:n, n:] = B
-    E = expm(aug * ts)
-    Ad = E[:n, :n]
-    Bd = E[:n, n:]
-    return DiscreteStateSpace(Ad=Ad, Bd1=Bd[:, :3], Bd2=Bd[:, 3:],
-                              C=model.C, ts=ts)
-
-
-def hold_inputs(dmodel: DiscreteStateSpace) -> DiscreteStateSpace:
-    """The model with its inputs held as states, z = [x; u1; u2]: Ad_z =
-    [[Ad, Bd1, Bd2], [0, I]] and C_z = [C, 0], with no inputs of its own.
-
-    Its free response from z0 = [x0; u1; u2] is the model's response from x0
-    to inputs held at u1 and u2, so the last 3 + q columns of its
-    observability stack are the forced responses to unit held inputs. It is
-    the augmented matrix discretize_zoh exponentiates, one level up (Van
-    Loan, IEEE TAC 23(3), 1978)."""
-    n = dmodel.n
-    B = np.hstack([dmodel.Bd1, dmodel.Bd2])
-    Ad = np.eye(n + B.shape[1])
-    Ad[:n, :n] = dmodel.Ad
-    Ad[:n, n:] = B
-    C = np.hstack([dmodel.C, np.zeros((dmodel.p, B.shape[1]))])
-    none = np.zeros((len(Ad), 0))
-    return DiscreteStateSpace(Ad=Ad, Bd1=none, Bd2=none, C=C, ts=dmodel.ts)
+    Ad = expm(aug * ts)
+    Ad[n:] = np.eye(len(aug))[n:]
+    C = np.hstack([model.C, np.zeros((model.p, B.shape[1]))])
+    return DiscreteStateSpace(Ad=Ad, C=C, n=n, ts=ts)

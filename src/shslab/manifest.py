@@ -19,14 +19,13 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir, command: str, inputs: list, config_echo: dict | None = None,
-                   name: str = "manifest.json") -> str:
-    """Write the manifest into out_dir; returns the path.
+def write_manifest(path, command: str, inputs: list, config_echo: dict | None = None) -> None:
+    """Write the manifest to `path`, making its directory.
 
     The timestamp is the only non-reproducible field; byte-level comparisons
     of two runs should exclude it.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     manifest = {
         "tool": f"shslab {__version__}",
         "command": command,
@@ -36,6 +35,4 @@ def write_manifest(out_dir, command: str, inputs: list, config_echo: dict | None
         },
         "config": config_echo or {},
     }
-    path = os.path.join(out_dir, name)
     dump_json(manifest, path, sort_keys=True)
-    return path

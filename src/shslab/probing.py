@@ -160,7 +160,7 @@ def compute_delta_min(family: ScenarioFamily, channel, tau0: float,
 
     aggregates = []
     for dm in discretized(family, ts):
-        unit = np.zeros(dm.n + 3 + dm.Bd2.shape[1])
+        unit = np.zeros(len(dm.Ad))
         unit[dm.n + ch] = 1.0
         y = np.empty((steps + 1, dm.p))
         free_outputs(dm, unit, [y], steps, _STACK_GRID, full=True)

@@ -8,12 +8,13 @@ builder, the segment element equations written out directly, the
 column-by-column window table that windows.npy must hold, the per-row
 observability stack, the per-window switched-truth loop and the
 per-scenario window fits. Apart from the last two they never call into
-shslab's discretization, response or stamping code paths; the element
-equations share only the state layout. The truth loop runs `simulate` once
+shslab's discretization, response or stamping code paths, and they read
+a discretized model only through its matrices (`blocks` splits them); the
+element equations share only the state layout. The truth loop runs `simulate` once
 per window, which its own tests hold to `loop_simulate`, so it shares
 nothing with the truth, which `detection.free_outputs` forms from
 detection's stored held-input grid stack. The per-scenario fits take their
-factors from shslab's `observability_stack` of `hold_inputs` and `_factor`,
+factors from shslab's `observability_stack` and `_factor`,
 and their forced responses from that stack's input columns, as the package
 does, and differ from it only in how the window data meet them: one
 (rows, windows) sample matrix and one pass of rotations per scenario, the
@@ -30,7 +31,6 @@ import numpy as np
 from shslab.detection import (_QR_ROWS, MeasurementWindows, _check_window, _factor,
                               observability_stack)
 from shslab.errors import ConfigError, NumericalError
-from shslab.linsys import hold_inputs
 from shslab.ssbuild import _Index  # state layout only, no coefficients
 
 
@@ -110,6 +110,13 @@ def branch_incidence(bus_ids, branches):
     return inc
 
 
+def blocks(dmodel):
+    """(Ad, Bd1, Bd2, C) of a discretized model's own states x, read off its
+    held-input matrices: x' = Ad x + Bd1 u1 + Bd2 u2 and y = C x."""
+    n = dmodel.n
+    return dmodel.Ad[:n, :n], dmodel.Ad[:n, n:n + 3], dmodel.Ad[:n, n + 3:], dmodel.C[:, :n]
+
+
 def loop_simulate(Ad, Bd1, Bd2, C, x0, u1, u2, steps):
     """Per-sample recursion x_{k+1} = Ad x_k + Bd1 u1_k + Bd2 u2_k with
     y_k = C x_k, one Python iteration per sample.
@@ -174,7 +181,7 @@ def simulate(dmodel, x0, u1, u2, steps, record_states=False) -> ResponseTrace:
     propagated by Ad^1..Ad^b, and forms the outputs (2b slab products).
     """
     n = dmodel.n
-    q = dmodel.Bd2.shape[1]
+    q = dmodel.inputs - 3
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (n,):
         raise NumericalError(f"x0 must have length {n}, got {x.shape}")
@@ -206,7 +213,7 @@ def simulate(dmodel, x0, u1, u2, steps, record_states=False) -> ResponseTrace:
     for cols, U in ((slice(n, n + 3), U1), (slice(n + 3, n + m), U2)):
         by_block[:-1, :, cols] = U[:(nb - 1) * b].reshape(nb - 1, b, U.shape[1])
         by_block[-1, :last, cols] = U[(nb - 1) * b:rows]
-    step_map = np.vstack([dmodel.Ad.T, dmodel.Bd1.T, dmodel.Bd2.T])
+    step_map = dmodel.Ad[:n].T
 
     # pass 1: the recursion inside every block at once, zero carry-in
     Z[0, 0, :n] = x
@@ -215,7 +222,7 @@ def simulate(dmodel, x0, u1, u2, steps, record_states=False) -> ResponseTrace:
         np.matmul(Z[j - 1], step_map, out=Z[j, :, :n])
 
     # chain the blocks' true last states through Ad^b
-    AdT = dmodel.Ad.T
+    AdT = step_map[:n]
     if nb > 1:
         AdT_b = np.linalg.matrix_power(AdT, b)
         carry = np.empty((nb - 1, n))
@@ -229,7 +236,7 @@ def simulate(dmodel, x0, u1, u2, steps, record_states=False) -> ResponseTrace:
         if nb > 1:
             carry = carry @ AdT
             Z[j, 1:, :n] += carry
-        np.matmul(Z[j, :, :n], dmodel.C.T, out=Y[j])
+        np.matmul(Z[j, :, :n], dmodel.C[:, :n].T, out=Y[j])
     ys = Y.transpose(1, 0, 2).reshape(-1, dmodel.p)[:rows]
     X = by_block[:, :, :n].reshape(-1, n)[:rows] if record_states else None
     return ResponseTrace(outputs=ys, states=X)
@@ -399,7 +406,7 @@ def loop_truth(dmodels, hold, x, alphas, R, channel, steps,
     goes on the samples at indices 0, subsample, 2 subsample, ..., one block
     of draws per window. Returns (list of (steps+1, p) window samples, (K+1,
     n) boundary states)."""
-    step = np.zeros(3 + dmodels[0].Bd2.shape[1])
+    step = np.zeros(dmodels[0].inputs)
     step[channel] = R
     u1_win, u2_win = step_records(step, steps)
     samples = []
@@ -418,17 +425,18 @@ def loop_truth(dmodels, hold, x, alphas, R, channel, steps,
 
 
 def loop_observability_stack(dmodel, steps, subsample=1):
-    """Stacked map x0 -> [y_k]_{k in grid} for the free response, one
-    (n x n) product per row of the grid."""
+    """Stacked map z0 -> [y_k]_{k in grid} for the free response, one
+    (n_z x n_z) product per row of the grid."""
     idx = np.arange(0, steps + 1, subsample)
+    nz = len(dmodel.Ad)
     P = np.linalg.matrix_power(dmodel.Ad, subsample)
-    blocks = np.empty((idx.size, dmodel.p, dmodel.n))
-    Phi = np.eye(dmodel.n)
+    rows = np.empty((idx.size, dmodel.p, nz))
+    Phi = np.eye(nz)
     for row in range(idx.size):
-        blocks[row] = dmodel.C @ Phi
+        rows[row] = dmodel.C @ Phi
         if row + 1 < idx.size:
             Phi = P @ Phi
-    return blocks.reshape(idx.size * dmodel.p, dmodel.n)
+    return rows.reshape(idx.size * dmodel.p, nz)
 
 
 def loop_samples(windows):
@@ -442,7 +450,7 @@ def loop_samples(windows):
 
 def held_factor(model, steps, subsample):
     """_factor of a fresh held-input stack of `model`."""
-    return _factor(observability_stack(hold_inputs(model), steps, subsample), model.n)
+    return _factor(observability_stack(model, steps, subsample), model.n)
 
 
 def loop_fit(factor, held, samples):

@@ -42,7 +42,7 @@ def probe_window(dmodel, x0, magnitude, channel=1, steps=STEPS, noise=None, sub=
     """The one-window batch of the estimator grid, every sub-th sample, of
     the oracle's record of `dmodel` from x0 under a probe step of
     `magnitude`, with `noise` added to every sample of the record."""
-    held = probe_step(magnitude, channel, dmodel.Bd2.shape[1])
+    held = probe_step(magnitude, channel, dmodel.inputs - 3)
     trace = simulate(dmodel, x0, *step_records(held, steps), steps)
     y = trace.outputs if noise is None else trace.outputs + noise
     return on_grid(one_window(y, steps, held, TS), sub)
@@ -73,7 +73,7 @@ def observable_projector(G, rtol=1e-6):
 def test_self_recovery_noise_free(dmodels, m1_probe):
     rng = np.random.default_rng(11)
     for i, d in enumerate(dmodels):
-        G = observability_stack(d, STEPS, SUB)
+        G = observability_stack(d, STEPS, SUB)[:, :d.n]
         x0 = observable_projector(G) @ (rng.standard_normal(18) * m1_probe.mu0)
         window = probe_window(d, x0, m1_probe.R)
         x0_hat, residual = estimate_initial_state(d, window)
@@ -87,7 +87,7 @@ def test_output_equivalent_recovery_any_x0(dmodels, m1_probe):
     # when unobservable components cannot come back
     rng = np.random.default_rng(12)
     d = dmodels[0]
-    G = observability_stack(d, STEPS, SUB)
+    G = observability_stack(d, STEPS, SUB)[:, :d.n]
     x0 = rng.standard_normal(18) * m1_probe.mu0
     window = probe_window(d, x0, m1_probe.R)
     x0_hat, _ = estimate_initial_state(d, window)
@@ -292,7 +292,7 @@ def test_fit_matches_full_stack_lstsq(dmodels, m1_probe, subsample):
         window = probe_window(gen, rng.standard_normal(18) * m1_probe.mu0,
                               m1_probe.R, noise=noise, sub=subsample)
         for d in dmodels:
-            stack = observability_stack(d, STEPS, subsample)
+            stack = observability_stack(d, STEPS, subsample)[:, :d.n]
             assert stack.shape[0] > 2 * detection._QR_ROWS
             y = (window.samples - forced_outputs(d, window)[idx]).reshape(-1)
             x_ref = np.linalg.lstsq(stack, y, rcond=None)[0]
@@ -312,10 +312,10 @@ def test_fit_rank_cut_is_full_stack_rule(m1_family):
     steps, sub = 10000, 10
     for sc in m1_family:
         d = discretize_zoh(sc, PAPER_TS)
-        stack = observability_stack(d, steps, sub)
+        stack = observability_stack(d, steps, sub)[:, :d.n]
         y_free = stack @ rng.standard_normal(18) + 1e-3 * rng.standard_normal(stack.shape[0])
         x_ref = np.linalg.lstsq(stack, y_free, rcond=None)[0]
-        window = one_window(y_free.reshape(-1, d.p), steps, np.zeros(3 + d.Bd2.shape[1]),
+        window = one_window(y_free.reshape(-1, d.p), steps, np.zeros(d.inputs),
                             PAPER_TS, stride=sub)
         x0_hat, _ = estimate_initial_state(d, window)
         assert np.linalg.norm(x0_hat - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
@@ -329,8 +329,7 @@ def test_estimator_rejects_mismatched_ts(dmodels):
 
 
 def discretize_zoh_like(d):
-    from shslab.linsys import DiscreteStateSpace
-    return DiscreteStateSpace(Ad=d.Ad, Bd1=d.Bd1, Bd2=d.Bd2, C=d.C, ts=d.ts * 2)
+    return dataclasses.replace(d, ts=d.ts * 2)
 
 
 def test_estimator_rejects_unobservable():
@@ -481,7 +480,7 @@ def test_forced_outputs_take_u2_through_the_state(dmodels):
 def test_observability_stack_shape(dmodels):
     G = observability_stack(dmodels[0], STEPS, SUB)
     n_rows = len(sample_indices(STEPS, SUB)) * 5
-    assert G.shape == (n_rows, 18)
+    assert G.shape == (n_rows, 23)
     assert np.array_equal(G[:5], dmodels[0].C)
 
 
@@ -501,7 +500,7 @@ def test_observability_stack_matches_loop_oracle(m1_family, ts, steps, subsample
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.linalg.matrix_rank(got) == np.linalg.matrix_rank(ref)
         if full_grid:
-            assert np.linalg.matrix_rank(got) == rank
+            assert np.linalg.matrix_rank(got[:, :d.n]) == rank
 
 
 def test_detect_sequence_needs_more_equations_than_states(dmodels, m1_probe):
@@ -536,7 +535,7 @@ def test_warm_detection_matches_cold_and_full_stack_lstsq(m1_family, m1_probe, m
         y = trace.outputs + 1e-3 * rng.standard_normal(trace.outputs.shape)
         windows.append(one_window(y[::sub], steps, held, PAPER_TS, stride=sub))
     cold = detect(models, windows)
-    stacks = [observability_stack(d, steps, sub) for d in models]
+    stacks = [observability_stack(d, steps, sub)[:, :d.n] for d in models]
     calls = []
     monkeypatch.setattr(detection, "observability_stack", lambda *a: calls.append(a))
     warm = detect(models, windows)
@@ -584,7 +583,8 @@ def test_detect_sequence_bitwise_per_scenario_loop(m1_family, paper_grid_windows
                for on, windows in paper_grid_windows[1].items()}
     models = [discretize_zoh(sc, PAPER_TS) for sc in m1_family]
     if subsample == 10:
-        ranks = [np.linalg.matrix_rank(observability_stack(d, 10000, 10)) for d in models]
+        ranks = [np.linalg.matrix_rank(observability_stack(d, 10000, 10)[:, :d.n])
+                 for d in models]
         assert ranks == [17, 17, 9, 11]
     refs = [loop_detect(models, batch_of(windows)) for windows in records.values()]
     for _ in ("cold", "warm"):
@@ -619,7 +619,7 @@ def test_estimate_initial_state_stays_cold(m1_family, m1_probe, monkeypatch):
     original = detection.observability_stack
 
     def counted(dmodel, steps, subsample=1):
-        calls.append((dmodel.n, steps, subsample))
+        calls.append((len(dmodel.Ad), steps, subsample))
         return original(dmodel, steps, subsample)
     monkeypatch.setattr(detection, "observability_stack", counted)
     d = discretize_zoh(m1_family[1], TS)

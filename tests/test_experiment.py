@@ -89,15 +89,33 @@ def test_windows_share_input_records(m1_family, coarse_probe):
     for window in result.windows:
         assert window.held is first.held
     # a caller's writable vector, or a read-only view of one, is copied
-    vectors = (np.array(first.held), first.held[:])
+    writable = np.array(first.held)
+    view = writable[:]
+    view.setflags(write=False)
+    vectors = (writable, view)
     copies = [MeasurementWindows(t_start=first.t_start, ts=TS, samples=first.samples,
                                  steps=first.steps, held=held, stride=first.stride)
               for held in vectors]
     for window, held in zip(copies, vectors):
         assert not np.shares_memory(window.held, held)
         assert not window.held.flags.writeable
-    vectors[0][1] += 1.0
-    assert copies[0].held[1] == first.held[1]
+    writable[1] += 1.0
+    assert copies[0].held[1] == copies[1].held[1] == first.held[1]
+    # a read-only view of the batch's own vector is its buffer, kept
+    kept = MeasurementWindows(t_start=first.t_start, ts=TS, samples=first.samples,
+                              steps=first.steps, held=first.held[:], stride=first.stride)
+    assert np.shares_memory(kept.held, first.held)
+
+
+def test_indexed_windows_view_the_batch_samples(m1_family, coarse_probe):
+    windows = run_experiment(config(m1_family, coarse_probe, K=4, seed=3)).windows
+    for k, window in enumerate(windows):
+        assert np.shares_memory(window.samples, windows.samples)
+        assert np.shares_memory(window.t_start, windows.t_start)
+        assert not window.samples.flags.writeable
+        assert np.array_equal(window.samples[0], windows.samples[k])
+        with pytest.raises(ValueError, match="read-only"):
+            window.samples[0, 0, 0] = 1.0
 
 
 def noise_stream(seed):
@@ -163,7 +181,7 @@ def test_state_continuity_across_switches(tmp_path, m1_family, coarse_probe):
     # each window starts at the state carried over from the previous interval
     dmodels = [discretize_zoh(sc, TS) for sc in m1_family]
     for k, a in enumerate(seq.alphas):
-        y0 = dmodels[a].C @ result.boundary_states[k]
+        y0 = dmodels[a].C[:, :dmodels[a].n] @ result.boundary_states[k]
         assert np.allclose(result.windows.samples[k, 0], y0, rtol=0, atol=1e-12)
     assert_truth_matches_oracle(result, written_windows(result, tmp_path, "full"))
 
@@ -722,7 +740,7 @@ def test_warm_run_does_no_cold_work(fresh_family, coarse_probe, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    # the boundary matrices' Ad_z^N, one matrix_power per scenario
+    # the boundary matrices' Ad^N, one matrix_power per scenario
     for module, name in ((experiment.np.linalg, "matrix_power"),
                          (probing, "discretize_zoh"), (detection, "observability_stack")):
         counted(module, name)
@@ -733,10 +751,10 @@ def test_warm_run_does_no_cold_work(fresh_family, coarse_probe, monkeypatch):
     run_experiment(config(fresh_family, coarse_probe, seed=2, x0_mode="random",
                           noise_sigma=1e-3))
     assert calls == {"matrix_power": 0, "discretize_zoh": 0, "observability_stack": 0}
-    # another probe record needs its own boundary matrices, nothing else:
-    # the stacks do not depend on the inputs' levels
+    # another probe record needs nothing new: neither the boundary matrices
+    # nor the stacks depend on the inputs' levels
     run_experiment(config(fresh_family, coarse_probe, seed=3, probe_override_R=0.0))
-    assert calls == {"matrix_power": 4, "discretize_zoh": 0, "observability_stack": 0}
+    assert calls == {"matrix_power": 0, "discretize_zoh": 0, "observability_stack": 0}
 
 
 def test_truth_and_fit_share_one_stack(tmp_path, fresh_family, seg1, m1_contingencies,
@@ -745,7 +763,7 @@ def test_truth_and_fit_share_one_stack(tmp_path, fresh_family, seg1, m1_continge
     original = detection.observability_stack
 
     def counted(dmodel, steps, subsample=1):
-        calls.append((dmodel.n, steps, subsample))
+        calls.append((len(dmodel.Ad), steps, subsample))
         return original(dmodel, steps, subsample)
     monkeypatch.setattr(detection, "observability_stack", counted)
     # cold: one stack of the 23-state held-input model per scenario on the
@@ -800,9 +818,18 @@ def test_memo_entries_are_frozen_and_die_with_the_family(seg1, m1_contingencies,
     result = run_experiment(cfg)
     dmodels = probing.discretized(family, TS)
     assert len(_MEMO) == before + 1 + len(dmodels)
-    held, M = experiment._window_response(cfg, dmodels)
-    assert result.windows[0].held is held
-    assert held.shape == (5,)
+    M = experiment._window_response(cfg, dmodels)
+    # one boundary map for probe on and probe off; each run's batch holds one
+    # input vector
+    off = run_experiment(config(family, coarse_probe, probe_override_R=0.0))
+    assert experiment._window_response(off.config, dmodels) is M
+    for run in (result, off):
+        held = run.windows.held
+        assert held.shape == (5,) and not held.flags.writeable
+        assert all(window.held is held for window in run.windows)
+    assert result.windows.held[coarse_probe.channel] == coarse_probe.R
+    assert not np.any(off.windows.held)
+    assert len(_MEMO) == before + 1 + len(dmodels)
     assert M.shape == (len(dmodels), 23, 23)
     arrays = [held, M]
     for d in dmodels:
@@ -811,7 +838,7 @@ def test_memo_entries_are_frozen_and_die_with_the_family(seg1, m1_contingencies,
     assert not any(a.flags.writeable for a in arrays)
 
     owner = weakref.ref(family)
-    del family, cfg, result, dmodels, held, M, arrays, d, stack, qs, tri
+    del family, cfg, result, off, run, dmodels, held, M, arrays, d, stack, qs, tri
     gc.collect()
     assert owner() is None
     assert len(_MEMO) == before

@@ -6,10 +6,10 @@ import pytest
 import scipy.linalg
 
 from conftest import PAPER_TS, bare_line_segment, bits, make_model
-from oracles import loop_simulate, rk4_lti, simulate
+from oracles import blocks, loop_simulate, rk4_lti, simulate
 from shslab.detection import _GEMM_MAX, free_outputs, grid_stack
 from shslab.errors import ConfigError, NumericalError
-from shslab.linsys import discretize_zoh, eig_sorted, eigenvalues, expm, hold_inputs
+from shslab.linsys import discretize_zoh, eig_sorted, eigenvalues, expm
 from shslab.probing import compute_mu1
 from shslab.ssbuild import ContingencySpec, build_state_space
 
@@ -78,16 +78,16 @@ def test_bundled_families_pass_stability_gate(all_families):
 
 def test_zoh_integrator_state():
     model = make_model(np.array([[0.0]]), B1=np.array([[1.0, 0.0, 0.0]]))
-    d = discretize_zoh(model, 1e-3)
-    assert np.allclose(d.Ad, [[1.0]], atol=1e-15)
-    assert np.allclose(d.Bd1[0, 0], 1e-3, rtol=1e-12)
+    Ad, Bd1, _, _ = blocks(discretize_zoh(model, 1e-3))
+    assert np.allclose(Ad, [[1.0]], atol=1e-15)
+    assert np.allclose(Bd1[0, 0], 1e-3, rtol=1e-12)
 
 
 def test_zoh_first_order_closed_form():
     model = make_model(np.array([[-1.0]]), B1=np.array([[1.0, 0.0, 0.0]]))
-    d = discretize_zoh(model, 1.0)
-    assert d.Ad[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
-    assert d.Bd1[0, 0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+    Ad, Bd1, _, _ = blocks(discretize_zoh(model, 1.0))
+    assert Ad[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
+    assert Bd1[0, 0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
 
 def test_zoh_rejects_bad_ts(m1_family):
@@ -107,17 +107,17 @@ def _random_stable(n, seed):
 def test_zoh_semigroup_random(seed):
     model = make_model(_random_stable(5, seed))
     ts = 0.01
-    half = discretize_zoh(model, ts)
-    full = discretize_zoh(model, 2 * ts)
-    err = np.max(np.abs(half.Ad @ half.Ad - full.Ad)) / np.max(np.abs(full.Ad))
+    half = blocks(discretize_zoh(model, ts))[0]
+    full = blocks(discretize_zoh(model, 2 * ts))[0]
+    err = np.max(np.abs(half @ half - full)) / np.max(np.abs(full))
     assert err <= 1e-10
 
 
 def test_zoh_semigroup_m1(m1_family):
     ts = 1e-6
-    half = discretize_zoh(m1_family[0], ts)
-    full = discretize_zoh(m1_family[0], 2 * ts)
-    err = np.max(np.abs(half.Ad @ half.Ad - full.Ad)) / np.max(np.abs(full.Ad))
+    half = blocks(discretize_zoh(m1_family[0], ts))[0]
+    full = blocks(discretize_zoh(m1_family[0], 2 * ts))[0]
+    err = np.max(np.abs(half @ half - full)) / np.max(np.abs(full))
     assert err <= 1e-10
 
 
@@ -204,13 +204,14 @@ def paper_dmodels(m1_family):
 def test_simulate_matches_loop_oracle(paper_dmodels, steps, extra_rows):
     rng = np.random.default_rng(1000 * steps + extra_rows)
     for d in paper_dmodels:
-        assert np.any(d.Bd2)  # u2 drives the state
+        Ad, Bd1, Bd2, C = blocks(d)
+        assert np.any(Bd2)  # u2 drives the state
         rows = steps + extra_rows
         x0 = rng.standard_normal(d.n)
         u1 = rng.standard_normal((rows, 3))
-        u2 = rng.standard_normal((rows, d.Bd2.shape[1]))
+        u2 = rng.standard_normal((rows, Bd2.shape[1]))
         trace = simulate(d, x0, u1, u2, steps, record_states=True)
-        xs, ys = loop_simulate(d.Ad, d.Bd1, d.Bd2, d.C, x0, u1, u2, steps)
+        xs, ys = loop_simulate(Ad, Bd1, Bd2, C, x0, u1, u2, steps)
         assert trace.states.shape == xs.shape and trace.outputs.shape == ys.shape
         assert np.max(np.abs(trace.states - xs)) <= 1e-12 * np.max(np.abs(xs))
         assert np.max(np.abs(trace.outputs - ys)) <= 1e-12 * np.max(np.abs(ys))
@@ -228,22 +229,28 @@ def fresh_dmodels(m1_family):
     return [discretize_zoh(sc, PAPER_TS) for sc in m1_family]
 
 
-def test_hold_inputs_layout(paper_dmodels):
-    d = paper_dmodels[0]
-    z = hold_inputs(d)
-    n, nz = d.n, d.n + 5
-    assert z.Ad.shape == (nz, nz) and z.C.shape == (d.p, nz)
-    assert np.array_equal(z.Ad[:n, :n], d.Ad)
-    assert np.array_equal(z.Ad[:n, n:], np.hstack([d.Bd1, d.Bd2]))
-    assert np.array_equal(z.Ad[n:], np.eye(nz)[n:])
-    assert np.array_equal(z.C, np.hstack([d.C, np.zeros((d.p, 5))]))
-    assert z.Bd1.shape == z.Bd2.shape == (nz, 0) and z.ts == d.ts
+def test_discretize_zoh_layout(paper_dmodels, m1_family):
+    # the held-input model z = [x; u1; u2]: its input rows hold exactly, the
+    # outputs read no input, and the state rows are the expm of the
+    # augmented matrix
+    sc, d = m1_family[0], paper_dmodels[0]
+    n, nz = sc.n, sc.n + 5
+    assert d.n == n and d.inputs == 5 and d.ts == PAPER_TS
+    assert d.Ad.shape == (nz, nz) and d.C.shape == (d.p, nz)
+    assert np.array_equal(d.Ad[n:], np.eye(nz)[n:])
+    assert np.array_equal(d.C[:, n:], np.zeros((d.p, 5)))
+    assert np.array_equal(d.C[:, :n], sc.C)
+    aug = np.zeros((nz, nz))
+    aug[:n, :n] = sc.A
+    aug[:n, n:] = np.hstack([sc.B1, sc.B2])
+    ref = scipy.linalg.expm(aug * PAPER_TS)[:n]
+    assert np.max(np.abs(d.Ad[:n] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def held_states(rng, batch, d):
     """`batch` random start states, all under one random held input u:
     the (batch, n + 3 + q) held-input states and u."""
-    u = rng.standard_normal(3 + d.Bd2.shape[1])
+    u = rng.standard_normal(d.inputs)
     return np.hstack([rng.standard_normal((batch, d.n)), np.tile(u, (batch, 1))]), u
 
 
@@ -257,8 +264,7 @@ def test_free_outputs_matches_loop_oracle(fresh_dmodels, steps, batch):
     for d in fresh_dmodels:
         Z0, u = held_states(rng, batch, d)
         held = np.tile(u, (steps + 1, 1))
-        _, ys = loop_simulate(d.Ad, d.Bd1, d.Bd2, d.C, Z0[:, :d.n], held[:, :3], held[:, 3:],
-                              steps)
+        _, ys = loop_simulate(*blocks(d), Z0[:, :d.n], held[:, :3], held[:, 3:], steps)
         for stride in (1, 3, 10):
             for full in (False, True):
                 out = [np.empty((steps + 1 if full else steps // stride + 1, d.p))
@@ -317,12 +323,11 @@ def test_free_outputs_stride_bitwise_block_loop(fresh_dmodels, steps, batch, str
 @pytest.mark.parametrize("steps", [1, 2, 99, 100, 101, 10000])
 def test_input_columns_match_loop_forced_response(fresh_dmodels, steps):
     for d in fresh_dmodels:
-        n, q = d.n, d.Bd2.shape[1]
+        n, q = d.n, d.inputs - 3
         for ch in range(3 + q):
             held = np.zeros((steps + 1, 3 + q))
             held[:steps, ch] = 1.0
-            _, ys = loop_simulate(d.Ad, d.Bd1, d.Bd2, d.C, None, held[:, :3], held[:, 3:],
-                                  steps)
+            _, ys = loop_simulate(*blocks(d), None, held[:, :3], held[:, 3:], steps)
             # u2 reaches no output of line_outage and line_disconnect: both
             # responses are exact zeros there
             scale = np.max(np.abs(ys))
@@ -340,7 +345,7 @@ def test_forced_response_at_level_R_is_R_times_the_unit_response(fresh_dmodels, 
     # unit column, so every level's forced response scales the unit one
     steps = 10000
     for d in fresh_dmodels:
-        for ch in range(3 + d.Bd2.shape[1]):
+        for ch in range(d.inputs):
             unit = np.eye(d.n + 5)[d.n + ch]
             for R in (m1_probe.R, 0.101, 3.0):
                 at_R, at_1 = (np.empty((steps // 10 + 1, d.p)) for _ in range(2))
